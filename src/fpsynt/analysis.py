@@ -26,18 +26,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .config import Config
-from .core import (Dfg, Node, NodeKind, ScaledSignal, SifFormat, decode,
-                   encode, floor_to_grid, topo_order)
+from .core import (Dfg, Node, NodeKind, ScaledSignal, SifFormat, _pow2_frac,
+                   decode, encode, floor_to_grid, topo_order)
 from .errors import CannotFitError
 from .parser import Bindings
 
 log = logging.getLogger("fpsynt.analysis")
 
 _ZERO = Fraction(0)
-
-
-def _pow2(e: int) -> Fraction:
-    return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
 @dataclass(frozen=True)
@@ -390,19 +386,26 @@ def find_chains(dfg: Dfg) -> list[Chain]:
             continue
         members: list[str] = []
         terms: list[tuple[str, int]] = []
-
-        def walk(nid: str, sign: int):
-            n = dfg.node(nid)
-            if n.id in add_ids and (n.id == node.id or absorbed(n.id)):
-                if n.id != node.id:
-                    members.append(n.id)
-                left = walk(n.operands[0], -sign if n.negate[0] else sign)
-                right = walk(n.operands[1], -sign if n.negate[1] else sign)
-                return (left, right)
-            terms.append((nid, sign))
-            return len(terms) - 1
-
-        shape = walk(node.id, 1)
+        # depth-first, left operand first, with an explicit stack: a chain
+        # can be thousands of additions deep
+        shapes: list = []
+        stack = [(node.id, 1, False)]
+        while stack:
+            nid, sign, joined = stack.pop()
+            if joined:
+                right = shapes.pop()
+                shapes.append((shapes.pop(), right))
+            elif nid in add_ids and (nid == node.id or absorbed(nid)):
+                if nid != node.id:
+                    members.append(nid)
+                n = dfg.node(nid)
+                stack.append((nid, sign, True))
+                stack.append((n.operands[1], -sign if n.negate[1] else sign, False))
+                stack.append((n.operands[0], -sign if n.negate[0] else sign, False))
+            else:
+                terms.append((nid, sign))
+                shapes.append(len(terms) - 1)
+        shape = shapes.pop()
         if len(members) >= 1:  # root + >= 1 member = >= 2 consecutive adds
             chains.append(Chain(node.id, tuple(members), tuple(terms), shape))
     return chains
@@ -522,6 +525,12 @@ class PlanBuilder:
     The optimizer drives it as a search tree: positions with a free choice
     (MUL extra truncation, ADD extra pre-scaling) branch; everything else is
     forced. ``build`` runs the whole walk with a fixed choice mapping.
+
+    ``positions`` is the level-first walk that ``build`` takes, which fixes
+    node order and fresh names in the plan. ``search_order`` holds the same
+    positions depth-first from the outputs, so a value is consumed soon
+    after it is made. The values a step computes do not depend on which of
+    the two walks makes it.
     """
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config,
@@ -548,6 +557,7 @@ class PlanBuilder:
         reachable = self._reachable()
         self.positions = [nid for nid in topo_order(dfg)
                           if nid in reachable and nid not in self._absorbed]
+        self.search_order = self._post_order()
 
     def _reachable(self) -> set[str]:
         seen = set(self.dfg.output_ids)
@@ -560,6 +570,29 @@ class PlanBuilder:
         seen.update(n.id for n in self.dfg.nodes if n.kind is NodeKind.INPUT)
         return seen
 
+    def reads(self, nid: str) -> tuple[str, ...]:
+        """Source ids whose current value the step at ``nid`` reads."""
+        if nid in self.chains:
+            return tuple(tid for tid, _sign in self.chains[nid].terms)
+        return self.dfg.node(nid).operands
+
+    def _post_order(self) -> list[str]:
+        """Positions in depth-first post-order from the outputs, taken in
+        declaration order, operands left first; inputs that nothing reads
+        go first."""
+        order: list[str] = []
+        seen: set[str] = set()
+        stack = [(o, False) for o in reversed(self.dfg.output_ids)]
+        while stack:
+            nid, ready = stack.pop()
+            if ready:
+                order.append(nid)
+            elif nid not in seen:
+                seen.add(nid)
+                stack.append((nid, True))
+                stack.extend((r, False) for r in reversed(self.reads(nid)) if r not in seen)
+        return [nid for nid in self.positions if nid not in seen] + order
+
     def new_ctx(self) -> _Ctx:
         return _Ctx({n.id for n in self.dfg.nodes})
 
@@ -570,7 +603,9 @@ class PlanBuilder:
         return node.kind in (NodeKind.MUL, NodeKind.ADD)
 
     def candidates(self) -> range:
-        return range(0, self.config.k_max + 1)
+        """Extra coarsening steps tried at a choice point; only the mandatory
+        minimum when the combinatorial search is disabled."""
+        return range(self.config.k_max + 1 if self.config.enable_comb else 1)
 
     # per-node assignment
 
@@ -699,7 +734,7 @@ class PlanBuilder:
         f_cap = min(t.signal.fmt.f for t in term_infos)
         plan = None
         for f_acc in range(f_cap, -1, -1):
-            grid = _pow2(-f_acc)
+            grid = _pow2_frac(-f_acc)
             views = [t.interval.floor_to(grid) if t.signal.fmt.f > f_acc else t.interval
                      for t in term_infos]
             ok = all(1 + _min_integer_bits(v, f_acc, 0) + f_acc <= w_acc for v in views)
@@ -724,7 +759,7 @@ class PlanBuilder:
         for (tid, _sign), t in zip(chain.terms, term_infos):
             if t.signal.fmt.f > f_acc:
                 spec = plan_truncate(t, 1 + _min_integer_bits(
-                    t.interval.floor_to(_pow2(-f_acc)), f_acc, 0) + f_acc)
+                    t.interval.floor_to(_pow2_frac(-f_acc)), f_acc, 0) + f_acc)
                 assert spec is not None and spec.signal.fmt.f == f_acc
                 qid = ctx.fresh(f"{ctx.alias[tid]}_q")
                 ctx.emit(Node(qid, NodeKind.TRUNC, (ctx.alias[tid],),
@@ -814,5 +849,5 @@ def check_plan(plan: Plan):
             a, b = (plan.info[op] for op in node.operands)
             assert a.signal.grid == b.signal.grid, f"unaligned add '{node.id}'"
         for op in node.operands:
-            assert plan.info[op].err <= info.err + Fraction(0), \
+            assert plan.info[op].err <= info.err, \
                 f"error bound shrank from '{op}' to '{node.id}'"

@@ -8,14 +8,30 @@ Three passes, outermost first:
   * chain allocation: a chain may instead accumulate in a single widened
     register of width W + ceil(log2 n) with no intra-chain loss and one
     final truncation;
-  * combinatorial search: depth-first over per-node formatting candidates
-    (extra product truncation, extra pre-scaling) with branch-and-bound
-    pruning, admissible because accumulated bounds never decrease along a
-    path.
+  * combinatorial search: exact branch-and-bound over per-node formatting
+    candidates (extra product truncation, extra pre-scaling).
 
-The best plan is the one with the smallest predicted output bound; ties fall
-to fewer inserted formatting nodes, then to the earlier candidate in the
-deterministic enumeration order.
+The search walks positions depth-first from the outputs
+(``PlanBuilder.search_order``), so each product is consumed by its add
+soon after it is made and few values are live at once. Two facts make its
+cuts exact. Error bounds never decrease along a path, and an addition
+passes on the errors of both operands in full, so a state whose errors
+already add up past the incumbent's cost cannot win. And every downstream
+bound is monotone in the operand errors, so of two states at one position
+that agree on the format, interval and value grid of every live value, the
+one with no larger errors there and on the finished outputs, and with a
+choice prefix no larger, reaches every completion at least as well as the
+other; the other is dropped (the dominance memo).
+
+A search returns the minimum of (cost, choice vector in level-first
+order), replayed once with ``PlanBuilder.build`` so that node order and
+fresh names follow the level-first walk. Across candidates the best plan
+has the smallest predicted output bound; ties fall to fewer inserted
+formatting nodes, then to the earlier candidate: the topologies in
+enumeration order, then the chain-accumulator plan. The chain plan is
+built first and its cost, lowered by each topology's result, is the shared
+incumbent of the topology searches. Every cut is strict, since a tie can
+still win on the choice vector or on the formatting-node count.
 """
 
 from __future__ import annotations
@@ -33,60 +49,215 @@ log = logging.getLogger("fpsynt.optimizer")
 _MAX_TOPOLOGY_PRODUCT = 1024
 
 
+class _Frontier:
+    """What the rest of a search reads of a state, for each position.
+
+    A state at position p has run the steps before p. Its live values are
+    the ones made before p and read at or after it; the finished outputs
+    are the outputs made before p. Both are fixed per position, so they
+    are worked out once per search.
+
+    ``lower_bound`` adds to each unfinished output the errors of the live
+    values that reach it through additions only, which an addition passes
+    on in full. ``dominated`` keeps, per position and per (format,
+    interval, value grid) of every live value, the (errors, choice vector)
+    pairs that no other pair there dominates.
+    """
+
+    def __init__(self, builder: PlanBuilder):
+        order = builder.search_order
+        dfg = builder.dfg
+        outputs = dfg.output_ids
+        readers: dict[str, list[str]] = {nid: [] for nid in order}
+        for nid in order:
+            for r in builder.reads(nid):
+                readers[r].append(nid)
+        sums = {nid for nid in order if dfg.node(nid).kind in (NodeKind.ADD, NodeKind.OUTPUT)}
+        # paths[o][v]: the number of paths from v to output o whose later
+        # nodes are all additions, i.e. the multiple of err(v) in err(o)
+        paths = {}
+        for o in outputs:
+            to_o = {o: 1}
+            for nid in reversed(order):
+                c = sum(to_o.get(r, 0) for r in readers[nid] if r in sums)
+                if c:
+                    to_o[nid] = c
+            paths[o] = to_o
+
+        self._tables = []  # per position: (live, finished outputs, additive cones)
+        live: dict[str, int] = {}  # value -> count of reads still to come
+        done: list[str] = []
+        cones = {o: {} for o in outputs}  # o -> {live value: multiple}
+        for nid in order:
+            self._tables.append((tuple(live), tuple(done),
+                                 tuple(tuple(cones[o].items())
+                                       for o in outputs if o not in done)))
+            for r in builder.reads(nid):
+                live[r] -= 1
+                if not live[r]:
+                    del live[r]
+                if nid in sums:
+                    for o in outputs:
+                        c = paths[o].get(nid)
+                        if c:
+                            cones[o][r] -= c
+                            if not cones[o][r]:
+                                del cones[o][r]
+            if readers[nid]:
+                live[nid] = len(readers[nid])
+            if nid in paths:
+                done.append(nid)
+            else:
+                for o in outputs:
+                    c = paths[o].get(nid)
+                    if c:
+                        cones[o][nid] = c
+        self._seen: list[dict] = [{} for _ in order]
+
+    def lower_bound(self, pos: int, ctx) -> tuple:
+        """A cost key no completion of the state at ``pos`` goes below."""
+        _live, done, cones = self._tables[pos]
+        errs = [ctx.info[o].err for o in done]
+        errs += [sum(c * ctx.info[ctx.alias[v]].err for v, c in cone) for cone in cones]
+        top = max(errs + [ctx.live_err])
+        return (top, max(top, sum(errs)))
+
+    def dominated(self, pos: int, ctx, vec: tuple) -> bool:
+        """True when an earlier state at ``pos`` dominates this one;
+        otherwise record it."""
+        live, done, _cones = self._tables[pos]
+        infos = [ctx.info[ctx.alias[v]] for v in live]
+        key = tuple((i.signal, i.interval, i.eff) for i in infos)
+        errs = tuple([i.err for i in infos] + [ctx.info[o].err for o in done])
+        kept = self._seen[pos].setdefault(key, [])
+        for k_errs, k_vec in kept:
+            if k_vec <= vec and all(a <= b for a, b in zip(k_errs, errs)):
+                return True
+        kept[:] = [(k_errs, k_vec) for k_errs, k_vec in kept
+                   if not (vec <= k_vec and all(a <= b for a, b in zip(errs, k_errs)))]
+        kept.append((errs, vec))
+        return False
+
+
 def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
                          chain_roots: frozenset[str] = frozenset(),
                          topology: str = "source",
-                         prune: bool = True, source: Dfg | None = None) -> Plan:
+                         prune: bool = True, source: Dfg | None = None,
+                         incumbent: tuple | None = None) -> Plan | None:
     """Minimize the output error bound over all per-node formatting choices.
 
-    Depth-first over nodes in topological order; candidate k at a node means
-    k extra grid-coarsening steps beyond the mandatory minimum. A branch is
-    pruned as soon as its accumulated error already matches or exceeds the
-    best complete plan (with ``prune=False`` the full tree is walked, for
-    oracle comparisons). The first plan found at the minimum cost wins, which
-    is the lexicographically smallest choice vector.
+    Candidate k at a choice point means k extra grid-coarsening steps beyond
+    the mandatory minimum. The walk is depth-first over
+    ``PlanBuilder.search_order`` with an explicit stack, candidates in
+    increasing order. The result is the plan with the smallest
+    ``cost_key``; among equal keys, the one whose choice vector, read in
+    the level-first order of ``PlanBuilder.positions``, is
+    lexicographically smallest. It is rebuilt once with
+    ``PlanBuilder.build``.
+
+    With ``prune`` a state is cut when a lower bound on its cost exceeds
+    the best cost known: the incumbent passed in, or the best plan found.
+    The bound is its largest error so far, or the errors that reach each
+    output through additions only (``_Frontier.lower_bound``). Added error
+    grows with the candidate, so a cut candidate also cuts the larger ones
+    at that choice point. A state is also dropped when an earlier state at
+    the same position dominates it (``_Frontier.dominated``).
+    ``prune=False`` walks the whole tree, for oracle comparisons.
+
+    Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
+    when no choice fits the word width.
     """
     builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, source)
-    best: Plan | None = None
-    best_key = None
-    last_fail: list[str] = [""]
-    positions = builder.positions
+    order = builder.search_order
+    n = len(order)
+    is_choice = [builder.is_choice_point(nid) for nid in order]
+    points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
+    slot = {nid: k for k, nid in enumerate(points)}
+    cands = builder.candidates()
+    outputs = dfg.output_ids
+    frontier = _Frontier(builder) if prune and points and len(cands) > 1 else None
 
-    def rec(pos: int, ctx):
-        nonlocal best, best_key
-        if pos == len(positions):
-            plan = builder.finish(ctx)
-            key = plan.cost_key
-            if best_key is None or key < best_key:
-                best, best_key = plan, key
-            return
-        nid = positions[pos]
-        if builder.is_choice_point(nid):
-            for cand in builder.candidates():
-                branch = ctx.clone()
-                try:
-                    builder.step(branch, nid, cand)
-                except CannotFitError as e:
-                    last_fail[0] = str(e)
-                    continue
-                if prune and best_key is not None and (branch.live_err, branch.live_err) >= best_key:
-                    # added error grows with the candidate, so the rest of
-                    # the row cannot beat the incumbent either
-                    break
-                rec(pos + 1, branch)
-        else:
+    bound = incumbent if prune else None
+    best_key = best_vec = None
+    last_fail = ""
+    steps = leaves = cuts = dominated = 0
+
+    def beaten(ctx, pos: int) -> bool:
+        if bound is None:
+            return False
+        if ctx.live_err > bound[0]:
+            return True
+        return frontier is not None and pos < n and frontier.lower_bound(pos, ctx) > bound
+
+    # entries (pos, ctx, vec, cand): try candidate index ``cand`` at the
+    # choice point ``order[pos]`` on a copy of ``ctx``
+    stack = [(0, builder.new_ctx(), (0,) * len(points), None)]
+    while stack:
+        pos, ctx, vec, cand = stack.pop()
+        if cand is not None:
+            nid = order[pos]
+            more = cand + 1 < len(cands)
+            # the last candidate may consume the parent state
+            branch = ctx.clone() if more else ctx
+            steps += 1
             try:
-                builder.step(ctx, nid, 0)
+                builder.step(branch, nid, cands[cand])
             except CannotFitError as e:
-                last_fail[0] = str(e)
-                return
-            rec(pos + 1, ctx)
+                last_fail = str(e)
+                if more:
+                    stack.append((pos, ctx, vec, cand + 1))
+                continue
+            if beaten(branch, pos + 1):
+                # added error grows with the candidate, so the rest of the
+                # row cannot beat the incumbent either
+                cuts += 1
+                continue
+            if more:
+                stack.append((pos, ctx, vec, cand + 1))
+            if cands[cand]:
+                k = slot[nid]
+                vec = vec[:k] + (cands[cand],) + vec[k + 1:]
+            ctx, pos = branch, pos + 1
 
-    rec(0, builder.new_ctx())
-    if best is None:
-        detail = f": {last_fail[0]}" if last_fail[0] else ""
+        # forced steps in place, up to the next choice point or the leaf
+        while True:
+            if pos == n:
+                leaves += 1
+                errs = [ctx.info[o].err for o in outputs]
+                key = (max(errs), sum(errs))
+                if bound is not None and key > bound:
+                    cuts += 1
+                elif best_key is None or (key, vec) < (best_key, best_vec):
+                    best_key, best_vec = key, vec
+                    if prune and (bound is None or key < bound):
+                        bound = key
+                break
+            if frontier is not None and frontier.dominated(pos, ctx, vec):
+                dominated += 1
+                break
+            if is_choice[pos]:
+                stack.append((pos, ctx, vec, 0))
+                break
+            steps += 1
+            try:
+                builder.step(ctx, order[pos], 0)
+            except CannotFitError as e:
+                last_fail = str(e)
+                break
+            pos += 1
+            if beaten(ctx, pos):
+                cuts += 1
+                break
+
+    log.info("search %s: %d steps, %d leaves, %d incumbent prunes, "
+             "%d dominance prunes%s", topology, steps, leaves, cuts, dominated,
+             ", cut by the incumbent" if best_vec is None and cuts else "")
+    if best_vec is None:
+        if cuts:
+            return None
+        detail = f": {last_fail}" if last_fail else ""
         raise CannotFitError(f"no formatting choice fits the word width{detail}")
-    return best
+    return builder.build(dict(zip(points, best_vec)))
 
 
 # ---------------------------------------------------------------------------
@@ -211,47 +382,47 @@ def chain_allocate(dfg: Dfg, bindings: Bindings, config: Config,
                                 topology=topology + "+chain", prune=prune)
 
 
-def _baseline(dfg: Dfg, bindings: Bindings, config: Config,
-              chain_roots: frozenset[str] = frozenset(), topology: str = "source",
-              source: Dfg | None = None) -> Plan:
-    return PlanBuilder(dfg, bindings, config, chain_roots, topology, source).build()
-
-
 def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     """Run the full optimization stack and return the cheapest plan.
 
-    Candidate plans: for every enumerated topology, the combinatorial search
-    result (or the greedy baseline when the search is disabled), plus the
-    chain-accumulator plan, whose bound does not depend on the chain's shape.
-    Ranking: (max output bound, summed bounds, inserted formatting nodes,
-    enumeration order).
+    Candidate plans: the combinatorial search result for every enumerated
+    topology, then the chain-accumulator plan, whose bound does not depend
+    on the chain's shape. The chain plan is built first; its cost, lowered
+    by each search result in turn, is the incumbent of the topology
+    searches, and a topology it cuts is no candidate. Ranking: (max output
+    bound, summed bounds, inserted formatting nodes, candidate order).
     """
     if config.enable_topology_opt:
         topologies = enumerate_topologies(dfg, config.n_max_topologies)
     else:
         topologies = [("source", dfg)]
 
+    chain_plan: Plan | None = None
+    chain_error = None
+    if config.enable_chain_alloc and find_chains(dfg):
+        try:
+            chain_plan = chain_allocate(dfg, bindings, config)
+        except CannotFitError as e:
+            chain_error = f"chain: {e}"
+    incumbent = chain_plan.cost_key if chain_plan is not None else None
+
     candidates: list[Plan] = []
     errors: list[str] = []
     for label, topo in topologies:
         try:
-            if config.enable_comb:
-                candidates.append(combinatorial_search(topo, bindings, config,
-                                                       topology=label, source=dfg))
-            else:
-                candidates.append(_baseline(topo, bindings, config, topology=label,
-                                            source=dfg))
+            plan = combinatorial_search(topo, bindings, config, topology=label,
+                                        source=dfg, incumbent=incumbent)
         except CannotFitError as e:
             errors.append(f"{label}: {e}")
-    if config.enable_chain_alloc and find_chains(dfg):
-        try:
-            if config.enable_comb:
-                candidates.append(chain_allocate(dfg, bindings, config))
-            else:
-                roots = frozenset(c.root for c in find_chains(dfg))
-                candidates.append(_baseline(dfg, bindings, config, roots, "source+chain"))
-        except CannotFitError as e:
-            errors.append(f"chain: {e}")
+            continue
+        if plan is not None:
+            candidates.append(plan)
+            if incumbent is None or plan.cost_key < incumbent:
+                incumbent = plan.cost_key
+    if chain_plan is not None:
+        candidates.append(chain_plan)
+    if chain_error:
+        errors.append(chain_error)
 
     if not candidates:
         raise CannotFitError("; ".join(errors) or "no feasible plan")

@@ -1,17 +1,20 @@
 """Search correctness: oracle equivalence, topologies, chain allocation."""
 
 import itertools
+import logging
+import random
 from fractions import Fraction
 
 import pytest
 
 from fpsynt.analysis import PlanBuilder, check_plan, find_chains
+from fpsynt.codegen import emit_c
 from fpsynt.config import Config
-from fpsynt.core import NodeKind
+from fpsynt.core import Dfg, Node, NodeKind
 from fpsynt.errors import CannotFitError
 from fpsynt.optimizer import (chain_allocate, combinatorial_search,
                               enumerate_topologies, topological_optimize)
-from fpsynt.parser import parse_spec
+from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import run_fixed
 from fpsynt.simulator import TestVector as Vec
@@ -241,19 +244,182 @@ def test_cannot_fit_when_nothing_fits():
         combinatorial_search(dfg, bindings, Config(width=8))
 
 
+def _graph(inputs, consts, ops, outputs) -> tuple[Dfg, Bindings]:
+    """Graph from (id, kind, operands, negate) operations; outputs name the
+    nodes they read."""
+    nodes = [Node(v, NodeKind.INPUT) for v in inputs]
+    nodes += [Node(c, NodeKind.CONST, value=v) for c, v in consts.items()]
+    nodes += [Node(nid, kind, ops_, negate=neg) for nid, kind, ops_, neg in ops]
+    nodes += [Node(y, NodeKind.OUTPUT, (src,)) for y, src in outputs.items()]
+    return Dfg(tuple(nodes)), Bindings(inputs, consts, tuple(outputs))
+
+
+def _random_shared_graph(rng: random.Random) -> tuple[Dfg, Bindings]:
+    """3-5 inputs, a constant, intermediates that later nodes read again,
+    and two outputs on the last two intermediates."""
+    inputs = {f"v{k}": (1, rng.choice([0, 1]), rng.choice([2, 4, 7]))
+              for k in range(rng.choice([3, 4, 5]))}
+    consts = {"c": Fraction(rng.choice([-5, -3, -1, 1, 3, 5, 7]), rng.choice([2, 4, 8, 128]))}
+    pool = [*inputs, "c"]
+    ops = []
+    for k in range(rng.choice([3, 4, 5])):
+        a, b = rng.sample(pool[-4:], 2) if rng.random() < 0.6 else rng.sample(pool, 2)
+        if rng.random() < 0.35:
+            ops.append((f"t{k}", NodeKind.MUL, (a, b), (False, False)))
+        else:
+            ops.append((f"t{k}", NodeKind.ADD, (a, b), (False, rng.random() < 0.3)))
+        pool.append(f"t{k}")
+    return _graph(inputs, consts, ops, {"y0": pool[-1], "y1": pool[-2]})
+
+
+# Found by a random search: a state here has a larger error on a finished
+# output than an earlier state at the same position, so a memo that left
+# finished outputs out would drop the state that leads to the optimum.
+FINISHED_OUTPUT_MATTERS = _graph(
+    {"v0": (1, 0, 2), "v1": (1, 0, 3), "v2": (1, 0, 3)}, {"c0": Fraction(3, 8)},
+    [("t0", NodeKind.ADD, ("c0", "v0"), (False, True)),
+     ("t1", NodeKind.MUL, ("v0", "c0"), (False, False)),
+     ("t2", NodeKind.ADD, ("t1", "t0"), (False, False)),
+     ("t3", NodeKind.MUL, ("t1", "t0"), (False, False))],
+    {"y0": "t3", "y1": "t2"})
+
+
 def test_random_small_graphs_pruning_safety():
-    import random
     rng = random.Random(7)
-    ops = ["+", "-", "*"]
-    for _ in range(12):
-        n = rng.choice([3, 4])
-        names = [f"v{k}" for k in range(n)]
-        expr = names[0]
-        for name in names[1:]:
-            expr = f"({expr} {rng.choice(ops)} {name})"
-        src = "".join(f"input {v} : sif(1/0/7);\n" for v in names)
-        src += f"output y = {expr};\n"
-        dfg, bindings = parse_spec(src)
-        cfg = Config(width=8, k_max=1)
-        assert (combinatorial_search(dfg, bindings, cfg, prune=True).cost
-                == combinatorial_search(dfg, bindings, cfg, prune=False).cost)
+    graphs = [FINISHED_OUTPUT_MATTERS] + [_random_shared_graph(rng) for _ in range(40)]
+    shared = searched = 0
+    for dfg, bindings in graphs:
+        shared += any(len(c) > 1 for nid, c in dfg.consumers().items()
+                      if nid.startswith("t"))
+        for cfg in (Config(width=6, k_max=2), Config(width=8, k_max=2)):
+            try:
+                full = combinatorial_search(dfg, bindings, cfg, prune=False)
+            except CannotFitError:
+                with pytest.raises(CannotFitError):
+                    combinatorial_search(dfg, bindings, cfg, prune=True)
+                continue
+            pruned = combinatorial_search(dfg, bindings, cfg, prune=True)
+            assert pruned.cost_key == full.cost_key
+            assert pruned.choices == full.choices
+            assert emit_c(pruned).source == emit_c(full).source
+            searched += 1
+    assert shared >= 10 and searched >= 40
+
+
+def exhaustive_argmin(dfg, bindings, config):
+    """Brute-force oracle for the search's tie-break: among all complete
+    choice vectors with the smallest cost key, the lexicographically
+    smallest in level-first position order."""
+    builder = PlanBuilder(dfg, bindings, config)
+    points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
+    ranked = []
+    for combo in itertools.product(builder.candidates(), repeat=len(points)):
+        try:
+            ranked.append((builder.build(dict(zip(points, combo))).cost_key, combo))
+        except CannotFitError:
+            continue
+    return builder.build(dict(zip(points, min(ranked)[1])))
+
+
+# Sums and products of two constants, shared between three outputs, found
+# by a random search. Many choice vectors tie at the minimum, and the
+# depth-first search order visits the choice points in another order than
+# the level-first one: the first minimum found is not the level-first
+# smallest.
+TIES_DEPEND_ON_ORDER = _graph(
+    {}, {"c0": Fraction(1, 2), "c1": Fraction(5)},
+    [("t0", NodeKind.ADD, ("c1", "c0"), (False, False)),
+     ("t1", NodeKind.ADD, ("c0", "c1"), (False, False)),
+     ("t3", NodeKind.MUL, ("t0", "t1"), (False, False)),
+     ("t4", NodeKind.MUL, ("t1", "t3"), (False, False)),
+     ("t5", NodeKind.ADD, ("t1", "c0"), (False, False))],
+    {"y0": "t5", "y1": "t4", "y2": "t3"})
+
+
+@pytest.mark.parametrize("width", [7, 8])
+def test_ties_fall_to_the_level_first_smallest_choices(width):
+    dfg, bindings = TIES_DEPEND_ON_ORDER
+    cfg = Config(width=width, k_max=2)
+    builder = PlanBuilder(dfg, bindings, cfg)
+    assert ([n for n in builder.positions if builder.is_choice_point(n)]
+            != [n for n in builder.search_order if builder.is_choice_point(n)])
+    want = exhaustive_argmin(dfg, bindings, cfg)
+    assert want.choices == (("t0", 0), ("t1", 1), ("t3", 0), ("t5", 0), ("t4", 0))
+    for prune in (True, False):
+        got = combinatorial_search(dfg, bindings, cfg, prune=prune)
+        assert got.choices == want.choices
+        assert emit_c(got).source == emit_c(want).source
+
+
+def _argmin_oracle(dfg, bindings, cfg):
+    """Independent, unbounded search of every topology plus the chain plan,
+    ranked by (cost, inserted formatting nodes, candidate order)."""
+    plans = []
+    for label, topo in enumerate_topologies(dfg, cfg.n_max_topologies):
+        try:
+            plans.append(combinatorial_search(topo, bindings, cfg, topology=label,
+                                              source=dfg))
+        except CannotFitError:
+            pass
+    if cfg.enable_chain_alloc and find_chains(dfg):
+        plans.append(chain_allocate(dfg, bindings, cfg))
+    return min(enumerate(plans),
+               key=lambda kv: (kv[1].cost_key, kv[1].n_format_nodes, kv[0]))[1]
+
+
+SKEWED_SUM = ("input x0 : sif(1/3/4);\n" +
+              "".join(f"input x{k} : sif(1/0/7);\n" for k in (1, 2, 3)) +
+              "output y = x0 + x1 + x2 + x3;\n")
+
+
+@pytest.mark.parametrize("src,cfg", [
+    (FIR4_SRC, Config()),
+    (SKEWED_SUM, Config(width=8, enable_chain_alloc=False)),
+    (SKEWED_SUM, Config(width=8)),
+    # every plan is exact here: the source shape ties with the chain plan
+    # and wins on candidate order
+    (_sum_src(4), Config(width=32)),
+])
+def test_shared_incumbent_returns_the_argmin(src, cfg):
+    dfg, bindings = parse_spec(src)
+    got = topological_optimize(dfg, bindings, cfg)
+    want = _argmin_oracle(dfg, bindings, cfg)
+    assert (got.topology, got.choices) == (want.topology, want.choices)
+    assert emit_c(got).source == emit_c(want).source
+
+
+def _matvec_src(n: int) -> str:
+    return ("".join(f"input x{j} : sif(1/0/15);\n" for j in range(n))
+            + "".join(f"const a{i}{j} = 0.{i * n + j + 1};\n"
+                      for i in range(n) for j in range(n))
+            + "".join(f"output y{i} = " + " + ".join(f"a{i}{j}*x{j}" for j in range(n))
+                      + ";\n" for i in range(n)))
+
+
+def test_matvec3x3_step_count(monkeypatch):
+    calls = [0]
+    step = PlanBuilder.step
+
+    def counted(self, *args, **kwargs):
+        calls[0] += 1
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanBuilder, "step", counted)
+    plan = synthesize(_matvec_src(3), Config(width=16))
+    assert len(plan.output_ids) == 3
+    assert calls[0] <= 20_000
+
+
+def test_search_counters_logged(caplog):
+    dfg, bindings = parse_spec(FIR4_SRC)
+    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
+        topological_optimize(dfg, bindings, Config())
+    lines = [r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer"]
+    labels = [label for label, _ in enumerate_topologies(dfg, 6)] + ["source+chain"]
+    assert sorted(line.split(": ")[0] for line in lines) == sorted(f"search {l}" for l in labels)
+    for line in lines:
+        for counter in ("steps", "leaves", "incumbent prunes", "dominance prunes"):
+            assert counter in line
+    # the chain plan comes first and cuts every topology on FIR-4
+    assert lines[0].startswith("search source+chain:")
+    assert all(line.endswith("cut by the incumbent") for line in lines[1:])

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from fpsynt.analysis import check_plan
 from fpsynt.codegen import emit_c, extract_c_expression, interpret_c_expression
 from fpsynt.config import Config
 from fpsynt.core import NodeKind, Quantize, SifFormat, decode
@@ -152,3 +153,17 @@ def test_mixed_grid_chain_terms():
         values = {f"x{k}": decode(r, fmt) for k, r in enumerate(raws)}
         exact = exact_eval(dfg, bindings, values)["y"]
         assert abs(value - exact) <= plan.cost
+
+
+@pytest.mark.parametrize("chain", [True, False])
+def test_long_sum_synthesizes_without_recursion(chain):
+    # one chain of 1199 additions: the chain walk and the search driver
+    # must not recurse once per addition
+    n = 1200
+    src = ("".join(f"input x{k} : sif(1/0/15);\n" for k in range(n))
+           + "output y = " + " + ".join(f"x{k}" for k in range(n)) + ";\n")
+    cfg = Config(width=32, enable_topology_opt=False, enable_comb=False,
+                 enable_chain_alloc=chain)
+    plan = synthesize(src, cfg)
+    check_plan(plan)
+    assert plan.cost == 0  # 15-bit inputs sum without loss in 32 bits
