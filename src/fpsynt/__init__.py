@@ -5,10 +5,11 @@ implementation with a minimized worst-case error bound, emit C and VHDL, and
 validate the result bit-accurately against a floating-point reference.
 """
 
+__version__ = "0.1.0"
+
 from .analysis import (AccumulatorInfo, Interval, NodeInfo, Plan, check_plan,
                        choose_const_format, find_chains, infer_product_format,
-                       interval_of, mul_error_bound, plan_add, plan_truncate,
-                       propagate_error)
+                       mul_error_bound, plan_add, plan_truncate)
 from .codegen import EmittedArtifact, emit_c, emit_vhdl, quantize_const
 from .config import Config
 from .core import (Dfg, Node, NodeKind, Quantize, ScaledSignal, SifFormat,
@@ -24,5 +25,3 @@ from .report import build_report, report_json, summary_table
 from .simulator import (ErrorStats, TestVector, VectorSet, compare,
                         generate_vectors, load_vectors_csv, run_fixed,
                         run_reference, save_vectors_csv)
-
-__version__ = "0.1.0"

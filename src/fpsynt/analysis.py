@@ -73,30 +73,6 @@ def point(v: Fraction) -> Interval:
     return Interval(v, v)
 
 
-def interval_of(node: Node, operands: list[Interval],
-                operand_grids: list[Fraction] = (),
-                const_value: Fraction | None = None) -> Interval:
-    """Exact value interval of one node given its operand intervals.
-
-    For CONST nodes pass the quantized value via ``const_value``. SHR/TRUNC
-    need the operand grid to account for the floor loss.
-    """
-    if node.kind is NodeKind.CONST:
-        return point(const_value if const_value is not None else node.value)
-    if node.kind is NodeKind.MUL:
-        return operands[0] * operands[1]
-    if node.kind is NodeKind.ADD:
-        a = -operands[0] if node.negate[0] else operands[0]
-        b = -operands[1] if node.negate[1] else operands[1]
-        return a + b
-    if node.kind in (NodeKind.SHR, NodeKind.TRUNC):
-        new_grid = operand_grids[0] * (1 << node.amount)
-        return operands[0].floor_to(new_grid)
-    if node.kind is NodeKind.OUTPUT:
-        return operands[0]
-    raise ValueError(f"no interval rule for {node.kind}")
-
-
 @dataclass(frozen=True)
 class NodeInfo:
     """Analysis result attached to one plan node.
@@ -311,28 +287,6 @@ def mul_error_bound(a: NodeInfo, b: NodeInfo) -> Fraction:
     branch-and-bound pruning admissible, and a larger bound stays sound."""
     ma, mb = a.interval.max_abs, b.interval.max_abs
     return max(ma * b.err + mb * a.err + a.err * b.err, a.err, b.err)
-
-
-def propagate_error(node: Node, operands: list[NodeInfo],
-                    added_loss: Fraction = _ZERO,
-                    quant_error: Fraction = _ZERO) -> Fraction:
-    """Accumulated worst-case error at one node.
-
-    ``added_loss`` carries shift/truncation floor losses, ``quant_error`` the
-    constant-quantization error for CONST nodes."""
-    if node.kind is NodeKind.INPUT:
-        return _ZERO
-    if node.kind is NodeKind.CONST:
-        return quant_error
-    if node.kind is NodeKind.MUL:
-        return mul_error_bound(operands[0], operands[1]) + added_loss
-    if node.kind is NodeKind.ADD:
-        return operands[0].err + operands[1].err + added_loss
-    if node.kind in (NodeKind.SHR, NodeKind.TRUNC):
-        return operands[0].err + added_loss
-    if node.kind is NodeKind.OUTPUT:
-        return operands[0].err
-    raise ValueError(f"no error rule for {node.kind}")
 
 
 def choose_const_format(value: Fraction, width: int) -> SifFormat:
@@ -604,8 +558,8 @@ class PlanBuilder:
 
     def candidates(self) -> range:
         """Extra coarsening steps tried at a choice point; only the mandatory
-        minimum when the combinatorial search is disabled."""
-        return range(self.config.k_max + 1 if self.config.enable_comb else 1)
+        minimum when ``k_max`` is 0."""
+        return range(self.config.k_max + 1)
 
     # per-node assignment
 
@@ -663,21 +617,27 @@ class PlanBuilder:
         ctx.alias[node.id] = node.id
         ctx.choices.append((node.id, choice))
 
-        W = self.config.width
         if node.id in self._full_width_terms:
             if choice:
                 raise CannotFitError("chain terms take no extra truncation")
             return
-        target = min(sig.fmt.width, W) - choice
-        spec = plan_truncate(info, target)
+        target = min(sig.fmt.width, self.config.width) - choice
+        ctx.alias[node.id] = self._truncate(ctx, node.id, target)
+
+    def _truncate(self, ctx: _Ctx, ref: str, width: int) -> str:
+        """Truncate the value held by ``ref`` to ``width`` bits; return the
+        id that now holds it (``ref`` itself when it already fits)."""
+        info = ctx.info[ref]
+        spec = plan_truncate(info, width)
         if spec is None:
-            return
-        tid = ctx.fresh(f"{node.id}_q")
-        ctx.emit(Node(tid, NodeKind.TRUNC, (node.id,),
+            return ref
+        qid = ctx.fresh(f"{ref}_q")
+        ctx.emit(Node(qid, NodeKind.TRUNC, (ref,),
                       amount=spec.drop_f, drop_msbs=spec.drop_msbs),
                  NodeInfo(spec.signal, spec.interval, info.err + spec.added_error,
-                          spec.eff))
-        ctx.alias[node.id] = tid
+                          spec.eff),
+                 wide=spec.signal.fmt.width > self.config.width)
+        return qid
 
     def _step_add(self, ctx: _Ctx, node: Node, choice: int):
         a_id = ctx.alias[node.operands[0]]
@@ -704,19 +664,10 @@ class PlanBuilder:
         if built:
             return
         log.warning("chain at '%s' falls back to pairwise pre-scaling", chain.root)
-        W = self.config.width
         for tid, _sign in chain.terms:
             # terms left at full width for the accumulator now need the
             # ordinary post-multiply truncation
-            ref = ctx.alias[tid]
-            spec = plan_truncate(ctx.info[ref], W)
-            if spec is not None:
-                qid = ctx.fresh(f"{ref}_q")
-                ctx.emit(Node(qid, NodeKind.TRUNC, (ref,),
-                              amount=spec.drop_f, drop_msbs=spec.drop_msbs),
-                         NodeInfo(spec.signal, spec.interval,
-                                  ctx.info[ref].err + spec.added_error, spec.eff))
-                ctx.alias[tid] = qid
+            ctx.alias[tid] = self._truncate(ctx, ctx.alias[tid], self.config.width)
         # members were collected root-down; rebuild leaves-up
         for mid in reversed(chain.members):
             self._step_add(ctx, self.dfg.node(mid), 0)
@@ -757,19 +708,12 @@ class PlanBuilder:
         # one truncation per finer-grid term, no loss inside the accumulator
         refs = []
         for (tid, _sign), t in zip(chain.terms, term_infos):
+            ref = ctx.alias[tid]
             if t.signal.fmt.f > f_acc:
-                spec = plan_truncate(t, 1 + _min_integer_bits(
+                ref = self._truncate(ctx, ref, 1 + _min_integer_bits(
                     t.interval.floor_to(_pow2_frac(-f_acc)), f_acc, 0) + f_acc)
-                assert spec is not None and spec.signal.fmt.f == f_acc
-                qid = ctx.fresh(f"{ctx.alias[tid]}_q")
-                ctx.emit(Node(qid, NodeKind.TRUNC, (ctx.alias[tid],),
-                              amount=spec.drop_f, drop_msbs=spec.drop_msbs),
-                         NodeInfo(spec.signal, spec.interval,
-                                  t.err + spec.added_error, spec.eff),
-                         wide=spec.signal.fmt.width > W)
-                refs.append(qid)
-            else:
-                refs.append(ctx.alias[tid])
+                assert ctx.info[ref].signal.fmt.f == f_acc
+            refs.append(ref)
 
         running = refs[0]
         assert chain.terms[0][1] > 0, "chain cannot open with a negated term"
@@ -786,16 +730,7 @@ class PlanBuilder:
                      wide=sig.fmt.width > W)
             running = aid
 
-        result = ctx.info[running]
-        if result.width > W:
-            spec = plan_truncate(result, W)
-            qid = ctx.fresh(f"{chain.root}_q")
-            ctx.emit(Node(qid, NodeKind.TRUNC, (running,),
-                          amount=spec.drop_f, drop_msbs=spec.drop_msbs),
-                     NodeInfo(spec.signal, spec.interval,
-                              result.err + spec.added_error, spec.eff))
-            running = qid
-        ctx.alias[chain.root] = running
+        ctx.alias[chain.root] = self._truncate(ctx, running, W)
         ctx.accumulators.append(AccumulatorInfo(chain.root, w_acc, f_acc, chain.n_terms))
         return True
 

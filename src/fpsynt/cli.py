@@ -31,8 +31,6 @@ EXIT_CANNOT_FIT = 2
 EXIT_IO = 3
 EXIT_VECTORS = 4
 
-log = logging.getLogger("fpsynt")
-
 
 def _setup_logging():
     level = os.environ.get("FPSYNT_LOG", "warning").upper()
@@ -58,7 +56,7 @@ def _config_from(args) -> Config:
         raise SpecError(f"unknown --opt values: {', '.join(sorted(unknown))}")
     return Config(width=args.width,
                   quantize=Quantize.ROUND if args.quantize == "round" else Quantize.TRUNC,
-                  enable_comb="comb" in opts,
+                  k_max=Config.k_max if "comb" in opts else 0,
                   enable_topology_opt="topo" in opts,
                   enable_chain_alloc="chain" in opts)
 

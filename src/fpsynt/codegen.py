@@ -18,11 +18,10 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import __version__
 from .analysis import Plan
-from .core import NodeKind, round_half_away
+from .core import NodeKind, render_infix, round_half_away
 from .errors import CannotFitError, EmitError
-
-TOOL_VERSION = "0.1.0"
 
 
 def quantize_const(value, f: int, width: int | None = None) -> int:
@@ -110,33 +109,20 @@ def emit_c(plan: Plan, name: str = "datapath", portable_shift: bool = False) -> 
     def cname(nid: str) -> str:
         return _safe(nid, _C_KEYWORDS)
 
-    def expr(nid: str) -> str:
-        node = plan.graph.node(nid)
+    def leaf(node) -> str:
         if node.kind is NodeKind.INPUT:
-            return cname(nid)
-        if node.kind is NodeKind.CONST:
-            raw = plan.const_raws[nid]
-            return f"({raw}{suffix})" if raw < 0 else f"{raw}{suffix}"
-        if node.kind is NodeKind.MUL:
-            return f"({expr(node.operands[0])} * {expr(node.operands[1])})"
-        if node.kind is NodeKind.ADD:
-            a, b = node.operands
-            if node.negate[0]:
-                return f"({expr(b)} - {expr(a)})"
-            op = "-" if node.negate[1] else "+"
-            return f"({expr(a)} {op} {expr(b)})"
-        if node.kind in (NodeKind.SHR, NodeKind.TRUNC):
-            inner = expr(node.operands[0])
-            if node.amount == 0:
-                return inner
-            if portable_shift:
-                return f"fps_shr({inner}, {node.amount})"
-            return f"({inner} >> {node.amount})"
-        if node.kind is NodeKind.OUTPUT:
-            return expr(node.operands[0])
-        raise EmitError(f"cannot emit node kind {node.kind}")
+            return cname(node.id)
+        raw = plan.const_raws[node.id]
+        return f"({raw}{suffix})" if raw < 0 else f"{raw}{suffix}"
 
-    lines = [f"/* {name} -- fixed-point datapath, generated by fpsynt {TOOL_VERSION}",
+    def shift(node) -> tuple[str, str]:
+        if node.amount == 0:
+            return "", ""
+        if portable_shift:
+            return "fps_shr(", f", {node.amount})"
+        return "(", f" >> {node.amount})"
+
+    lines = [f"/* {name} -- fixed-point datapath, generated by fpsynt {__version__}",
              " *",
              " * Right shifts on signed values must be arithmetic; that is",
              " * implementation-defined in C (universal in practice). Emitting with",
@@ -161,7 +147,7 @@ def emit_c(plan: Plan, name: str = "datapath", portable_shift: bool = False) -> 
         fmt = info.signal.fmt
         lines += [f"/* {oid} = raw * 2^({info.signal.scale - fmt.f}) */",
                   f"{ctype} fps_{cname(oid)}({args}) {{",
-                  f"    return {expr(oid)};",
+                  f"    return {render_infix(plan.graph, oid, leaf, shift)};",
                   "}",
                   ""]
     return EmittedArtifact("c", "\n".join(lines), f"{name}.fps.c")
@@ -214,7 +200,7 @@ def emit_vhdl(plan: Plan, name: str = "datapath") -> EmittedArtifact:
             feeder = plan.graph.node(node.operands[0]).kind
             (mults if feeder is NodeKind.MUL else adders).append(stmt)
 
-    lines = [f"-- {ent} -- fixed-point datapath, generated by fpsynt {TOOL_VERSION}",
+    lines = [f"-- {ent} -- fixed-point datapath, generated by fpsynt {__version__}",
              "-- value of a word = raw * 2^(E-F):"]
     lines += _header_lines(plan)
     lines += ["",

@@ -16,7 +16,8 @@ class Config:
 
     width: datapath word width W; persisted signals must fit it (full-width
         products may reach 2*W before the mandatory truncation).
-    k_max: extra right-shift / extra-truncation candidates explored per node.
+    k_max: extra right-shift / extra-truncation candidates explored per node;
+        0 turns the combinatorial search off (one candidate per node).
     n_max_topologies: addition chains up to this many terms are re-associated
         exhaustively (Catalan(n-1) shapes); longer chains try only the
         balanced tree and the source shape.
@@ -28,7 +29,6 @@ class Config:
     quantize: Quantize = Quantize.ROUND
     k_max: int = 3
     n_max_topologies: int = 6
-    enable_comb: bool = True
     enable_topology_opt: bool = True
     enable_chain_alloc: bool = True
     accumulator_width_limit: int = 64
@@ -47,7 +47,6 @@ class Config:
             "quantize": self.quantize.value,
             "k_max": self.k_max,
             "n_max_topologies": self.n_max_topologies,
-            "enable_comb": self.enable_comb,
             "enable_topology_opt": self.enable_topology_opt,
             "enable_chain_alloc": self.enable_chain_alloc,
             "accumulator_width_limit": self.accumulator_width_limit,

@@ -255,9 +255,6 @@ class Dfg:
                 out[op].append(n.id)
         return out
 
-    def with_nodes(self, nodes) -> "Dfg":
-        return Dfg(tuple(nodes))
-
 
 def topo_order(dfg: Dfg) -> list[str]:
     """Deterministic topological order: by dataflow level, then declaration.
@@ -294,3 +291,39 @@ def topo_order(dfg: Dfg) -> list[str]:
                 on_stack.discard(nid)
                 path.pop()
     return sorted(level, key=lambda nid: (level[nid], index[nid]))
+
+
+def render_infix(dfg: Dfg, root: str, leaf, shift) -> str:
+    """Fully parenthesized infix text of the expression under ``root``.
+
+    MUL renders as ``(a * b)``, ADD as ``(a + b)`` or ``(a - b)`` (a negated
+    first operand swaps the operands), OUTPUT as its operand.
+    ``leaf(node)`` gives the text of an INPUT or CONST node, and
+    ``shift(node)`` the text before and after the operand of a SHR or TRUNC
+    node. Shared subexpressions are written out at every use. The walk uses
+    an explicit stack, so a chain of thousands of additions renders fine.
+    """
+    parts: list[str] = []
+    stack: list = [dfg.node(root)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+            continue
+        if item.kind in (NodeKind.INPUT, NodeKind.CONST):
+            parts.append(leaf(item))
+            continue
+        ops = [dfg.node(op) for op in item.operands]
+        if item.kind is NodeKind.MUL:
+            seq = ("(", ops[0], " * ", ops[1], ")")
+        elif item.kind is NodeKind.ADD and item.negate[0]:
+            seq = ("(", ops[1], " - ", ops[0], ")")
+        elif item.kind is NodeKind.ADD:
+            seq = ("(", ops[0], " - " if item.negate[1] else " + ", ops[1], ")")
+        elif item.kind in (NodeKind.SHR, NodeKind.TRUNC):
+            before, after = shift(item)
+            seq = (before, ops[0], after)
+        else:  # OUTPUT
+            seq = (ops[0],)
+        stack.extend(reversed(seq))
+    return "".join(parts)

@@ -15,7 +15,7 @@ coefficient like 0.15 reaches quantization uncorrupted by a binary-float
 detour. Subtraction becomes an ADD node with a negate flag on the second
 operand; unparenthesized sums associate to the left. The parser never
 re-associates and never folds constants; it reproduces the source tree
-exactly.
+exactly. Parentheses nest at most ``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -24,10 +24,15 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import Dfg, Node, NodeKind, SifFormat
+from .core import Dfg, Node, NodeKind, SifFormat, render_infix
 from .errors import ParseError
 
 KEYWORDS = {"input", "const", "output", "sif"}
+
+# Deepest parenthesis nesting the parser accepts. Each level costs three
+# Python frames in the recursive descent, so a deeper input would otherwise
+# end in RecursionError; past the limit it is a positioned ParseError.
+MAX_NESTING = 200
 
 _TOKEN_RE = re.compile(
     r"""
@@ -114,6 +119,7 @@ class _Parser:
         self.outputs: list[str] = []
         self._declared: set[str] = set()
         self._gen = 0
+        self._depth = 0
 
     # token plumbing
 
@@ -248,9 +254,14 @@ class _Parser:
             self.nodes.append(Node(node_id, NodeKind.CONST, value=Fraction(tok.text)))
             return node_id
         if self.cur.kind == "(":
-            self.advance()
+            tok = self.advance()
+            self._depth += 1
+            if self._depth > MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING} levels",
+                                 tok.line, tok.col)
             inner = self.expr()
             self.expect(")")
+            self._depth -= 1
             return inner
         raise ParseError(f"expected an operand, found {self.cur.text or 'end of file'!r}",
                          self.cur.line, self.cur.col)
@@ -312,7 +323,10 @@ def _frac_to_decimal(x: Fraction) -> str:
 def pretty_print(dfg: Dfg, bindings: Bindings) -> str:
     """Render a parsed spec back to .fps text with explicit parentheses.
 
-    Re-parsing the result yields a structurally identical graph. ADD nodes
+    Re-parsing the result yields a structurally identical graph, as long as
+    its parentheses nest no deeper than ``MAX_NESTING`` levels: every
+    addition and product gets its own pair, so a sum of more than
+    ``MAX_NESTING + 1`` terms prints fine but does not parse back. ADD nodes
     with a negated first operand (which only re-association produces) render
     with swapped operand order.
     """
@@ -322,23 +336,15 @@ def pretty_print(dfg: Dfg, bindings: Bindings) -> str:
     for name, value in bindings.consts.items():
         lines.append(f"const {name} = {_frac_to_decimal(value)};")
 
-    def render(nid: str) -> str:
-        node = dfg.node(nid)
-        if node.kind is NodeKind.INPUT:
-            return node.id
-        if node.kind is NodeKind.CONST:
-            return node.id if node.id in bindings.consts else _frac_to_decimal(node.value)
-        if node.kind is NodeKind.MUL:
-            return f"({render(node.operands[0])} * {render(node.operands[1])})"
-        if node.kind is NodeKind.ADD:
-            a, b = node.operands
-            if node.negate[0]:
-                return f"({render(b)} - {render(a)})"
-            op = "-" if node.negate[1] else "+"
-            return f"({render(a)} {op} {render(b)})"
+    def leaf(node) -> str:
+        if node.kind is NodeKind.CONST and node.id not in bindings.consts:
+            return _frac_to_decimal(node.value)
+        return node.id
+
+    def shift(node):
         raise ValueError(f"cannot render node kind {node.kind} in source form")
 
     for name in bindings.outputs:
         root = dfg.node(name).operands[0]
-        lines.append(f"output {name} = {render(root)};")
+        lines.append(f"output {name} = {render_infix(dfg, root, leaf, shift)};")
     return "\n".join(lines) + "\n"

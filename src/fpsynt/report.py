@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 
+from . import __version__
 from .analysis import Plan
-from .codegen import TOOL_VERSION
 from .core import NodeKind
 from .simulator import ErrorStats
 
@@ -45,7 +45,7 @@ def node_records(plan: Plan) -> list[dict]:
 def build_report(plan: Plan, stats: ErrorStats | None = None) -> dict:
     return {
         "tool": "fpsynt",
-        "version": TOOL_VERSION,
+        "version": __version__,
         "config": plan.config.as_dict(),
         "topology": plan.topology,
         "choices": [list(c) for c in plan.choices],

@@ -40,11 +40,6 @@ class VectorSet:
     vectors: tuple[TestVector, ...]
     quantize: Quantize = Quantize.ROUND
 
-    def values(self, bindings: Bindings, k: int) -> dict[str, Fraction]:
-        fmts = [bindings.input_format(name) for name in self.inputs]
-        return {name: decode(raw, fmt)
-                for name, fmt, raw in zip(self.inputs, fmts, self.vectors[k].raws)}
-
     def __len__(self):
         return len(self.vectors)
 

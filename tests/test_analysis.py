@@ -4,11 +4,10 @@ from fractions import Fraction
 
 import pytest
 
-from fpsynt.analysis import (Interval, NodeInfo, check_plan,
+from fpsynt.analysis import (Interval, NodeInfo, PlanBuilder, check_plan,
                              choose_const_format, find_chains,
                              fit_format_to_interval, infer_product_format,
-                             interval_of, mul_error_bound, plan_add,
-                             plan_truncate, point)
+                             mul_error_bound, plan_add, plan_truncate, point)
 from fpsynt.config import Config
 from fpsynt.core import Node, NodeKind, ScaledSignal, SifFormat, decode
 from fpsynt.errors import CannotFitError
@@ -63,17 +62,47 @@ def test_fir4_output_interval_vs_independent_oracle(fir4):
     assert Fraction(-1) <= got.lo and got.hi < Fraction(1)
 
 
-def test_interval_of_dispatch():
-    node = Node("m", NodeKind.MUL, ("a", "b"))
-    got = interval_of(node, [Interval(Fraction(-1), Fraction(1)), point(Fraction(1, 2))])
-    assert (got.lo, got.hi) == (Fraction(-1, 2), Fraction(1, 2))
-    sub = Node("s", NodeKind.ADD, ("a", "b"), negate=(False, True))
-    got = interval_of(sub, [point(Fraction(1)), Interval(Fraction(0), Fraction(2))])
-    assert (got.lo, got.hi) == (Fraction(-1), Fraction(1))
-    shr = Node("p", NodeKind.SHR, ("a",), amount=1)
-    got = interval_of(shr, [Interval(Fraction(1, 8), Fraction(3, 8))],
-                      [Fraction(1, 8)])
-    assert (got.lo, got.hi) == (Fraction(0), Fraction(1, 4))
+INTERVAL_RULES_SRC = """\
+input x : sif(1/0/3);
+input b : sif(1/1/2);
+const c = -0.5;
+const k = -0.875;
+output m = x * c;
+output d = c - x;
+output s = k + b;
+output r = x + b;
+"""
+
+
+def test_builder_interval_rules():
+    # the three interval rules, read off a plan the builder makes
+    dfg, bindings = parse_spec(INTERVAL_RULES_SRC)
+    plan = PlanBuilder(dfg, bindings, Config(width=16)).build()
+
+    def interval(nid):
+        got = plan.info[nid].interval
+        return got.lo, got.hi
+
+    def source_op(out):
+        return dfg.node(out).operands[0]
+
+    # MUL: the extreme corner products; the negative constant swaps the ends
+    mul = source_op("m")
+    assert plan.graph.node(mul).kind is NodeKind.MUL
+    assert interval(mul) == (Fraction(-7, 16), Fraction(1, 2))
+    # ADD with a negated operand: c - [-1, 7/8]
+    sub = source_op("d")
+    assert plan.graph.node(sub).negate == (False, True)
+    assert interval(sub) == (Fraction(-1, 2) - Fraction(7, 8), Fraction(-1, 2) + 1)
+    # SHR: operands on 2^-15 and 2^-3 are floored onto b's grid 2^-2,
+    # toward -inf (-7/8 becomes -1, not -3/4)
+    for out, (shifted, lo, hi) in {"s": ("k", Fraction(-1), Fraction(-1)),
+                                   "r": ("x", Fraction(-1), Fraction(3, 4))}.items():
+        (shr,) = [op for op in plan.graph.node(source_op(out)).operands
+                  if plan.graph.node(op).kind is NodeKind.SHR]
+        assert plan.graph.node(shr).operands == (shifted,)
+        assert plan.info[shr].signal.grid == Fraction(1, 4)
+        assert interval(shr) == (lo, hi)
 
 
 # ---------------------------------------------------------------------------

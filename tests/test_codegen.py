@@ -1,5 +1,6 @@
 """Emitted C/VHDL: constants, shape, determinism, differential equivalence."""
 
+import json
 import re
 import shutil
 import subprocess
@@ -8,11 +9,13 @@ from pathlib import Path
 
 import pytest
 
+import fpsynt
 from fpsynt.codegen import (emit_c, emit_vhdl, extract_c_expression,
                             interpret_c_expression, quantize_const)
 from fpsynt.config import Config
 from fpsynt.errors import CannotFitError
 from fpsynt.pipeline import synthesize
+from fpsynt.report import report_json
 from fpsynt.simulator import TestVector as Vec
 from fpsynt.simulator import run_fixed
 
@@ -65,6 +68,19 @@ def test_c_header_documents_every_node():
     for node in plan.graph.nodes:
         fmt = plan.info[node.id].signal.fmt
         assert f"-- {node.id}: SIF({fmt.s}/{fmt.i}/{fmt.f})" in src
+
+
+def test_version_is_written_once():
+    plan = synthesize(TWO_TAP_SRC)
+    assert json.loads(report_json(plan))["version"] == fpsynt.__version__
+    generated = f"generated by fpsynt {fpsynt.__version__}"
+    assert generated in emit_c(plan).source.splitlines()[0]
+    assert generated in emit_vhdl(plan).source.splitlines()[0]
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert "version" not in pyproject["project"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == \
+        {"attr": "fpsynt.__version__"}
 
 
 def test_c_determinism():

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from fpsynt.cli import main
 from fpsynt.core import NodeKind
 from fpsynt.errors import ParseError
-from fpsynt.parser import parse_spec, pretty_print, validate_formats
+from fpsynt.parser import MAX_NESTING, parse_spec, pretty_print, validate_formats
 
 from conftest import FIR4_SRC
 
@@ -103,6 +104,26 @@ def test_error_position_points_at_reference_site():
         parse_spec("input x : sif(1/0/7);\noutput y = x * bogus;\n")
     assert exc.value.line == 2
     assert exc.value.col == 16
+
+
+def _nested(levels):
+    return "input x : sif(1/0/7);\noutput y = " + "(" * levels + "x" + ")" * levels + ";\n"
+
+
+def test_parenthesis_nesting_limit(tmp_path, capsys):
+    dfg, _ = parse_spec(_nested(MAX_NESTING))
+    assert dfg.node("y").operands == ("x",)
+    with pytest.raises(ParseError) as exc:
+        parse_spec(_nested(400))
+    assert "nested deeper than" in str(exc.value)
+    # points at the first parenthesis past the limit
+    col = len("output y = ") + MAX_NESTING + 1
+    assert (exc.value.line, exc.value.col) == (2, col)
+    # the CLI reports it as a spec error, not a traceback
+    spec = tmp_path / "deep.fps"
+    spec.write_text(_nested(400))
+    assert main(["synth", str(spec), "-o", str(tmp_path / "out")]) == 1
+    assert f"2:{col}: parentheses nested" in capsys.readouterr().err
 
 
 def test_parse_is_deterministic():

@@ -8,7 +8,7 @@ from fpsynt.analysis import check_plan
 from fpsynt.codegen import emit_c, extract_c_expression, interpret_c_expression
 from fpsynt.config import Config
 from fpsynt.core import NodeKind, Quantize, SifFormat, decode
-from fpsynt.parser import parse_spec
+from fpsynt.parser import parse_spec, pretty_print
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import TestVector as Vec
 from fpsynt.simulator import generate_vectors, run_fixed, run_reference
@@ -157,13 +157,19 @@ def test_mixed_grid_chain_terms():
 
 @pytest.mark.parametrize("chain", [True, False])
 def test_long_sum_synthesizes_without_recursion(chain):
-    # one chain of 1199 additions: the chain walk and the search driver
-    # must not recurse once per addition
+    # one chain of 1199 additions: the chain walk, the search driver and
+    # the infix renderers must not recurse once per addition
     n = 1200
     src = ("".join(f"input x{k} : sif(1/0/15);\n" for k in range(n))
            + "output y = " + " + ".join(f"x{k}" for k in range(n)) + ";\n")
-    cfg = Config(width=32, enable_topology_opt=False, enable_comb=False,
+    cfg = Config(width=32, k_max=0, enable_topology_opt=False,
                  enable_chain_alloc=chain)
     plan = synthesize(src, cfg)
     check_plan(plan)
     assert plan.cost == 0  # 15-bit inputs sum without loss in 32 bits
+    body = emit_c(plan).source.split("return ")[1]
+    assert body.startswith("(" * (n - 1) + "x0 + x1) + x2)")
+    assert body.endswith(" + x1199);\n}\n")
+    text = pretty_print(plan.source, plan.bindings)
+    assert text.endswith("output y = " + "(" * (n - 1) + "x0 + x1) + x2) + "
+                         + ") + ".join(f"x{k}" for k in range(3, n)) + ");\n")
