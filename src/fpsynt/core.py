@@ -293,15 +293,19 @@ def topo_order(dfg: Dfg) -> list[str]:
     return sorted(level, key=lambda nid: (level[nid], index[nid]))
 
 
-def render_infix(dfg: Dfg, root: str, leaf, shift) -> str:
+def render_infix(dfg: Dfg, root: str, leaf, shift, bare_left_sums: bool = False) -> str:
     """Fully parenthesized infix text of the expression under ``root``.
 
     MUL renders as ``(a * b)``, ADD as ``(a + b)`` or ``(a - b)`` (a negated
     first operand swaps the operands), OUTPUT as its operand.
     ``leaf(node)`` gives the text of an INPUT or CONST node, and
     ``shift(node)`` the text before and after the operand of a SHR or TRUNC
-    node. Shared subexpressions are written out at every use. The walk uses
-    an explicit stack, so a chain of thousands of additions renders fine.
+    node. With ``bare_left_sums``, an unswapped ADD that is the first
+    operand of an unswapped ADD loses its parentheses, so ``x0 + x1 + x2``
+    reads as the left-associated sum it is and parentheses do not nest once
+    per term. Shared subexpressions are written out at every use. The walk
+    uses an explicit stack, so a chain of thousands of additions renders
+    fine.
     """
     parts: list[str] = []
     stack: list = [dfg.node(root)]
@@ -310,6 +314,9 @@ def render_infix(dfg: Dfg, root: str, leaf, shift) -> str:
         if isinstance(item, str):
             parts.append(item)
             continue
+        bare = isinstance(item, tuple)  # an ADD written without its parentheses
+        if bare:
+            (item,) = item
         if item.kind in (NodeKind.INPUT, NodeKind.CONST):
             parts.append(leaf(item))
             continue
@@ -319,7 +326,12 @@ def render_infix(dfg: Dfg, root: str, leaf, shift) -> str:
         elif item.kind is NodeKind.ADD and item.negate[0]:
             seq = ("(", ops[1], " - ", ops[0], ")")
         elif item.kind is NodeKind.ADD:
-            seq = ("(", ops[0], " - " if item.negate[1] else " + ", ops[1], ")")
+            left = ops[0]
+            if bare_left_sums and left.kind is NodeKind.ADD and not left.negate[0]:
+                left = (left,)
+            seq = ("(", left, " - " if item.negate[1] else " + ", ops[1], ")")
+            if bare:
+                seq = seq[1:-1]
         elif item.kind in (NodeKind.SHR, NodeKind.TRUNC):
             before, after = shift(item)
             seq = (before, ops[0], after)

@@ -323,10 +323,10 @@ def _frac_to_decimal(x: Fraction) -> str:
 def pretty_print(dfg: Dfg, bindings: Bindings) -> str:
     """Render a parsed spec back to .fps text with explicit parentheses.
 
-    Re-parsing the result yields a structurally identical graph, as long as
-    its parentheses nest no deeper than ``MAX_NESTING`` levels: every
-    addition and product gets its own pair, so a sum of more than
-    ``MAX_NESTING + 1`` terms prints fine but does not parse back. ADD nodes
+    Re-parsing the result yields a structurally identical graph. Every
+    product and every addition gets its own pair of parentheses, except an
+    addition that is the left operand of another: the parser associates
+    sums to the left anyway, so a sum of any length parses back. ADD nodes
     with a negated first operand (which only re-association produces) render
     with swapped operand order.
     """
@@ -346,5 +346,6 @@ def pretty_print(dfg: Dfg, bindings: Bindings) -> str:
 
     for name in bindings.outputs:
         root = dfg.node(name).operands[0]
-        lines.append(f"output {name} = {render_infix(dfg, root, leaf, shift)};")
+        text = render_infix(dfg, root, leaf, shift, bare_left_sums=True)
+        lines.append(f"output {name} = {text};")
     return "\n".join(lines) + "\n"

@@ -1,18 +1,28 @@
 """Bit-accurate plan execution and comparison against a reference.
 
-run_fixed executes every plan node with exact integer arithmetic (full-width
-multiply, arithmetic shift, two's-complement add) and checks each raw result
-against its node's format range; a violation means the analyzer is broken,
-never the user. run_reference evaluates the original expression, either in
-double precision with unquantized constants (mirroring a floating-point
-implementation) or in exact rational arithmetic for oracle duty. Both sides
-consume the same quantized input samples, so the measured deviation is
-purely coefficient quantization plus formatting loss.
+The simulator works on columns: a VectorSet holds one raw matrix, one row
+per vector and one column per input, and every plan node is executed as one
+numpy column over a block of ``BLOCK`` rows.
+
+run_fixed_columns executes every plan node with exact integer arithmetic
+(full-width multiply, arithmetic shift, two's-complement add) and checks
+each node's column against its format range with one min and one max; a
+violation means the analyzer is broken, never the user. The columns are
+int64 when no node can wrap (see ``fits_int64``) and Python integers in an
+``object`` column otherwise, with the same code. run_reference_columns
+evaluates the original expression, either in double precision with
+unquantized constants (float64 columns, mirroring a floating-point
+implementation) or in exact rational arithmetic (``Fraction`` columns) for
+oracle duty. Both sides consume the same quantized input samples, so the
+measured deviation is purely coefficient quantization plus formatting loss.
+run_fixed and run_reference run one vector, as a block of one row.
 """
 
 from __future__ import annotations
 
 import csv
+import logging
+import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
@@ -20,9 +30,14 @@ from fractions import Fraction
 import numpy as np
 
 from .analysis import Plan
-from .core import NodeKind, Quantize, decode, encode
+from .core import NodeKind, Quantize, SifFormat, encode
 from .errors import InternalOverflowError, RangeError, VectorError
 from .parser import Bindings
+
+log = logging.getLogger("fpsynt.simulator")
+
+BLOCK = 4096  # rows executed together; bounds the memory of the node columns
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -32,67 +47,147 @@ class TestVector:
     raws: tuple[int, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorSet:
-    """Input samples quantized onto the declared formats."""
+    """Input samples quantized onto the declared formats.
+
+    ``raws`` is an (n, k) integer matrix: one row per vector, one column per
+    input in ``inputs`` order. It is int64 when every raw fits, else an
+    ``object`` matrix of Python integers; other signed integer matrices
+    are converted to int64 and unsigned ones to ``object``. Two sets are
+    equal when their inputs, quantization mode and raw values are.
+    """
 
     inputs: tuple[str, ...]
-    vectors: tuple[TestVector, ...]
+    raws: np.ndarray
     quantize: Quantize = Quantize.ROUND
 
+    def __post_init__(self):
+        raws = np.asarray(self.raws)
+        if raws.dtype.kind == "i":
+            raws = raws.astype(np.int64, copy=False)
+        elif raws.dtype.kind == "u":  # may not fit int64
+            raws = raws.astype(object)
+        elif raws.dtype != object:
+            raise TypeError(f"raw matrix must hold integers, not {raws.dtype}")
+        if raws.ndim != 2 or raws.shape[1] != len(self.inputs):
+            raise ValueError(f"raw matrix of shape {raws.shape} does not have one "
+                             f"column per input {self.inputs}")
+        object.__setattr__(self, "raws", raws)
+
     def __len__(self):
-        return len(self.vectors)
+        return len(self.raws)
+
+    @property
+    def vectors(self) -> tuple[TestVector, ...]:
+        """The rows as TestVectors, built from the matrix on each access."""
+        return tuple(TestVector(tuple(row)) for row in self.raws.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, VectorSet):
+            return NotImplemented
+        return (self.inputs == other.inputs and self.quantize is other.quantize
+                and np.array_equal(self.raws, other.raws))
+
+    __hash__ = None
 
 
-def quantize_vector(bindings: Bindings, values, mode: Quantize = Quantize.ROUND,
-                    where: str = "vector") -> TestVector:
-    """Encode one row of real input values. Values must lie inside the
-    declared decoded ranges before rounding."""
-    raws = []
-    for name, v in zip(bindings.inputs, values):
-        fmt = bindings.input_format(name)
-        try:
-            raws.append(encode(Fraction(v), fmt, mode))
-        except RangeError as e:
-            raise VectorError(f"{where}: input '{name}': {e}") from None
-    return TestVector(tuple(raws))
+def _fits_int64(fmt: SifFormat) -> bool:
+    return fmt.i + fmt.f <= 63
+
+
+def _raw_matrix(columns, fmts, n: int) -> np.ndarray:
+    """Stack n-row per-input raw columns into an (n, k) matrix, int64 when
+    every format's raws fit it."""
+    if not columns:
+        return np.empty((n, 0), dtype=np.int64)
+    dtype = np.int64 if all(_fits_int64(f) for f in fmts) else object
+    return np.stack([c.astype(dtype) for c in columns], axis=1)
+
+
+def _quantize_column(scaled: np.ndarray, fmt: SifFormat, mode: Quantize) -> np.ndarray:
+    """Raw words for exact values ``scaled`` = value * 2^F, all in range.
+
+    Rounding runs in float64, where it is exact: below 2^52 the integer part
+    and the fraction of a value are exact, and from 2^52 up every float is
+    already an integer.
+    """
+    if mode is Quantize.ROUND:  # nearest, ties away from zero
+        mag = np.abs(scaled)
+        whole = np.floor(mag)
+        rounded = np.copysign(whole + (mag - whole >= 0.5), scaled)
+    else:
+        rounded = np.floor(scaled)
+    if _fits_int64(fmt):
+        return rounded.astype(np.int64)
+    return np.array([int(x) for x in rounded.tolist()], dtype=object)
+
+
+def _out_of_range(scaled: np.ndarray, fmt: SifFormat) -> np.ndarray:
+    """Which exact values ``scaled`` = value * 2^F lie outside the raw range."""
+    top = fmt.i + fmt.f
+    bound = math.ldexp(1.0, top)
+    # max_raw = 2^top - 1 is a float up to top = 53; above, no float lies
+    # strictly between max_raw and 2^top
+    high = scaled > fmt.max_raw if top <= 53 else scaled >= bound
+    return (scaled < -bound) | high
 
 
 def generate_vectors(bindings: Bindings, n: int, seed: int,
                      mode: Quantize = Quantize.ROUND) -> VectorSet:
     """n uniform random vectors over each input's decoded range, preceded by
-    three canonical vectors: all-zero, all-minimum, all-maximum."""
+    three canonical vectors: all-zero, all-minimum, all-maximum.
+
+    The n x k values come from one ``rng.uniform`` call, row by row, so they
+    are the values one call per value in the same order would draw.
+    """
     if n < 1:
         raise ValueError("need n >= 1 vectors")
     names = tuple(bindings.inputs)
     fmts = [bindings.input_format(name) for name in names]
-    vectors = [
-        TestVector(tuple(0 for _ in fmts)),
-        TestVector(tuple(f.min_raw for f in fmts)),
-        TestVector(tuple(f.max_raw for f in fmts)),
-    ]
     rng = np.random.default_rng(seed)
-    for _ in range(n):
-        row = [Fraction(float(rng.uniform(float(f.min_value), float(f.max_value))))
-               for f in fmts]
-        vectors.append(quantize_vector(bindings, row, mode))
-    return VectorSet(names, tuple(vectors), mode)
+    draws = rng.uniform(np.array([float(f.min_value) for f in fmts]),
+                        np.array([float(f.max_value) for f in fmts]),
+                        size=(n, len(fmts)))
+    scaled = [np.ldexp(draws[:, k], fmt.f) for k, fmt in enumerate(fmts)]  # exact
+    first_bad = []  # (row, input) of each input's first value outside its range
+    for k, (s, fmt) in enumerate(zip(scaled, fmts)):
+        mask = _out_of_range(s, fmt)
+        if mask.any():
+            first_bad.append((int(np.argmax(mask)), k))
+    if first_bad:  # raise for the first one in row order, as encode words it
+        row, k = min(first_bad)
+        _encode_value(Fraction(float(draws[row, k])), fmts[k], mode,
+                      f"vector: input '{names[k]}'")
+    columns = []
+    for s, fmt in zip(scaled, fmts):
+        q = _quantize_column(s, fmt, mode)
+        columns.append(np.concatenate([np.array([0, fmt.min_raw, fmt.max_raw], q.dtype), q]))
+    return VectorSet(names, _raw_matrix(columns, fmts, n + 3), mode)
+
+
+def _encode_value(value: Fraction, fmt: SifFormat, mode: Quantize, where: str) -> int:
+    try:
+        return encode(value, fmt, mode)
+    except RangeError as e:
+        raise VectorError(f"{where}: {e}") from None
 
 
 def save_vectors_csv(path, bindings: Bindings, vecset: VectorSet):
+    fmts = [bindings.input_format(name) for name in vecset.inputs]
+    columns = [_to_float(vecset.raws[:, k], -f.f).tolist() for k, f in enumerate(fmts)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(vecset.inputs)
-        fmts = [bindings.input_format(name) for name in vecset.inputs]
-        for vec in vecset.vectors:
-            w.writerow([repr(float(decode(raw, fmt)))
-                        for raw, fmt in zip(vec.raws, fmts)])
+        for k in range(len(vecset)):
+            w.writerow([repr(col[k]) for col in columns])
 
 
 def load_vectors_csv(source, bindings: Bindings,
                      mode: Quantize = Quantize.ROUND) -> VectorSet:
     """Read a vector file: header = input names in declaration order, then
-    one decimal real per column per row."""
+    one decimal real per column per row. Each decimal is parsed and
+    quantized exactly."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
         fh = open(source, newline="")
         close = True
@@ -109,7 +204,8 @@ def load_vectors_csv(source, bindings: Bindings,
         if [h.strip() for h in header] != expected:
             raise VectorError(
                 f"vector header {header!r} does not match the declared inputs {expected!r}")
-        vectors = []
+        fmts = [bindings.input_format(name) for name in expected]
+        rows = []
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
@@ -120,10 +216,12 @@ def load_vectors_csv(source, bindings: Bindings,
                 values = [Fraction(cell.strip()) for cell in row]
             except (ValueError, ZeroDivisionError):
                 raise VectorError(f"row {lineno}: malformed number") from None
-            vectors.append(quantize_vector(bindings, values, mode, where=f"row {lineno}"))
-        if not vectors:
+            rows.append([_encode_value(v, fmt, mode, f"row {lineno}: input '{name}'")
+                         for name, fmt, v in zip(expected, fmts, values)])
+        if not rows:
             raise VectorError("vector file contains no data rows")
-        return VectorSet(tuple(expected), tuple(vectors), mode)
+        columns = [np.array([row[k] for row in rows], dtype=object) for k in range(len(fmts))]
+        return VectorSet(tuple(expected), _raw_matrix(columns, fmts, len(rows)), mode)
     finally:
         if close:
             fh.close()
@@ -133,74 +231,152 @@ def load_vectors_csv(source, bindings: Bindings,
 # execution
 
 
-def run_fixed(plan: Plan, vector: TestVector) -> dict[str, tuple[int, Fraction]]:
-    """Execute the plan bit-accurately.
+def fits_int64(plan: Plan) -> bool:
+    """True when no node's exact result can leave int64.
 
-    Returns raw and semantic value (raw * 2^(E-F)) per output. Every node's
-    raw result is checked against its format range; InternalOverflowError
-    here indicates a planner bug.
+    The bound of a node comes from its operands' format ranges, which the
+    range checks guarantee before it runs: |a|*|b| for MUL, |a|+|b| for ADD
+    (either operand negated), |a| for shifts and outputs, and the node's own
+    range for inputs and constants. A node width of at most 63 is not
+    enough: two 63-bit addends can wrap.
     """
-    inputs = dict(zip(plan.bindings.inputs, vector.raws))
-    raws: dict[str, int] = {}
+    mag: dict[str, int] = {}
     for nid in plan.order():
         node = plan.graph.node(nid)
-        if node.kind is NodeKind.INPUT:
-            raw = inputs[nid]
-        elif node.kind is NodeKind.CONST:
-            raw = plan.const_raws[nid]
-        elif node.kind is NodeKind.MUL:
-            raw = raws[node.operands[0]] * raws[node.operands[1]]
-        elif node.kind is NodeKind.ADD:
-            a = raws[node.operands[0]]
-            b = raws[node.operands[1]]
-            raw = (-a if node.negate[0] else a) + (-b if node.negate[1] else b)
-        elif node.kind in (NodeKind.SHR, NodeKind.TRUNC):
-            raw = raws[node.operands[0]] >> node.amount
-        elif node.kind is NodeKind.OUTPUT:
-            raw = raws[node.operands[0]]
-        else:  # pragma: no cover
-            raise ValueError(node.kind)
+        ops = [mag[op] for op in node.operands]
         fmt = plan.info[nid].signal.fmt
-        if not fmt.min_raw <= raw <= fmt.max_raw:
-            raise InternalOverflowError(nid, raw)
-        raws[nid] = raw
-    return {oid: (raws[oid], plan.info[oid].signal.value_of(raws[oid]))
-            for oid in plan.output_ids}
+        if node.kind is NodeKind.MUL:
+            bound = ops[0] * ops[1]
+        elif node.kind is NodeKind.ADD:
+            bound = ops[0] + ops[1]
+        else:
+            bound = ops[0] if ops else 1 << (fmt.i + fmt.f)
+        if bound > _INT64_MAX:
+            return False
+        mag[nid] = 1 << (fmt.i + fmt.f)  # |min_raw|, the larger end
+    return True
 
 
-def run_reference(plan: Plan, vector: TestVector, mode: str = "double") -> dict:
-    """Evaluate the source expression on the same quantized inputs.
+def _in_blocks(raws: np.ndarray, outputs, run_block) -> dict[str, np.ndarray]:
+    """Apply ``run_block`` to ``BLOCK`` rows of ``raws`` at a time and join
+    the columns of ``outputs`` it returns; the other columns of a block are
+    dropped before the next one runs."""
+    parts: dict[str, list] = {oid: [] for oid in outputs}
+    for start in range(0, max(len(raws), 1), BLOCK):
+        cols = run_block(raws[start:start + BLOCK])
+        for oid in outputs:
+            parts[oid].append(cols[oid])
+    return {oid: np.concatenate(p) for oid, p in parts.items()}
 
-    mode 'double': double precision with unquantized constants, the
+
+def run_fixed_columns(plan: Plan, raws: np.ndarray) -> dict[str, np.ndarray]:
+    """Execute the plan bit-accurately on an (n, k) input raw matrix.
+
+    Returns one raw column per output, int64 when ``fits_int64(plan)`` and
+    ``object`` otherwise. Every node's raw column is checked against its
+    format range; InternalOverflowError here indicates a planner bug.
+    """
+    dtype = np.int64 if fits_int64(plan) else object
+    # x >> 63 is already 0 or -1, and an int64 shift count must fit int64
+    shift_cap = 63 if dtype is np.int64 else None
+    column = {name: k for k, name in enumerate(plan.bindings.inputs)}
+
+    def run_block(block):
+        m = len(block)
+        cols: dict[str, np.ndarray] = {}
+        for nid in plan.order():
+            node = plan.graph.node(nid)
+            ops = [cols[op] for op in node.operands]
+            if node.kind is NodeKind.INPUT:
+                col = block[:, column[nid]].astype(dtype)
+            elif node.kind is NodeKind.CONST:
+                col = np.full(m, plan.const_raws[nid], dtype=dtype)
+            elif node.kind is NodeKind.MUL:
+                col = ops[0] * ops[1]
+            elif node.kind is NodeKind.ADD:
+                a, b = [-x if neg else x for x, neg in zip(ops, node.negate)]
+                col = a + b
+            elif node.kind in (NodeKind.SHR, NodeKind.TRUNC):
+                amount = node.amount if shift_cap is None else min(node.amount, shift_cap)
+                col = ops[0] >> amount
+            elif node.kind is NodeKind.OUTPUT:
+                col = ops[0]
+            else:  # pragma: no cover
+                raise ValueError(node.kind)
+            fmt = plan.info[nid].signal.fmt
+            if m and (col.min() < fmt.min_raw or col.max() > fmt.max_raw):
+                bad = (col < fmt.min_raw) | (col > fmt.max_raw)
+                raise InternalOverflowError(nid, int(col[np.argmax(bad)]))
+            cols[nid] = col
+        return cols
+
+    return _in_blocks(raws, plan.output_ids, run_block)
+
+
+def run_reference_columns(plan: Plan, raws: np.ndarray, mode: str = "double") -> dict:
+    """Evaluate the source expression on an (n, k) input raw matrix.
+
+    mode 'double': float64 columns with unquantized constants, the
     floating-point implementation a fixed datapath is judged against.
-    mode 'exact': exact rational evaluation, for soundness oracles.
+    mode 'exact': ``object`` columns of ``Fraction``, for soundness oracles.
+    Returns one column per output.
     """
     if mode not in ("double", "exact"):
         raise ValueError(f"unknown reference mode {mode!r}")
     exact = mode == "exact"
     bindings = plan.bindings
     fmts = [bindings.input_format(name) for name in bindings.inputs]
-    vals: dict[str, object] = {}
-    for name, fmt, raw in zip(bindings.inputs, fmts, vector.raws):
-        q = decode(raw, fmt)
-        vals[name] = q if exact else float(q)
-
     source = plan.source
-    for nid in plan.source_order():
-        node = source.node(nid)
-        if node.kind is NodeKind.INPUT:
-            continue
-        if node.kind is NodeKind.CONST:
-            vals[nid] = node.value if exact else float(node.value)
-        elif node.kind is NodeKind.MUL:
-            vals[nid] = vals[node.operands[0]] * vals[node.operands[1]]
-        elif node.kind is NodeKind.ADD:
-            a = vals[node.operands[0]]
-            b = vals[node.operands[1]]
-            vals[nid] = (-a if node.negate[0] else a) + (-b if node.negate[1] else b)
-        elif node.kind is NodeKind.OUTPUT:
-            vals[nid] = vals[node.operands[0]]
-    return {oid: vals[oid] for oid in source.output_ids}
+
+    def run_block(block):
+        m = len(block)
+        vals: dict[str, np.ndarray] = {}
+        for k, (name, fmt) in enumerate(zip(bindings.inputs, fmts)):
+            if exact:
+                vals[name] = block[:, k].astype(object) * Fraction(1, 1 << fmt.f)
+            else:
+                vals[name] = _to_float(block[:, k], -fmt.f)
+        for nid in plan.source_order():
+            node = source.node(nid)
+            ops = [vals[op] for op in node.operands]
+            if node.kind is NodeKind.CONST:
+                vals[nid] = (np.full(m, node.value, dtype=object) if exact
+                             else np.full(m, float(node.value)))
+            elif node.kind is NodeKind.MUL:
+                vals[nid] = ops[0] * ops[1]
+            elif node.kind is NodeKind.ADD:
+                a, b = [-x if neg else x for x, neg in zip(ops, node.negate)]
+                vals[nid] = a + b
+            elif node.kind is NodeKind.OUTPUT:
+                vals[nid] = ops[0]
+        return vals
+
+    return _in_blocks(raws, source.output_ids, run_block)
+
+
+def _to_float(raws: np.ndarray, exponent: int) -> np.ndarray:
+    """raw * 2^exponent as float64, correctly rounded: the integer rounds
+    once on conversion and the power-of-two scale is exact."""
+    return np.ldexp(raws.astype(np.float64), exponent)
+
+
+def _one_row(plan: Plan, vector: TestVector) -> np.ndarray:
+    return np.array(vector.raws, dtype=object).reshape(1, len(plan.bindings.inputs))
+
+
+def run_fixed(plan: Plan, vector: TestVector) -> dict[str, tuple[int, Fraction]]:
+    """Execute the plan on one vector: raw and semantic value
+    (raw * 2^(E-F)) per output."""
+    cols = run_fixed_columns(plan, _one_row(plan, vector))
+    raws = {oid: int(col[0]) for oid, col in cols.items()}
+    return {oid: (raw, plan.info[oid].signal.value_of(raw)) for oid, raw in raws.items()}
+
+
+def run_reference(plan: Plan, vector: TestVector, mode: str = "double") -> dict:
+    """Evaluate the source expression on one vector: a float ('double') or
+    a Fraction ('exact') per output."""
+    cols = run_reference_columns(plan, _one_row(plan, vector), mode)
+    return {oid: col[0] if mode == "exact" else float(col[0]) for oid, col in cols.items()}
 
 
 @dataclass(frozen=True)
@@ -241,12 +417,17 @@ def stats_from_deviations(devs) -> ErrorStats:
 
 def compare(plan: Plan, vecset: VectorSet, mode: str = "double") -> ErrorStats:
     """Per-vector worst output deviation |fixed - reference|, aggregated."""
-    devs = []
-    for vec in vecset.vectors:
-        fixed = run_fixed(plan, vec)
-        ref = run_reference(plan, vec, mode)
-        worst = max(abs(float(fixed[o][1]) - float(ref[o])) if mode == "double"
-                    else abs(fixed[o][1] - ref[o])
-                    for o in plan.output_ids)
-        devs.append(worst)
-    return stats_from_deviations(devs)
+    ref = run_reference_columns(plan, vecset.raws, mode)
+    fixed = run_fixed_columns(plan, vecset.raws)
+    worst = None
+    for oid in plan.output_ids:
+        signal = plan.info[oid].signal
+        if mode == "exact":
+            dev = np.abs(fixed[oid].astype(object) * signal.grid - ref[oid])
+        else:
+            dev = np.abs(_to_float(fixed[oid], signal.scale - signal.fmt.f) - ref[oid])
+        worst = dev if worst is None else np.maximum(worst, dev)
+    log.info("compare: %d vectors, %d outputs, %s columns, %d blocks", len(vecset),
+             len(plan.output_ids), "int64" if fits_int64(plan) else "object",
+             -(-len(vecset) // BLOCK))
+    return stats_from_deviations(worst.tolist())

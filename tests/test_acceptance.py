@@ -10,6 +10,8 @@ import subprocess
 import time
 from fractions import Fraction
 
+import numpy as np
+
 from fpsynt.analysis import PlanBuilder
 from fpsynt.codegen import (emit_c, extract_c_expression,
                             interpret_c_expression, quantize_const)
@@ -20,8 +22,7 @@ from fpsynt.optimizer import (chain_allocate, combinatorial_search,
                               enumerate_topologies, topological_optimize)
 from fpsynt.parser import parse_spec
 from fpsynt.pipeline import synthesize
-from fpsynt.simulator import TestVector as Vec
-from fpsynt.simulator import compare, generate_vectors, run_fixed
+from fpsynt.simulator import compare, generate_vectors, run_fixed_columns
 
 from conftest import FIR4_SRC, exact_eval, make_fir_src
 
@@ -80,9 +81,11 @@ def test_criterion_05_bound_soundness():
     dfg, bindings = parse_spec(FIR4_SRC)
     fmts = {n: bindings.input_format(n) for n in bindings.inputs}
     vectors = generate_vectors(plan.bindings, 10_000, seed=5)
+    grid = plan.info["y"].signal.grid
+    raws = run_fixed_columns(plan, vectors.raws)["y"].tolist()
     sound = True
-    for vec in vectors.vectors:
-        fixed = run_fixed(plan, vec)["y"][1]
+    for vec, raw in zip(vectors.vectors, raws, strict=True):
+        fixed = raw * grid
         values = {n: decode(r, fmts[n]) for n, r in zip(bindings.inputs, vec.raws)}
         exact = exact_eval(dfg, bindings, values)["y"]
         dev = abs(fixed - exact)
@@ -92,12 +95,14 @@ def test_criterion_05_bound_soundness():
     plan2 = synthesize(TWO_TAP_SRC, Config(width=8))
     dfg2, bindings2 = parse_spec(TWO_TAP_SRC)
     fmt = SifFormat(1, 0, 7)
-    for a in range(fmt.min_raw, fmt.max_raw + 1):
-        for b in range(fmt.min_raw, fmt.max_raw + 1):
-            fixed = run_fixed(plan2, Vec((a, b)))["y"][1]
-            exact = exact_eval(dfg2, bindings2,
-                               {"x0": decode(a, fmt), "x1": decode(b, fmt)})["y"]
-            sound = sound and abs(fixed - exact) <= plan2.cost
+    every = range(fmt.min_raw, fmt.max_raw + 1)
+    grid2 = plan2.info["y"].signal.grid
+    raws2 = run_fixed_columns(plan2, np.array(list(itertools.product(every, every))))["y"]
+    for (a, b), raw in zip(itertools.product(every, every), raws2.tolist(), strict=True):
+        fixed = raw * grid2
+        exact = exact_eval(dfg2, bindings2,
+                           {"x0": decode(a, fmt), "x1": decode(b, fmt)})["y"]
+        sound = sound and abs(fixed - exact) <= plan2.cost
 
     elapsed = time.monotonic() - start
     _report(5, "predicted bound dominates every observation",
@@ -125,19 +130,18 @@ def test_criterion_06_overflow_freedom_fuzz():
     # chain allocator alternates to cover both datapath styles
     start = time.monotonic()
     specs = _fuzz_specs()
-    per_spec = 100_000 // len(specs) + 1
+    per_spec = 1_000_000 // len(specs) + 1
     total = 0
     for seed, (src, width) in enumerate(specs):
         cfg = Config(width=width, k_max=1, enable_topology_opt=False,
                      enable_chain_alloc=seed % 2 == 0)
         plan = synthesize(src, cfg)
         vectors = generate_vectors(plan.bindings, per_spec, seed=seed)
-        for vec in vectors.vectors:
-            run_fixed(plan, vec)  # InternalOverflowError would propagate
-            total += 1
+        # InternalOverflowError would propagate
+        total += len(run_fixed_columns(plan, vectors.raws)["y"])
     elapsed = time.monotonic() - start
     _report(6, "no internal overflow over fuzzed specs",
-            total >= 100_000 and elapsed < 60.0,
+            total >= 1_000_000 and elapsed < 60.0,
             f"{len(specs)} specs, {total} vectors, t={elapsed:.1f}s")
 
 
@@ -234,12 +238,13 @@ int main(void) {
         def c_value(a, b):
             return interpret_c_expression(expr, {"x0": a, "x1": b})
 
+    pairs = list(itertools.product(range(-128, 128), repeat=2))
+    sim = run_fixed_columns(plan, np.array(pairs))["y"].tolist()
     ok = True
     cases = 0
-    for a in range(-128, 128):
-        for b in range(-128, 128):
-            ok = ok and c_value(a, b) == run_fixed(plan, Vec((a, b)))["y"][0]
-            cases += 1
+    for (a, b), raw in zip(pairs, sim, strict=True):
+        ok = ok and c_value(a, b) == raw
+        cases += 1
     elapsed = time.monotonic() - start
     _report(10, "emitted C equals simulator bit-for-bit",
             ok and cases == 65536 and elapsed < 30.0,

@@ -165,25 +165,34 @@ def test_console_entry_point(fir4_spec, tmp_path):
 
 
 def test_info_log_goes_to_stderr_only(fir4_spec, tmp_path):
-    """``FPSYNT_LOG=info`` prints one line per search to stderr and changes
-    neither stdout nor report.json."""
+    """``FPSYNT_LOG=info`` prints one line per search, and for ``simulate``
+    one simulator line, to stderr and changes neither stdout nor
+    report.json."""
     pkg_root = str(Path(fpsynt.__file__).resolve().parents[1])
     runs = {}
-    for level in ("warning", "info"):
-        env = dict(os.environ, FPSYNT_LOG=level)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
-        out = tmp_path / level
-        proc = subprocess.run(
-            [sys.executable, "-m", "fpsynt.cli", "synth", str(fir4_spec), "-o", str(out)],
-            capture_output=True, text=True, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        runs[level] = (proc, (out / "report.json").read_bytes())
-    (quiet, quiet_report), (loud, loud_report) = runs["warning"], runs["info"]
-    assert loud_report == quiet_report
-    assert loud.stdout == quiet.stdout
-    assert quiet.stderr == ""
-    searches = [line for line in loud.stderr.splitlines()
-                if line.startswith("fpsynt.optimizer: INFO: search ")]
-    assert len(searches) == 6  # the chain plan and the five shapes of the 4-term sum
+    for command in ("synth", "simulate"):
+        for level in ("warning", "info"):
+            env = dict(os.environ, FPSYNT_LOG=level)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+            out = tmp_path / command / level
+            proc = subprocess.run(
+                [sys.executable, "-m", "fpsynt.cli", command, str(fir4_spec), "-o", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            runs[command, level] = (proc, (out / "report.json").read_bytes())
+    for command in ("synth", "simulate"):
+        (quiet, quiet_report), (loud, loud_report) = (runs[command, "warning"],
+                                                      runs[command, "info"])
+        assert loud_report == quiet_report
+        assert loud.stdout == quiet.stdout
+        assert quiet.stderr == ""
+        searches = [line for line in loud.stderr.splitlines()
+                    if line.startswith("fpsynt.optimizer: INFO: search ")]
+        assert len(searches) == 6  # the chain plan and the five shapes of the 4-term sum
+        sims = [line for line in loud.stderr.splitlines()
+                if line.startswith("fpsynt.simulator: INFO: ")]
+        assert sims == ([] if command == "synth" else
+                        ["fpsynt.simulator: INFO: compare: 93 vectors, 1 outputs, "
+                         "int64 columns, 1 blocks"])

@@ -1,5 +1,6 @@
 """Emitted C/VHDL: constants, shape, determinism, differential equivalence."""
 
+import itertools
 import json
 import re
 import shutil
@@ -7,6 +8,7 @@ import subprocess
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import fpsynt
@@ -17,7 +19,7 @@ from fpsynt.errors import CannotFitError
 from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
 from fpsynt.simulator import TestVector as Vec
-from fpsynt.simulator import run_fixed
+from fpsynt.simulator import run_fixed, run_fixed_columns
 
 from conftest import FIR4_SRC
 
@@ -123,14 +125,11 @@ int main(void) {{
 def test_c_differential_exhaustive_two_tap(tmp_path):
     plan = synthesize(TWO_TAP_SRC, Config(width=8))
     art = emit_c(plan, "twotap")
-    got = _compile_and_run_c(tmp_path, art.source, "fps_y",
-                             [(a, b) for a in range(-128, 128) for b in range(-128, 128)])
-    k = 0
-    for a in range(-128, 128):
-        for b in range(-128, 128):
-            expected = run_fixed(plan, Vec((a, b)))["y"][0]
-            assert got[k] == expected, (a, b)
-            k += 1
+    pairs = list(itertools.product(range(-128, 128), repeat=2))
+    got = _compile_and_run_c(tmp_path, art.source, "fps_y", pairs)
+    expected = run_fixed_columns(plan, np.array(pairs))["y"].tolist()
+    for k, pair in enumerate(pairs):
+        assert got[k] == expected[k], pair
 
 
 @pytest.mark.parametrize("portable", [False, True])
@@ -149,11 +148,8 @@ def test_portable_shift_compiles_and_matches(tmp_path):
     art = emit_c(plan, "twotap", portable_shift=True)
     assert "fps_shr" in art.source
     got = _compile_and_run_c(tmp_path, art.source, "fps_y", None)
-    k = 0
-    for a in range(-128, 128):
-        for b in range(-128, 128):
-            assert got[k] == run_fixed(plan, Vec((a, b)))["y"][0]
-            k += 1
+    pairs = np.array(list(itertools.product(range(-128, 128), repeat=2)))
+    assert got == run_fixed_columns(plan, pairs)["y"].tolist()
 
 
 def test_c_uses_wider_type_for_wide_plans():

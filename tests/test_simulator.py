@@ -1,20 +1,27 @@
 """Bit-accurate execution, references, vectors, stats."""
 
+import dataclasses
+import hashlib
 import io
+import itertools
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fpsynt.config import Config
-from fpsynt.core import Quantize, SifFormat, decode
-from fpsynt.errors import VectorError
+from fpsynt.core import Dfg, NodeKind, Quantize, ScaledSignal, SifFormat, decode, encode
+from fpsynt.errors import InternalOverflowError, VectorError
 from fpsynt.parser import parse_spec
 from fpsynt.pipeline import synthesize
-from fpsynt.simulator import (VectorSet, compare, generate_vectors,
-                              load_vectors_csv, run_fixed, run_reference,
-                              save_vectors_csv, stats_from_deviations)
+from fpsynt.simulator import (VectorSet, _out_of_range, _quantize_column, compare,
+                              fits_int64, generate_vectors, load_vectors_csv,
+                              run_fixed, run_fixed_columns, run_reference,
+                              run_reference_columns, save_vectors_csv,
+                              stats_from_deviations)
 from fpsynt.simulator import TestVector as Vec
 
 from conftest import FIR4_SRC, exact_eval
@@ -42,19 +49,17 @@ def test_two_tap_exhaustive_within_bound_and_max_is_tight():
     plan = synthesize(TWO_TAP_SRC, Config(width=8))
     dfg, bindings = parse_spec(TWO_TAP_SRC)
     fmt = SifFormat(1, 0, 7)
+    every = range(fmt.min_raw, fmt.max_raw + 1)
+    vecset = VectorSet(("x0", "x1"), np.array(list(itertools.product(every, every))))
+    raws = run_fixed_columns(plan, vecset.raws)["y"].tolist()
+    grid = plan.info["y"].signal.grid
     devs = []
-    for a in range(fmt.min_raw, fmt.max_raw + 1):
-        for b in range(fmt.min_raw, fmt.max_raw + 1):
-            got = run_fixed(plan, Vec((a, b)))["y"][1]
-            exact = exact_eval(dfg, bindings,
-                               {"x0": decode(a, fmt), "x1": decode(b, fmt)})["y"]
-            devs.append(abs(got - exact))
+    for (a, b), raw in zip(itertools.product(every, every), raws, strict=True):
+        exact = exact_eval(dfg, bindings,
+                           {"x0": decode(a, fmt), "x1": decode(b, fmt)})["y"]
+        devs.append(abs(raw * grid - exact))
     assert max(devs) <= plan.cost
 
-    vecset = VectorSet(("x0", "x1"),
-                       tuple(Vec((a, b))
-                             for a in range(fmt.min_raw, fmt.max_raw + 1)
-                             for b in range(fmt.min_raw, fmt.max_raw + 1)))
     stats = compare(plan, vecset, mode="exact")
     assert stats.max == float(max(devs))
 
@@ -146,8 +151,7 @@ def test_vector_quantization_mode_recorded():
 def test_overflow_check_never_fires_on_random_vectors():
     plan = synthesize(FIR4_SRC)
     vecset = generate_vectors(plan.bindings, 500, seed=11)
-    for vec in vecset.vectors:
-        run_fixed(plan, vec)  # raises InternalOverflowError on a planner bug
+    run_fixed_columns(plan, vecset.raws)  # raises InternalOverflowError on a planner bug
 
 
 def test_stats_invariants_on_known_data():
@@ -166,3 +170,273 @@ def test_stats_invariants_property(devs):
     assert stats.min <= stats.median <= stats.max
     assert stats.min <= stats.mean <= stats.max
     assert stats.count == len(devs)
+
+
+# ---------------------------------------------------------------------------
+# the column-wise simulator against exact per-value references
+
+
+def scalar_fixed(plan, raws) -> tuple[int, ...]:
+    """Per-value execution with Python integers: output raws of one vector,
+    or InternalOverflowError at the first node in order that leaves its
+    format's range."""
+    vals = dict(zip(plan.bindings.inputs, raws))
+    for nid in plan.order():
+        node = plan.graph.node(nid)
+        ops = [vals[op] for op in node.operands]
+        if node.kind is NodeKind.INPUT:
+            v = vals[nid]
+        elif node.kind is NodeKind.CONST:
+            v = plan.const_raws[nid]
+        elif node.kind is NodeKind.MUL:
+            v = ops[0] * ops[1]
+        elif node.kind is NodeKind.ADD:
+            v = sum(-x if neg else x for x, neg in zip(ops, node.negate))
+        elif node.kind in (NodeKind.SHR, NodeKind.TRUNC):
+            v = ops[0] >> node.amount
+        else:
+            v = ops[0]
+        fmt = plan.info[nid].signal.fmt
+        if not fmt.min_raw <= v <= fmt.max_raw:
+            raise InternalOverflowError(nid, v)
+        vals[nid] = v
+    return tuple(vals[o] for o in plan.output_ids)
+
+
+def scalar_double(plan, raws) -> dict:
+    """Per-value double evaluation of the source graph with Python floats."""
+    vals = {name: float(decode(raw, plan.bindings.input_format(name)))
+            for name, raw in zip(plan.bindings.inputs, raws)}
+    for nid in plan.source_order():
+        node = plan.source.node(nid)
+        ops = [vals[op] for op in node.operands]
+        if node.kind is NodeKind.CONST:
+            vals[nid] = float(node.value)
+        elif node.kind is NodeKind.MUL:
+            vals[nid] = ops[0] * ops[1]
+        elif node.kind is NodeKind.ADD:
+            a, b = [-x if neg else x for x, neg in zip(ops, node.negate)]
+            vals[nid] = a + b
+        elif node.kind is NodeKind.OUTPUT:
+            vals[nid] = ops[0]
+    return {o: vals[o] for o in plan.source.output_ids}
+
+
+def _assert_columns_match_scalar(plan, vecset):
+    cols = run_fixed_columns(plan, vecset.raws)
+    got = list(zip(*(cols[o].tolist() for o in plan.output_ids)))
+    assert got == [scalar_fixed(plan, v.raws) for v in vecset.vectors]
+
+
+WIDE_SRC = ("input a : sif(1/0/40);\ninput b : sif(1/0/40);\nconst k = 0.3;\n"
+            "output y = a * b + k*a;\n")
+
+
+def _replace_node(plan, nid, **changes):
+    """A copy of ``plan`` whose node ``nid`` has ``changes`` applied."""
+    nodes = tuple(dataclasses.replace(n, **changes) if n.id == nid else n
+                  for n in plan.graph.nodes)
+    return dataclasses.replace(plan, graph=Dfg(nodes))
+
+
+def _narrow(plan, nid, fmt):
+    """A copy of ``plan`` whose node ``nid`` has the format ``fmt``."""
+    info = plan.info[nid]
+    signal = ScaledSignal(fmt, info.signal.scale)
+    return dataclasses.replace(plan, info={**plan.info,
+                                           nid: dataclasses.replace(info, signal=signal)})
+
+
+@pytest.mark.parametrize("mode", [Quantize.ROUND, Quantize.TRUNC])
+def test_generate_vectors_matches_per_value_encode(mode):
+    # one rng.uniform call per value, then Fraction -> encode: the old path
+    rng = random.Random(6 if mode is Quantize.ROUND else 7)
+    rows = 0
+    for trial in range(150):
+        sifs = [(1, rng.randint(0, 40), rng.randint(0, 70)) for _ in range(rng.randint(1, 4))]
+        src = ("".join(f"input x{k} : sif({s}/{i}/{f});\n" for k, (s, i, f) in enumerate(sifs))
+               + "output y = x0;\n")
+        _, bindings = parse_spec(src)
+        fmts = [SifFormat(*sif) for sif in sifs]
+        vecset = generate_vectors(bindings, 300, seed=trial, mode=mode)
+        draws = np.random.default_rng(trial)
+        want = [(0,) * len(fmts), tuple(f.min_raw for f in fmts),
+                tuple(f.max_raw for f in fmts)]
+        for _ in range(300):
+            want.append(tuple(
+                encode(Fraction(float(draws.uniform(float(f.min_value), float(f.max_value)))),
+                       f, mode) for f in fmts))
+        assert [v.raws for v in vecset.vectors] == want, sifs
+        wide = any(f.i + f.f > 63 for f in fmts)
+        assert vecset.raws.dtype == (object if wide else np.int64)
+        rows += len(want)
+    assert rows == 150 * 303
+
+
+def test_quantize_column_ties_and_large_values():
+    values = [0.5, -0.5, 1.5, -1.5, 2.5, -2.5, 0.49999999999999994, -0.49999999999999994,
+              2.0 ** 52 - 0.5, -(2.0 ** 52) + 0.5, 2.0 ** 52 + 2, 2.0 ** 60, -(2.0 ** 62),
+              1e-300, -1e-300, 0.0, -0.0, 12345.75, -12345.25]
+    fmt = SifFormat(1, 62, 0)
+    for mode in Quantize:
+        got = _quantize_column(np.array(values), fmt, mode).tolist()
+        assert got == [encode(Fraction(v), fmt, mode) for v in values]
+    wide = SifFormat(1, 80, 0)
+    got = _quantize_column(np.array([2.0 ** 79, -(2.0 ** 80), 3.5]), wide, Quantize.ROUND)
+    assert got.dtype == object and got.tolist() == [2 ** 79, -(2 ** 80), 4]
+
+
+def test_out_of_range_is_exact():
+    # value * 2^F against [min_raw, max_raw], also where max_raw is no float
+    for fmt in (SifFormat(1, 3, 7), SifFormat(1, 20, 50), SifFormat(1, 30, 40)):
+        top = fmt.i + fmt.f
+        below = np.nextafter(2.0 ** top, 0)
+        values = [-(2.0 ** top), np.nextafter(-(2.0 ** top), -np.inf), below,
+                  2.0 ** top, float(fmt.max_raw), 0.0, -0.5]
+        want = [not fmt.min_raw <= Fraction(v) <= fmt.max_raw for v in values]
+        assert _out_of_range(np.array(values), fmt).tolist() == want, fmt
+
+
+def test_object_columns_when_a_product_bound_exceeds_int64():
+    plan = synthesize(WIDE_SRC, Config(width=64))
+    assert any(plan.info[n.id].width > 64 for n in plan.graph.nodes)  # 82-bit products
+    assert not fits_int64(plan)
+    vecset = generate_vectors(plan.bindings, 2000, seed=4)
+    _assert_columns_match_scalar(plan, vecset)
+    assert run_fixed_columns(plan, vecset.raws)["y"].dtype == object
+
+    dfg, bindings = parse_spec(WIDE_SRC)
+    fmt = SifFormat(1, 0, 40)
+    grid = plan.info["y"].signal.grid
+    devs = [abs(scalar_fixed(plan, v.raws)[0] * grid
+                - exact_eval(dfg, bindings, {"a": decode(v.raws[0], fmt),
+                                             "b": decode(v.raws[1], fmt)})["y"])
+            for v in vecset.vectors]
+    assert max(devs) <= plan.cost
+    assert compare(plan, vecset, mode="exact") == stats_from_deviations(devs)
+
+
+def test_64_bit_products_stay_on_int64():
+    # 32-bit operands: the 64-bit product nodes are bounded by 2^62
+    src = ("input x0 : sif(1/0/31);\ninput x1 : sif(1/0/31);\n"
+           "const a = 0.731;\nconst b = -0.402;\noutput y = a*x0 + b*x1;\n")
+    plan = synthesize(src, Config(width=32))
+    assert max(info.width for info in plan.info.values()) == 64
+    assert fits_int64(plan)
+    vecset = generate_vectors(plan.bindings, 3000, seed=8)
+    _assert_columns_match_scalar(plan, vecset)
+    assert run_fixed_columns(plan, vecset.raws)["y"].dtype == np.int64
+
+
+MATVEC_SRC = ("input x0 : sif(1/0/15);\ninput x1 : sif(1/2/13);\n"
+              "const a = 0.731;\nconst b = -0.402;\nconst c = 1.25;\n"
+              "output y0 = a*x0 - b*x1;\noutput y1 = c*x1 + x0*x1;\n")
+
+
+@pytest.mark.parametrize("src,cfg", [(FIR4_SRC, Config()), (MATVEC_SRC, Config(width=16)),
+                                     (WIDE_SRC, Config(width=64))],
+                         ids=["fir4", "two-outputs", "object"])
+def test_compare_matches_per_value_loop(src, cfg):
+    plan = synthesize(src, cfg)
+    vecset = generate_vectors(plan.bindings, 5000, seed=21)  # two blocks
+    dfg, bindings = parse_spec(src)
+    double, exact = [], []
+    for vec in vecset.vectors:
+        raws = dict(zip(plan.output_ids, scalar_fixed(plan, vec.raws)))
+        fixed = {o: plan.info[o].signal.value_of(raws[o]) for o in plan.output_ids}
+        ref = scalar_double(plan, vec.raws)
+        double.append(max(abs(float(fixed[o]) - ref[o]) for o in plan.output_ids))
+        values = {n: decode(r, bindings.input_format(n))
+                  for n, r in zip(bindings.inputs, vec.raws)}
+        true = exact_eval(dfg, bindings, values)
+        exact.append(max(abs(fixed[o] - true[o]) for o in plan.output_ids))
+    assert compare(plan, vecset) == stats_from_deviations(double)
+    assert compare(plan, vecset, mode="exact") == stats_from_deviations(exact)
+    assert max(exact) <= plan.cost
+
+
+def test_blocks_and_a_batch_of_one_agree():
+    plan = synthesize(FIR4_SRC)
+    vecset = generate_vectors(plan.bindings, 10_000, seed=12)  # three blocks
+    cols = run_fixed_columns(plan, vecset.raws)["y"]
+    ref = run_reference_columns(plan, vecset.raws)["y"]
+    for k in range(0, len(vecset), 331):
+        vec = vecset.vectors[k]
+        assert run_fixed(plan, vec)["y"][0] == cols[k] == scalar_fixed(plan, vec.raws)[0]
+        assert run_reference(plan, vec)["y"] == ref[k]
+
+
+def test_narrowed_node_overflows_on_int64():
+    plan = synthesize(FIR4_SRC)
+    assert fits_int64(plan)
+    bad = _narrow(plan, "t3", SifFormat(1, 0, 28))  # two bits short of w2 * x2
+    assert fits_int64(bad)
+    vecset = generate_vectors(plan.bindings, 100, seed=1)
+    with pytest.raises(InternalOverflowError) as exc:
+        run_fixed_columns(bad, vecset.raws)
+    assert exc.value.node_id == "t3"
+    with pytest.raises(InternalOverflowError) as ref:
+        scalar_fixed(bad, vecset.vectors[1].raws)  # all-minimum
+    assert ref.value.node_id == "t3"
+    with pytest.raises(InternalOverflowError):
+        compare(bad, vecset)
+
+
+def test_narrowed_node_overflows_on_object_where_int64_would_wrap():
+    src = "input a : sif(1/0/40);\ninput b : sif(1/0/40);\noutput y = a * b;\n"
+    plan = synthesize(src, Config(width=64))
+    bad = plan
+    for n in plan.graph.nodes:  # the 82-bit product and the 64-bit words after it
+        if plan.info[n.id].width > 63:
+            bad = _narrow(bad, n.id, SifFormat(1, 0, 62))
+    assert max(info.width for info in bad.info.values()) == 63
+    assert not fits_int64(bad)  # |a| * |b| <= 2^80, whatever the node widths
+    raws = np.array([[1 << 32, 1 << 32]])
+    # in int64, 2^32 * 2^32 wraps to 0, inside the narrowed range
+    assert (raws[:, 0] * raws[:, 1]).tolist() == [0]
+    with pytest.raises(InternalOverflowError) as exc:
+        run_fixed_columns(bad, raws)
+    assert (exc.value.node_id, exc.value.raw) == ("t0", 1 << 64)
+    with pytest.raises(InternalOverflowError) as ref:
+        scalar_fixed(bad, (1 << 32, 1 << 32))
+    assert (ref.value.node_id, ref.value.raw) == ("t0", 1 << 64)
+
+
+@pytest.mark.parametrize("src,cfg", [(FIR4_SRC, Config()), (WIDE_SRC, Config(width=64))],
+                         ids=["int64", "object"])
+def test_shift_amounts_of_64_and_more(src, cfg):
+    plan = synthesize(src, cfg)
+    vecset = generate_vectors(plan.bindings, 500, seed=2)
+    shifts = [n.id for n in plan.graph.nodes if n.kind in (NodeKind.SHR, NodeKind.TRUNC)]
+    assert shifts
+    for amount in (63, 64, 65, 100, 1000, 1 << 70):
+        for nid in shifts:
+            shifted = _replace_node(plan, nid, amount=amount)
+            assert fits_int64(shifted) == fits_int64(plan)
+            _assert_columns_match_scalar(shifted, vecset)
+
+
+def test_save_vectors_csv_bytes_and_round_trip(tmp_path):
+    # the digests of the files the per-value writer made
+    want = {Quantize.ROUND: "eac2e05b3a7c16a68707f5857aee606b4231ff4964a248c5b1c2bc546be20bfa",
+            Quantize.TRUNC: "299f821557798a5f86ac5248a56eaf51a0de0cbff6d7e049f38c1c3970f2ed4d"}
+    with open("demos/specs/fir4.fps") as fh:
+        _, bindings = parse_spec(fh.read())
+    for mode, digest in want.items():
+        vecset = generate_vectors(bindings, 90, seed=1, mode=mode)
+        path = tmp_path / f"{mode.value}.csv"
+        save_vectors_csv(path, bindings, vecset)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        assert load_vectors_csv(path, bindings, mode) == vecset
+
+
+def test_vector_set_equality_is_by_value():
+    rows = [[1, -2], [3, 4]]
+    a = VectorSet(("x", "y"), np.array(rows))
+    assert a == VectorSet(("x", "y"), np.array(rows, dtype=object))
+    assert a != VectorSet(("x", "y"), np.array([[1, -2], [3, 5]]))
+    assert a != VectorSet(("x", "y"), np.array(rows), Quantize.TRUNC)
+    assert a.vectors == (Vec((1, -2)), Vec((3, 4)))
+    assert VectorSet(("x",), np.array([[1 << 63]])).vectors == (Vec((1 << 63,)),)
+    with pytest.raises(ValueError):
+        VectorSet(("x",), np.array(rows))
