@@ -13,9 +13,10 @@ fit the datapath it inserts formatting operations:
     proves redundant.
 
 Shifts and truncations floor toward -inf, so their loss is one-sided and
-bounded by (2^k - 1) * grid. Everything is computed in exact rational
-arithmetic; the resulting bounds are sound by construction and validated by
-simulation.
+bounded by (2^k - 1) * grid. Intervals are integer mantissas on a
+power-of-two exponent and grids are exponents; only the error bounds, which
+carry a constant's quantization error |c - q(c)|, are exact ``Fraction``.
+The bounds are sound by construction and validated by simulation.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from .config import Config
 from .core import (Dfg, Node, NodeKind, ScaledSignal, SifFormat, _pow2_frac,
-                   decode, encode, floor_to_grid, topo_order)
+                   decode, encode, topo_order)
 from .errors import CannotFitError
 from .parser import Bindings
 
@@ -36,92 +37,121 @@ log = logging.getLogger("fpsynt.analysis")
 _ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
 class Interval:
-    """Closed interval of exact semantic values."""
+    """Closed interval [m_lo * 2^exp, m_hi * 2^exp] of exact dyadic values,
+    normalized (mantissas not both even, zero at exponent 0) so that equal
+    intervals compare and hash equal. ``Interval(lo, hi)`` takes values (a
+    non-dyadic one is a ValueError), ``from_raws`` mantissas. Immutable."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = ("m_lo", "m_hi", "exp")
 
-    def __post_init__(self):
-        if self.lo > self.hi:
-            raise ValueError(f"bad interval [{self.lo}, {self.hi}]")
+    def __init__(self, lo, hi):
+        lo, hi = Fraction(lo), Fraction(hi)
+        if any(v.denominator & (v.denominator - 1) for v in (lo, hi)):
+            raise ValueError(f"interval [{lo}, {hi}] has an end that is not dyadic")
+        den = max(lo.denominator, hi.denominator)
+        iv = Interval.from_raws(int(lo * den), int(hi * den), 1 - den.bit_length())
+        self.m_lo, self.m_hi, self.exp = iv.m_lo, iv.m_hi, iv.exp
+
+    @classmethod
+    def from_raws(cls, m_lo: int, m_hi: int, exp: int) -> "Interval":
+        if m_lo > m_hi:
+            raise ValueError(f"bad interval [{m_lo}, {m_hi}] * 2^{exp}")
+        bits = m_lo | m_hi
+        tz = (bits & -bits).bit_length() - 1 if bits else 0
+        self = object.__new__(cls)
+        self.m_lo, self.m_hi, self.exp = m_lo >> tz, m_hi >> tz, exp + tz if bits else 0
+        return self
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, Interval) and self.m_lo == other.m_lo
+                and self.m_hi == other.m_hi and self.exp == other.exp)
+
+    def __hash__(self) -> int:
+        return hash((self.m_lo, self.m_hi, self.exp))
+
+    def __repr__(self) -> str:
+        return f"Interval({self.lo!r}, {self.hi!r})"
 
     def __add__(self, other: "Interval") -> "Interval":
-        return Interval(self.lo + other.lo, self.hi + other.hi)
+        e = min(self.exp, other.exp)
+        a, b = self.exp - e, other.exp - e
+        return Interval.from_raws((self.m_lo << a) + (other.m_lo << b),
+                                  (self.m_hi << a) + (other.m_hi << b), e)
 
     def __neg__(self) -> "Interval":
-        return Interval(-self.hi, -self.lo)
+        return Interval.from_raws(-self.m_hi, -self.m_lo, self.exp)
 
     def __mul__(self, other: "Interval") -> "Interval":
-        corners = (self.lo * other.lo, self.lo * other.hi,
-                   self.hi * other.lo, self.hi * other.hi)
-        return Interval(min(corners), max(corners))
+        corners = (self.m_lo * other.m_lo, self.m_lo * other.m_hi,
+                   self.m_hi * other.m_lo, self.m_hi * other.m_hi)
+        return Interval.from_raws(min(corners), max(corners), self.exp + other.exp)
 
-    def floor_to(self, grid: Fraction) -> "Interval":
-        return Interval(floor_to_grid(self.lo, grid), floor_to_grid(self.hi, grid))
+    def floor_to(self, exp: int) -> "Interval":
+        """Both ends floored (toward -inf) onto the grid 2^exp."""
+        d = exp - self.exp
+        return Interval.from_raws(self.m_lo >> d, self.m_hi >> d, exp) if d > 0 else self
+
+    @property
+    def lo(self) -> Fraction:
+        return self.m_lo * _pow2_frac(self.exp)
+
+    @property
+    def hi(self) -> Fraction:
+        return self.m_hi * _pow2_frac(self.exp)
 
     @property
     def max_abs(self) -> Fraction:
-        return max(-self.lo, self.hi, _ZERO)
+        return max(-self.m_lo, self.m_hi, 0) * _pow2_frac(self.exp)
 
     def contains(self, v) -> bool:
         return self.lo <= v <= self.hi
-
-
-def point(v: Fraction) -> Interval:
-    return Interval(v, v)
 
 
 @dataclass(frozen=True)
 class NodeInfo:
     """Analysis result attached to one plan node.
 
-    ``eff`` is the effective value grid: the coarsest power of two every
-    reachable value of the node is a multiple of. It can be coarser than the
-    format grid (a constant like 0.5 carries trailing zero bits through a
-    product), in which case flooring those bits away costs nothing and the
-    truncation bound tightens accordingly.
+    ``eff`` = 2^``eff_exp`` is the effective value grid: the coarsest power
+    of two every reachable value of the node is a multiple of. It can be
+    coarser than the format grid (a constant like 0.5 carries trailing zero
+    bits through a product), in which case flooring those bits away costs
+    nothing and the truncation bound tightens accordingly.
     """
 
     signal: ScaledSignal
     interval: Interval
     err: Fraction
-    eff: Fraction = None  # type: ignore[assignment]
+    eff_exp: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
-        if self.eff is None:
-            object.__setattr__(self, "eff", self.signal.grid)
+        if self.eff_exp is None:
+            object.__setattr__(self, "eff_exp", self.signal.grid_exp)
+
+    @property
+    def eff(self) -> Fraction:
+        return _pow2_frac(self.eff_exp)
 
     @property
     def width(self) -> int:
         return self.signal.fmt.width
 
     def semantic_range(self) -> Interval:
-        return Interval(self.signal.min_value, self.signal.max_value)
+        sig = self.signal
+        return Interval.from_raws(sig.fmt.min_raw, sig.fmt.max_raw, sig.grid_exp)
 
 
-def floor_loss(eff: Fraction, new_grid: Fraction,
-               interval: "Interval | None" = None) -> Fraction:
-    """Worst loss of flooring values on grid ``eff`` to ``new_grid``.
+def floor_loss(eff_exp: int, new_exp: int, interval: Interval | None = None) -> Fraction:
+    """Worst loss of flooring values on the grid 2^eff_exp to 2^new_exp.
 
     Zero when no information sits below the target grid; the classic
     (2^k - 1) * ulp bound falls out when eff equals the format grid. A
     point interval (a constant's downstream value) floors by a knowable,
     exact amount."""
-    if interval is not None and interval.lo == interval.hi:
-        return interval.lo - floor_to_grid(interval.lo, new_grid)
-    return max(_ZERO, new_grid - eff)
-
-
-def value_grid(v: Fraction) -> Fraction:
-    """Coarsest power-of-two grid containing a single dyadic value; for zero
-    (on every grid) the caller's format grid is the honest answer."""
-    n = abs(v.numerator)
-    if n == 0:
-        return _ZERO  # sentinel, caller substitutes
-    twos = (n & -n).bit_length() - 1
-    return Fraction(1 << twos, v.denominator)
+    if interval is not None and interval.m_lo == interval.m_hi:
+        d = new_exp - interval.exp
+        return (interval.m_lo & ((1 << d) - 1)) * _pow2_frac(interval.exp) if d > 0 else _ZERO
+    return _pow2_frac(new_exp) - _pow2_frac(eff_exp) if new_exp > eff_exp else _ZERO
 
 
 def infer_product_format(a: ScaledSignal, b: ScaledSignal) -> ScaledSignal:
@@ -136,23 +166,22 @@ def fit_format_to_interval(sig: ScaledSignal, interval: Interval) -> ScaledSigna
     Only the extreme corner product (-min * -min = +2^(I+F) ulps) ever needs
     this; it trades one sign copy for an integer bit at constant width.
     """
-    while interval.hi > sig.max_value or interval.lo < sig.min_value:
-        fmt = sig.fmt
-        if fmt.s <= 1:
-            raise CannotFitError(
-                f"interval [{float(interval.lo)}, {float(interval.hi)}] exceeds {fmt}")
-        sig = ScaledSignal(SifFormat(fmt.s - 1, fmt.i + 1, fmt.f), sig.scale)
-    return sig
+    fmt = sig.fmt
+    convert = _min_integer_bits(interval, fmt.f, sig.scale) - fmt.i
+    if convert >= fmt.s:
+        raise CannotFitError(f"interval [{float(interval.lo)}, {float(interval.hi)}] "
+                             f"exceeds {SifFormat(1, fmt.i + fmt.s - 1, fmt.f)}")
+    return sig if convert <= 0 else ScaledSignal(
+        SifFormat(fmt.s - convert, fmt.i + convert, fmt.f), sig.scale)
 
 
 def _min_integer_bits(interval: Interval, f: int, scale: int) -> int:
-    """Smallest i >= 0 such that interval fits (1/i/f) at the given scale."""
-    i = 0
-    while True:
-        sig = ScaledSignal(SifFormat(1, i, f), scale)
-        if interval.lo >= sig.min_value and interval.hi <= sig.max_value:
-            return i
-        i += 1
+    """Smallest i >= 0 such that interval fits (1/i/f) at the given scale:
+    floor(lo) and ceil(hi) on the grid 2^(scale-f) within [-2^(i+f), 2^(i+f))."""
+    d = interval.exp - scale + f
+    lo, hi = interval.m_lo, interval.m_hi
+    lo, hi = (lo << d, hi << d) if d >= 0 else (lo >> -d, -(-hi >> -d))
+    return max(0, (max(-lo, hi + 1, 1) - 1).bit_length() - f)
 
 
 @dataclass(frozen=True)
@@ -164,7 +193,7 @@ class TruncSpec:
     signal: ScaledSignal
     interval: Interval
     added_error: Fraction
-    eff: Fraction
+    eff_exp: int
 
 
 def plan_truncate(info: NodeInfo, target_width: int) -> TruncSpec | None:
@@ -181,8 +210,8 @@ def plan_truncate(info: NodeInfo, target_width: int) -> TruncSpec | None:
     if fmt.width <= target_width:
         return None
     for f_r in range(min(fmt.f, target_width - 1), -1, -1):
-        new_sig = ScaledSignal(SifFormat(1, 0, f_r), sig.scale)  # provisional, for grid
-        floored = interval.floor_to(new_sig.grid) if f_r < fmt.f else interval
+        grid_exp = sig.scale - f_r
+        floored = interval.floor_to(grid_exp) if f_r < fmt.f else interval
         i_r = _min_integer_bits(floored, f_r, sig.scale)
         if 1 + i_r + f_r <= target_width:
             pad = target_width - (1 + i_r + f_r)
@@ -193,8 +222,8 @@ def plan_truncate(info: NodeInfo, target_width: int) -> TruncSpec | None:
                              drop_msbs=fmt.width - drop_f - target_width,
                              signal=out,
                              interval=floored,
-                             added_error=floor_loss(info.eff, out.grid, interval),
-                             eff=max(info.eff, out.grid))
+                             added_error=floor_loss(info.eff_exp, grid_exp, interval),
+                             eff_exp=max(info.eff_exp, grid_exp))
     raise CannotFitError(
         f"cannot truncate {fmt} to {target_width} bits: integer part alone needs "
         f"{1 + _min_integer_bits(interval, 0, sig.scale)} bits")
@@ -226,10 +255,11 @@ def _shift_view(info: NodeInfo, shift: int, f_star: int, e_star: int) -> NodeInf
     assert delta >= 0
     new_sig = ScaledSignal(SifFormat(fmt.s, fmt.i + delta, f_star), e_star)
     if shift == 0:
-        return NodeInfo(new_sig, info.interval, info.err, info.eff)
-    loss = floor_loss(info.eff, new_sig.grid, info.interval)
-    return NodeInfo(new_sig, info.interval.floor_to(new_sig.grid),
-                    info.err + loss, max(info.eff, new_sig.grid))
+        return NodeInfo(new_sig, info.interval, info.err, info.eff_exp)
+    grid_exp = e_star - f_star
+    return NodeInfo(new_sig, info.interval.floor_to(grid_exp),
+                    info.err + floor_loss(info.eff_exp, grid_exp, info.interval),
+                    max(info.eff_exp, grid_exp))
 
 
 def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
@@ -241,12 +271,10 @@ def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
     fits ``width`` bits, plus ``extra`` optional steps. Operands whose grid is
     already coarse enough are not shifted.
     """
-    ga, gb = a.signal.grid, b.signal.grid
-    g0 = max(ga, gb)
+    ga, gb = a.signal.grid_exp, b.signal.grid_exp
 
-    def attempt(g) -> AlignSpec | None:
-        sa = (g / ga).numerator.bit_length() - 1   # log2 of exact power-of-two ratio
-        sb = (g / gb).numerator.bit_length() - 1
+    def attempt(g: int) -> AlignSpec | None:  # g: exponent of the common grid
+        sa, sb = g - ga, g - gb
         f_star = min(a.signal.fmt.f, b.signal.fmt.f)
         # the operand achieving f_star fixes the common scale exponent
         e_star = (a.signal.scale + sa - (a.signal.fmt.f - f_star))
@@ -260,19 +288,17 @@ def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
         if 1 + i_r + f_star > width:
             return None
         res = NodeInfo(ScaledSignal(SifFormat(1, i_r, f_star), e_star),
-                       total, av.err + bv.err, min(av.eff, bv.eff))
+                       total, av.err + bv.err, min(av.eff_exp, bv.eff_exp))
         return AlignSpec(sa, sb, av, bv, f_star, e_star, res)
 
-    g = g0
-    for _ in range(_ALIGN_GUARD):
+    for g in range(max(ga, gb), max(ga, gb) + _ALIGN_GUARD):
         spec = attempt(g)
         if spec is not None:
             break
-        g *= 2
     else:
         raise CannotFitError(f"cannot align addition operands within {width} bits")
     if extra:
-        spec = attempt(g * (1 << extra))
+        spec = attempt(g + extra)
         assert spec is not None  # coarsening never un-fits a sum
     return spec
 
@@ -571,8 +597,8 @@ class PlanBuilder:
             if fmt.width > W:
                 raise CannotFitError(
                     f"input '{nid}' is {fmt.width} bits wide, word width is {W}")
-            sig = ScaledSignal(fmt, 0)
-            ctx.emit(node, NodeInfo(sig, Interval(sig.min_value, sig.max_value), _ZERO))
+            ctx.emit(node, NodeInfo(ScaledSignal(fmt, 0), Interval.from_raws(
+                fmt.min_raw, fmt.max_raw, -fmt.f), _ZERO))
             ctx.alias[nid] = nid
         elif node.kind is NodeKind.CONST:
             self._step_const(ctx, node)
@@ -598,9 +624,9 @@ class PlanBuilder:
             raise CannotFitError(f"const '{node.id}': {e}") from None
         raw = encode(node.value, fmt, self.config.quantize)
         q = decode(raw, fmt)
-        sig = ScaledSignal(fmt, 0)
-        eff = value_grid(q) or sig.grid
-        ctx.emit(node, NodeInfo(sig, point(q), abs(node.value - q), eff))
+        value = Interval.from_raws(raw, raw, -fmt.f)
+        ctx.emit(node, NodeInfo(ScaledSignal(fmt, 0), value, abs(node.value - q),
+                                value.exp if raw else -fmt.f))
         ctx.const_raws[node.id] = raw
         ctx.alias[node.id] = node.id
 
@@ -610,7 +636,7 @@ class PlanBuilder:
         sig = infer_product_format(a.signal, b.signal)
         interval = a.interval * b.interval
         sig = fit_format_to_interval(sig, interval)
-        info = NodeInfo(sig, interval, mul_error_bound(a, b), a.eff * b.eff)
+        info = NodeInfo(sig, interval, mul_error_bound(a, b), a.eff_exp + b.eff_exp)
         mul_node = Node(node.id, NodeKind.MUL,
                         (ctx.alias[node.operands[0]], ctx.alias[node.operands[1]]))
         ctx.emit(mul_node, info)
@@ -635,7 +661,7 @@ class PlanBuilder:
         ctx.emit(Node(qid, NodeKind.TRUNC, (ref,),
                       amount=spec.drop_f, drop_msbs=spec.drop_msbs),
                  NodeInfo(spec.signal, spec.interval, info.err + spec.added_error,
-                          spec.eff),
+                          spec.eff_exp),
                  wide=spec.signal.fmt.width > self.config.width)
         return qid
 
@@ -685,8 +711,7 @@ class PlanBuilder:
         f_cap = min(t.signal.fmt.f for t in term_infos)
         plan = None
         for f_acc in range(f_cap, -1, -1):
-            grid = _pow2_frac(-f_acc)
-            views = [t.interval.floor_to(grid) if t.signal.fmt.f > f_acc else t.interval
+            views = [t.interval.floor_to(-f_acc) if t.signal.fmt.f > f_acc else t.interval
                      for t in term_infos]
             ok = all(1 + _min_integer_bits(v, f_acc, 0) + f_acc <= w_acc for v in views)
             if ok:
@@ -699,19 +724,18 @@ class PlanBuilder:
                         break
                     prefixes.append(run)
             if ok:
-                plan = (f_acc, prefixes)
+                plan = (f_acc, views, prefixes)
                 break
         if plan is None:
             return False
-        f_acc, prefixes = plan
+        f_acc, views, prefixes = plan
 
         # one truncation per finer-grid term, no loss inside the accumulator
         refs = []
-        for (tid, _sign), t in zip(chain.terms, term_infos):
+        for (tid, _sign), t, view in zip(chain.terms, term_infos, views):
             ref = ctx.alias[tid]
             if t.signal.fmt.f > f_acc:
-                ref = self._truncate(ctx, ref, 1 + _min_integer_bits(
-                    t.interval.floor_to(_pow2_frac(-f_acc)), f_acc, 0) + f_acc)
+                ref = self._truncate(ctx, ref, 1 + _min_integer_bits(view, f_acc, 0) + f_acc)
                 assert ctx.info[ref].signal.fmt.f == f_acc
             refs.append(ref)
 
@@ -726,7 +750,7 @@ class PlanBuilder:
             ctx.emit(Node(aid, NodeKind.ADD, (running, refs[j]),
                           negate=(False, sign < 0)),
                      NodeInfo(sig, prefix, prev.err + term.err,
-                              min(prev.eff, term.eff)),
+                              min(prev.eff_exp, term.eff_exp)),
                      wide=sig.fmt.width > W)
             running = aid
 
@@ -782,7 +806,7 @@ def check_plan(plan: Plan):
             assert info.width <= W, f"node '{node.id}' is {info.width} bits, W={W}"
         if node.kind is NodeKind.ADD:
             a, b = (plan.info[op] for op in node.operands)
-            assert a.signal.grid == b.signal.grid, f"unaligned add '{node.id}'"
+            assert a.signal.grid_exp == b.signal.grid_exp, f"unaligned add '{node.id}'"
         for op in node.operands:
             assert plan.info[op].err <= info.err, \
                 f"error bound shrank from '{op}' to '{node.id}'"

@@ -99,11 +99,6 @@ def round_half_away(x: Fraction) -> int:
     return -((-2 * n + d) // (2 * d))
 
 
-def floor_to_grid(x: Fraction, grid: Fraction) -> Fraction:
-    """Largest multiple of ``grid`` that is <= x."""
-    return (x / grid).__floor__() * grid
-
-
 def encode(value, fmt: SifFormat, mode: Quantize = Quantize.ROUND) -> int:
     """Encode a real value as a raw word of ``fmt``.
 
@@ -143,9 +138,14 @@ class ScaledSignal:
     scale: int = 0
 
     @property
+    def grid_exp(self) -> int:
+        """Exponent of the semantic weight of one raw LSB: scale - F."""
+        return self.scale - self.fmt.f
+
+    @property
     def grid(self) -> Fraction:
         """Semantic weight of one raw LSB: 2^(scale - F)."""
-        return _pow2_frac(self.scale - self.fmt.f)
+        return _pow2_frac(self.grid_exp)
 
     @property
     def min_value(self) -> Fraction:

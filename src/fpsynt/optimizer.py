@@ -127,7 +127,7 @@ class _Frontier:
         otherwise record it."""
         live, done, _cones = self._tables[pos]
         infos = [ctx.info[ctx.alias[v]] for v in live]
-        key = tuple((i.signal, i.interval, i.eff) for i in infos)
+        key = tuple((i.signal, i.interval, i.eff_exp) for i in infos)
         errs = tuple([i.err for i in infos] + [ctx.info[o].err for o in done])
         kept = self._seen[pos].setdefault(key, [])
         for k_errs, k_vec in kept:

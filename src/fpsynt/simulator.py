@@ -401,16 +401,22 @@ class ErrorStats:
 def stats_from_deviations(devs) -> ErrorStats:
     """Aggregate deviations into an ErrorStats.
 
-    The mean is summed exactly and rounded once (``statistics.mean``); a
-    plain float sum can round below ``min`` or above ``max`` (three copies
-    of 10.842168179762918 average to 10.842168179762917).
-    """
+    The mean is the exact sum rounded once, as in ``statistics.mean`` (a
+    float sum averages three copies of 10.842168179762918 to ...917, below
+    ``min``). The sum is kept as float parts, each the ``math.fsum`` of the
+    values less the parts before it, until that is 0."""
     if not devs:
         raise ValueError("no deviations to aggregate")
     vals = sorted(float(d) for d in devs)
     n = len(vals)
-    return ErrorStats(min=vals[0], max=vals[-1],
-                      mean=statistics.mean(vals),
+    parts: list[float] = []
+    try:
+        while part := math.fsum(vals + [-p for p in parts]):
+            parts.append(part)
+        mean = float(sum(map(Fraction, parts), Fraction(0)) / n)
+    except (OverflowError, ValueError):  # a sum past the largest float, or inf
+        mean = statistics.mean(vals)
+    return ErrorStats(min=vals[0], max=vals[-1], mean=mean,
                       median=vals[(n - 1) // 2],  # lower middle for even n
                       count=n)
 

@@ -1,15 +1,18 @@
 """Interval propagation, format inference, formatting ops, error bounds."""
 
 import itertools
+import re
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fpsynt.analysis import (Interval, NodeInfo, PlanBuilder, check_plan,
-                             choose_const_format, find_chains,
+from fpsynt.analysis import (Interval, NodeInfo, PlanBuilder, _min_integer_bits,
+                             check_plan, choose_const_format, find_chains,
                              fit_format_to_interval, infer_product_format,
-                             mul_error_bound, plan_add, plan_truncate, point)
+                             mul_error_bound, plan_add, plan_truncate)
 from fpsynt.config import Config
 from fpsynt.core import Node, NodeKind, ScaledSignal, SifFormat, decode
 from fpsynt.errors import CannotFitError
@@ -33,8 +36,8 @@ def info(fmt, scale=0, interval=None, err=Fraction(0)):
 
 def test_mul_interval_against_const():
     x = Interval(Fraction(-1), Fraction(1) - Fraction(1, 1 << 15))
-    w = point(Fraction(15, 100))
-    prod = x * w
+    c = Fraction(4915, 1 << 15)  # 0.15 quantized to (1/0/15)
+    prod = x * Interval(c, c)
     assert Fraction(-15, 100) <= prod.lo and prod.hi <= Fraction(15, 100)
 
 
@@ -166,7 +169,8 @@ def test_truncate_product_to_word_width():
     # (2/0/30) product of two (1/0/15) words -> (1/0/15): one redundant sign
     # and 15 fraction LSBs dropped
     x = Interval(Fraction(-1), Fraction(1) - Fraction(1, 1 << 15))
-    w = point(Fraction(4915, 1 << 15))
+    c = Fraction(4915, 1 << 15)
+    w = Interval(c, c)
     base = NodeInfo(ScaledSignal(SifFormat(2, 0, 30)), x * w, Fraction(0))
     spec = plan_truncate(base, 16)
     assert spec.signal.fmt == SifFormat(1, 0, 15)
@@ -301,8 +305,8 @@ def test_mul_error_formula():
 
 
 def test_mul_error_clamped_for_monotonicity():
-    tiny = NodeInfo(ScaledSignal(SifFormat(1, 0, 15)),
-                    point(Fraction(1, 100)), Fraction(0))
+    c = Fraction(328, 1 << 15)  # 0.01 quantized to (1/0/15)
+    tiny = NodeInfo(ScaledSignal(SifFormat(1, 0, 15)), Interval(c, c), Fraction(0))
     noisy = NodeInfo(ScaledSignal(SifFormat(1, 0, 15)),
                      Interval(Fraction(-1), Fraction(1)), Fraction(1, 64))
     # the raw formula would shrink the bound below the operand's; the
@@ -363,3 +367,188 @@ def test_signed_chain_terms():
                         "input c : sif(1/0/7);\noutput y = a - b + c;\n")
     (chain,) = find_chains(dfg)
     assert [s for _, s in chain.terms] == [1, -1, 1]
+
+
+# ---------------------------------------------------------------------------
+# the integer interval and grid rules against a Fraction reference
+
+
+def ref_floor(x: Fraction, grid: Fraction) -> Fraction:
+    """Largest multiple of ``grid`` that is <= x."""
+    return (x / grid).__floor__() * grid
+
+
+def ref_fits(sig: ScaledSignal, lo: Fraction, hi: Fraction) -> bool:
+    return sig.min_value <= lo and hi <= sig.max_value
+
+
+def ref_min_integer_bits(lo, hi, f: int, scale: int) -> int:
+    i = 0
+    while not ref_fits(ScaledSignal(SifFormat(1, i, f), scale), lo, hi):
+        i += 1
+    return i
+
+
+def ref_floor_loss(eff, grid, lo, hi) -> Fraction:
+    if lo == hi:
+        return lo - ref_floor(lo, grid)
+    return max(Fraction(0), grid - eff)
+
+
+def ref_truncate(info: NodeInfo, target: int):
+    """plan_truncate in Fraction arithmetic: None, "cannot fit", or (drop_f,
+    drop_msbs, signal, lo, hi, added error, eff)."""
+    sig, lo, hi = info.signal, info.interval.lo, info.interval.hi
+    fmt = sig.fmt
+    if fmt.width <= target:
+        return None
+    for f_r in range(min(fmt.f, target - 1), -1, -1):
+        grid = Fraction(2) ** (sig.scale - f_r)
+        flo, fhi = (ref_floor(lo, grid), ref_floor(hi, grid)) if f_r < fmt.f else (lo, hi)
+        i_r = ref_min_integer_bits(flo, fhi, f_r, sig.scale)
+        if 1 + i_r + f_r <= target:
+            drop_f = fmt.f - f_r
+            return (drop_f, fmt.width - drop_f - target,
+                    ScaledSignal(SifFormat(target - i_r - f_r, i_r, f_r), sig.scale),
+                    flo, fhi, ref_floor_loss(info.eff, grid, lo, hi), max(info.eff, grid))
+    return "cannot fit"
+
+
+def ref_add(a: NodeInfo, b: NodeInfo, negate, width: int, extra: int):
+    """plan_add in Fraction arithmetic: (shifts, then per operand view and
+    for the sum: signal, lo, hi, error, eff)."""
+    f_star = min(a.signal.fmt.f, b.signal.fmt.f)
+
+    def view(info: NodeInfo, g: Fraction):
+        shift = (g / info.signal.grid).numerator.bit_length() - 1
+        fmt = info.signal.fmt
+        e_star = info.signal.scale + shift - (fmt.f - f_star)
+        sig = ScaledSignal(SifFormat(fmt.s, fmt.i + fmt.f - f_star, f_star), e_star)
+        lo, hi = info.interval.lo, info.interval.hi
+        if not shift:
+            return shift, (sig, lo, hi, info.err, info.eff)
+        loss = ref_floor_loss(info.eff, g, lo, hi)
+        return shift, (sig, ref_floor(lo, g), ref_floor(hi, g), info.err + loss,
+                       max(info.eff, g))
+
+    def attempt(g: Fraction):
+        (sa, va), (sb, vb) = view(a, g), view(b, g)
+        ends = []
+        for (_sig, lo, hi, _err, _eff), neg in zip((va, vb), negate):
+            ends.append((-hi, -lo) if neg else (lo, hi))
+        lo, hi = ends[0][0] + ends[1][0], ends[0][1] + ends[1][1]
+        e_star = va[0].scale
+        i_r = ref_min_integer_bits(lo, hi, f_star, e_star)
+        if 1 + i_r + f_star > width:
+            return None
+        res = (ScaledSignal(SifFormat(1, i_r, f_star), e_star), lo, hi,
+               va[3] + vb[3], min(va[4], vb[4]))
+        return (sa, sb, va, vb, res)
+
+    g = max(a.signal.grid, b.signal.grid)
+    while attempt(g) is None:
+        g *= 2
+    return attempt(g * 2 ** extra)
+
+
+@st.composite
+def on_grid_infos(draw, max_f: int = 12):
+    """A NodeInfo whose interval ends lie on its value grid ``eff``, which
+    is the format grid or coarser, with a non-dyadic error."""
+    fmt = SifFormat(draw(st.integers(1, 3)), draw(st.integers(0, 4)),
+                    draw(st.integers(0, max_f)))
+    sig = ScaledSignal(fmt, draw(st.integers(0, 3)))
+    coarse = draw(st.integers(0, min(3, fmt.i + fmt.f)))
+    raws = st.integers(fmt.min_raw >> coarse, fmt.max_raw >> coarse)
+    lo = draw(raws)
+    hi = lo if draw(st.booleans()) else draw(raws)
+    lo, hi = sorted((lo << coarse, hi << coarse))
+    err = Fraction(draw(st.integers(0, 50)), 3 << draw(st.integers(0, 16)))
+    return NodeInfo(sig, Interval(lo * sig.grid, hi * sig.grid), err,
+                    sig.grid_exp + coarse)
+
+
+def test_interval_rejects_non_dyadic_ends():
+    for lo, hi in [(Fraction(1, 3), 1), (0, Fraction(15, 100)), (Fraction(-1, 6), 0)]:
+        with pytest.raises(ValueError, match="not dyadic"):
+            Interval(lo, hi)
+    with pytest.raises(ValueError, match="not dyadic"):
+        Interval(Fraction(1, 100), Fraction(1, 100))
+    with pytest.raises(ValueError, match="bad interval"):
+        Interval(1, 0)
+
+
+def test_interval_is_normalized():
+    # equal values, whatever the exponent they were made on, are one key
+    a = Interval(Fraction(1, 2), Fraction(3, 2))
+    b = Interval.from_raws(4, 12, -3)
+    assert a == b and hash(a) == hash(b)
+    assert (a.m_lo, a.m_hi, a.exp) == (1, 3, -1)
+    assert Interval.from_raws(0, 0, -7) == Interval(0, 0) and Interval(0, 0).exp == 0
+    assert Interval.from_raws(-6, 4, 5) == Interval(-192, 128)
+    assert Interval(0, 1) != Interval(0, 2) and Interval(0, 1) != (0, 1, 0)
+    assert {Interval(-1, 1): 1}[Interval.from_raws(-2, 2, -1)] == 1
+
+
+@given(on_grid_infos(), on_grid_infos(), st.integers(-20, 8))
+@settings(max_examples=300, deadline=None)
+def test_interval_arithmetic_matches_fraction_reference(a, b, grid_exp):
+    x, y = a.interval, b.interval
+    corners = [p * q for p in (x.lo, x.hi) for q in (y.lo, y.hi)]
+    grid = Fraction(2) ** grid_exp
+    for got, lo, hi in [(x + y, x.lo + y.lo, x.hi + y.hi),
+                        (-x, -x.hi, -x.lo),
+                        (x * y, min(corners), max(corners)),
+                        (x.floor_to(grid_exp), ref_floor(x.lo, grid), ref_floor(x.hi, grid))]:
+        assert (got.lo, got.hi) == (lo, hi)
+        assert got == Interval(lo, hi)
+    assert x.max_abs == max(-x.lo, x.hi, 0)
+
+
+@given(on_grid_infos(), st.integers(0, 14), st.integers(-2, 5))
+@settings(max_examples=300, deadline=None)
+def test_min_integer_bits_and_fit_match_fraction_reference(info, f, scale):
+    lo, hi = info.interval.lo, info.interval.hi
+    assert _min_integer_bits(info.interval, f, scale) == ref_min_integer_bits(lo, hi, f, scale)
+    # the product rule's fit: convert sign copies to integer bits until it fits
+    sig = ScaledSignal(SifFormat(info.signal.fmt.s, max(0, info.signal.fmt.i - 2),
+                                 info.signal.fmt.f), info.signal.scale)
+    want = sig
+    while not ref_fits(want, lo, hi) and want.fmt.s > 1:
+        want = ScaledSignal(SifFormat(want.fmt.s - 1, want.fmt.i + 1, want.fmt.f), sig.scale)
+    if ref_fits(want, lo, hi):
+        assert fit_format_to_interval(sig, info.interval) == want
+    else:
+        with pytest.raises(CannotFitError, match=re.escape(str(want.fmt))):
+            fit_format_to_interval(sig, info.interval)
+
+
+@given(on_grid_infos(), st.integers(1, 20))
+@settings(max_examples=400, deadline=None)
+def test_plan_truncate_matches_fraction_reference(info, target):
+    want = ref_truncate(info, target)
+    if want == "cannot fit":
+        with pytest.raises(CannotFitError):
+            plan_truncate(info, target)
+        return
+    spec = plan_truncate(info, target)
+    if want is None:
+        assert spec is None
+        return
+    assert (spec.drop_f, spec.drop_msbs, spec.signal, spec.interval.lo, spec.interval.hi,
+            spec.added_error, Fraction(2) ** spec.eff_exp) == want
+
+
+@given(on_grid_infos(), on_grid_infos(),
+       st.sampled_from([(False, False), (False, True), (True, False)]),
+       st.integers(2, 12), st.integers(0, 2))
+@settings(max_examples=300, deadline=None)
+def test_plan_add_matches_fraction_reference(a, b, negate, headroom, extra):
+    width = min(a.signal.fmt.f, b.signal.fmt.f) + headroom
+    spec = plan_add(a, b, negate, width, extra)
+
+    def read(v: NodeInfo):
+        return (v.signal, v.interval.lo, v.interval.hi, v.err, v.eff)
+
+    assert (spec.shift_a, spec.shift_b, read(spec.a_view), read(spec.b_view),
+            read(spec.result)) == ref_add(a, b, negate, width, extra)

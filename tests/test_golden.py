@@ -1,0 +1,180 @@
+"""Pinned artifacts: the sha256 of every emitted file and the search's step
+count for a fixed set of specs.
+
+A change to the analyzer's arithmetic or to the search must leave plans,
+C (both shift styles), VHDL and ``report.json`` byte for byte as they are,
+and a change in the number of ``PlanBuilder.step`` calls is a change in
+the search's behaviour. The specs are ``demos/specs/fir4.fps``, copies of
+the benchmark's FIR-5, Horner-8, ``matvec2x3`` and ``matvec2x2`` sources,
+and two of acceptance criterion 06's fuzz specs under that criterion's
+config.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from fpsynt import Config, emit_c, emit_vhdl, report_json, synthesize
+from fpsynt.analysis import PlanBuilder
+
+FIR4 = (Path(__file__).resolve().parent.parent / "demos" / "specs" / "fir4.fps").read_text()
+
+FIR5 = """\
+input x0 : sif(1/0/15);
+input x1 : sif(1/0/15);
+input x2 : sif(1/0/15);
+input x3 : sif(1/0/15);
+input x4 : sif(1/0/15);
+const w0 = -0.150;
+const w1 = -0.896;
+const w2 = -0.196;
+const w3 = 0.801;
+const w4 = 0.511;
+output y = w0*x0 + w1*x1 + w2*x2 + w3*x3 + w4*x4;
+"""
+
+HORNER8 = """\
+input x : sif(1/0/15);
+const c0 = -0.223;
+const c1 = 0.026;
+const c2 = -0.181;
+const c3 = 0.108;
+const c4 = 0.130;
+const c5 = 0.532;
+const c6 = 0.797;
+const c7 = -0.889;
+const c8 = -0.212;
+output y = c0 + x*(c1 + x*(c2 + x*(c3 + x*(c4 + x*(c5 + x*(c6 + x*(c7 + x*(c8))))))));
+"""
+
+MATVEC2X3 = """\
+input x0 : sif(1/0/15);
+input x1 : sif(1/0/15);
+input x2 : sif(1/0/15);
+const a00 = -0.838;
+const a01 = 0.650;
+const a02 = 0.402;
+const a10 = 0.115;
+const a11 = 0.889;
+const a12 = 0.394;
+output y0 = a00*x0 + a01*x1 + a02*x2;
+output y1 = a10*x0 + a11*x1 + a12*x2;
+"""
+
+MATVEC2X2_W32 = """\
+input x0 : sif(1/0/31);
+input x1 : sif(1/0/31);
+const a00 = -0.845;
+const a01 = -0.573;
+const a10 = -0.394;
+const a11 = 0.800;
+output y0 = a00*x0 + a01*x1;
+output y1 = a10*x0 + a11*x1;
+"""
+
+FUZZ04_FIR6_W8 = """\
+input x0 : sif(1/0/7);
+input x1 : sif(1/0/7);
+input x2 : sif(1/0/7);
+input x3 : sif(1/0/7);
+input x4 : sif(1/0/7);
+input x5 : sif(1/0/7);
+const w0 = 0.49;
+const w1 = 0.046;
+const w2 = 0.555;
+const w3 = 1.199;
+const w4 = -0.705;
+const w5 = 0.606;
+output y = w0*x0 + w1*x1 + w2*x2 + w3*x3 + w4*x4 + w5*x5;
+"""
+
+FUZZ11_FIR8_W32 = """\
+input x0 : sif(1/0/15);
+input x1 : sif(1/0/15);
+input x2 : sif(1/0/15);
+input x3 : sif(1/0/15);
+input x4 : sif(1/0/15);
+input x5 : sif(1/0/15);
+input x6 : sif(1/0/15);
+input x7 : sif(1/0/15);
+const w0 = 0.256;
+const w1 = -0.647;
+const w2 = 1.188;
+const w3 = -0.322;
+const w4 = -0.713;
+const w5 = -0.016;
+const w6 = 0.808;
+const w7 = -0.861;
+output y = w0*x0 + w1*x1 + w2*x2 + w3*x3 + w4*x4 + w5*x5 + w6*x6 + w7*x7;
+"""
+
+
+def _fuzz_config(width: int, chain: bool) -> Config:
+    return Config(width=width, k_max=1, enable_topology_opt=False, enable_chain_alloc=chain)
+
+
+# name: (source, config, PlanBuilder.step calls, then the sha256 of the C,
+#        the C with portable shifts, the VHDL and report.json)
+GOLDEN = {
+    "fir4": (FIR4, Config(width=16), 107,
+        "d0947d561794953f24842abd40c591f4f6fef68027d1fb6698fb56ce03e70b62",
+        "56310abc2a9135a7c4ab772e1d3eed896709135feb68cc988436a0fe7a9a7c5c",
+        "3a2bcc555a318fcb735eb1999870af05c7e63118527eba83cd4409edbbba727a",
+        "fee6a7287b01af192716cc6c595ce768356cae7141a25d5ca6b6c521c283346e"),
+    "fir5": (FIR5, Config(width=16), 1376,
+        "5cb92d7fe1110054ed5134f99b1c9b850717a869b72802c6e5b78af52c0733d5",
+        "08620905109c7ddff1dc949f65afcf2db3db8830d72261214a0472bf5ac8e8ea",
+        "80a823140d4fe32e623f388404e2ca1e9b8a0ccdbfb204a11bb6a6b19e3955eb",
+        "b0e59e04b23dbae4a73320b54f51483a01e5092dfe298a93e50cefd0c82cc947"),
+    "horner8": (HORNER8, Config(width=16), 886,
+        "5cb96c4acb38dded66ceb112ccd269e8405f9119c5a8a54730dc54f94055c975",
+        "1ea91fd5372c155e5b6f4b10e4d00518a9cf79920182fed129b8627947daf933",
+        "58aaf11103e158111ff3c3d204e3be8ddb006c934de5c3c91d1eac39069d2ab9",
+        "f2c2ab5a6fda8b6ecf0ee3eae4e67c8f9bb9f180d701d27c790629f928620ba0"),
+    "matvec2x3": (MATVEC2X3, Config(width=16), 122,
+        "900c6ea6e82fe691124635f959b4be9968c50a818dbc5783c20e7528c015c33f",
+        "c1e4730a6717146c02de628185883039f832586134e7fb136d113e27ea260708",
+        "984800c99efe507571a952cff0038663e34ab4fae2537b19651ccfb29a8e7474",
+        "d1c7243bf9018000526f9f420bcde1b67348bc78aa366f105df611b7dce50cc0"),
+    "matvec2x2_w32": (MATVEC2X2_W32, Config(width=32), 68,
+        "a9af20e9d0da91f2a9381897fa189e1517ddc4eb5b5f9f1419a8a0e73147d76f",
+        "d0958817827fd78b8f992c1e900bb5ecc8b8265006ccb4ab6b6695ddcca0e863",
+        "d4d1d41e1d35dc18e7359437f3d4f17880398afe3c501b7d79fe0a8439f88b19",
+        "7d8a5c1af896215d294c03870e93b1e812675b3c856af4003fcc14d069871ce6"),
+    "fuzz04_fir6_w8": (FUZZ04_FIR6_W8, _fuzz_config(8, True), 94,
+        "966fe1db21bc188f61ddefd7bc7a140e0aaf63312fb565e267596ca9d9cb1a96",
+        "89fa49ef6307eb8938e6ea456668f7b54232f243d2f6a4cf1b372aac0b0b4f09",
+        "6369eba60d6cda1d16b47fbcc5d9e6626a871183655799f2dabc8b0d012a4c3f",
+        "594128b5bfe4e56d27fd1b97c47a3b6035b3250b8b0e3231c6bfbc7383cdcf79"),
+    "fuzz11_fir8_w32": (FUZZ11_FIR8_W32, _fuzz_config(32, False), 282,
+        "3c5738782421e5a971b00e223bea3247d237502b7ba08b664fbd415c59874bd1",
+        "0325aae94bfc137453361daf91ba3b31c94c56b73a4dff651aac371616c5b9fa",
+        "a766605801bc09f1acd40ed082231a655ad6eee920f9340a9d3abde142d16de7",
+        "674671ab85d2ef609b67fec316f450136a82e7a3ecdfc0ee87cef415430ce855"),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_artifacts_and_step_count_are_pinned(name, monkeypatch):
+    source, config, steps, c, c_portable, vhdl, report = GOLDEN[name]
+    calls = 0
+    step = PlanBuilder.step
+
+    def counting_step(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return step(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanBuilder, "step", counting_step)
+    plan = synthesize(source, config)
+    got = (calls,
+           _digest(emit_c(plan, name=name).source),
+           _digest(emit_c(plan, name=name, portable_shift=True).source),
+           _digest(emit_vhdl(plan, name=name).source),
+           _digest(report_json(plan)))
+    assert got == (steps, c, c_portable, vhdl, report)

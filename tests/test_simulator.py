@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import random
+import statistics
 from fractions import Fraction
 
 import numpy as np
@@ -170,6 +171,17 @@ def test_stats_invariants_property(devs):
     assert stats.min <= stats.median <= stats.max
     assert stats.min <= stats.mean <= stats.max
     assert stats.count == len(devs)
+
+
+@given(st.lists(st.floats(min_value=0, allow_nan=False, allow_infinity=False,
+                          allow_subnormal=True), min_size=1))
+@settings(max_examples=500)
+@example(devs=[10.842168179762918] * 3)
+@example(devs=[5e-324, 1e-320, 2.2250738585072014e-308, 1e-310])  # subnormals
+@example(devs=[1e300, 3e299, 1.0, 5e-324])
+@example(devs=[1.7976931348623157e308] * 2)   # the sum passes the largest float
+def test_mean_is_bit_equal_to_statistics_mean(devs):
+    assert stats_from_deviations(devs).mean.hex() == statistics.mean(devs).hex()
 
 
 # ---------------------------------------------------------------------------
