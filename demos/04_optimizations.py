@@ -7,8 +7,8 @@
   accumulator and a single final truncation.
 """
 
-from fpsynt import (Config, chain_allocate, combinatorial_search,
-                    enumerate_topologies, parse_spec, topological_optimize)
+from fpsynt import (Config, combinatorial_search, enumerate_topologies,
+                    find_chains, parse_spec, topological_optimize)
 
 # a sum with one dominant operand: grouping the small terms first wins
 skewed = ("input x0 : sif(1/3/4);\n"
@@ -31,7 +31,9 @@ sum8 = ("".join(f"input x{k} : sif(1/0/15);\n" for k in range(8))
 dfg8, bindings8 = parse_spec(sum8)
 cfg16 = Config(width=16)
 pairwise = combinatorial_search(dfg8, bindings8, cfg16)
-chained = chain_allocate(dfg8, bindings8, cfg16)
+chained = combinatorial_search(dfg8, bindings8, cfg16,
+                               chain_roots=frozenset(c.root for c in find_chains(dfg8)),
+                               topology="source+chain")
 acc = chained.accumulators[0]
 print(f"8-term sum at W=16:")
 print(f"  pairwise pre-scaling bound: {float(pairwise.cost):.4e}")

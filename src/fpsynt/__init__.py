@@ -17,8 +17,8 @@ from .core import (Dfg, Node, NodeKind, Quantize, ScaledSignal, SifFormat,
 from .errors import (CannotFitError, CycleError, EmitError, FpsyntError,
                      InternalOverflowError, MalformedRawError, ParseError,
                      RangeError, SpecError, ValidationError, VectorError)
-from .optimizer import (chain_allocate, combinatorial_search,
-                        enumerate_topologies, topological_optimize)
+from .optimizer import (combinatorial_search, enumerate_topologies,
+                        topological_optimize)
 from .parser import Bindings, parse_spec, pretty_print, validate_formats
 from .pipeline import synthesize
 from .report import build_report, report_json, summary_table

@@ -4,8 +4,9 @@
                             [--quantize round|trunc] [-o DIR]
     fpsynt simulate <spec.fps> [--vectors FILE | --random N --seed S] [synth flags]
 
-Exit codes: 0 ok, 1 parse/validation error, 2 cannot-fit, 3 I/O error,
-4 malformed vector file. Set FPSYNT_LOG=debug|info|warning for logging.
+Exit codes: 0 ok, 1 parse/validation error or bad option value,
+2 cannot-fit, 3 I/O error, 4 malformed vector file. Set
+FPSYNT_LOG=debug|info|warning for logging.
 """
 
 from __future__ import annotations
@@ -54,11 +55,14 @@ def _config_from(args) -> Config:
     unknown = opts - {"comb", "topo", "chain", "none"}
     if unknown:
         raise SpecError(f"unknown --opt values: {', '.join(sorted(unknown))}")
-    return Config(width=args.width,
-                  quantize=Quantize.ROUND if args.quantize == "round" else Quantize.TRUNC,
-                  k_max=Config.k_max if "comb" in opts else 0,
-                  enable_topology_opt="topo" in opts,
-                  enable_chain_alloc="chain" in opts)
+    try:
+        return Config(width=args.width,
+                      quantize=Quantize.ROUND if args.quantize == "round" else Quantize.TRUNC,
+                      k_max=Config.k_max if "comb" in opts else 0,
+                      enable_topology_opt="topo" in opts,
+                      enable_chain_alloc="chain" in opts)
+    except ValueError as e:
+        raise SpecError(str(e)) from None
 
 
 def _emit_targets(args) -> set[str]:
@@ -100,6 +104,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if not args.vectors:
+        if args.random < 1:
+            raise SpecError(f"--random must be >= 1, got {args.random}")
+        if args.seed < 0:
+            raise SpecError(f"--seed must be >= 0, got {args.seed}")
     plan = _synthesize_from_file(args)
     if args.vectors:
         vecset = load_vectors_csv(args.vectors, plan.bindings, plan.config.quantize)

@@ -13,7 +13,6 @@ multipliers and adders as concurrent statements in that order.
 
 from __future__ import annotations
 
-import ast
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -232,46 +231,3 @@ def emit_vhdl(plan: Plan, name: str = "datapath") -> EmittedArtifact:
         lines.append(f"  {vname(oid)} <= {vname(src)};")
     lines += ["end dataflow;", ""]
     return EmittedArtifact("vhdl", "\n".join(lines), f"{name}.fps.vhd")
-
-
-# ---------------------------------------------------------------------------
-# C-semantics interpreter, the differential fallback when no compiler exists
-
-
-_ALLOWED_AST = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.USub, ast.Name,
-                ast.Constant, ast.Mult, ast.Add, ast.Sub, ast.RShift,
-                ast.LShift, ast.Call, ast.Load)
-
-
-def _floor_shr(v: int, k: int) -> int:
-    return v >> k
-
-
-def extract_c_expression(source: str, func_name: str) -> str:
-    """Pull the single return expression out of an emitted C function."""
-    m = re.search(rf"\b{re.escape(func_name)}\s*\([^)]*\)\s*{{\s*return\s+(.*?);\s*}}",
-                  source, re.DOTALL)
-    if not m:
-        raise ValueError(f"no function '{func_name}' in source")
-    return m.group(1)
-
-
-def interpret_c_expression(expr: str, env: dict[str, int]) -> int:
-    """Evaluate an emitted C integer expression with C semantics.
-
-    The emitted subset (*, +, -, shifts, parentheses, decimal literals) has
-    identical semantics over Python integers because every intermediate fits
-    its declared C type by construction. Used as the acceptance fallback for
-    differential testing where no C toolchain exists.
-    """
-    py = re.sub(r"(\d)LL\b", r"\1", expr)
-    tree = ast.parse(py, mode="eval")
-    for node in ast.walk(tree):
-        if not isinstance(node, _ALLOWED_AST):
-            raise ValueError(f"unexpected construct in C expression: {ast.dump(node)}")
-        if isinstance(node, ast.Call):
-            if not (isinstance(node.func, ast.Name) and node.func.id == "fps_shr"):
-                raise ValueError("only fps_shr calls are allowed")
-    names = dict(env)
-    names["fps_shr"] = _floor_shr
-    return eval(compile(tree, "<emitted-c>", "eval"), {"__builtins__": {}}, names)

@@ -1,15 +1,19 @@
 """Search over formatting choices and graph topologies.
 
-Three passes, outermost first:
+One loop searches a list of candidates, each a graph and the addition
+chains that accumulate in a widened register:
 
-  * topology enumeration: every maximal addition chain is re-associated into
-    all binary-tree shapes (Catalan(n-1) of them) up to a term limit, longer
-    chains trying only the balanced tree besides the source shape;
-  * chain allocation: a chain may instead accumulate in a single widened
-    register of width W + ceil(log2 n) with no intra-chain loss and one
-    final truncation;
-  * combinatorial search: exact branch-and-bound over per-node formatting
-    candidates (extra product truncation, extra pre-scaling).
+  * the chain-accumulator plan: the source graph with every addition chain
+    in one register of width W + ceil(log2 n), with no intra-chain loss
+    and one final truncation. Its bound does not depend on the chains'
+    shapes, so it is searched once, on the source graph, and first: its
+    cost is a strong incumbent for the topologies;
+  * the topologies: every maximal addition chain re-associated into all
+    binary-tree shapes (Catalan(n-1) of them) up to a term limit, longer
+    chains trying only the balanced tree besides the source shape.
+
+Each candidate gets an exact branch-and-bound over per-node formatting
+choices (extra product truncation, extra pre-scaling).
 
 The search walks positions depth-first from the outputs
 (``PlanBuilder.search_order``), so each product is consumed by its add
@@ -27,16 +31,16 @@ A search returns the minimum of (cost, choice vector in level-first
 order), replayed once with ``PlanBuilder.build`` so that node order and
 fresh names follow the level-first walk. Across candidates the best plan
 has the smallest predicted output bound; ties fall to fewer inserted
-formatting nodes, then to the earlier candidate: the topologies in
-enumeration order, then the chain-accumulator plan. The chain plan is
-built first and its cost, lowered by each topology's result, is the shared
-incumbent of the topology searches. Every cut is strict, since a tie can
-still win on the choice vector or on the formatting-node count.
+formatting nodes, then to the earlier rank: the topologies in enumeration
+order, then the chain-accumulator plan. The best cost found so far is the
+shared incumbent of every later search. Every cut is strict, since a tie
+can still win on the choice vector or on the formatting-node count.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 
 from .analysis import Chain, Plan, PlanBuilder, find_chains
 from .config import Config
@@ -283,16 +287,11 @@ def _balanced_shape(lo: int, hi: int):
 
 
 def _shapes_for_chain(chain: Chain, n_max: int):
+    """The source shape first, then every other shape of a chain of at most
+    ``n_max`` terms, or else the balanced tree if it differs."""
     n = chain.n_terms
-    shapes = [chain.shape]
-    if n <= n_max:
-        pool = _all_shapes(0, n)
-    else:
-        pool = [_balanced_shape(0, n)]
-    for s in pool:
-        if s not in shapes:
-            shapes.append(s)
-    return shapes
+    pool = _all_shapes(0, n) if n <= n_max else [_balanced_shape(0, n)]
+    return [chain.shape] + [s for s in pool if s != chain.shape]
 
 
 def _rebuild_chain(nodes: list[Node], chain: Chain, shape, used: set[str]) -> list[Node]:
@@ -334,19 +333,16 @@ def enumerate_topologies(dfg: Dfg, n_max: int) -> list[tuple[str, Dfg]]:
 
     The source topology always comes first. Chains with more than ``n_max``
     terms contribute only the source shape and the balanced tree; when the
-    cross product over several chains grows past a safety cap the same
-    reduction is applied to every chain.
+    cross product over several chains grows past a safety cap, every chain
+    does (``n_max`` 2, below every chain's length).
     """
     chains = [c for c in find_chains(dfg) if c.n_terms >= 3]
     if not chains:
         return [("source", dfg)]
 
     shape_lists = [_shapes_for_chain(c, n_max) for c in chains]
-    total = 1
-    for lst in shape_lists:
-        total *= len(lst)
-    if total > _MAX_TOPOLOGY_PRODUCT:
-        shape_lists = [[c.shape, _balanced_shape(0, c.n_terms)] for c in chains]
+    if math.prod(map(len, shape_lists)) > _MAX_TOPOLOGY_PRODUCT:
+        shape_lists = [_shapes_for_chain(c, 2) for c in chains]
 
     combos = [((), ())]
     for chain, shapes in zip(chains, shape_lists):
@@ -369,63 +365,46 @@ def enumerate_topologies(dfg: Dfg, n_max: int) -> list[tuple[str, Dfg]]:
 
 
 # ---------------------------------------------------------------------------
-# composed passes
-
-
-def chain_allocate(dfg: Dfg, bindings: Bindings, config: Config,
-                   topology: str = "source", prune: bool = True) -> Plan:
-    """Plan with every eligible addition chain on a widened accumulator."""
-    roots = frozenset(c.root for c in find_chains(dfg))
-    if not roots:
-        return combinatorial_search(dfg, bindings, config, topology=topology, prune=prune)
-    return combinatorial_search(dfg, bindings, config, chain_roots=roots,
-                                topology=topology + "+chain", prune=prune)
+# the search driver
 
 
 def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     """Run the full optimization stack and return the cheapest plan.
 
-    Candidate plans: the combinatorial search result for every enumerated
-    topology, then the chain-accumulator plan, whose bound does not depend
-    on the chain's shape. The chain plan is built first; its cost, lowered
-    by each search result in turn, is the incumbent of the topology
-    searches, and a topology it cuts is no candidate. Ranking: (max output
-    bound, summed bounds, inserted formatting nodes, candidate order).
+    Candidates, as (rank, label, graph, chain roots): every enumerated
+    topology, ranked in enumeration order, and the chain-accumulator plan,
+    ranked last. The chain plan is searched first, with no incumbent; the
+    best cost found so far is the incumbent of each later search, and a
+    candidate it cuts is no plan. Ranking: (max output bound, summed
+    bounds, inserted formatting nodes, rank). When no candidate fits, the
+    errors are joined in rank order.
     """
     if config.enable_topology_opt:
         topologies = enumerate_topologies(dfg, config.n_max_topologies)
     else:
         topologies = [("source", dfg)]
+    candidates = [(rank, label, topo, frozenset())
+                  for rank, (label, topo) in enumerate(topologies)]
+    if config.enable_chain_alloc:
+        roots = frozenset(c.root for c in find_chains(dfg))
+        if roots:
+            candidates.insert(0, (len(topologies), "source+chain", dfg, roots))
 
-    chain_plan: Plan | None = None
-    chain_error = None
-    if config.enable_chain_alloc and find_chains(dfg):
+    incumbent = None
+    ranked: list[tuple] = []
+    errors: list[tuple[int, str]] = []
+    for rank, label, graph, chain_roots in candidates:
         try:
-            chain_plan = chain_allocate(dfg, bindings, config)
+            plan = combinatorial_search(graph, bindings, config, chain_roots=chain_roots,
+                                        topology=label, source=dfg, incumbent=incumbent)
         except CannotFitError as e:
-            chain_error = f"chain: {e}"
-    incumbent = chain_plan.cost_key if chain_plan is not None else None
-
-    candidates: list[Plan] = []
-    errors: list[str] = []
-    for label, topo in topologies:
-        try:
-            plan = combinatorial_search(topo, bindings, config, topology=label,
-                                        source=dfg, incumbent=incumbent)
-        except CannotFitError as e:
-            errors.append(f"{label}: {e}")
+            errors.append((rank, f"{'chain' if chain_roots else label}: {e}"))
             continue
         if plan is not None:
-            candidates.append(plan)
+            ranked.append(((plan.cost_key, plan.n_format_nodes, rank), plan))
             if incumbent is None or plan.cost_key < incumbent:
                 incumbent = plan.cost_key
-    if chain_plan is not None:
-        candidates.append(chain_plan)
-    if chain_error:
-        errors.append(chain_error)
 
-    if not candidates:
-        raise CannotFitError("; ".join(errors) or "no feasible plan")
-    best = min(enumerate(candidates),
-               key=lambda kv: (kv[1].cost_key, kv[1].n_format_nodes, kv[0]))
-    return best[1]
+    if not ranked:
+        raise CannotFitError("; ".join(e for _, e in sorted(errors)) or "no feasible plan")
+    return min(ranked, key=lambda r: r[0])[1]

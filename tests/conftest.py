@@ -3,9 +3,13 @@
 The oracles here deliberately avoid the library's own evaluation paths:
 exact_eval walks the parsed tree with plain Fraction arithmetic and
 interval_eval propagates bounds the brute-force way, so tests compare two
-independently written computations.
+independently written computations. interpret_c_expression evaluates an
+emitted C expression with C semantics, the differential oracle where no C
+compiler exists.
 """
 
+import ast
+import re
 from fractions import Fraction
 
 import pytest
@@ -105,6 +109,44 @@ def interval_eval(dfg, bindings, input_ranges: dict, const_values: dict) -> dict
         return r
 
     return {o: ev(o) for o in dfg.output_ids}
+
+
+_ALLOWED_AST = (ast.Expression, ast.BinOp, ast.UnaryOp, ast.USub, ast.Name,
+                ast.Constant, ast.Mult, ast.Add, ast.Sub, ast.RShift,
+                ast.LShift, ast.Call, ast.Load)
+
+
+def _floor_shr(v: int, k: int) -> int:
+    return v >> k
+
+
+def extract_c_expression(source: str, func_name: str) -> str:
+    """Pull the single return expression out of an emitted C function."""
+    m = re.search(rf"\b{re.escape(func_name)}\s*\([^)]*\)\s*{{\s*return\s+(.*?);\s*}}",
+                  source, re.DOTALL)
+    if not m:
+        raise ValueError(f"no function '{func_name}' in source")
+    return m.group(1)
+
+
+def interpret_c_expression(expr: str, env: dict[str, int]) -> int:
+    """Evaluate an emitted C integer expression with C semantics.
+
+    The emitted subset (*, +, -, shifts, parentheses, decimal literals) has
+    identical semantics over Python integers because every intermediate fits
+    its declared C type by construction.
+    """
+    py = re.sub(r"(\d)LL\b", r"\1", expr)
+    tree = ast.parse(py, mode="eval")
+    for node in ast.walk(tree):
+        if not isinstance(node, _ALLOWED_AST):
+            raise ValueError(f"unexpected construct in C expression: {ast.dump(node)}")
+        if isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id == "fps_shr"):
+                raise ValueError("only fps_shr calls are allowed")
+    names = dict(env)
+    names["fps_shr"] = _floor_shr
+    return eval(compile(tree, "<emitted-c>", "eval"), {"__builtins__": {}}, names)
 
 
 @pytest.fixture

@@ -12,19 +12,19 @@ from fractions import Fraction
 
 import numpy as np
 
-from fpsynt.analysis import PlanBuilder
-from fpsynt.codegen import (emit_c, extract_c_expression,
-                            interpret_c_expression, quantize_const)
+from fpsynt.analysis import PlanBuilder, find_chains
+from fpsynt.codegen import emit_c, quantize_const
 from fpsynt.config import Config
 from fpsynt.core import SifFormat, decode, sif_width
 from fpsynt.errors import CannotFitError
-from fpsynt.optimizer import (chain_allocate, combinatorial_search,
-                              enumerate_topologies, topological_optimize)
+from fpsynt.optimizer import (combinatorial_search, enumerate_topologies,
+                              topological_optimize)
 from fpsynt.parser import parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import compare, generate_vectors, run_fixed_columns
 
-from conftest import FIR4_SRC, exact_eval, make_fir_src
+from conftest import (FIR4_SRC, exact_eval, extract_c_expression,
+                      interpret_c_expression, make_fir_src)
 
 TWO_TAP_SRC = ("input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\n"
                "const w0 = 0.3;\nconst w1 = 0.6;\n"
@@ -194,7 +194,9 @@ def test_criterion_09_chain_allocation_dominates():
            + "output y = " + " + ".join(f"x{k}" for k in range(8)) + ";\n")
     cfg = Config(width=16)
     dfg, bindings = parse_spec(src)
-    chain_plan = chain_allocate(dfg, bindings, cfg)
+    chain_plan = combinatorial_search(dfg, bindings, cfg,
+                                      chain_roots=frozenset(c.root for c in find_chains(dfg)),
+                                      topology="source+chain")
     pairwise = combinatorial_search(dfg, bindings, cfg)
     (acc,) = chain_plan.accumulators
     ok = acc.width == 19 and chain_plan.cost <= pairwise.cost

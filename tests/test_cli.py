@@ -164,6 +164,32 @@ def test_console_entry_point(fir4_spec, tmp_path):
     assert (tmp_path / "o" / "report.json").exists()
 
 
+@pytest.mark.parametrize("args,message", [
+    (["synth", "--width", "100"], "width must be in [4, 64], got 100"),
+    (["synth", "--width", "3"], "width must be in [4, 64], got 3"),
+    (["simulate", "--random", "0"], "--random must be >= 1, got 0"),
+    (["simulate", "--random", "-3"], "--random must be >= 1, got -3"),
+    (["simulate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+])
+def test_bad_option_values_exit_1(fir4_spec, tmp_path, args, message):
+    """Out-of-range option values end in exit 1 and one ``fpsynt:`` line,
+    with no traceback and no file written."""
+    pkg_root = str(Path(fpsynt.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
+    before = sorted(tmp_path.rglob("*"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpsynt.cli", args[0], str(fir4_spec), *args[1:],
+         "-o", str(tmp_path / "o")],
+        capture_output=True, text=True, env=env, cwd=tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"fpsynt: {message}\n"
+    assert "Traceback" not in proc.stderr + proc.stdout
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_info_log_goes_to_stderr_only(fir4_spec, tmp_path):
     """``FPSYNT_LOG=info`` prints one line per search, and for ``simulate``
     one simulator line, to stderr and changes neither stdout nor

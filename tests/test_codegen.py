@@ -12,8 +12,7 @@ import numpy as np
 import pytest
 
 import fpsynt
-from fpsynt.codegen import (emit_c, emit_vhdl, extract_c_expression,
-                            interpret_c_expression, quantize_const)
+from fpsynt.codegen import emit_c, emit_vhdl, quantize_const
 from fpsynt.config import Config
 from fpsynt.errors import CannotFitError
 from fpsynt.pipeline import synthesize
@@ -21,7 +20,7 @@ from fpsynt.report import report_json
 from fpsynt.simulator import TestVector as Vec
 from fpsynt.simulator import run_fixed, run_fixed_columns
 
-from conftest import FIR4_SRC
+from conftest import FIR4_SRC, extract_c_expression, interpret_c_expression
 
 TWO_TAP_SRC = ("input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\n"
                "const w0 = 0.3;\nconst w1 = 0.6;\n"

@@ -13,8 +13,8 @@ from fpsynt.codegen import emit_c
 from fpsynt.config import Config
 from fpsynt.core import Dfg, Node, NodeKind
 from fpsynt.errors import CannotFitError
-from fpsynt.optimizer import (chain_allocate, combinatorial_search,
-                              enumerate_topologies, topological_optimize)
+from fpsynt.optimizer import (combinatorial_search, enumerate_topologies,
+                              topological_optimize)
 from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import run_fixed_columns
@@ -112,6 +112,22 @@ def test_topologies_are_distinct_and_valid():
     assert len(seen) == 5
 
 
+def test_capped_topologies_are_distinct():
+    """Past the cap every chain offers its source shape and the balanced
+    tree, once: the 3-term chain's source shape is already balanced."""
+    src = ("".join(f"input x{k} : sif(1/0/15);\n" for k in range(6))
+           + "output a = " + " + ".join(f"x{k}" for k in range(6)) + ";\n"
+           + "output b = " + " - ".join(f"x{k}" for k in range(6)) + ";\n"
+           + "output c = x0 + x1 + x2;\n")
+    dfg, _ = parse_spec(src)
+    topos = enumerate_topologies(dfg, 6)
+    labels = [label for label, _ in topos]
+    graphs = [topo.nodes for _, topo in topos]
+    assert len(set(labels)) == len(labels)
+    assert len(set(graphs)) == len(graphs) == 4
+    assert labels[0] == "source"
+
+
 def test_fir4_balanced_topology_enumerated(fir4):
     dfg, _ = fir4
     shapes = {find_chains(t)[0].shape for _, t in enumerate_topologies(dfg, 6)}
@@ -184,10 +200,18 @@ def _max_sim_error(plan, dfg, bindings, vectors):
 # chain allocation
 
 
+def _chain_plan(dfg, bindings, cfg):
+    """The search ``topological_optimize`` runs first: every chain on a
+    widened accumulator."""
+    return combinatorial_search(dfg, bindings, cfg,
+                                chain_roots=frozenset(c.root for c in find_chains(dfg)),
+                                topology="source+chain")
+
+
 def test_chain_accumulator_width_16_plus_log2():
     dfg, bindings = parse_spec(_sum_src(8))
     cfg = Config(width=16)
-    plan = chain_allocate(dfg, bindings, cfg)
+    plan = _chain_plan(dfg, bindings, cfg)
     (acc,) = plan.accumulators
     assert acc.width == 19
     assert acc.n_terms == 8
@@ -196,7 +220,7 @@ def test_chain_accumulator_width_16_plus_log2():
 def test_chain_dominates_pairwise_for_eight_terms():
     dfg, bindings = parse_spec(_sum_src(8))
     cfg = Config(width=16)
-    chain_plan = chain_allocate(dfg, bindings, cfg)
+    chain_plan = _chain_plan(dfg, bindings, cfg)
     pairwise = combinatorial_search(dfg, bindings, cfg)
     assert chain_plan.cost <= pairwise.cost
     check_plan(chain_plan)
@@ -204,14 +228,14 @@ def test_chain_dominates_pairwise_for_eight_terms():
 
 def test_two_term_sum_has_no_chain():
     dfg, bindings = parse_spec(_sum_src(2))
-    plan = chain_allocate(dfg, bindings, Config(width=16))
+    plan = _chain_plan(dfg, bindings, Config(width=16))
     assert plan.accumulators == ()
 
 
 def test_fir4_chain_beats_pairwise():
     dfg, bindings = parse_spec(FIR4_SRC)
     cfg = Config(width=16)
-    chain_plan = chain_allocate(dfg, bindings, cfg)
+    chain_plan = _chain_plan(dfg, bindings, cfg)
     pairwise = combinatorial_search(dfg, bindings, cfg)
     assert chain_plan.cost < pairwise.cost
 
@@ -219,7 +243,7 @@ def test_fir4_chain_beats_pairwise():
 def test_chain_falls_back_when_accumulator_capped():
     dfg, bindings = parse_spec(_sum_src(8))
     cfg = Config(width=16, accumulator_width_limit=17)
-    plan = chain_allocate(dfg, bindings, cfg)
+    plan = _chain_plan(dfg, bindings, cfg)
     assert plan.accumulators == ()          # fell back to pairwise
     check_plan(plan)
 
@@ -363,7 +387,7 @@ def _argmin_oracle(dfg, bindings, cfg):
         except CannotFitError:
             pass
     if cfg.enable_chain_alloc and find_chains(dfg):
-        plans.append(chain_allocate(dfg, bindings, cfg))
+        plans.append(_chain_plan(dfg, bindings, cfg))
     return min(enumerate(plans),
                key=lambda kv: (kv[1].cost_key, kv[1].n_format_nodes, kv[0]))[1]
 

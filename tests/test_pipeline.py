@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from fpsynt.analysis import check_plan
-from fpsynt.codegen import emit_c, extract_c_expression, interpret_c_expression
+from fpsynt.codegen import emit_c
 from fpsynt.config import Config
 from fpsynt.core import NodeKind, Quantize, SifFormat, decode
 from fpsynt.parser import parse_spec, pretty_print
@@ -13,7 +13,7 @@ from fpsynt.pipeline import synthesize
 from fpsynt.simulator import TestVector as Vec
 from fpsynt.simulator import generate_vectors, run_fixed, run_reference
 
-from conftest import exact_eval
+from conftest import exact_eval, extract_c_expression, interpret_c_expression
 
 
 def test_reference_keeps_source_association_after_reassociation():

@@ -12,14 +12,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsynt.codegen import emit_c, extract_c_expression, interpret_c_expression
+from fpsynt.codegen import emit_c
 from fpsynt.config import Config
 from fpsynt.core import decode
 from fpsynt.parser import parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import TestVector as Vec
 
-from conftest import exact_eval
+from conftest import exact_eval, extract_c_expression, interpret_c_expression
 
 
 @st.composite
