@@ -7,9 +7,10 @@ validate the result bit-accurately against a floating-point reference.
 
 __version__ = "0.1.0"
 
-from .analysis import (AccumulatorInfo, Interval, NodeInfo, Plan, check_plan,
-                       choose_const_format, find_chains, infer_product_format,
-                       mul_error_bound, plan_add, plan_truncate)
+from .analysis import (AccumulatorInfo, ErrorBound, Interval, NodeInfo, Plan,
+                       check_plan, choose_const_format, find_chains,
+                       infer_product_format, mul_error_bound, plan_add,
+                       plan_truncate)
 from .codegen import EmittedArtifact, emit_c, emit_vhdl, quantize_const
 from .config import Config
 from .core import (Dfg, Node, NodeKind, Quantize, ScaledSignal, SifFormat,

@@ -13,9 +13,12 @@ fit the datapath it inserts formatting operations:
     proves redundant.
 
 Shifts and truncations floor toward -inf, so their loss is one-sided and
-bounded by (2^k - 1) * grid. Intervals are integer mantissas on a
-power-of-two exponent and grids are exponents; only the error bounds, which
-carry a constant's quantization error |c - q(c)|, are exact ``Fraction``.
+bounded by (2^k - 1) * grid. All arithmetic is exact and on integers:
+intervals are integer mantissas on a power-of-two exponent, grids are
+exponents, and error bounds are ``ErrorBound`` values n * 2^e / q with an
+odd q. A builder puts every constant's quantization error |c - q(c)| on one
+odd denominator, so adding or comparing two bounds is a shift and one
+integer operation. A finished ``Plan`` holds its bounds as ``Fraction``.
 The bounds are sound by construction and validated by simulation.
 """
 
@@ -34,7 +37,120 @@ from .parser import Bindings
 
 log = logging.getLogger("fpsynt.analysis")
 
-_ZERO = Fraction(0)
+
+class ErrorBound:
+    """Exact error bound n * 2^e / q: integers n and e, odd q >= 1. Immutable.
+
+    Not normalized: one value has many representations, and every operator
+    reads the value, so results never depend on the representation. Two
+    bounds on one q add and compare by a shift and one integer operation
+    (``+``, ``<=`` and ``>``, the search's hot operators, do it inline);
+    unequal q, as a cross term e_a*e_b makes, go through their lcm.
+    Operators also take ``int`` and ``Fraction`` operands."""
+
+    __slots__ = ("n", "e", "q")
+
+    def __init__(self, n: int, e: int = 0, q: int = 1):
+        self.n, self.e, self.q = n, e, q
+
+    @staticmethod
+    def of(x, q: int = 1) -> "ErrorBound":
+        """``x`` (an ErrorBound, int or Fraction) as an ErrorBound; a
+        Fraction goes on ``q`` when its odd denominator divides ``q``."""
+        if type(x) is ErrorBound:
+            return x
+        x = Fraction(x)
+        d = x.denominator
+        k = (d & -d).bit_length() - 1
+        odd = d >> k
+        return ErrorBound(x.numerator * (q // odd), -k, q) if q % odd == 0 else \
+            ErrorBound(x.numerator, -k, odd)
+
+    def as_fraction(self) -> Fraction:
+        e = self.e
+        return Fraction(self.n << e, self.q) if e >= 0 else Fraction(self.n, self.q << -e)
+
+    def scaled(self, m: int, x: int) -> "ErrorBound":
+        """The bound times m * 2^x, for an integer m."""
+        return ErrorBound(self.n * m, self.e + x, self.q)
+
+    def _pair(self, other) -> tuple[int, int, int, int] | None:
+        """(n, m, e, q) with self = n * 2^e / q and other = m * 2^e / q, or
+        None when ``other`` is no exact number."""
+        if type(other) is not ErrorBound:
+            if not isinstance(other, (int, Fraction)):
+                return None
+            other = ErrorBound.of(other)
+        n, e, q = self.n, self.e, self.q
+        m, f, r = other.n, other.e, other.q
+        if q != r:
+            g = math.gcd(q, r)
+            n, m, q = n * (r // g), m * (q // g), q // g * r
+        if e > f:
+            return n << (e - f), m, f, q
+        return n, m << (f - e), e, q
+
+    def __add__(self, other):
+        if type(other) is ErrorBound and other.q == self.q:
+            d = self.e - other.e
+            if d >= 0:
+                return ErrorBound((self.n << d) + other.n, other.e, self.q)
+            return ErrorBound(self.n + (other.n << -d), self.e, self.q)
+        p = self._pair(other)
+        return NotImplemented if p is None else ErrorBound(p[0] + p[1], p[2], p[3])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        p = self._pair(other)
+        return NotImplemented if p is None else ErrorBound(p[0] - p[1], p[2], p[3])
+
+    def __mul__(self, other):
+        if type(other) is int:
+            return ErrorBound(self.n * other, self.e, self.q)
+        if type(other) is not ErrorBound:
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ErrorBound.of(other)
+        return ErrorBound(self.n * other.n, self.e + other.e, self.q * other.q)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        p = self._pair(other)
+        return NotImplemented if p is None else p[0] == p[1]
+
+    def __lt__(self, other):
+        p = self._pair(other)
+        return NotImplemented if p is None else p[0] < p[1]
+
+    def __le__(self, other):
+        if type(other) is ErrorBound and other.q == self.q:
+            d = self.e - other.e
+            return (self.n << d) <= other.n if d >= 0 else self.n <= (other.n << -d)
+        p = self._pair(other)
+        return NotImplemented if p is None else p[0] <= p[1]
+
+    def __gt__(self, other):
+        if type(other) is ErrorBound and other.q == self.q:
+            d = self.e - other.e
+            return (self.n << d) > other.n if d >= 0 else self.n > (other.n << -d)
+        p = self._pair(other)
+        return NotImplemented if p is None else p[0] > p[1]
+
+    def __ge__(self, other):
+        p = self._pair(other)
+        return NotImplemented if p is None else p[0] >= p[1]
+
+    def __hash__(self) -> int:
+        return hash(self.as_fraction())
+
+    def __float__(self) -> float:
+        e = self.e  # int / int is correctly rounded, as float(Fraction) is
+        return (self.n << e) / self.q if e >= 0 else self.n / (self.q << -e)
+
+    def __repr__(self) -> str:
+        return f"ErrorBound({self.n}, {self.e}, {self.q})"
 
 
 class Interval:
@@ -101,8 +217,13 @@ class Interval:
         return self.m_hi * _pow2_frac(self.exp)
 
     @property
+    def m_abs(self) -> int:
+        """The largest |value| is m_abs * 2^exp."""
+        return max(-self.m_lo, self.m_hi, 0)
+
+    @property
     def max_abs(self) -> Fraction:
-        return max(-self.m_lo, self.m_hi, 0) * _pow2_frac(self.exp)
+        return self.m_abs * _pow2_frac(self.exp)
 
     def contains(self, v) -> bool:
         return self.lo <= v <= self.hi
@@ -111,6 +232,9 @@ class Interval:
 @dataclass(frozen=True)
 class NodeInfo:
     """Analysis result attached to one plan node.
+
+    ``err`` is an ``ErrorBound`` while a builder works and a ``Fraction`` in
+    a finished ``Plan``; the rules take either.
 
     ``eff`` = 2^``eff_exp`` is the effective value grid: the coarsest power
     of two every reachable value of the node is a multiple of. It can be
@@ -121,7 +245,7 @@ class NodeInfo:
 
     signal: ScaledSignal
     interval: Interval
-    err: Fraction
+    err: ErrorBound | Fraction
     eff_exp: int = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -141,8 +265,10 @@ class NodeInfo:
         return Interval.from_raws(sig.fmt.min_raw, sig.fmt.max_raw, sig.grid_exp)
 
 
-def floor_loss(eff_exp: int, new_exp: int, interval: Interval | None = None) -> Fraction:
-    """Worst loss of flooring values on the grid 2^eff_exp to 2^new_exp.
+def floor_loss(eff_exp: int, new_exp: int, interval: Interval | None = None,
+               q: int = 1) -> ErrorBound:
+    """Worst loss of flooring values on the grid 2^eff_exp to 2^new_exp,
+    on the odd denominator ``q``.
 
     Zero when no information sits below the target grid; the classic
     (2^k - 1) * ulp bound falls out when eff equals the format grid. A
@@ -150,8 +276,15 @@ def floor_loss(eff_exp: int, new_exp: int, interval: Interval | None = None) -> 
     exact amount."""
     if interval is not None and interval.m_lo == interval.m_hi:
         d = new_exp - interval.exp
-        return (interval.m_lo & ((1 << d) - 1)) * _pow2_frac(interval.exp) if d > 0 else _ZERO
-    return _pow2_frac(new_exp) - _pow2_frac(eff_exp) if new_exp > eff_exp else _ZERO
+        if d > 0:
+            return ErrorBound((interval.m_lo & ((1 << d) - 1)) * q, interval.exp, q)
+    elif new_exp > eff_exp:
+        return ErrorBound(((1 << (new_exp - eff_exp)) - 1) * q, eff_exp, q)
+    return ErrorBound(0, 0, q)
+
+
+def _odd_part(d: int) -> int:
+    return d >> ((d & -d).bit_length() - 1)
 
 
 def infer_product_format(a: ScaledSignal, b: ScaledSignal) -> ScaledSignal:
@@ -192,7 +325,7 @@ class TruncSpec:
     drop_msbs: int
     signal: ScaledSignal
     interval: Interval
-    added_error: Fraction
+    added_error: ErrorBound
     eff_exp: int
 
 
@@ -222,7 +355,8 @@ def plan_truncate(info: NodeInfo, target_width: int) -> TruncSpec | None:
                              drop_msbs=fmt.width - drop_f - target_width,
                              signal=out,
                              interval=floored,
-                             added_error=floor_loss(info.eff_exp, grid_exp, interval),
+                             added_error=floor_loss(info.eff_exp, grid_exp, interval,
+                                                    ErrorBound.of(info.err).q),
                              eff_exp=max(info.eff_exp, grid_exp))
     raise CannotFitError(
         f"cannot truncate {fmt} to {target_width} bits: integer part alone needs "
@@ -254,11 +388,12 @@ def _shift_view(info: NodeInfo, shift: int, f_star: int, e_star: int) -> NodeInf
     delta = fmt.f - f_star
     assert delta >= 0
     new_sig = ScaledSignal(SifFormat(fmt.s, fmt.i + delta, f_star), e_star)
+    err = ErrorBound.of(info.err)
     if shift == 0:
-        return NodeInfo(new_sig, info.interval, info.err, info.eff_exp)
+        return NodeInfo(new_sig, info.interval, err, info.eff_exp)
     grid_exp = e_star - f_star
     return NodeInfo(new_sig, info.interval.floor_to(grid_exp),
-                    info.err + floor_loss(info.eff_exp, grid_exp, info.interval),
+                    err + floor_loss(info.eff_exp, grid_exp, info.interval, err.q),
                     max(info.eff_exp, grid_exp))
 
 
@@ -303,7 +438,7 @@ def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
     return spec
 
 
-def mul_error_bound(a: NodeInfo, b: NodeInfo) -> Fraction:
+def mul_error_bound(a: NodeInfo, b: NodeInfo) -> ErrorBound:
     """Worst-case |computed - exact| of a product from its operand bounds.
 
     M_a*e_b + M_b*e_a + e_a*e_b with M taken from the computed operand
@@ -311,8 +446,12 @@ def mul_error_bound(a: NodeInfo, b: NodeInfo) -> Fraction:
     to max(e_a, e_b): a |factor| < 1 can genuinely shrink an absolute error,
     but keeping bounds non-decreasing along every path is what makes
     branch-and-bound pruning admissible, and a larger bound stays sound."""
-    ma, mb = a.interval.max_abs, b.interval.max_abs
-    return max(ma * b.err + mb * a.err + a.err * b.err, a.err, b.err)
+    ea, eb = ErrorBound.of(a.err), ErrorBound.of(b.err)
+    ia, ib = a.interval, b.interval
+    err = eb.scaled(ia.m_abs, ia.exp) + ea.scaled(ib.m_abs, ib.exp)
+    if ea.n and eb.n:
+        err = err + ea * eb
+    return max(err, ea, eb)
 
 
 def choose_const_format(value: Fraction, width: int) -> SifFormat:
@@ -460,7 +599,7 @@ class _Ctx:
     __slots__ = ("nodes", "info", "alias", "const_raws", "used", "wide",
                  "accumulators", "live_err", "choices")
 
-    def __init__(self, used: set[str]):
+    def __init__(self, used: set[str], live_err: ErrorBound):
         self.nodes: list[Node] = []
         self.info: dict[str, NodeInfo] = {}
         self.alias: dict[str, str] = {}
@@ -468,18 +607,17 @@ class _Ctx:
         self.used: set[str] = used
         self.wide: set[str] = set()
         self.accumulators: list[AccumulatorInfo] = []
-        self.live_err: Fraction = _ZERO
+        self.live_err = live_err
         self.choices: list[tuple[str, int]] = []
 
     def clone(self) -> "_Ctx":
-        c = _Ctx(set(self.used))
+        c = _Ctx(set(self.used), self.live_err)
         c.nodes = list(self.nodes)
         c.info = dict(self.info)
         c.alias = dict(self.alias)
         c.const_raws = dict(self.const_raws)
         c.wide = set(self.wide)
         c.accumulators = list(self.accumulators)
-        c.live_err = self.live_err
         c.choices = list(self.choices)
         return c
 
@@ -511,6 +649,9 @@ class PlanBuilder:
     positions depth-first from the outputs, so a value is consumed soon
     after it is made. The values a step computes do not depend on which of
     the two walks makes it.
+
+    Error bounds are ``ErrorBound`` values on ``den``, the lcm of the odd
+    parts of the constants' denominators; each constant is quantized once.
     """
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config,
@@ -521,6 +662,10 @@ class PlanBuilder:
         self.config = config
         self.topology = topology
         self.source = source if source is not None else dfg
+        consts = [n for n in dfg.nodes if n.kind is NodeKind.CONST]
+        self.den = math.lcm(*(_odd_part(Fraction(n.value).denominator) for n in consts))
+        self.zero = ErrorBound(0, 0, self.den)
+        self._quantized: dict[str, tuple[NodeInfo, int]] = {}
         self.chains = {c.root: c for c in find_chains(dfg)
                        if c.root in chain_roots}
         self._absorbed = {m: c.root for c in self.chains.values() for m in c.members}
@@ -574,7 +719,7 @@ class PlanBuilder:
         return [nid for nid in self.positions if nid not in seen] + order
 
     def new_ctx(self) -> _Ctx:
-        return _Ctx({n.id for n in self.dfg.nodes})
+        return _Ctx({n.id for n in self.dfg.nodes}, self.zero)
 
     def is_choice_point(self, nid: str) -> bool:
         node = self.dfg.node(nid)
@@ -598,7 +743,7 @@ class PlanBuilder:
                 raise CannotFitError(
                     f"input '{nid}' is {fmt.width} bits wide, word width is {W}")
             ctx.emit(node, NodeInfo(ScaledSignal(fmt, 0), Interval.from_raws(
-                fmt.min_raw, fmt.max_raw, -fmt.f), _ZERO))
+                fmt.min_raw, fmt.max_raw, -fmt.f), self.zero))
             ctx.alias[nid] = nid
         elif node.kind is NodeKind.CONST:
             self._step_const(ctx, node)
@@ -617,16 +762,19 @@ class PlanBuilder:
             raise ValueError(f"source graphs cannot contain {node.kind} nodes")
 
     def _step_const(self, ctx: _Ctx, node: Node):
-        W = self.config.width
-        try:
-            fmt = choose_const_format(node.value, W)
-        except CannotFitError as e:
-            raise CannotFitError(f"const '{node.id}': {e}") from None
-        raw = encode(node.value, fmt, self.config.quantize)
-        q = decode(raw, fmt)
-        value = Interval.from_raws(raw, raw, -fmt.f)
-        ctx.emit(node, NodeInfo(ScaledSignal(fmt, 0), value, abs(node.value - q),
-                                value.exp if raw else -fmt.f))
+        quantized = self._quantized.get(node.id)
+        if quantized is None:
+            try:
+                fmt = choose_const_format(node.value, self.config.width)
+            except CannotFitError as e:
+                raise CannotFitError(f"const '{node.id}': {e}") from None
+            raw = encode(node.value, fmt, self.config.quantize)
+            err = ErrorBound.of(abs(node.value - decode(raw, fmt)), self.den)
+            value = Interval.from_raws(raw, raw, -fmt.f)
+            quantized = self._quantized[node.id] = (
+                NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
+        info, raw = quantized
+        ctx.emit(node, info)
         ctx.const_raws[node.id] = raw
         ctx.alias[node.id] = node.id
 
@@ -762,7 +910,8 @@ class PlanBuilder:
 
     def finish(self, ctx: _Ctx) -> Plan:
         return Plan(graph=Dfg(tuple(ctx.nodes)),
-                    info=dict(ctx.info),
+                    info={nid: NodeInfo(i.signal, i.interval, i.err.as_fraction(), i.eff_exp)
+                          for nid, i in ctx.info.items()},
                     const_raws=dict(ctx.const_raws),
                     bindings=self.bindings,
                     source=self.source,

@@ -4,9 +4,10 @@
                             [--quantize round|trunc] [-o DIR]
     fpsynt simulate <spec.fps> [--vectors FILE | --random N --seed S] [synth flags]
 
-Exit codes: 0 ok, 1 parse/validation error or bad option value,
-2 cannot-fit, 3 I/O error, 4 malformed vector file. Set
-FPSYNT_LOG=debug|info|warning for logging.
+Exit codes: 0 ok, 1 parse/validation error or bad option value (such as
+--random outside 1 to MAX_RANDOM_VECTORS = 10^7, which bounds the memory
+of the vector matrix), 2 cannot-fit, 3 I/O error, 4 malformed vector
+file. Set FPSYNT_LOG=debug|info|warning for logging.
 """
 
 from __future__ import annotations
@@ -31,6 +32,10 @@ EXIT_SPEC = 1
 EXIT_CANNOT_FIT = 2
 EXIT_IO = 3
 EXIT_VECTORS = 4
+
+# generate_vectors holds all N vectors at once, about 180 bytes each on
+# FIR-4, so 10^7 of them take about 2 GB
+MAX_RANDOM_VECTORS = 10_000_000
 
 
 def _setup_logging():
@@ -107,6 +112,8 @@ def cmd_simulate(args) -> int:
     if not args.vectors:
         if args.random < 1:
             raise SpecError(f"--random must be >= 1, got {args.random}")
+        if args.random > MAX_RANDOM_VECTORS:
+            raise SpecError(f"--random must be <= {MAX_RANDOM_VECTORS}, got {args.random}")
         if args.seed < 0:
             raise SpecError(f"--seed must be >= 0, got {args.seed}")
     plan = _synthesize_from_file(args)
@@ -138,7 +145,8 @@ def main(argv=None) -> int:
     _add_synth_flags(p_sim)
     p_sim.add_argument("--vectors", help="CSV vector file (header = input names)")
     p_sim.add_argument("--random", type=int, default=90,
-                       help="random vector count when no file is given (default 90)")
+                       help="random vector count when no file is given "
+                            f"(default 90, at most {MAX_RANDOM_VECTORS})")
     p_sim.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
     p_sim.set_defaults(func=cmd_simulate)
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import logging
 import math
 
-from .analysis import Chain, Plan, PlanBuilder, find_chains
+from .analysis import Chain, ErrorBound, Plan, PlanBuilder, find_chains
 from .config import Config
 from .core import Dfg, Node, NodeKind
 from .errors import CannotFitError
@@ -61,11 +61,15 @@ class _Frontier:
     are the outputs made before p. Both are fixed per position, so they
     are worked out once per search.
 
-    ``lower_bound`` adds to each unfinished output the errors of the live
-    values that reach it through additions only, which an addition passes
-    on in full. ``dominated`` keeps, per position and per (format,
-    interval, value grid) of every live value, the (errors, choice vector)
-    pairs that no other pair there dominates.
+    The cone of an output is the multiset of live values that reach it
+    through additions only, each as often as it has such paths; an
+    addition passes their errors on in full. ``advance`` runs a step and
+    carries each output's cone sum, the sum of the errors in its cone, or
+    its own error once it is made: it subtracts the values the step reads
+    out of the cones and adds the value it makes, as worked out once per
+    position. ``lower_bound`` reads those sums. ``dominated`` keeps, per
+    position and per (format, interval, value grid) of every live value, the
+    (errors, choice vector) pairs that no other pair there dominates.
     """
 
     def __init__(self, builder: PlanBuilder):
@@ -88,48 +92,55 @@ class _Frontier:
                     to_o[nid] = c
             paths[o] = to_o
 
-        self._tables = []  # per position: (live, finished outputs, additive cones)
+        self._builder = builder
+        self.zero_sums = (builder.zero,) * len(outputs)
+        self._tables = []  # per position: (live, finished outputs)
+        # per position: (output index, value read, multiple) leaving the
+        # cones, and (output index, multiple) of the value made
+        self._moves = []
         live: dict[str, int] = {}  # value -> count of reads still to come
         done: list[str] = []
-        cones = {o: {} for o in outputs}  # o -> {live value: multiple}
         for nid in order:
-            self._tables.append((tuple(live), tuple(done),
-                                 tuple(tuple(cones[o].items())
-                                       for o in outputs if o not in done)))
+            self._tables.append((tuple(live), tuple(done)))
             for r in builder.reads(nid):
                 live[r] -= 1
                 if not live[r]:
                     del live[r]
-                if nid in sums:
-                    for o in outputs:
-                        c = paths[o].get(nid)
-                        if c:
-                            cones[o][r] -= c
-                            if not cones[o][r]:
-                                del cones[o][r]
             if readers[nid]:
                 live[nid] = len(readers[nid])
             if nid in paths:
                 done.append(nid)
-            else:
-                for o in outputs:
-                    c = paths[o].get(nid)
-                    if c:
-                        cones[o][nid] = c
+            made = tuple((k, paths[o][nid]) for k, o in enumerate(outputs) if nid in paths[o])
+            taken = tuple((k, r, c) for k, c in made for r in builder.reads(nid)) \
+                if nid in sums else ()
+            self._moves.append((taken, made))
         self._seen: list[dict] = [{} for _ in order]
 
-    def lower_bound(self, pos: int, ctx) -> tuple:
-        """A cost key no completion of the state at ``pos`` goes below."""
-        _live, done, cones = self._tables[pos]
-        errs = [ctx.info[o].err for o in done]
-        errs += [sum(c * ctx.info[ctx.alias[v]].err for v, c in cone) for cone in cones]
-        top = max(errs + [ctx.live_err])
-        return (top, max(top, sum(errs)))
+    def advance(self, pos: int, ctx, choice: int, sums: tuple) -> tuple:
+        """Run the step at ``pos`` on ``ctx`` and return the cone sums after
+        it, from ``sums`` before it."""
+        taken, made = self._moves[pos]
+        new = list(sums)
+        for k, r, c in taken:
+            new[k] = new[k] - c * ctx.info[ctx.alias[r]].err
+        nid = self._builder.search_order[pos]
+        self._builder.step(ctx, nid, choice)
+        for k, c in made:
+            new[k] = new[k] + c * ctx.info[ctx.alias[nid]].err
+        return tuple(new)
+
+    def lower_bound(self, ctx, sums: tuple) -> tuple:
+        """A cost key no completion of the state with these cone sums goes
+        below: each output's error is at least its cone sum."""
+        top = max(sums)
+        if ctx.live_err > top:
+            top = ctx.live_err
+        return (top, max(top, sum(sums[1:], sums[0])))
 
     def dominated(self, pos: int, ctx, vec: tuple) -> bool:
         """True when an earlier state at ``pos`` dominates this one;
         otherwise record it."""
-        live, done, _cones = self._tables[pos]
+        live, done = self._tables[pos]
         infos = [ctx.info[ctx.alias[v]] for v in live]
         key = tuple((i.signal, i.interval, i.eff_exp) for i in infos)
         errs = tuple([i.err for i in infos] + [ctx.info[o].err for o in done])
@@ -181,23 +192,33 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     outputs = dfg.output_ids
     frontier = _Frontier(builder) if prune and points and len(cands) > 1 else None
 
-    bound = incumbent if prune else None
+    # bounds are compared on the builder's denominator
+    bound = tuple(ErrorBound.of(x, builder.den) for x in incumbent) \
+        if prune and incumbent is not None else None
     best_key = best_vec = None
     last_fail = ""
     steps = leaves = cuts = dominated = 0
 
-    def beaten(ctx, pos: int) -> bool:
+    def advance(ctx, pos: int, choice: int, sums):
+        if frontier is None:
+            builder.step(ctx, order[pos], choice)
+            return None
+        return frontier.advance(pos, ctx, choice, sums)
+
+    def beaten(ctx, pos: int, sums) -> bool:
         if bound is None:
             return False
         if ctx.live_err > bound[0]:
             return True
-        return frontier is not None and pos < n and frontier.lower_bound(pos, ctx) > bound
+        return frontier is not None and pos < n and frontier.lower_bound(ctx, sums) > bound
 
-    # entries (pos, ctx, vec, cand): try candidate index ``cand`` at the
-    # choice point ``order[pos]`` on a copy of ``ctx``
-    stack = [(0, builder.new_ctx(), (0,) * len(points), None)]
+    # entries (pos, ctx, vec, cand, sums): try candidate index ``cand`` at
+    # the choice point ``order[pos]`` on a copy of ``ctx``, whose cone sums
+    # are ``sums``
+    stack = [(0, builder.new_ctx(), (0,) * len(points), None,
+              frontier.zero_sums if frontier is not None else None)]
     while stack:
-        pos, ctx, vec, cand = stack.pop()
+        pos, ctx, vec, cand, sums = stack.pop()
         if cand is not None:
             nid = order[pos]
             more = cand + 1 < len(cands)
@@ -205,30 +226,30 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
             branch = ctx.clone() if more else ctx
             steps += 1
             try:
-                builder.step(branch, nid, cands[cand])
+                branch_sums = advance(branch, pos, cands[cand], sums)
             except CannotFitError as e:
                 last_fail = str(e)
                 if more:
-                    stack.append((pos, ctx, vec, cand + 1))
+                    stack.append((pos, ctx, vec, cand + 1, sums))
                 continue
-            if beaten(branch, pos + 1):
+            if beaten(branch, pos + 1, branch_sums):
                 # added error grows with the candidate, so the rest of the
                 # row cannot beat the incumbent either
                 cuts += 1
                 continue
             if more:
-                stack.append((pos, ctx, vec, cand + 1))
+                stack.append((pos, ctx, vec, cand + 1, sums))
             if cands[cand]:
                 k = slot[nid]
                 vec = vec[:k] + (cands[cand],) + vec[k + 1:]
-            ctx, pos = branch, pos + 1
+            ctx, pos, sums = branch, pos + 1, branch_sums
 
         # forced steps in place, up to the next choice point or the leaf
         while True:
             if pos == n:
                 leaves += 1
                 errs = [ctx.info[o].err for o in outputs]
-                key = (max(errs), sum(errs))
+                key = (max(errs), sum(errs[1:], errs[0]))
                 if bound is not None and key > bound:
                     cuts += 1
                 elif best_key is None or (key, vec) < (best_key, best_vec):
@@ -240,16 +261,16 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
                 dominated += 1
                 break
             if is_choice[pos]:
-                stack.append((pos, ctx, vec, 0))
+                stack.append((pos, ctx, vec, 0, sums))
                 break
             steps += 1
             try:
-                builder.step(ctx, order[pos], 0)
+                sums = advance(ctx, pos, 0, sums)
             except CannotFitError as e:
                 last_fail = str(e)
                 break
             pos += 1
-            if beaten(ctx, pos):
+            if beaten(ctx, pos, sums):
                 cuts += 1
                 break
 

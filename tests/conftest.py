@@ -14,8 +14,8 @@ from fractions import Fraction
 
 import pytest
 
-from fpsynt.core import NodeKind
-from fpsynt.parser import parse_spec
+from fpsynt.core import Dfg, Node, NodeKind
+from fpsynt.parser import Bindings, parse_spec
 
 FIR4_SRC = """\
 # 4-tap FIR filter
@@ -31,6 +31,16 @@ output y = w0*x0 + w1*x1 + w2*x2 + w3*x3;
 """
 
 FIR4_COEFFS = [Fraction(k, 100) for k in (15, 5, 45, 35)]
+
+
+def make_graph(inputs, consts, ops, outputs) -> tuple[Dfg, Bindings]:
+    """Graph from (id, kind, operands, negate) operations; outputs name the
+    nodes they read."""
+    nodes = [Node(v, NodeKind.INPUT) for v in inputs]
+    nodes += [Node(c, NodeKind.CONST, value=v) for c, v in consts.items()]
+    nodes += [Node(nid, kind, ops_, negate=neg) for nid, kind, ops_, neg in ops]
+    nodes += [Node(y, NodeKind.OUTPUT, (src,)) for y, src in outputs.items()]
+    return Dfg(tuple(nodes)), Bindings(inputs, consts, tuple(outputs))
 
 
 def make_fir_src(coeffs, sif=(1, 0, 15)) -> str:

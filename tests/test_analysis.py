@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsynt.analysis import (Interval, NodeInfo, PlanBuilder, _min_integer_bits,
+from fpsynt.analysis import (ErrorBound, Interval, NodeInfo, PlanBuilder, _min_integer_bits,
                              check_plan, choose_const_format, find_chains,
                              fit_format_to_interval, infer_product_format,
                              mul_error_bound, plan_add, plan_truncate)
@@ -367,6 +367,82 @@ def test_signed_chain_terms():
                         "input c : sif(1/0/7);\noutput y = a - b + c;\n")
     (chain,) = find_chains(dfg)
     assert [s for _, s in chain.terms] == [1, -1, 1]
+
+
+# ---------------------------------------------------------------------------
+# exact error bounds against Fraction
+
+ODD = (1, 3, 5, 7, 15, 21, 105)
+
+
+@st.composite
+def error_bounds(draw, q=None):
+    """An ErrorBound n * 2^e / q, zero about one time in three, on any
+    representation of its value (n may share factors with 2^-e and q)."""
+    n = draw(st.one_of(st.just(0), st.integers(1, 1 << 20), st.integers(1, 1 << 40)))
+    q = draw(st.sampled_from(ODD)) if q is None else q
+    return ErrorBound(n, draw(st.integers(-60, 12)), q)
+
+
+@st.composite
+def bound_pairs(draw):
+    """Two bounds, on one odd denominator or on two drawn independently."""
+    a = draw(error_bounds())
+    return a, draw(error_bounds(a.q if draw(st.booleans()) else None))
+
+
+@given(bound_pairs(), st.integers(0, 1 << 20), st.integers(-40, 10))
+@settings(max_examples=500, deadline=None)
+def test_error_bound_arithmetic_matches_fraction(pair, m, x):
+    a, b = pair
+    fa, fb = a.as_fraction(), b.as_fraction()
+    assert fa == Fraction(a.n * Fraction(2) ** a.e, a.q)
+    for got, want in [(a + b, fa + fb), (a - b, fa - fb), (a + fb, fa + fb),
+                      (fb + a, fa + fb), (a.scaled(m, x), fa * m * Fraction(2) ** x),
+                      (a * b, fa * fb), (m * a, m * fa), (a * fb, fa * fb)]:
+        assert type(got) is ErrorBound
+        assert got.as_fraction() == want and got.q % 2 == 1
+    assert max(a, b).as_fraction() == max(fa, fb)
+    # every odd denominator drawn divides 105, so the value goes on 105
+    on_105 = ErrorBound.of(fa, 105)
+    assert on_105.q == 105 and on_105.as_fraction() == fa
+    assert ErrorBound.of(a) is a
+
+
+@given(bound_pairs())
+@settings(max_examples=500, deadline=None)
+def test_error_bound_comparisons_match_fraction(pair):
+    a, b = pair
+    fa, fb = a.as_fraction(), b.as_fraction()
+    for y, fy in [(b, fb), (fb, fb), (a, fa), (fa, fa), (0, 0)]:
+        assert (a < y, a <= y, a == y, a != y, a > y, a >= y) == \
+            (fa < fy, fa <= fy, fa == fy, fa != fy, fa > fy, fa >= fy)
+        assert (y < a, y <= a, y == a, y > a, y >= a) == \
+            (fy < fa, fy <= fa, fy == fa, fy > fa, fy >= fa)
+    assert hash(a) == hash(fa)
+    assert (a == "0", a == 0.0) == (False, False)
+
+
+@given(error_bounds())
+@settings(max_examples=500, deadline=None)
+def test_error_bound_float_is_bit_equal_to_fraction(a):
+    assert float(a).hex() == float(a.as_fraction()).hex()
+
+
+def test_rules_take_fraction_errors_and_return_error_bounds():
+    # a caller-built NodeInfo may hold a Fraction error; the rules coerce it
+    a = info(SifFormat(1, 0, 15), err=Fraction(1, 3000))
+    assert type(mul_error_bound(a, a)) is ErrorBound
+    spec = plan_add(a, a, (False, False), width=16)
+    assert type(spec.result.err) is ErrorBound
+    assert spec.result.err == 2 * Fraction(1, 3000) + 2 * Fraction(1, 1 << 15)
+    small = info(SifFormat(1, 0, 15), interval=Interval(Fraction(-1, 4), Fraction(1, 4)),
+                 err=Fraction(1, 3000))
+    unshifted = plan_add(small, small, (False, False), width=16)
+    assert unshifted.shift_a == unshifted.shift_b == 0
+    assert type(unshifted.result.err) is ErrorBound
+    assert unshifted.result.err == 2 * Fraction(1, 3000)
+    assert type(plan_truncate(a, 15).added_error) is ErrorBound
 
 
 # ---------------------------------------------------------------------------

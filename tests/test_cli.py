@@ -16,6 +16,17 @@ from conftest import FIR4_SRC
 BAD_SRC = "input x : sif(1/0/15)\noutput y = x;\n"  # missing semicolon
 
 
+def _child_env(**extra) -> dict:
+    """The environment plus ``extra``, with ``PYTHONPATH`` led by the
+    directory that holds the imported ``fpsynt``, so a child process finds
+    the same package whether it is installed or run from ``src/``."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(fpsynt.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p)
+    return env
+
+
 @pytest.fixture
 def fir4_spec(tmp_path):
     path = tmp_path / "fir4.fps"
@@ -151,14 +162,10 @@ def test_console_entry_point(fir4_spec, tmp_path):
     (``fpsynt.cli:main``). The child finds the package the suite imported,
     whether it is installed or run from a ``src/`` checkout.
     """
-    pkg_root = str(Path(fpsynt.__file__).resolve().parents[1])
-    env = dict(os.environ, FPSYNT_LOG="info")
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "fpsynt.cli", "synth", str(fir4_spec),
          "-o", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(FPSYNT_LOG="info"),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "report.json").exists()
@@ -170,19 +177,16 @@ def test_console_entry_point(fir4_spec, tmp_path):
     (["simulate", "--random", "0"], "--random must be >= 1, got 0"),
     (["simulate", "--random", "-3"], "--random must be >= 1, got -3"),
     (["simulate", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["simulate", "--random", "100000000"], "--random must be <= 10000000, got 100000000"),
 ])
 def test_bad_option_values_exit_1(fir4_spec, tmp_path, args, message):
     """Out-of-range option values end in exit 1 and one ``fpsynt:`` line,
     with no traceback and no file written."""
-    pkg_root = str(Path(fpsynt.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
     before = sorted(tmp_path.rglob("*"))
     proc = subprocess.run(
         [sys.executable, "-m", "fpsynt.cli", args[0], str(fir4_spec), *args[1:],
          "-o", str(tmp_path / "o")],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
+        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
     )
     assert proc.returncode == 1
     assert proc.stderr == f"fpsynt: {message}\n"
@@ -190,21 +194,37 @@ def test_bad_option_values_exit_1(fir4_spec, tmp_path, args, message):
     assert sorted(tmp_path.rglob("*")) == before
 
 
+def test_5000_term_sum_synthesizes_in_a_child_process(tmp_path):
+    """``fpsynt synth`` on a sum of 5000 inputs, no optimization: exit 0, no
+    traceback, and C, VHDL and report.json written."""
+    n = 5000
+    spec = tmp_path / "sum5000.fps"
+    spec.write_text("".join(f"input x{k} : sif(1/0/15);\n" for k in range(n))
+                    + "output y = " + " + ".join(f"x{k}" for k in range(n)) + ";\n")
+    out = tmp_path / "o"
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpsynt.cli", "synth", str(spec), "--width", "32",
+         "--opt", "none", "-o", str(out)],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    for name in ("sum5000.fps.c", "sum5000.fps.vhd", "report.json"):
+        assert (out / name).stat().st_size > 0
+    assert json.loads((out / "report.json").read_text())["predicted_bound"] == 0
+
+
 def test_info_log_goes_to_stderr_only(fir4_spec, tmp_path):
     """``FPSYNT_LOG=info`` prints one line per search, and for ``simulate``
     one simulator line, to stderr and changes neither stdout nor
     report.json."""
-    pkg_root = str(Path(fpsynt.__file__).resolve().parents[1])
     runs = {}
     for command in ("synth", "simulate"):
         for level in ("warning", "info"):
-            env = dict(os.environ, FPSYNT_LOG=level)
-            env["PYTHONPATH"] = os.pathsep.join(
-                p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
             out = tmp_path / command / level
             proc = subprocess.run(
                 [sys.executable, "-m", "fpsynt.cli", command, str(fir4_spec), "-o", str(out)],
-                capture_output=True, text=True, env=env,
+                capture_output=True, text=True, env=_child_env(FPSYNT_LOG=level),
             )
             assert proc.returncode == 0, proc.stderr
             runs[command, level] = (proc, (out / "report.json").read_bytes())

@@ -7,16 +7,22 @@ and a change in the number of ``PlanBuilder.step`` calls is a change in
 the search's behaviour. The specs are ``demos/specs/fir4.fps``, copies of
 the benchmark's FIR-5, Horner-8, ``matvec2x3`` and ``matvec2x2`` sources,
 and two of acceptance criterion 06's fuzz specs under that criterion's
-config.
+config. One graph with non-decimal constants pins every node's exact error
+bound.
 """
 
 import hashlib
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from fpsynt import Config, emit_c, emit_vhdl, report_json, synthesize
 from fpsynt.analysis import PlanBuilder
+from fpsynt.core import NodeKind
+from fpsynt.optimizer import topological_optimize
+
+from conftest import make_graph
 
 FIR4 = (Path(__file__).resolve().parent.parent / "demos" / "specs" / "fir4.fps").read_text()
 
@@ -159,22 +165,70 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-@pytest.mark.parametrize("name", list(GOLDEN))
-def test_artifacts_and_step_count_are_pinned(name, monkeypatch):
-    source, config, steps, c, c_portable, vhdl, report = GOLDEN[name]
-    calls = 0
+def _count_steps(monkeypatch) -> list[int]:
+    """Patch ``PlanBuilder.step`` to count its calls into the returned cell."""
+    calls = [0]
     step = PlanBuilder.step
 
     def counting_step(self, *args, **kwargs):
-        nonlocal calls
-        calls += 1
+        calls[0] += 1
         return step(self, *args, **kwargs)
 
     monkeypatch.setattr(PlanBuilder, "step", counting_step)
+    return calls
+
+
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_artifacts_and_step_count_are_pinned(name, monkeypatch):
+    source, config, steps, c, c_portable, vhdl, report = GOLDEN[name]
+    calls = _count_steps(monkeypatch)
     plan = synthesize(source, config)
-    got = (calls,
+    got = (calls[0],
            _digest(emit_c(plan, name=name).source),
            _digest(emit_c(plan, name=name, portable_shift=True).source),
            _digest(emit_vhdl(plan, name=name).source),
            _digest(report_json(plan)))
     assert got == (steps, c, c_portable, vhdl, report)
+
+
+# constants with odd denominators 3 and 7, and a product of two values that
+# both carry error, so the bounds hold the cross term e_a*e_b
+ODD_DENOMINATORS = make_graph(
+    {"x": (1, 2, 13), "z": (1, 0, 15)}, {"c1": Fraction(1, 3), "c2": Fraction(2, 7)},
+    [("t0", NodeKind.MUL, ("c1", "x"), (False, False)),
+     ("t1", NodeKind.MUL, ("c2", "x"), (False, False)),
+     ("t2", NodeKind.MUL, ("t0", "t1"), (False, False)),
+     ("t3", NodeKind.MUL, ("c2", "z"), (False, False)),
+     ("t4", NodeKind.ADD, ("t2", "t3"), (False, True)),
+     ("t5", NodeKind.ADD, ("t4", "t0"), (False, False))],
+    {"y0": "t2", "y1": "t5"})
+
+ODD_DENOMINATOR_ERRORS = {
+    "x": "0",
+    "z": "0",
+    "c1": "1/98304",
+    "c2": "1/114688",
+    "t0": "1/24576",
+    "t0_q": "81917/805306368",
+    "t1": "1/28672",
+    "t1_q": "90105/939524096",
+    "t3": "1/114688",
+    "t2": "184714865483797/756604737398243328",
+    "t2_q": "230891535278101/756604737398243328",
+    "y0": "230891535278101/756604737398243328",
+    "t3_q": "262137/3758096384",
+    "t5_acc1": "283666684125205/756604737398243328",
+    "t5": "360629679497237/756604737398243328",
+    "t5_q": "406809167863829/756604737398243328",
+    "y1": "406809167863829/756604737398243328",
+}
+
+
+def test_exact_error_bounds_are_pinned(monkeypatch):
+    calls = _count_steps(monkeypatch)
+    plan = topological_optimize(*ODD_DENOMINATORS, Config(width=16))
+    assert plan.topology == "source+chain"
+    assert calls[0] == 189
+    assert {n.id: str(plan.info[n.id].err) for n in plan.graph.nodes} == ODD_DENOMINATOR_ERRORS
+    assert list(ODD_DENOMINATOR_ERRORS) == [n.id for n in plan.graph.nodes]
+    assert all(type(plan.info[n.id].err) is Fraction for n in plan.graph.nodes)

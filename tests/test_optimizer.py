@@ -11,7 +11,7 @@ import pytest
 from fpsynt.analysis import PlanBuilder, check_plan, find_chains
 from fpsynt.codegen import emit_c
 from fpsynt.config import Config
-from fpsynt.core import Dfg, Node, NodeKind
+from fpsynt.core import Dfg, NodeKind
 from fpsynt.errors import CannotFitError
 from fpsynt.optimizer import (combinatorial_search, enumerate_topologies,
                               topological_optimize)
@@ -19,7 +19,7 @@ from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import run_fixed_columns
 
-from conftest import FIR4_SRC, exact_eval
+from conftest import FIR4_SRC, exact_eval, make_graph
 
 W8 = Config(width=8, k_max=2)
 
@@ -269,16 +269,6 @@ def test_cannot_fit_when_nothing_fits():
         combinatorial_search(dfg, bindings, Config(width=8))
 
 
-def _graph(inputs, consts, ops, outputs) -> tuple[Dfg, Bindings]:
-    """Graph from (id, kind, operands, negate) operations; outputs name the
-    nodes they read."""
-    nodes = [Node(v, NodeKind.INPUT) for v in inputs]
-    nodes += [Node(c, NodeKind.CONST, value=v) for c, v in consts.items()]
-    nodes += [Node(nid, kind, ops_, negate=neg) for nid, kind, ops_, neg in ops]
-    nodes += [Node(y, NodeKind.OUTPUT, (src,)) for y, src in outputs.items()]
-    return Dfg(tuple(nodes)), Bindings(inputs, consts, tuple(outputs))
-
-
 def _random_shared_graph(rng: random.Random) -> tuple[Dfg, Bindings]:
     """3-5 inputs, a constant, intermediates that later nodes read again,
     and two outputs on the last two intermediates."""
@@ -294,13 +284,13 @@ def _random_shared_graph(rng: random.Random) -> tuple[Dfg, Bindings]:
         else:
             ops.append((f"t{k}", NodeKind.ADD, (a, b), (False, rng.random() < 0.3)))
         pool.append(f"t{k}")
-    return _graph(inputs, consts, ops, {"y0": pool[-1], "y1": pool[-2]})
+    return make_graph(inputs, consts, ops, {"y0": pool[-1], "y1": pool[-2]})
 
 
 # Found by a random search: a state here has a larger error on a finished
 # output than an earlier state at the same position, so a memo that left
 # finished outputs out would drop the state that leads to the optimum.
-FINISHED_OUTPUT_MATTERS = _graph(
+FINISHED_OUTPUT_MATTERS = make_graph(
     {"v0": (1, 0, 2), "v1": (1, 0, 3), "v2": (1, 0, 3)}, {"c0": Fraction(3, 8)},
     [("t0", NodeKind.ADD, ("c0", "v0"), (False, True)),
      ("t1", NodeKind.MUL, ("v0", "c0"), (False, False)),
@@ -351,7 +341,7 @@ def exhaustive_argmin(dfg, bindings, config):
 # depth-first search order visits the choice points in another order than
 # the level-first one: the first minimum found is not the level-first
 # smallest.
-TIES_DEPEND_ON_ORDER = _graph(
+TIES_DEPEND_ON_ORDER = make_graph(
     {}, {"c0": Fraction(1, 2), "c1": Fraction(5)},
     [("t0", NodeKind.ADD, ("c1", "c0"), (False, False)),
      ("t1", NodeKind.ADD, ("c0", "c1"), (False, False)),
