@@ -105,6 +105,9 @@ class ErrorBound:
         p = self._pair(other)
         return NotImplemented if p is None else ErrorBound(p[0] - p[1], p[2], p[3])
 
+    def __neg__(self):
+        return ErrorBound(-self.n, self.e, self.q)
+
     def __mul__(self, other):
         if type(other) is int:
             return ErrorBound(self.n * other, self.e, self.q)
@@ -761,7 +764,8 @@ class PlanBuilder:
         else:
             raise ValueError(f"source graphs cannot contain {node.kind} nodes")
 
-    def _step_const(self, ctx: _Ctx, node: Node):
+    def quantized(self, node: Node) -> tuple[NodeInfo, int]:
+        """A constant's NodeInfo and raw word, quantized once per builder."""
         quantized = self._quantized.get(node.id)
         if quantized is None:
             try:
@@ -773,7 +777,10 @@ class PlanBuilder:
             value = Interval.from_raws(raw, raw, -fmt.f)
             quantized = self._quantized[node.id] = (
                 NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
-        info, raw = quantized
+        return quantized
+
+    def _step_const(self, ctx: _Ctx, node: Node):
+        info, raw = self.quantized(node)
         ctx.emit(node, info)
         ctx.const_raws[node.id] = raw
         ctx.alias[node.id] = node.id
@@ -942,9 +949,13 @@ def check_plan(plan: Plan):
     max_acc = max(acc_widths.values(), default=W)
     for node in plan.graph.nodes:
         info = plan.info[node.id]
-        rng = info.semantic_range()
-        assert rng.lo <= info.interval.lo and info.interval.hi <= rng.hi, \
-            f"interval of '{node.id}' escapes its format"
+        fmt, iv = info.signal.fmt, info.interval
+        # the format range [min_raw, max_raw] * 2^grid and the interval, on
+        # the finer of their two exponents
+        d = info.signal.grid_exp - iv.exp
+        lo, hi, m_lo, m_hi = (fmt.min_raw << d, fmt.max_raw << d, iv.m_lo, iv.m_hi) if d >= 0 \
+            else (fmt.min_raw, fmt.max_raw, iv.m_lo << -d, iv.m_hi << -d)
+        assert lo <= m_lo and m_hi <= hi, f"interval of '{node.id}' escapes its format"
         assert info.signal.scale >= 0, f"negative scale at '{node.id}'"
         assert info.err >= 0
         if node.kind is NodeKind.MUL:

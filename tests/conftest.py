@@ -52,6 +52,20 @@ def make_fir_src(coeffs, sif=(1, 0, 15)) -> str:
     return "\n".join(lines) + "\n"
 
 
+def make_sum_src(n, sif=(1, 0, 15)) -> str:
+    decls = "".join(f"input x{k} : sif({sif[0]}/{sif[1]}/{sif[2]});\n" for k in range(n))
+    return decls + "output y = " + " + ".join(f"x{k}" for k in range(n)) + ";\n"
+
+
+def make_matvec_src(n: int) -> str:
+    """y_i = sum_j a_ij x_j, each a_ij written as 0.{i*n + j + 1}."""
+    return ("".join(f"input x{j} : sif(1/0/15);\n" for j in range(n))
+            + "".join(f"const a{i}{j} = 0.{i * n + j + 1};\n"
+                      for i in range(n) for j in range(n))
+            + "".join(f"output y{i} = " + " + ".join(f"a{i}{j}*x{j}" for j in range(n))
+                      + ";\n" for i in range(n)))
+
+
 def exact_eval(dfg, bindings, values: dict) -> dict:
     """Independent exact evaluation of a source graph on given input values.
 

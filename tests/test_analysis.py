@@ -337,6 +337,24 @@ def test_overflow_freedom_invariant_on_plans():
             assert rng.lo <= ni.interval.lo and ni.interval.hi <= rng.hi
 
 
+def test_check_plan_rejects_an_interval_one_lsb_outside_its_format():
+    plan = synthesize(FIR4_SRC, Config(width=16))
+    y = plan.output_ids[0]
+    info = plan.info[y]
+    fmt, g = info.signal.fmt, info.signal.grid_exp
+    # the format's own range passes on its grid and on a finer one
+    for m_lo, m_hi, exp in [(fmt.min_raw, fmt.max_raw, g), (2 * fmt.min_raw, 2 * fmt.max_raw, g - 1)]:
+        plan.info[y] = NodeInfo(info.signal, Interval.from_raws(m_lo, m_hi, exp), info.err)
+        check_plan(plan)
+    # one step past either end, on the grid, a finer one or a coarser one
+    for m_lo, m_hi, exp in [(fmt.min_raw - 1, 0, g), (0, fmt.max_raw + 1, g),
+                            (2 * fmt.min_raw - 1, 0, g - 1), (0, 2 * fmt.max_raw + 1, g - 1),
+                            (-(-fmt.min_raw // 2) - 1, 0, g + 1)]:
+        plan.info[y] = NodeInfo(info.signal, Interval.from_raws(m_lo, m_hi, exp), info.err)
+        with pytest.raises(AssertionError, match="escapes its format"):
+            check_plan(plan)
+
+
 def test_chain_detection(fir4):
     dfg, _ = fir4
     chains = find_chains(dfg)
@@ -399,7 +417,8 @@ def test_error_bound_arithmetic_matches_fraction(pair, m, x):
     assert fa == Fraction(a.n * Fraction(2) ** a.e, a.q)
     for got, want in [(a + b, fa + fb), (a - b, fa - fb), (a + fb, fa + fb),
                       (fb + a, fa + fb), (a.scaled(m, x), fa * m * Fraction(2) ** x),
-                      (a * b, fa * fb), (m * a, m * fa), (a * fb, fa * fb)]:
+                      (a * b, fa * fb), (m * a, m * fa), (a * fb, fa * fb),
+                      (-a, -fa), (-a - b, -fa - fb)]:
         assert type(got) is ErrorBound
         assert got.as_fraction() == want and got.q % 2 == 1
     assert max(a, b).as_fraction() == max(fa, fb)

@@ -6,9 +6,10 @@ C (both shift styles), VHDL and ``report.json`` byte for byte as they are,
 and a change in the number of ``PlanBuilder.step`` calls is a change in
 the search's behaviour. The specs are ``demos/specs/fir4.fps``, copies of
 the benchmark's FIR-5, Horner-8, ``matvec2x3`` and ``matvec2x2`` sources,
-and two of acceptance criterion 06's fuzz specs under that criterion's
-config. One graph with non-decimal constants pins every node's exact error
-bound.
+two of acceptance criterion 06's fuzz specs under that criterion's config,
+and three larger rungs: FIR-32, an 80-term sum and ``matvec4x4``. FIR-64
+and a 160-term sum are held to a step bound instead. One graph with
+non-decimal constants pins every node's exact error bound.
 """
 
 import hashlib
@@ -18,11 +19,11 @@ from pathlib import Path
 import pytest
 
 from fpsynt import Config, emit_c, emit_vhdl, report_json, synthesize
-from fpsynt.analysis import PlanBuilder
+from fpsynt.analysis import PlanBuilder, check_plan
 from fpsynt.core import NodeKind
 from fpsynt.optimizer import topological_optimize
 
-from conftest import make_graph
+from conftest import make_fir_src, make_graph, make_matvec_src, make_sum_src
 
 FIR4 = (Path(__file__).resolve().parent.parent / "demos" / "specs" / "fir4.fps").read_text()
 
@@ -115,6 +116,10 @@ const w7 = -0.861;
 output y = w0*x0 + w1*x1 + w2*x2 + w3*x3 + w4*x4 + w5*x5 + w6*x6 + w7*x7;
 """
 
+FIR32 = make_fir_src([(k + 1) / 100 for k in range(32)])  # 0.01, 0.02, ..., 0.32
+SUM80 = make_sum_src(80)
+MATVEC4X4 = make_matvec_src(4)
+
 
 def _fuzz_config(width: int, chain: bool) -> Config:
     return Config(width=width, k_max=1, enable_topology_opt=False, enable_chain_alloc=chain)
@@ -123,12 +128,12 @@ def _fuzz_config(width: int, chain: bool) -> Config:
 # name: (source, config, PlanBuilder.step calls, then the sha256 of the C,
 #        the C with portable shifts, the VHDL and report.json)
 GOLDEN = {
-    "fir4": (FIR4, Config(width=16), 107,
+    "fir4": (FIR4, Config(width=16), 14,
         "d0947d561794953f24842abd40c591f4f6fef68027d1fb6698fb56ce03e70b62",
         "56310abc2a9135a7c4ab772e1d3eed896709135feb68cc988436a0fe7a9a7c5c",
         "3a2bcc555a318fcb735eb1999870af05c7e63118527eba83cd4409edbbba727a",
         "fee6a7287b01af192716cc6c595ce768356cae7141a25d5ca6b6c521c283346e"),
-    "fir5": (FIR5, Config(width=16), 1376,
+    "fir5": (FIR5, Config(width=16), 17,
         "5cb92d7fe1110054ed5134f99b1c9b850717a869b72802c6e5b78af52c0733d5",
         "08620905109c7ddff1dc949f65afcf2db3db8830d72261214a0472bf5ac8e8ea",
         "80a823140d4fe32e623f388404e2ca1e9b8a0ccdbfb204a11bb6a6b19e3955eb",
@@ -138,7 +143,7 @@ GOLDEN = {
         "1ea91fd5372c155e5b6f4b10e4d00518a9cf79920182fed129b8627947daf933",
         "58aaf11103e158111ff3c3d204e3be8ddb006c934de5c3c91d1eac39069d2ab9",
         "f2c2ab5a6fda8b6ecf0ee3eae4e67c8f9bb9f180d701d27c790629f928620ba0"),
-    "matvec2x3": (MATVEC2X3, Config(width=16), 122,
+    "matvec2x3": (MATVEC2X3, Config(width=16), 19,
         "900c6ea6e82fe691124635f959b4be9968c50a818dbc5783c20e7528c015c33f",
         "c1e4730a6717146c02de628185883039f832586134e7fb136d113e27ea260708",
         "984800c99efe507571a952cff0038663e34ab4fae2537b19651ccfb29a8e7474",
@@ -148,7 +153,7 @@ GOLDEN = {
         "d0958817827fd78b8f992c1e900bb5ecc8b8265006ccb4ab6b6695ddcca0e863",
         "d4d1d41e1d35dc18e7359437f3d4f17880398afe3c501b7d79fe0a8439f88b19",
         "7d8a5c1af896215d294c03870e93b1e812675b3c856af4003fcc14d069871ce6"),
-    "fuzz04_fir6_w8": (FUZZ04_FIR6_W8, _fuzz_config(8, True), 94,
+    "fuzz04_fir6_w8": (FUZZ04_FIR6_W8, _fuzz_config(8, True), 20,
         "966fe1db21bc188f61ddefd7bc7a140e0aaf63312fb565e267596ca9d9cb1a96",
         "89fa49ef6307eb8938e6ea456668f7b54232f243d2f6a4cf1b372aac0b0b4f09",
         "6369eba60d6cda1d16b47fbcc5d9e6626a871183655799f2dabc8b0d012a4c3f",
@@ -158,6 +163,21 @@ GOLDEN = {
         "0325aae94bfc137453361daf91ba3b31c94c56b73a4dff651aac371616c5b9fa",
         "a766605801bc09f1acd40ed082231a655ad6eee920f9340a9d3abde142d16de7",
         "674671ab85d2ef609b67fec316f450136a82e7a3ecdfc0ee87cef415430ce855"),
+    "fir32": (FIR32, Config(width=16), 98,
+        "1609890642439f7ee366a351fc33ae1dda78b53755c7311fda2585183dd5552e",
+        "16fa8a6b037d0dc70db11000915062c59253c014c02abdd732c3086dbbf150e1",
+        "fefa06626ca6ddfa9a651f77b448bcfb77161e2d4bf52d7e6905d112943b700c",
+        "0a32caf0982f7e6fd81e06a79c4ba6a634374995071a305b1db8e934d581231c"),
+    "sum80": (SUM80, Config(width=16), 82,
+        "6d50f0c38fdbfa8b8483d23b9336f6bda8b270e40f031f480881bf0f442bba2f",
+        "d5e54a1b83640e111d2f9cd7cbc38058956da85e0582a233a5fff53c52c7f3a7",
+        "bc9c040ae7ff8cb7331ce3f4a0e7e7e7ba60aa7bb2b8b6219fef2b02ed8f7e46",
+        "1b07cdd474c6d865192533f36488e10c5bc5ce778aac52e073c22052ec09edb9"),
+    "matvec4x4": (MATVEC4X4, Config(width=16), 44,
+        "ac74bdc9e6d2a474402ad99ca6b09062c07ac1fac463176904fdd5ffe72e9866",
+        "df76970b3ec00d780d37c04a04d91c3cae3a1fc66b3dcb2baeb44c6ed3f70b44",
+        "1359002b1351742d986710ca96e877f01f237d9e6c5ac3c42adf21c381170943",
+        "5a102ab9cf3672a4e72b6b23cbcac8c4f29fcec6b09bff0ffbe1007bd1cc04e7"),
 }
 
 
@@ -189,6 +209,15 @@ def test_artifacts_and_step_count_are_pinned(name, monkeypatch):
            _digest(emit_vhdl(plan, name=name).source),
            _digest(report_json(plan)))
     assert got == (steps, c, c_portable, vhdl, report)
+
+
+@pytest.mark.parametrize("source", [make_fir_src([(k + 1) / 100 for k in range(64)]),
+                                    make_sum_src(160)], ids=["fir64", "sum160"])
+def test_scale_rungs_finish_within_a_step_bound(source, monkeypatch):
+    calls = _count_steps(monkeypatch)
+    plan = synthesize(source, Config(width=16))
+    check_plan(plan)
+    assert calls[0] <= 1_000
 
 
 # constants with odd denominators 3 and 7, and a product of two values that

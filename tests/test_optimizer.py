@@ -8,18 +8,19 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpsynt.analysis import PlanBuilder, check_plan, find_chains
+from fpsynt.analysis import ErrorBound, PlanBuilder, check_plan, find_chains
 from fpsynt.codegen import emit_c
 from fpsynt.config import Config
 from fpsynt.core import Dfg, NodeKind
 from fpsynt.errors import CannotFitError
-from fpsynt.optimizer import (combinatorial_search, enumerate_topologies,
+from fpsynt.optimizer import (GridFloor, combinatorial_search, enumerate_topologies,
                               topological_optimize)
 from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import run_fixed_columns
 
-from conftest import FIR4_SRC, exact_eval, make_graph
+from conftest import (FIR4_SRC, exact_eval, make_fir_src, make_graph, make_matvec_src,
+                      make_sum_src)
 
 W8 = Config(width=8, k_max=2)
 
@@ -84,26 +85,21 @@ def test_identity_plan_for_passthrough():
     assert [n.kind for n in plan.graph.nodes] == [NodeKind.INPUT, NodeKind.OUTPUT]
 
 
-def _sum_src(n, sif=(1, 0, 15)) -> str:
-    decls = "".join(f"input x{k} : sif({sif[0]}/{sif[1]}/{sif[2]});\n" for k in range(n))
-    return decls + "output y = " + " + ".join(f"x{k}" for k in range(n)) + ";\n"
-
-
 def test_topology_counts():
-    dfg3, _ = parse_spec(_sum_src(3))
+    dfg3, _ = parse_spec(make_sum_src(3))
     assert len(enumerate_topologies(dfg3, 6)) == 2     # Catalan(2)
 
-    dfg4, _ = parse_spec(_sum_src(4))
+    dfg4, _ = parse_spec(make_sum_src(4))
     topos = enumerate_topologies(dfg4, 6)
     assert len(topos) == 5                              # Catalan(3)
     assert topos[0][0] == "source"
 
-    dfg7, _ = parse_spec(_sum_src(7))
+    dfg7, _ = parse_spec(make_sum_src(7))
     assert len(enumerate_topologies(dfg7, 6)) == 2      # source + balanced only
 
 
 def test_topologies_are_distinct_and_valid():
-    dfg4, bindings = parse_spec(_sum_src(4))
+    dfg4, bindings = parse_spec(make_sum_src(4))
     seen = set()
     for label, topo in enumerate_topologies(dfg4, 6):
         (chain,) = find_chains(topo)
@@ -136,7 +132,7 @@ def test_fir4_balanced_topology_enumerated(fir4):
 
 def test_argmin_beats_every_enumerated_shape():
     cfg = Config(width=8, k_max=2, enable_chain_alloc=False)
-    src = _sum_src(4, sif=(1, 0, 7))
+    src = make_sum_src(4, sif=(1, 0, 7))
     dfg, bindings = parse_spec(src)
     best = topological_optimize(dfg, bindings, cfg)
     for label, topo in enumerate_topologies(dfg, cfg.n_max_topologies):
@@ -146,7 +142,7 @@ def test_argmin_beats_every_enumerated_shape():
 
 def test_symmetric_two_term_sum_is_stable():
     cfg = Config(width=8)
-    dfg, bindings = parse_spec(_sum_src(2, sif=(1, 0, 7)))
+    dfg, bindings = parse_spec(make_sum_src(2, sif=(1, 0, 7)))
     plan = topological_optimize(dfg, bindings, cfg)
     baseline = PlanBuilder(dfg, bindings, cfg).build()
     assert plan.cost == baseline.cost
@@ -209,7 +205,7 @@ def _chain_plan(dfg, bindings, cfg):
 
 
 def test_chain_accumulator_width_16_plus_log2():
-    dfg, bindings = parse_spec(_sum_src(8))
+    dfg, bindings = parse_spec(make_sum_src(8))
     cfg = Config(width=16)
     plan = _chain_plan(dfg, bindings, cfg)
     (acc,) = plan.accumulators
@@ -218,7 +214,7 @@ def test_chain_accumulator_width_16_plus_log2():
 
 
 def test_chain_dominates_pairwise_for_eight_terms():
-    dfg, bindings = parse_spec(_sum_src(8))
+    dfg, bindings = parse_spec(make_sum_src(8))
     cfg = Config(width=16)
     chain_plan = _chain_plan(dfg, bindings, cfg)
     pairwise = combinatorial_search(dfg, bindings, cfg)
@@ -227,7 +223,7 @@ def test_chain_dominates_pairwise_for_eight_terms():
 
 
 def test_two_term_sum_has_no_chain():
-    dfg, bindings = parse_spec(_sum_src(2))
+    dfg, bindings = parse_spec(make_sum_src(2))
     plan = _chain_plan(dfg, bindings, Config(width=16))
     assert plan.accumulators == ()
 
@@ -241,7 +237,7 @@ def test_fir4_chain_beats_pairwise():
 
 
 def test_chain_falls_back_when_accumulator_capped():
-    dfg, bindings = parse_spec(_sum_src(8))
+    dfg, bindings = parse_spec(make_sum_src(8))
     cfg = Config(width=16, accumulator_width_limit=17)
     plan = _chain_plan(dfg, bindings, cfg)
     assert plan.accumulators == ()          # fell back to pairwise
@@ -393,7 +389,7 @@ SKEWED_SUM = ("input x0 : sif(1/3/4);\n" +
     (SKEWED_SUM, Config(width=8)),
     # every plan is exact here: the source shape ties with the chain plan
     # and wins on candidate order
-    (_sum_src(4), Config(width=32)),
+    (make_sum_src(4), Config(width=32)),
 ])
 def test_shared_incumbent_returns_the_argmin(src, cfg):
     dfg, bindings = parse_spec(src)
@@ -401,14 +397,6 @@ def test_shared_incumbent_returns_the_argmin(src, cfg):
     want = _argmin_oracle(dfg, bindings, cfg)
     assert (got.topology, got.choices) == (want.topology, want.choices)
     assert emit_c(got).source == emit_c(want).source
-
-
-def _matvec_src(n: int) -> str:
-    return ("".join(f"input x{j} : sif(1/0/15);\n" for j in range(n))
-            + "".join(f"const a{i}{j} = 0.{i * n + j + 1};\n"
-                      for i in range(n) for j in range(n))
-            + "".join(f"output y{i} = " + " + ".join(f"a{i}{j}*x{j}" for j in range(n))
-                      + ";\n" for i in range(n)))
 
 
 def test_matvec3x3_step_count(monkeypatch):
@@ -420,7 +408,7 @@ def test_matvec3x3_step_count(monkeypatch):
         return step(self, *args, **kwargs)
 
     monkeypatch.setattr(PlanBuilder, "step", counted)
-    plan = synthesize(_matvec_src(3), Config(width=16))
+    plan = synthesize(make_matvec_src(3), Config(width=16))
     assert len(plan.output_ids) == 3
     assert calls[0] <= 20_000
 
@@ -435,6 +423,116 @@ def test_search_counters_logged(caplog):
     for line in lines:
         for counter in ("steps", "leaves", "incumbent prunes", "dominance prunes"):
             assert counter in line
-    # the chain plan comes first and cuts every topology on FIR-4
+    # the chain plan comes first, and its cost cuts every topology on FIR-4
+    # by the grid floor, before the topology's first step
     assert lines[0].startswith("search source+chain:")
-    assert all(line.endswith("cut by the incumbent") for line in lines[1:])
+    assert all(": 0 steps, " in line and line.endswith(", cut by the grid floor")
+               for line in lines[1:])
+
+
+def test_fir5_topologies_are_cut_by_the_grid_floor(caplog):
+    """The chain plan's bound cuts each of FIR-5's 14 pairwise topologies
+    before its first step."""
+    dfg, bindings = parse_spec(make_fir_src(["-0.150", "-0.896", "-0.196", "0.801", "0.511"]))
+    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
+        plan = topological_optimize(dfg, bindings, Config())
+    assert plan.topology == "source+chain"
+    lines = [r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer"]
+    assert len(lines) == 15 and lines[0].startswith("search source+chain:")
+    for line in lines[1:]:
+        assert line.split(": ", 1)[1] == ("0 steps, 0 leaves, 0 incumbent prunes, "
+                                          "0 dominance prunes, cut by the grid floor")
+
+
+# ---------------------------------------------------------------------------
+# the grid floor
+
+_FLOOR_FORMATS = [(1, 0, 0), (1, 0, 3), (1, 1, 2), (2, 0, 4), (1, 2, 5), (1, 0, 7), (1, 0, 15)]
+_FLOOR_CONSTS = [Fraction(-3, 4), Fraction(1, 2), Fraction(-1, 4), Fraction(2), Fraction(-1),
+                 Fraction(3, 10), Fraction(-7, 10), Fraction(1, 3), Fraction(-5, 7),
+                 Fraction(5, 4), Fraction(-9, 8)]
+
+
+def _random_floor_graph(rng: random.Random, width: int) -> tuple[Dfg, Bindings]:
+    """2-4 inputs of mixed formats that fit ``width`` bits (``sif(1/0/0)``
+    among them), two constants (negative, powers of two, non-dyadic),
+    products and sums that later nodes read again, a sum of three or four
+    terms that re-association reshapes, and two outputs."""
+    fmts = [f for f in _FLOOR_FORMATS if sum(f) <= width]
+    inputs = {f"v{k}": rng.choice(fmts) for k in range(rng.choice([2, 3, 4]))}
+    consts = {f"c{k}": rng.choice(_FLOOR_CONSTS) for k in range(2)}
+    names = list(inputs)
+    ops, pool = [], []
+    for k in range(rng.choice([2, 3])):
+        a = rng.choice(names)
+        c = rng.choice(list(consts)) if rng.random() < 0.8 else rng.choice(names)
+        ops.append((f"m{k}", NodeKind.MUL, (c, a) if rng.random() < 0.5 else (a, c),
+                    (False, False)))
+        pool.append(f"m{k}")
+    terms = pool + rng.sample(names, 1)
+    rng.shuffle(terms)
+    acc = terms[0]
+    for k, t in enumerate(terms[1:]):
+        ops.append((f"s{k}", NodeKind.ADD, (acc, t), (False, rng.random() < 0.3)))
+        acc = f"s{k}"
+    other = rng.choice(pool + names)
+    if rng.random() < 0.5:
+        ops.append(("u", NodeKind.ADD, (other, "s0"), (False, rng.random() < 0.5)))
+    else:
+        ops.append(("u", NodeKind.MUL, (rng.choice(list(consts)), other), (False, False)))
+    return make_graph(inputs, consts, ops, {"y0": acc, "y1": "u"})
+
+
+# Found by a random search. Without the b0 slack in gmin, the floor of y0
+# here exceeds its optimum at W=9: the optimum holds t1 = v0 - v1 in a
+# format whose range is too small for t1's exact range, which its computed
+# values come within the error of.
+SLACK_MATTERS = (make_graph(
+    {"v0": (1, 1, 0), "v1": (1, 1, 0)}, {"c0": Fraction(-7, 10), "c1": Fraction(1, 3)},
+    [("t0", NodeKind.MUL, ("c0", "v1"), (False, False)),
+     ("t1", NodeKind.ADD, ("v0", "v1"), (False, True)),
+     ("t3", NodeKind.ADD, ("t0", "t1"), (False, True)),
+     ("t4", NodeKind.MUL, ("c1", "t1"), (False, False))],
+    {"y0": "t4", "y1": "t3"}), Config(width=9, k_max=1))
+
+# Found by a random search. With v1 in sif(1/0/0), t0 = -0.7 * v1 lies in
+# [0, 0.7]; an extra truncation of t1 or t2 can floor it to a point, which
+# the next flooring takes by its exact remainder. Without the point guard
+# (a product c*u with c < 0 spans zero only if u's hi is > 0), the floor of
+# y0 exceeds its optimum at W=6.
+COLLAPSES_TO_A_POINT = (make_graph(
+    {"v0": (1, 0, 2), "v1": (1, 0, 0)}, {"c0": Fraction(3, 10), "c1": Fraction(-7, 10)},
+    [("t0", NodeKind.MUL, ("c1", "v1"), (False, False)),
+     ("t1", NodeKind.MUL, ("c0", "t0"), (False, False)),
+     ("t2", NodeKind.MUL, ("c0", "t1"), (False, False)),
+     ("t3", NodeKind.ADD, ("v0", "t2"), (False, False))],
+    {"y0": "t3", "y1": "t2"}), Config(width=6, k_max=1))
+
+
+def test_grid_floor_never_exceeds_a_topologys_optimum():
+    """With the incumbent set to a topology's own unpruned optimum, the floor
+    of every output is at most that output's error in the optimum."""
+    rng = random.Random(11)
+    cases = [SLACK_MATTERS, COLLAPSES_TO_A_POINT]
+    for _ in range(40):
+        width = rng.randint(6, 16)
+        cases.append((_random_floor_graph(rng, width),
+                      Config(width=width, k_max=rng.choice([1, 2]))))
+    checked = outputs = tight = 0
+    for (dfg, bindings), cfg in cases:
+        for label, topo in enumerate_topologies(dfg, cfg.n_max_topologies):
+            try:
+                best = combinatorial_search(topo, bindings, cfg, topology=label, prune=False)
+            except CannotFitError:
+                continue
+            builder = PlanBuilder(topo, bindings, cfg, topology=label)
+            floors = GridFloor().output_floors(
+                builder, ErrorBound.of(best.cost_key[0], builder.den))
+            assert floors is not None
+            for o, floor in zip(topo.output_ids, floors):
+                assert floor <= best.info[o].err, (label, o)
+                outputs += 1
+                tight += floor * 2 > best.info[o].err
+            checked += 1
+    # the floor is no vacuous 0: it reaches half the optimum on many outputs
+    assert checked >= 70 and tight * 3 >= outputs, (checked, outputs, tight)
