@@ -18,7 +18,7 @@ cfg = Config(width=8, enable_chain_alloc=False)
 dfg, bindings = parse_spec(skewed)
 
 print("per-topology predicted bounds (4-term sum, one wide operand, W=8):")
-for label, topo in enumerate_topologies(dfg, cfg.n_max_topologies):
+for label, topo in enumerate_topologies(dfg):
     plan = combinatorial_search(topo, bindings, cfg, topology=label)
     print(f"  {label:12s} bound={float(plan.cost):.4e}")
 best = topological_optimize(dfg, bindings, cfg)

@@ -11,13 +11,14 @@ from .analysis import (AccumulatorInfo, ErrorBound, Interval, NodeInfo, Plan,
                        check_plan, choose_const_format, find_chains,
                        infer_product_format, mul_error_bound, plan_add,
                        plan_truncate)
-from .codegen import EmittedArtifact, emit_c, emit_vhdl, quantize_const
+from .codegen import EmittedArtifact, emit_c, emit_vhdl
 from .config import Config
 from .core import (Dfg, Node, NodeKind, Quantize, ScaledSignal, SifFormat,
                    decode, encode, sif_width, topo_order)
 from .errors import (CannotFitError, CycleError, EmitError, FpsyntError,
                      InternalOverflowError, MalformedRawError, ParseError,
-                     RangeError, SpecError, ValidationError, VectorError)
+                     PlanCheckError, RangeError, SpecError, ValidationError,
+                     VectorError)
 from .optimizer import (combinatorial_search, enumerate_topologies,
                         topological_optimize)
 from .parser import Bindings, parse_spec, pretty_print, validate_formats

@@ -18,8 +18,10 @@ intervals are integer mantissas on a power-of-two exponent, grids are
 exponents, and error bounds are ``ErrorBound`` values n * 2^e / q with an
 odd q. A builder puts every constant's quantization error |c - q(c)| on one
 odd denominator, so adding or comparing two bounds is a shift and one
-integer operation. A finished ``Plan`` holds its bounds as ``Fraction``.
-The bounds are sound by construction and validated by simulation.
+integer operation. The rules take only ``ErrorBound``; a ``Fraction`` enters
+through ``ErrorBound.of``, and a finished ``Plan`` holds its bounds as
+``Fraction``. The bounds are sound by construction and validated by
+simulation.
 """
 
 from __future__ import annotations
@@ -29,10 +31,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .config import Config
+from .config import MAX_WIDTH, Config
 from .core import (Dfg, Node, NodeKind, ScaledSignal, SifFormat, _pow2_frac,
                    decode, encode, topo_order)
-from .errors import CannotFitError
+from .errors import CannotFitError, PlanCheckError
 from .parser import Bindings
 
 log = logging.getLogger("fpsynt.analysis")
@@ -46,7 +48,8 @@ class ErrorBound:
     bounds on one q add and compare by a shift and one integer operation
     (``+``, ``<=`` and ``>``, the search's hot operators, do it inline);
     unequal q, as a cross term e_a*e_b makes, go through their lcm.
-    Operators also take ``int`` and ``Fraction`` operands."""
+    Operands are ``ErrorBound`` only, and an ``int`` factor for ``*``.
+    Unhashable, as it is not normalized."""
 
     __slots__ = ("n", "e", "q")
 
@@ -54,11 +57,9 @@ class ErrorBound:
         self.n, self.e, self.q = n, e, q
 
     @staticmethod
-    def of(x, q: int = 1) -> "ErrorBound":
-        """``x`` (an ErrorBound, int or Fraction) as an ErrorBound; a
-        Fraction goes on ``q`` when its odd denominator divides ``q``."""
-        if type(x) is ErrorBound:
-            return x
+    def of(x: Fraction, q: int = 1) -> "ErrorBound":
+        """The exact number ``x`` as an ErrorBound, on ``q`` when its odd
+        denominator divides ``q``."""
         x = Fraction(x)
         d = x.denominator
         k = (d & -d).bit_length() - 1
@@ -76,11 +77,9 @@ class ErrorBound:
 
     def _pair(self, other) -> tuple[int, int, int, int] | None:
         """(n, m, e, q) with self = n * 2^e / q and other = m * 2^e / q, or
-        None when ``other`` is no exact number."""
+        None when ``other`` is no ErrorBound."""
         if type(other) is not ErrorBound:
-            if not isinstance(other, (int, Fraction)):
-                return None
-            other = ErrorBound.of(other)
+            return None
         n, e, q = self.n, self.e, self.q
         m, f, r = other.n, other.e, other.q
         if q != r:
@@ -99,8 +98,6 @@ class ErrorBound:
         p = self._pair(other)
         return NotImplemented if p is None else ErrorBound(p[0] + p[1], p[2], p[3])
 
-    __radd__ = __add__
-
     def __sub__(self, other):
         p = self._pair(other)
         return NotImplemented if p is None else ErrorBound(p[0] - p[1], p[2], p[3])
@@ -112,9 +109,7 @@ class ErrorBound:
         if type(other) is int:
             return ErrorBound(self.n * other, self.e, self.q)
         if type(other) is not ErrorBound:
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ErrorBound.of(other)
+            return NotImplemented
         return ErrorBound(self.n * other.n, self.e + other.e, self.q * other.q)
 
     __rmul__ = __mul__
@@ -144,9 +139,6 @@ class ErrorBound:
     def __ge__(self, other):
         p = self._pair(other)
         return NotImplemented if p is None else p[0] >= p[1]
-
-    def __hash__(self) -> int:
-        return hash(self.as_fraction())
 
     def __float__(self) -> float:
         e = self.e  # int / int is correctly rounded, as float(Fraction) is
@@ -236,8 +228,8 @@ class Interval:
 class NodeInfo:
     """Analysis result attached to one plan node.
 
-    ``err`` is an ``ErrorBound`` while a builder works and a ``Fraction`` in
-    a finished ``Plan``; the rules take either.
+    ``err`` is an ``ErrorBound`` while a builder works, and the rules take
+    only that; a finished ``Plan`` holds it as a ``Fraction``.
 
     ``eff`` = 2^``eff_exp`` is the effective value grid: the coarsest power
     of two every reachable value of the node is a multiple of. It can be
@@ -359,7 +351,7 @@ def plan_truncate(info: NodeInfo, target_width: int) -> TruncSpec | None:
                              signal=out,
                              interval=floored,
                              added_error=floor_loss(info.eff_exp, grid_exp, interval,
-                                                    ErrorBound.of(info.err).q),
+                                                    info.err.q),
                              eff_exp=max(info.eff_exp, grid_exp))
     raise CannotFitError(
         f"cannot truncate {fmt} to {target_width} bits: integer part alone needs "
@@ -391,12 +383,11 @@ def _shift_view(info: NodeInfo, shift: int, f_star: int, e_star: int) -> NodeInf
     delta = fmt.f - f_star
     assert delta >= 0
     new_sig = ScaledSignal(SifFormat(fmt.s, fmt.i + delta, f_star), e_star)
-    err = ErrorBound.of(info.err)
     if shift == 0:
-        return NodeInfo(new_sig, info.interval, err, info.eff_exp)
+        return NodeInfo(new_sig, info.interval, info.err, info.eff_exp)
     grid_exp = e_star - f_star
     return NodeInfo(new_sig, info.interval.floor_to(grid_exp),
-                    err + floor_loss(info.eff_exp, grid_exp, info.interval, err.q),
+                    info.err + floor_loss(info.eff_exp, grid_exp, info.interval, info.err.q),
                     max(info.eff_exp, grid_exp))
 
 
@@ -449,7 +440,7 @@ def mul_error_bound(a: NodeInfo, b: NodeInfo) -> ErrorBound:
     to max(e_a, e_b): a |factor| < 1 can genuinely shrink an absolute error,
     but keeping bounds non-decreasing along every path is what makes
     branch-and-bound pruning admissible, and a larger bound stays sound."""
-    ea, eb = ErrorBound.of(a.err), ErrorBound.of(b.err)
+    ea, eb = a.err, b.err
     ia, ib = a.interval, b.interval
     err = eb.scaled(ia.m_abs, ia.exp) + ea.scaled(ib.m_abs, ib.exp)
     if ea.n and eb.n:
@@ -857,7 +848,8 @@ class PlanBuilder:
     def _try_chain(self, ctx: _Ctx, chain: Chain) -> bool:
         W = self.config.width
         w_acc = W + math.ceil(math.log2(chain.n_terms))
-        if w_acc > self.config.accumulator_width_limit:
+        # the accumulator opens with the first term, taken positive
+        if w_acc > MAX_WIDTH or chain.terms[0][1] < 0:
             return False
         term_infos = [ctx.info[ctx.alias[tid]] for tid, _ in chain.terms]
         if any(t.signal.scale != 0 for t in term_infos):
@@ -870,7 +862,7 @@ class PlanBuilder:
                      for t in term_infos]
             ok = all(1 + _min_integer_bits(v, f_acc, 0) + f_acc <= w_acc for v in views)
             if ok:
-                run = views[0] if chain.terms[0][1] > 0 else -views[0]
+                run = views[0]
                 prefixes = [run]
                 for (tid, sign), v in zip(chain.terms[1:], views[1:]):
                     run = run + (v if sign > 0 else -v)
@@ -895,7 +887,6 @@ class PlanBuilder:
             refs.append(ref)
 
         running = refs[0]
-        assert chain.terms[0][1] > 0, "chain cannot open with a negated term"
         for j, ((tid, sign), prefix) in enumerate(zip(chain.terms[1:], prefixes[1:]), 1):
             aid = chain.root if j == chain.n_terms - 1 else ctx.fresh(f"{chain.root}_acc{j}")
             i_p = _min_integer_bits(prefix, f_acc, 0)
@@ -936,13 +927,18 @@ class PlanBuilder:
         return self.finish(ctx)
 
 
-def check_plan(plan: Plan):
-    """Assert the analysis invariants of a finished plan.
+def _require(ok: bool, message: str, *args):
+    if not ok:
+        raise PlanCheckError(message % args)
 
-    Raises AssertionError on: a value interval escaping its format range
+
+def check_plan(plan: Plan):
+    """Check the analysis invariants of a finished plan.
+
+    Raises PlanCheckError on: a value interval escaping its format range
     (overflow risk), a persisted signal wider than the word width, addition
-    operands on unequal grids, a negative scale exponent, or an error bound
-    decreasing along an edge.
+    operands on unequal grids, a negative scale exponent or error bound, or
+    an error bound decreasing along an edge.
     """
     W = plan.config.width
     acc_widths = {a.root: a.width for a in plan.accumulators}
@@ -955,18 +951,18 @@ def check_plan(plan: Plan):
         d = info.signal.grid_exp - iv.exp
         lo, hi, m_lo, m_hi = (fmt.min_raw << d, fmt.max_raw << d, iv.m_lo, iv.m_hi) if d >= 0 \
             else (fmt.min_raw, fmt.max_raw, iv.m_lo << -d, iv.m_hi << -d)
-        assert lo <= m_lo and m_hi <= hi, f"interval of '{node.id}' escapes its format"
-        assert info.signal.scale >= 0, f"negative scale at '{node.id}'"
-        assert info.err >= 0
+        _require(lo <= m_lo and m_hi <= hi, "interval of '%s' escapes its format", node.id)
+        _require(info.signal.scale >= 0, "negative scale at '%s'", node.id)
+        _require(info.err >= 0, "negative error bound at '%s'", node.id)
         if node.kind is NodeKind.MUL:
-            assert info.width <= 2 * W, f"product '{node.id}' beyond 2W bits"
+            _require(info.width <= 2 * W, "product '%s' beyond 2W bits", node.id)
         elif node.id in plan.wide_ids:
-            assert info.width <= max_acc, f"wide node '{node.id}' beyond accumulator width"
+            _require(info.width <= max_acc, "wide node '%s' beyond accumulator width", node.id)
         else:
-            assert info.width <= W, f"node '{node.id}' is {info.width} bits, W={W}"
+            _require(info.width <= W, "node '%s' is %d bits, W=%d", node.id, info.width, W)
         if node.kind is NodeKind.ADD:
             a, b = (plan.info[op] for op in node.operands)
-            assert a.signal.grid_exp == b.signal.grid_exp, f"unaligned add '{node.id}'"
+            _require(a.signal.grid_exp == b.signal.grid_exp, "unaligned add '%s'", node.id)
         for op in node.operands:
-            assert plan.info[op].err <= info.err, \
-                f"error bound shrank from '{op}' to '{node.id}'"
+            _require(plan.info[op].err <= info.err,
+                     "error bound shrank from '%s' to '%s'", op, node.id)

@@ -6,8 +6,9 @@
 
 Exit codes: 0 ok, 1 parse/validation error or bad option value (such as
 --random outside 1 to MAX_RANDOM_VECTORS = 10^7, which bounds the memory
-of the vector matrix), 2 cannot-fit, 3 I/O error, 4 malformed vector
-file. Set FPSYNT_LOG=debug|info|warning for logging.
+of the vector matrix) or a plan that fails check_plan (PlanCheckError, a
+planner bug), 2 cannot-fit, 3 I/O error, 4 malformed vector file. Set
+FPSYNT_LOG=debug|info|warning for logging.
 """
 
 from __future__ import annotations

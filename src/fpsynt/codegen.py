@@ -15,26 +15,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import __version__
 from .analysis import Plan
-from .core import NodeKind, render_infix, round_half_away
-from .errors import CannotFitError, EmitError
-
-
-def quantize_const(value, f: int, width: int | None = None) -> int:
-    """Integer literal for a real constant at f fraction bits: the nearest
-    integer to value * 2^f, ties away from zero. With ``width`` given,
-    rejects constants whose magnitude reaches 2^(width - f - 1), i.e. would
-    not fit the working word."""
-    c = Fraction(value)
-    if width is not None:
-        e = width - f - 1
-        limit = Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
-        if abs(c) >= limit:
-            raise CannotFitError(f"constant {float(c)} too large for width {width} at f={f}")
-    return round_half_away(c * (1 << f))
+from .core import NodeKind, render_infix
+from .errors import EmitError
 
 
 @dataclass(frozen=True)

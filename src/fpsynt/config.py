@@ -18,36 +18,32 @@ class Config:
         products may reach 2*W before the mandatory truncation).
     k_max: extra right-shift / extra-truncation candidates explored per node;
         0 turns the combinatorial search off (one candidate per node).
-    n_max_topologies: addition chains up to this many terms are re-associated
-        exhaustively (Catalan(n-1) shapes); longer chains try only the
-        balanced tree and the source shape.
-    accumulator_width_limit: hard cap on chain-accumulator width; chains that
-        would exceed it fall back to pairwise pre-scaling.
+    enable_topology_opt: re-associate addition chains, exhaustively up to
+        ``optimizer.N_MAX_TOPOLOGIES`` terms.
+    enable_chain_alloc: try each addition chain on one accumulator of at
+        most ``MAX_WIDTH`` bits (``as_dict``'s ``accumulator_width_limit``).
     """
 
     width: int = 16
     quantize: Quantize = Quantize.ROUND
     k_max: int = 3
-    n_max_topologies: int = 6
     enable_topology_opt: bool = True
     enable_chain_alloc: bool = True
-    accumulator_width_limit: int = 64
 
     def __post_init__(self):
         if not MIN_WIDTH <= self.width <= MAX_WIDTH:
             raise ValueError(f"width must be in [{MIN_WIDTH}, {MAX_WIDTH}], got {self.width}")
         if self.k_max < 0:
             raise ValueError("k_max must be >= 0")
-        if self.n_max_topologies < 2:
-            raise ValueError("n_max_topologies must be >= 2")
 
     def as_dict(self) -> dict:
+        from .optimizer import N_MAX_TOPOLOGIES  # optimizer imports this module
         return {
             "width": self.width,
             "quantize": self.quantize.value,
             "k_max": self.k_max,
-            "n_max_topologies": self.n_max_topologies,
+            "n_max_topologies": N_MAX_TOPOLOGIES,
             "enable_topology_opt": self.enable_topology_opt,
             "enable_chain_alloc": self.enable_chain_alloc,
-            "accumulator_width_limit": self.accumulator_width_limit,
+            "accumulator_width_limit": MAX_WIDTH,
         }

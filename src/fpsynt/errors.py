@@ -32,6 +32,10 @@ class CannotFitError(FpsyntError):
     """A value or signal cannot be represented within the configured word width."""
 
 
+class PlanCheckError(FpsyntError):
+    """A finished plan breaks an analysis invariant: a planner bug, not a user error."""
+
+
 class MalformedRawError(FpsyntError):
     """A raw integer is inconsistent with its format (redundant sign bits disagree)."""
 

@@ -57,6 +57,9 @@ from .parser import Bindings
 
 log = logging.getLogger("fpsynt.optimizer")
 
+# addition chains up to this many terms are re-associated exhaustively
+# (Catalan(n-1) shapes); longer ones try only the balanced tree
+N_MAX_TOPOLOGIES = 6
 _MAX_TOPOLOGY_PRODUCT = 1024
 
 _COUNTERS = "search %s: %d steps, %d leaves, %d incumbent prunes, %d dominance prunes%s"
@@ -590,7 +593,7 @@ def _rebuild_chain(nodes: list[Node], chain: Chain, shape, used: set[str]) -> li
     return out
 
 
-def enumerate_topologies(dfg: Dfg, n_max: int) -> list[tuple[str, Dfg]]:
+def enumerate_topologies(dfg: Dfg, n_max: int = N_MAX_TOPOLOGIES) -> list[tuple[str, Dfg]]:
     """All distinct re-associations of the graph's addition chains.
 
     The source topology always comes first. Chains with more than ``n_max``
@@ -642,7 +645,7 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     errors are joined in rank order.
     """
     if config.enable_topology_opt:
-        topologies = enumerate_topologies(dfg, config.n_max_topologies)
+        topologies = enumerate_topologies(dfg)
     else:
         topologies = [("source", dfg)]
     candidates = [(rank, label, topo, frozenset())

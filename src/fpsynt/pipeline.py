@@ -13,7 +13,8 @@ def synthesize(source: str, config: Config | None = None) -> Plan:
     """Compile .fps source into a fully fixed synthesis plan.
 
     Raises ParseError/ValidationError for bad input, CannotFitError when no
-    overflow-free datapath exists at the configured word width.
+    overflow-free datapath exists at the configured word width, and
+    PlanCheckError if the plan breaks an analysis invariant.
     """
     config = config or Config()
     dfg, bindings = parse_spec(source)

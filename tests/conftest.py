@@ -5,7 +5,8 @@ exact_eval walks the parsed tree with plain Fraction arithmetic and
 interval_eval propagates bounds the brute-force way, so tests compare two
 independently written computations. interpret_c_expression evaluates an
 emitted C expression with C semantics, the differential oracle where no C
-compiler exists.
+compiler exists. quantize_const is a constant quantizer written apart from
+the library's ``encode``.
 """
 
 import ast
@@ -64,6 +65,15 @@ def make_matvec_src(n: int) -> str:
                       for i in range(n) for j in range(n))
             + "".join(f"output y{i} = " + " + ".join(f"a{i}{j}*x{j}" for j in range(n))
                       + ";\n" for i in range(n)))
+
+
+def quantize_const(value, f: int) -> int:
+    """Integer literal for a real constant at f fraction bits: the nearest
+    integer to value * 2^f, ties away from zero."""
+    scaled = Fraction(value) * (1 << f)
+    whole, rest = divmod(abs(scaled.numerator), scaled.denominator)
+    magnitude = whole + (2 * rest >= scaled.denominator)
+    return magnitude if scaled >= 0 else -magnitude
 
 
 def exact_eval(dfg, bindings, values: dict) -> dict:

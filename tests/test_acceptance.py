@@ -12,10 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from fpsynt.analysis import PlanBuilder, find_chains
-from fpsynt.codegen import emit_c, quantize_const
+from fpsynt.analysis import PlanBuilder, choose_const_format, find_chains
+from fpsynt.codegen import emit_c
 from fpsynt.config import Config
-from fpsynt.core import SifFormat, decode, sif_width
+from fpsynt.core import SifFormat, decode, encode, sif_width
 from fpsynt.errors import CannotFitError
 from fpsynt.optimizer import (combinatorial_search, enumerate_topologies,
                               topological_optimize)
@@ -54,8 +54,10 @@ def test_criterion_02_decode_worked_example():
 
 
 def test_criterion_03_quantized_constants():
-    a = quantize_const(Fraction(15, 100), 25)
-    b = quantize_const(Fraction(5, 100), 28)
+    # the library's one quantizer: encode onto the format choose_const_format
+    # picks, at W=26 and W=29 the fraction lengths 25 and 28
+    a, b = (encode(v, choose_const_format(v, width))
+            for v, width in ((Fraction(15, 100), 26), (Fraction(5, 100), 29)))
     _report(3, "reference C constants", (a, b) == (5033165, 13421773), f"{a}, {b}")
 
 
@@ -179,7 +181,7 @@ def test_criterion_08_topology_argmin():
            + "output y = x0 + x1 + x2 + x3;\n")
     cfg = Config(width=8, enable_chain_alloc=False)
     dfg, bindings = parse_spec(src)
-    topos = enumerate_topologies(dfg, cfg.n_max_topologies)
+    topos = enumerate_topologies(dfg)
     best = topological_optimize(dfg, bindings, cfg)
     shape_costs = [combinatorial_search(t, bindings, cfg, topology=l).cost
                    for l, t in topos]

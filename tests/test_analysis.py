@@ -15,7 +15,7 @@ from fpsynt.analysis import (ErrorBound, Interval, NodeInfo, PlanBuilder, _min_i
                              mul_error_bound, plan_add, plan_truncate)
 from fpsynt.config import Config
 from fpsynt.core import Node, NodeKind, ScaledSignal, SifFormat, decode
-from fpsynt.errors import CannotFitError
+from fpsynt.errors import CannotFitError, PlanCheckError
 from fpsynt.parser import parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import run_fixed_columns
@@ -23,7 +23,7 @@ from fpsynt.simulator import run_fixed_columns
 from conftest import FIR4_SRC, exact_eval, interval_eval
 
 
-def info(fmt, scale=0, interval=None, err=Fraction(0)):
+def info(fmt, scale=0, interval=None, err=ErrorBound(0)):
     sig = ScaledSignal(fmt, scale)
     if interval is None:
         interval = Interval(sig.min_value, sig.max_value)
@@ -156,7 +156,7 @@ def test_truncate_one_bit_error_matches_summary_ulp():
     base = info(SifFormat(1, 0, 15))
     spec = plan_truncate(base, 15)
     assert spec.drop_f == 1
-    assert spec.added_error == Fraction(1, 1 << 15)
+    assert spec.added_error.as_fraction() == Fraction(1, 1 << 15)
     assert abs(float(spec.added_error) - 0.000031) < 2e-6
 
 
@@ -171,11 +171,11 @@ def test_truncate_product_to_word_width():
     x = Interval(Fraction(-1), Fraction(1) - Fraction(1, 1 << 15))
     c = Fraction(4915, 1 << 15)
     w = Interval(c, c)
-    base = NodeInfo(ScaledSignal(SifFormat(2, 0, 30)), x * w, Fraction(0))
+    base = NodeInfo(ScaledSignal(SifFormat(2, 0, 30)), x * w, ErrorBound(0))
     spec = plan_truncate(base, 16)
     assert spec.signal.fmt == SifFormat(1, 0, 15)
     assert spec.drop_f == 15 and spec.drop_msbs == 1
-    assert spec.added_error == Fraction((1 << 15) - 1, 1 << 30)
+    assert spec.added_error.as_fraction() == Fraction((1 << 15) - 1, 1 << 30)
 
 
 def test_truncate_exhaustive_loss_oracle():
@@ -254,7 +254,7 @@ def test_prescale_error_accounts_shift_loss():
     base = info(SifFormat(1, 0, 15))
     spec = plan_add(base, base, (False, False), width=16)
     per_shift = Fraction(1, 1 << 15)
-    assert spec.result.err == 2 * per_shift
+    assert spec.result.err.as_fraction() == 2 * per_shift
 
 
 # ---------------------------------------------------------------------------
@@ -296,19 +296,19 @@ def test_two_tap_bound_dominates_exhaustive_simulation():
 
 def test_mul_error_formula():
     a = NodeInfo(ScaledSignal(SifFormat(1, 0, 15)), Interval(Fraction(-1), Fraction(1)),
-                 Fraction(1, 1000))
+                 ErrorBound.of(Fraction(1, 1000)))
     b = NodeInfo(ScaledSignal(SifFormat(1, 1, 14)), Interval(Fraction(-2), Fraction(2)),
-                 Fraction(1, 500))
+                 ErrorBound.of(Fraction(1, 500)))
     got = mul_error_bound(a, b)
     expected = 1 * Fraction(1, 500) + 2 * Fraction(1, 1000) + Fraction(1, 1000) * Fraction(1, 500)
-    assert got == expected
+    assert got.as_fraction() == expected
 
 
 def test_mul_error_clamped_for_monotonicity():
     c = Fraction(328, 1 << 15)  # 0.01 quantized to (1/0/15)
-    tiny = NodeInfo(ScaledSignal(SifFormat(1, 0, 15)), Interval(c, c), Fraction(0))
+    tiny = NodeInfo(ScaledSignal(SifFormat(1, 0, 15)), Interval(c, c), ErrorBound(0))
     noisy = NodeInfo(ScaledSignal(SifFormat(1, 0, 15)),
-                     Interval(Fraction(-1), Fraction(1)), Fraction(1, 64))
+                     Interval(Fraction(-1), Fraction(1)), ErrorBound.of(Fraction(1, 64)))
     # the raw formula would shrink the bound below the operand's; the
     # accumulated bound must not decrease along the path
     assert mul_error_bound(tiny, noisy) >= noisy.err
@@ -351,7 +351,7 @@ def test_check_plan_rejects_an_interval_one_lsb_outside_its_format():
                             (2 * fmt.min_raw - 1, 0, g - 1), (0, 2 * fmt.max_raw + 1, g - 1),
                             (-(-fmt.min_raw // 2) - 1, 0, g + 1)]:
         plan.info[y] = NodeInfo(info.signal, Interval.from_raws(m_lo, m_hi, exp), info.err)
-        with pytest.raises(AssertionError, match="escapes its format"):
+        with pytest.raises(PlanCheckError, match="escapes its format"):
             check_plan(plan)
 
 
@@ -415,9 +415,9 @@ def test_error_bound_arithmetic_matches_fraction(pair, m, x):
     a, b = pair
     fa, fb = a.as_fraction(), b.as_fraction()
     assert fa == Fraction(a.n * Fraction(2) ** a.e, a.q)
-    for got, want in [(a + b, fa + fb), (a - b, fa - fb), (a + fb, fa + fb),
-                      (fb + a, fa + fb), (a.scaled(m, x), fa * m * Fraction(2) ** x),
-                      (a * b, fa * fb), (m * a, m * fa), (a * fb, fa * fb),
+    for got, want in [(a + b, fa + fb), (b + a, fa + fb), (a - b, fa - fb),
+                      (a.scaled(m, x), fa * m * Fraction(2) ** x),
+                      (a * b, fa * fb), (m * a, m * fa), (a * m, m * fa),
                       (-a, -fa), (-a - b, -fa - fb)]:
         assert type(got) is ErrorBound
         assert got.as_fraction() == want and got.q % 2 == 1
@@ -425,7 +425,7 @@ def test_error_bound_arithmetic_matches_fraction(pair, m, x):
     # every odd denominator drawn divides 105, so the value goes on 105
     on_105 = ErrorBound.of(fa, 105)
     assert on_105.q == 105 and on_105.as_fraction() == fa
-    assert ErrorBound.of(a) is a
+    assert ErrorBound.of(fa).as_fraction() == fa
 
 
 @given(bound_pairs())
@@ -433,13 +433,32 @@ def test_error_bound_arithmetic_matches_fraction(pair, m, x):
 def test_error_bound_comparisons_match_fraction(pair):
     a, b = pair
     fa, fb = a.as_fraction(), b.as_fraction()
-    for y, fy in [(b, fb), (fb, fb), (a, fa), (fa, fa), (0, 0)]:
+    zero = ErrorBound(0, 0, a.q)
+    for y, fy in [(b, fb), (a, fa), (zero, 0)]:
         assert (a < y, a <= y, a == y, a != y, a > y, a >= y) == \
             (fa < fy, fa <= fy, fa == fy, fa != fy, fa > fy, fa >= fy)
         assert (y < a, y <= a, y == a, y > a, y >= a) == \
             (fy < fa, fy <= fa, fy == fa, fy > fa, fy >= fa)
-    assert hash(a) == hash(fa)
-    assert (a == "0", a == 0.0) == (False, False)
+
+
+@given(error_bounds())
+@settings(max_examples=100, deadline=None)
+def test_error_bound_takes_no_other_number(a):
+    """Only an ErrorBound is an operand, and an int factor of ``*``: mixing
+    in a Fraction, int or float is a TypeError, or unequal for ``==``."""
+    fa = a.as_fraction()
+    for y in (fa, Fraction(0), 0, 0.0):
+        for op in ((lambda: a + y), (lambda: y + a), (lambda: a - y), (lambda: a < y),
+                   (lambda: y < a), (lambda: a <= y), (lambda: a > y), (lambda: a >= y)):
+            with pytest.raises(TypeError):
+                op()
+        assert not a == y and a != y and not y == a
+    for y in (fa, 0.5):
+        with pytest.raises(TypeError):
+            a * y
+    assert a != "0"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(a)
 
 
 @given(error_bounds())
@@ -449,18 +468,18 @@ def test_error_bound_float_is_bit_equal_to_fraction(a):
 
 
 def test_rules_take_fraction_errors_and_return_error_bounds():
-    # a caller-built NodeInfo may hold a Fraction error; the rules coerce it
-    a = info(SifFormat(1, 0, 15), err=Fraction(1, 3000))
+    # a Fraction error enters through ErrorBound.of; the rules return ErrorBound
+    a = info(SifFormat(1, 0, 15), err=ErrorBound.of(Fraction(1, 3000)))
     assert type(mul_error_bound(a, a)) is ErrorBound
     spec = plan_add(a, a, (False, False), width=16)
     assert type(spec.result.err) is ErrorBound
-    assert spec.result.err == 2 * Fraction(1, 3000) + 2 * Fraction(1, 1 << 15)
+    assert spec.result.err.as_fraction() == 2 * Fraction(1, 3000) + 2 * Fraction(1, 1 << 15)
     small = info(SifFormat(1, 0, 15), interval=Interval(Fraction(-1, 4), Fraction(1, 4)),
-                 err=Fraction(1, 3000))
+                 err=ErrorBound.of(Fraction(1, 3000)))
     unshifted = plan_add(small, small, (False, False), width=16)
     assert unshifted.shift_a == unshifted.shift_b == 0
     assert type(unshifted.result.err) is ErrorBound
-    assert unshifted.result.err == 2 * Fraction(1, 3000)
+    assert unshifted.result.err.as_fraction() == 2 * Fraction(1, 3000)
     assert type(plan_truncate(a, 15).added_error) is ErrorBound
 
 
@@ -519,11 +538,11 @@ def ref_add(a: NodeInfo, b: NodeInfo, negate, width: int, extra: int):
         fmt = info.signal.fmt
         e_star = info.signal.scale + shift - (fmt.f - f_star)
         sig = ScaledSignal(SifFormat(fmt.s, fmt.i + fmt.f - f_star, f_star), e_star)
-        lo, hi = info.interval.lo, info.interval.hi
+        lo, hi, err = info.interval.lo, info.interval.hi, info.err.as_fraction()
         if not shift:
-            return shift, (sig, lo, hi, info.err, info.eff)
+            return shift, (sig, lo, hi, err, info.eff)
         loss = ref_floor_loss(info.eff, g, lo, hi)
-        return shift, (sig, ref_floor(lo, g), ref_floor(hi, g), info.err + loss,
+        return shift, (sig, ref_floor(lo, g), ref_floor(hi, g), err + loss,
                        max(info.eff, g))
 
     def attempt(g: Fraction):
@@ -558,7 +577,7 @@ def on_grid_infos(draw, max_f: int = 12):
     lo = draw(raws)
     hi = lo if draw(st.booleans()) else draw(raws)
     lo, hi = sorted((lo << coarse, hi << coarse))
-    err = Fraction(draw(st.integers(0, 50)), 3 << draw(st.integers(0, 16)))
+    err = ErrorBound.of(Fraction(draw(st.integers(0, 50)), 3 << draw(st.integers(0, 16))))
     return NodeInfo(sig, Interval(lo * sig.grid, hi * sig.grid), err,
                     sig.grid_exp + coarse)
 
@@ -631,7 +650,7 @@ def test_plan_truncate_matches_fraction_reference(info, target):
         assert spec is None
         return
     assert (spec.drop_f, spec.drop_msbs, spec.signal, spec.interval.lo, spec.interval.hi,
-            spec.added_error, Fraction(2) ** spec.eff_exp) == want
+            spec.added_error.as_fraction(), Fraction(2) ** spec.eff_exp) == want
 
 
 @given(on_grid_infos(), on_grid_infos(),
@@ -643,7 +662,7 @@ def test_plan_add_matches_fraction_reference(a, b, negate, headroom, extra):
     spec = plan_add(a, b, negate, width, extra)
 
     def read(v: NodeInfo):
-        return (v.signal, v.interval.lo, v.interval.hi, v.err, v.eff)
+        return (v.signal, v.interval.lo, v.interval.hi, v.err.as_fraction(), v.eff)
 
     assert (spec.shift_a, spec.shift_b, read(spec.a_view), read(spec.b_view),
             read(spec.result)) == ref_add(a, b, negate, width, extra)

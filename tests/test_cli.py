@@ -171,6 +171,29 @@ def test_console_entry_point(fir4_spec, tmp_path):
     assert (tmp_path / "o" / "report.json").exists()
 
 
+_CORRUPT_AND_CHECK = """\
+import sys
+from fpsynt import Interval, NodeInfo, PlanCheckError, check_plan, synthesize
+plan = synthesize(open(sys.argv[1]).read())
+info = plan.info["y"]
+sig = info.signal
+plan.info["y"] = NodeInfo(sig, Interval.from_raws(0, sig.fmt.max_raw + 1, sig.grid_exp), info.err)
+try:
+    check_plan(plan)
+except PlanCheckError as e:
+    print(sys.flags.optimize, e)
+"""
+
+
+def test_check_plan_raises_under_python_O(fir4_spec):
+    """``check_plan`` still rejects a plan when ``python -O`` strips asserts:
+    an interval one LSB past its format raises PlanCheckError."""
+    proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_AND_CHECK, str(fir4_spec)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "1 interval of 'y' escapes its format\n"
+
+
 @pytest.mark.parametrize("args,message", [
     (["synth", "--width", "100"], "width must be in [4, 64], got 100"),
     (["synth", "--width", "3"], "width must be in [4, 64], got 3"),

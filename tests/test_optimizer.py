@@ -17,7 +17,7 @@ from fpsynt.optimizer import (GridFloor, combinatorial_search, enumerate_topolog
                               topological_optimize)
 from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
-from fpsynt.simulator import run_fixed_columns
+from fpsynt.simulator import run_fixed_columns, run_reference_columns
 
 from conftest import (FIR4_SRC, exact_eval, make_fir_src, make_graph, make_matvec_src,
                       make_sum_src)
@@ -135,7 +135,7 @@ def test_argmin_beats_every_enumerated_shape():
     src = make_sum_src(4, sif=(1, 0, 7))
     dfg, bindings = parse_spec(src)
     best = topological_optimize(dfg, bindings, cfg)
-    for label, topo in enumerate_topologies(dfg, cfg.n_max_topologies):
+    for label, topo in enumerate_topologies(dfg):
         candidate = combinatorial_search(topo, bindings, cfg, topology=label)
         assert best.cost <= candidate.cost
 
@@ -237,11 +237,34 @@ def test_fir4_chain_beats_pairwise():
 
 
 def test_chain_falls_back_when_accumulator_capped():
+    # an 8-term chain needs W + 3 bits, and the cap is MAX_WIDTH = 64
     dfg, bindings = parse_spec(make_sum_src(8))
-    cfg = Config(width=16, accumulator_width_limit=17)
-    plan = _chain_plan(dfg, bindings, cfg)
+    plan = _chain_plan(dfg, bindings, Config(width=62))
     assert plan.accumulators == ()          # fell back to pairwise
     check_plan(plan)
+    (acc,) = _chain_plan(dfg, bindings, Config(width=61)).accumulators
+    assert acc.width == 64
+
+
+def test_chain_opened_by_a_negated_term_falls_back_soundly():
+    # t2 = ((-x + c) + x) + c: the chain's first term is negated, so the
+    # chain plan falls back to pairwise adds instead of failing
+    dfg, bindings = make_graph(
+        {"x": (1, 0, 6)}, {"c": Fraction(1, 3)},
+        [("t0", NodeKind.ADD, ("x", "c"), (True, False)),
+         ("t1", NodeKind.ADD, ("t0", "x"), (False, False)),
+         ("t2", NodeKind.ADD, ("t1", "c"), (False, False))],
+        {"y": "t2"})
+    assert find_chains(dfg)[0].terms[0] == ("x", -1)
+    plan = topological_optimize(dfg, bindings, Config(width=8))
+    check_plan(plan)
+    assert (plan.topology, plan.cost) == ("t2:1", Fraction(5, 96))
+    raws = np.arange(-64, 64).reshape(-1, 1)
+    got = run_fixed_columns(plan, raws)["y"]
+    want = run_reference_columns(plan, raws, "exact")["y"]
+    grid = plan.info["y"].signal.grid
+    assert max(abs(g * grid - w) for g, w in zip(got.tolist(), want, strict=True)) \
+        <= plan.cost
 
 
 def test_chain_selected_by_default_pipeline():
@@ -366,7 +389,7 @@ def _argmin_oracle(dfg, bindings, cfg):
     """Independent, unbounded search of every topology plus the chain plan,
     ranked by (cost, inserted formatting nodes, candidate order)."""
     plans = []
-    for label, topo in enumerate_topologies(dfg, cfg.n_max_topologies):
+    for label, topo in enumerate_topologies(dfg):
         try:
             plans.append(combinatorial_search(topo, bindings, cfg, topology=label,
                                               source=dfg))
@@ -520,7 +543,7 @@ def test_grid_floor_never_exceeds_a_topologys_optimum():
                       Config(width=width, k_max=rng.choice([1, 2]))))
     checked = outputs = tight = 0
     for (dfg, bindings), cfg in cases:
-        for label, topo in enumerate_topologies(dfg, cfg.n_max_topologies):
+        for label, topo in enumerate_topologies(dfg):
             try:
                 best = combinatorial_search(topo, bindings, cfg, topology=label, prune=False)
             except CannotFitError:
@@ -530,6 +553,7 @@ def test_grid_floor_never_exceeds_a_topologys_optimum():
                 builder, ErrorBound.of(best.cost_key[0], builder.den))
             assert floors is not None
             for o, floor in zip(topo.output_ids, floors):
+                floor = floor.as_fraction()
                 assert floor <= best.info[o].err, (label, o)
                 outputs += 1
                 tight += floor * 2 > best.info[o].err
