@@ -3,8 +3,9 @@ count for a fixed set of specs.
 
 A change to the analyzer's arithmetic or to the search must leave plans,
 C (both shift styles), VHDL and ``report.json`` byte for byte as they are,
-and a change in the number of ``PlanBuilder.step`` calls is a change in
-the search's behaviour. The specs are ``demos/specs/fir4.fps``, copies of
+and a change in the number of ``PlanBuilder.step`` calls, or in the
+leaves and prunes of the ``fpsynt.optimizer`` counter lines, is a change
+in the search's behaviour. The specs are ``demos/specs/fir4.fps``, copies of
 the benchmark's FIR-5, Horner-8, ``matvec2x3`` and ``matvec2x2`` sources,
 two of acceptance criterion 06's fuzz specs under that criterion's config,
 and three larger rungs: FIR-32, an 80-term sum and ``matvec4x4``. FIR-64
@@ -13,6 +14,7 @@ non-decimal constants pins every node's exact error bound.
 """
 
 import hashlib
+import logging
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,58 +128,69 @@ def _fuzz_config(width: int, chain: bool) -> Config:
 
 
 # name: (source, config, PlanBuilder.step calls, then the sha256 of the C,
-#        the C with portable shifts, the VHDL and report.json)
+#        the C with portable shifts, the VHDL, report.json and the
+#        fpsynt.optimizer INFO lines joined by newlines)
 GOLDEN = {
     "fir4": (FIR4, Config(width=16), 14,
         "d0947d561794953f24842abd40c591f4f6fef68027d1fb6698fb56ce03e70b62",
         "56310abc2a9135a7c4ab772e1d3eed896709135feb68cc988436a0fe7a9a7c5c",
         "3a2bcc555a318fcb735eb1999870af05c7e63118527eba83cd4409edbbba727a",
-        "fee6a7287b01af192716cc6c595ce768356cae7141a25d5ca6b6c521c283346e"),
+        "fee6a7287b01af192716cc6c595ce768356cae7141a25d5ca6b6c521c283346e",
+        "74a767983998959f40661796ef203d3a9b6114d6fd3cd43012f9abfd3fd2475b"),
     "fir5": (FIR5, Config(width=16), 17,
         "5cb92d7fe1110054ed5134f99b1c9b850717a869b72802c6e5b78af52c0733d5",
         "08620905109c7ddff1dc949f65afcf2db3db8830d72261214a0472bf5ac8e8ea",
         "80a823140d4fe32e623f388404e2ca1e9b8a0ccdbfb204a11bb6a6b19e3955eb",
-        "b0e59e04b23dbae4a73320b54f51483a01e5092dfe298a93e50cefd0c82cc947"),
+        "b0e59e04b23dbae4a73320b54f51483a01e5092dfe298a93e50cefd0c82cc947",
+        "17ffaa6bf25734547c53d6070500ec1ff65f2ecd5aff89cbf1679da26c8ca7ad"),
     "horner8": (HORNER8, Config(width=16), 886,
         "5cb96c4acb38dded66ceb112ccd269e8405f9119c5a8a54730dc54f94055c975",
         "1ea91fd5372c155e5b6f4b10e4d00518a9cf79920182fed129b8627947daf933",
         "58aaf11103e158111ff3c3d204e3be8ddb006c934de5c3c91d1eac39069d2ab9",
-        "f2c2ab5a6fda8b6ecf0ee3eae4e67c8f9bb9f180d701d27c790629f928620ba0"),
+        "f2c2ab5a6fda8b6ecf0ee3eae4e67c8f9bb9f180d701d27c790629f928620ba0",
+        "105ee8cac6b565b175526d9d780204cc46a9d12ea3efe2fe565c7f38d7325f49"),
     "matvec2x3": (MATVEC2X3, Config(width=16), 19,
         "900c6ea6e82fe691124635f959b4be9968c50a818dbc5783c20e7528c015c33f",
         "c1e4730a6717146c02de628185883039f832586134e7fb136d113e27ea260708",
         "984800c99efe507571a952cff0038663e34ab4fae2537b19651ccfb29a8e7474",
-        "d1c7243bf9018000526f9f420bcde1b67348bc78aa366f105df611b7dce50cc0"),
+        "d1c7243bf9018000526f9f420bcde1b67348bc78aa366f105df611b7dce50cc0",
+        "c0298153252b9f7cd108b5cb9988c31e54b8977bb54b2ab2f75192f8b4c3f503"),
     "matvec2x2_w32": (MATVEC2X2_W32, Config(width=32), 68,
         "a9af20e9d0da91f2a9381897fa189e1517ddc4eb5b5f9f1419a8a0e73147d76f",
         "d0958817827fd78b8f992c1e900bb5ecc8b8265006ccb4ab6b6695ddcca0e863",
         "d4d1d41e1d35dc18e7359437f3d4f17880398afe3c501b7d79fe0a8439f88b19",
-        "7d8a5c1af896215d294c03870e93b1e812675b3c856af4003fcc14d069871ce6"),
+        "7d8a5c1af896215d294c03870e93b1e812675b3c856af4003fcc14d069871ce6",
+        "7364d82e6971490e0a656d123c0daf40b54f3aa22dfca140fa14fc3de5a933c0"),
     "fuzz04_fir6_w8": (FUZZ04_FIR6_W8, _fuzz_config(8, True), 20,
         "966fe1db21bc188f61ddefd7bc7a140e0aaf63312fb565e267596ca9d9cb1a96",
         "89fa49ef6307eb8938e6ea456668f7b54232f243d2f6a4cf1b372aac0b0b4f09",
         "6369eba60d6cda1d16b47fbcc5d9e6626a871183655799f2dabc8b0d012a4c3f",
-        "594128b5bfe4e56d27fd1b97c47a3b6035b3250b8b0e3231c6bfbc7383cdcf79"),
+        "594128b5bfe4e56d27fd1b97c47a3b6035b3250b8b0e3231c6bfbc7383cdcf79",
+        "8120825f35398f9d982e102209d6d7b7bae8fa1b46e75e16e1258b2e71055a5d"),
     "fuzz11_fir8_w32": (FUZZ11_FIR8_W32, _fuzz_config(32, False), 282,
         "3c5738782421e5a971b00e223bea3247d237502b7ba08b664fbd415c59874bd1",
         "0325aae94bfc137453361daf91ba3b31c94c56b73a4dff651aac371616c5b9fa",
         "a766605801bc09f1acd40ed082231a655ad6eee920f9340a9d3abde142d16de7",
-        "674671ab85d2ef609b67fec316f450136a82e7a3ecdfc0ee87cef415430ce855"),
+        "674671ab85d2ef609b67fec316f450136a82e7a3ecdfc0ee87cef415430ce855",
+        "12b96c5d1c984b3d472c77b1e890d5b9faaca0e635d9670ef0b3d6aa86bbfd8f"),
     "fir32": (FIR32, Config(width=16), 98,
         "1609890642439f7ee366a351fc33ae1dda78b53755c7311fda2585183dd5552e",
         "16fa8a6b037d0dc70db11000915062c59253c014c02abdd732c3086dbbf150e1",
         "fefa06626ca6ddfa9a651f77b448bcfb77161e2d4bf52d7e6905d112943b700c",
-        "0a32caf0982f7e6fd81e06a79c4ba6a634374995071a305b1db8e934d581231c"),
+        "0a32caf0982f7e6fd81e06a79c4ba6a634374995071a305b1db8e934d581231c",
+        "8cafb1a0fc95dcc37468735d9ebe4f65719bc8a552f7e9bb59d81605ad398122"),
     "sum80": (SUM80, Config(width=16), 82,
         "6d50f0c38fdbfa8b8483d23b9336f6bda8b270e40f031f480881bf0f442bba2f",
         "d5e54a1b83640e111d2f9cd7cbc38058956da85e0582a233a5fff53c52c7f3a7",
         "bc9c040ae7ff8cb7331ce3f4a0e7e7e7ba60aa7bb2b8b6219fef2b02ed8f7e46",
-        "1b07cdd474c6d865192533f36488e10c5bc5ce778aac52e073c22052ec09edb9"),
+        "1b07cdd474c6d865192533f36488e10c5bc5ce778aac52e073c22052ec09edb9",
+        "8936454464349683b81ebf271fc8452af90cbb2ebcafae95bc463168b085eddd"),
     "matvec4x4": (MATVEC4X4, Config(width=16), 44,
         "ac74bdc9e6d2a474402ad99ca6b09062c07ac1fac463176904fdd5ffe72e9866",
         "df76970b3ec00d780d37c04a04d91c3cae3a1fc66b3dcb2baeb44c6ed3f70b44",
         "1359002b1351742d986710ca96e877f01f237d9e6c5ac3c42adf21c381170943",
-        "5a102ab9cf3672a4e72b6b23cbcac8c4f29fcec6b09bff0ffbe1007bd1cc04e7"),
+        "5a102ab9cf3672a4e72b6b23cbcac8c4f29fcec6b09bff0ffbe1007bd1cc04e7",
+        "78d6eb97f13d04255ad20600c982dfd7ab2129e58a88ea82243edecb48831074"),
 }
 
 
@@ -199,16 +212,20 @@ def _count_steps(monkeypatch) -> list[int]:
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_artifacts_and_step_count_are_pinned(name, monkeypatch):
-    source, config, steps, c, c_portable, vhdl, report = GOLDEN[name]
+def test_artifacts_and_step_count_are_pinned(name, monkeypatch, caplog):
+    source, config, steps, c, c_portable, vhdl, report, counters = GOLDEN[name]
     calls = _count_steps(monkeypatch)
-    plan = synthesize(source, config)
+    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
+        plan = synthesize(source, config)
+    lines = [r.getMessage() for r in caplog.records
+             if r.name == "fpsynt.optimizer" and r.levelno == logging.INFO]
     got = (calls[0],
            _digest(emit_c(plan, name=name).source),
            _digest(emit_c(plan, name=name, portable_shift=True).source),
            _digest(emit_vhdl(plan, name=name).source),
-           _digest(report_json(plan)))
-    assert got == (steps, c, c_portable, vhdl, report)
+           _digest(report_json(plan)),
+           _digest("\n".join(lines)))
+    assert got == (steps, c, c_portable, vhdl, report, counters)
 
 
 @pytest.mark.parametrize("source", [make_fir_src([(k + 1) / 100 for k in range(64)]),
