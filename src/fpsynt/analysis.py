@@ -216,13 +216,6 @@ class Interval:
         """The largest |value| is m_abs * 2^exp."""
         return max(-self.m_lo, self.m_hi, 0)
 
-    @property
-    def max_abs(self) -> Fraction:
-        return self.m_abs * _pow2_frac(self.exp)
-
-    def contains(self, v) -> bool:
-        return self.lo <= v <= self.hi
-
 
 @dataclass(frozen=True)
 class NodeInfo:
@@ -254,10 +247,6 @@ class NodeInfo:
     @property
     def width(self) -> int:
         return self.signal.fmt.width
-
-    def semantic_range(self) -> Interval:
-        sig = self.signal
-        return Interval.from_raws(sig.fmt.min_raw, sig.fmt.max_raw, sig.grid_exp)
 
 
 def floor_loss(eff_exp: int, new_exp: int, interval: Interval | None = None,
@@ -317,7 +306,6 @@ class TruncSpec:
     """Planned effect of one TRUNC node."""
 
     drop_f: int
-    drop_msbs: int
     signal: ScaledSignal
     interval: Interval
     added_error: ErrorBound
@@ -344,10 +332,7 @@ def plan_truncate(info: NodeInfo, target_width: int) -> TruncSpec | None:
         if 1 + i_r + f_r <= target_width:
             pad = target_width - (1 + i_r + f_r)
             out = ScaledSignal(SifFormat(1 + pad, i_r, f_r), sig.scale)
-            drop_f = fmt.f - f_r
-            assert fmt.width - drop_f - target_width >= 0
-            return TruncSpec(drop_f=drop_f,
-                             drop_msbs=fmt.width - drop_f - target_width,
+            return TruncSpec(drop_f=fmt.f - f_r,
                              signal=out,
                              interval=floored,
                              added_error=floor_loss(info.eff_exp, grid_exp, interval,
@@ -366,8 +351,6 @@ class AlignSpec:
     shift_b: int
     a_view: NodeInfo       # operand as the adder sees it (post shift/relabel)
     b_view: NodeInfo
-    f_star: int            # common fraction length of both views
-    e_star: int            # common scale exponent
     result: NodeInfo
 
 
@@ -418,7 +401,7 @@ def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
             return None
         res = NodeInfo(ScaledSignal(SifFormat(1, i_r, f_star), e_star),
                        total, av.err + bv.err, min(av.eff_exp, bv.eff_exp))
-        return AlignSpec(sa, sb, av, bv, f_star, e_star, res)
+        return AlignSpec(sa, sb, av, bv, res)
 
     for g in range(max(ga, gb), max(ga, gb) + _ALIGN_GUARD):
         spec = attempt(g)
@@ -538,6 +521,11 @@ class AccumulatorInfo:
 # plan construction
 
 
+def cost_key(errs):
+    """The ranking key of a plan with these output errors: (largest, sum)."""
+    return max(errs), sum(errs[1:], errs[0])
+
+
 @dataclass(frozen=True)
 class Plan:
     """A fully fixed synthesis result: graph with formatting ops, per-node
@@ -561,12 +549,11 @@ class Plan:
     @property
     def cost(self) -> Fraction:
         """Predicted worst-case output error (max across outputs)."""
-        return max(self.info[o].err for o in self.output_ids)
+        return self.cost_key[0]
 
     @property
     def cost_key(self):
-        errs = [self.info[o].err for o in self.output_ids]
-        return (max(errs), sum(errs))
+        return cost_key([self.info[o].err for o in self.output_ids])
 
     @property
     def n_format_nodes(self) -> int:
@@ -590,14 +577,13 @@ class Plan:
 class _Ctx:
     """Mutable build state; cloned at every search branch point."""
 
-    __slots__ = ("nodes", "info", "alias", "const_raws", "used", "wide",
-                 "accumulators", "live_err", "choices")
+    __slots__ = ("nodes", "info", "alias", "used", "wide", "accumulators",
+                 "live_err", "choices")
 
     def __init__(self, used: set[str], live_err: ErrorBound):
         self.nodes: list[Node] = []
         self.info: dict[str, NodeInfo] = {}
         self.alias: dict[str, str] = {}
-        self.const_raws: dict[str, int] = {}
         self.used: set[str] = used
         self.wide: set[str] = set()
         self.accumulators: list[AccumulatorInfo] = []
@@ -609,7 +595,6 @@ class _Ctx:
         c.nodes = list(self.nodes)
         c.info = dict(self.info)
         c.alias = dict(self.alias)
-        c.const_raws = dict(self.const_raws)
         c.wide = set(self.wide)
         c.accumulators = list(self.accumulators)
         c.choices = list(self.choices)
@@ -642,7 +627,10 @@ class PlanBuilder:
     node order and fresh names in the plan. ``search_order`` holds the same
     positions depth-first from the outputs, so a value is consumed soon
     after it is made. The values a step computes do not depend on which of
-    the two walks makes it.
+    the two walks makes it, but the nodes it emits do: fresh names follow
+    walk order, and when two chains that fall back share a full-width
+    product, the chain reached first emits its truncation and the other
+    reuses it. So a search rebuilds its winner with ``build``.
 
     Error bounds are ``ErrorBound`` values on ``den``, the lcm of the odd
     parts of the constants' denominators; each constant is quantized once.
@@ -663,6 +651,7 @@ class PlanBuilder:
         self.chains = {c.root: c for c in find_chains(dfg)
                        if c.root in chain_roots}
         self._absorbed = {m: c.root for c in self.chains.values() for m in c.members}
+        self._fallbacks: set[str] = set()  # chain roots already warned about
         # terms whose full-width value may feed the accumulator directly
         consumers = dfg.consumers()
         chain_adds = set(self._absorbed) | set(self.chains)
@@ -740,7 +729,8 @@ class PlanBuilder:
                 fmt.min_raw, fmt.max_raw, -fmt.f), self.zero))
             ctx.alias[nid] = nid
         elif node.kind is NodeKind.CONST:
-            self._step_const(ctx, node)
+            ctx.emit(node, self.quantized(node)[0])
+            ctx.alias[nid] = nid
         elif node.kind is NodeKind.MUL:
             self._step_mul(ctx, node, choice)
         elif node.kind is NodeKind.ADD:
@@ -770,12 +760,6 @@ class PlanBuilder:
                 NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
         return quantized
 
-    def _step_const(self, ctx: _Ctx, node: Node):
-        info, raw = self.quantized(node)
-        ctx.emit(node, info)
-        ctx.const_raws[node.id] = raw
-        ctx.alias[node.id] = node.id
-
     def _step_mul(self, ctx: _Ctx, node: Node, choice: int):
         a = ctx.info[ctx.alias[node.operands[0]]]
         b = ctx.info[ctx.alias[node.operands[1]]]
@@ -804,8 +788,7 @@ class PlanBuilder:
         if spec is None:
             return ref
         qid = ctx.fresh(f"{ref}_q")
-        ctx.emit(Node(qid, NodeKind.TRUNC, (ref,),
-                      amount=spec.drop_f, drop_msbs=spec.drop_msbs),
+        ctx.emit(Node(qid, NodeKind.TRUNC, (ref,), amount=spec.drop_f),
                  NodeInfo(spec.signal, spec.interval, info.err + spec.added_error,
                           spec.eff_exp),
                  wide=spec.signal.fmt.width > self.config.width)
@@ -835,7 +818,9 @@ class PlanBuilder:
         built = self._try_chain(ctx, chain)
         if built:
             return
-        log.warning("chain at '%s' falls back to pairwise pre-scaling", chain.root)
+        if chain.root not in self._fallbacks:
+            self._fallbacks.add(chain.root)
+            log.warning("chain at '%s' falls back to pairwise pre-scaling", chain.root)
         for tid, _sign in chain.terms:
             # terms left at full width for the accumulator now need the
             # ordinary post-multiply truncation
@@ -910,7 +895,8 @@ class PlanBuilder:
         return Plan(graph=Dfg(tuple(ctx.nodes)),
                     info={nid: NodeInfo(i.signal, i.interval, i.err.as_fraction(), i.eff_exp)
                           for nid, i in ctx.info.items()},
-                    const_raws=dict(ctx.const_raws),
+                    const_raws={n.id: self.quantized(n)[1] for n in ctx.nodes
+                                if n.kind is NodeKind.CONST},
                     bindings=self.bindings,
                     source=self.source,
                     config=self.config,

@@ -64,10 +64,6 @@ class SifFormat:
         """Largest decodable value, 2^I - 2^-F."""
         return Fraction(self.max_raw, 1 << self.f)
 
-    @property
-    def ulp(self) -> Fraction:
-        return Fraction(1, 1 << self.f)
-
     def __str__(self):
         return f"({self.s}/{self.i}/{self.f})"
 
@@ -189,9 +185,9 @@ class Node:
 
     ``value`` is set for CONST nodes (exact rational, pre-quantization).
     ``amount`` is the shift distance for SHR, or the count of dropped
-    fraction LSBs for TRUNC; ``drop_msbs`` the count of dropped redundant
-    MSBs for TRUNC. ``negate`` flags per-operand negation on ADD, which is
-    how subtraction is carried without leaving the multiply-add vocabulary.
+    fraction LSBs for TRUNC. ``negate`` flags per-operand negation on ADD,
+    which is how subtraction is carried without leaving the multiply-add
+    vocabulary.
     """
 
     id: str
@@ -199,7 +195,6 @@ class Node:
     operands: tuple[str, ...] = ()
     value: Fraction | None = None
     amount: int = 0
-    drop_msbs: int = 0
     negate: tuple[bool, bool] = (False, False)
 
     def __post_init__(self):
@@ -240,9 +235,6 @@ class Dfg:
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._by_id
 
     @property
     def output_ids(self) -> tuple[str, ...]:

@@ -49,7 +49,8 @@ from __future__ import annotations
 import logging
 import math
 
-from .analysis import Chain, ErrorBound, Plan, PlanBuilder, find_chains, floor_loss
+from .analysis import (Chain, ErrorBound, Plan, PlanBuilder, cost_key, find_chains,
+                       floor_loss)
 from .config import Config
 from .core import Dfg, Node, NodeKind
 from .errors import CannotFitError
@@ -431,93 +432,70 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
         if prune and incumbent is not None else None
     if bound is not None and outputs:
         floors = (floor or GridFloor()).output_floors(builder, bound[0])
-        if floors is not None and (max(floors), sum(floors[1:], floors[0])) > bound:
+        if floors is not None and cost_key(floors) > bound:
             log.info(_COUNTERS, topology, 0, 0, 0, 0, ", cut by the grid floor")
             return None
 
     order = builder.search_order if free else builder.positions
     n = len(order)
-    is_choice = [builder.is_choice_point(nid) for nid in order]
+    rows = [cands if builder.is_choice_point(nid) else (0,) for nid in order]
     slot = {nid: k for k, nid in enumerate(points)}
     frontier = _Frontier(builder) if prune and free else None
     best_key = best_vec = best_ctx = None
     last_fail = ""
     steps = leaves = cuts = dominated = 0
 
-    def advance(ctx, pos: int, choice: int, sums):
-        if frontier is None:
-            builder.step(ctx, order[pos], choice)
-            return None
-        return frontier.advance(pos, ctx, choice, sums)
-
-    def beaten(ctx, pos: int, sums) -> bool:
-        if bound is None:
-            return False
-        if ctx.live_err > bound[0]:
-            return True
-        return frontier is not None and pos < n and frontier.lower_bound(ctx, sums) > bound
-
-    # entries (pos, ctx, vec, cand, sums): try candidate index ``cand`` at
-    # the choice point ``order[pos]`` on a copy of ``ctx``, whose cone sums
-    # are ``sums``
-    stack = [(0, builder.new_ctx(), (0,) * len(points), None,
+    # entries (pos, ctx, vec, cand, sums): try candidate index ``cand`` of
+    # the row at ``order[pos]`` on a copy of ``ctx``, whose cone sums are
+    # ``sums``; a forced position's row is (0,)
+    stack = [(0, builder.new_ctx(), (0,) * len(points), 0,
               frontier.zero_sums if frontier is not None else None)]
     while stack:
         pos, ctx, vec, cand, sums = stack.pop()
-        if cand is not None:
-            nid = order[pos]
-            more = cand + 1 < len(cands)
-            # the last candidate may consume the parent state
-            branch = ctx.clone() if more else ctx
-            steps += 1
-            try:
-                branch_sums = advance(branch, pos, cands[cand], sums)
-            except CannotFitError as e:
-                last_fail = str(e)
-                if more:
-                    stack.append((pos, ctx, vec, cand + 1, sums))
-                continue
-            if beaten(branch, pos + 1, branch_sums):
-                # added error grows with the candidate, so the rest of the
-                # row cannot beat the incumbent either
-                cuts += 1
-                continue
-            if more:
-                stack.append((pos, ctx, vec, cand + 1, sums))
-            if cands[cand]:
-                k = slot[nid]
-                vec = vec[:k] + (cands[cand],) + vec[k + 1:]
-            ctx, pos, sums = branch, pos + 1, branch_sums
-
-        # forced steps in place, up to the next choice point or the leaf
-        while True:
+        if not cand:
+            # the state has just reached this position
             if pos == n:
                 leaves += 1
-                errs = [ctx.info[o].err for o in outputs]
-                key = (max(errs), sum(errs[1:], errs[0]))
+                key = cost_key([ctx.info[o].err for o in outputs])
                 if bound is not None and key > bound:
                     cuts += 1
                 elif best_key is None or (key, vec) < (best_key, best_vec):
                     best_key, best_vec, best_ctx = key, vec, ctx
                     if prune and (bound is None or key < bound):
                         bound = key
-                break
+                continue
             if frontier is not None and frontier.dominated(pos, ctx, vec):
                 dominated += 1
-                break
-            if is_choice[pos]:
-                stack.append((pos, ctx, vec, 0, sums))
-                break
-            steps += 1
-            try:
-                sums = advance(ctx, pos, 0, sums)
-            except CannotFitError as e:
-                last_fail = str(e)
-                break
-            pos += 1
-            if beaten(ctx, pos, sums):
-                cuts += 1
-                break
+                continue
+        row = rows[pos]
+        more = cand + 1 < len(row)
+        # the last candidate may consume the parent state
+        branch = ctx.clone() if more else ctx
+        steps += 1
+        try:
+            if frontier is None:
+                builder.step(branch, order[pos], row[cand])
+                branch_sums = None
+            else:
+                branch_sums = frontier.advance(pos, branch, row[cand], sums)
+        except CannotFitError as e:
+            last_fail = str(e)
+            if more:
+                stack.append((pos, ctx, vec, cand + 1, sums))
+            continue
+        if bound is not None and (branch.live_err > bound[0] or (
+                frontier is not None and pos + 1 < n
+                and frontier.lower_bound(branch, branch_sums) > bound)):
+            # added error grows with the candidate, so the rest of the row
+            # cannot beat the incumbent either
+            cuts += 1
+            continue
+        if more:
+            stack.append((pos, ctx, vec, cand + 1, sums))
+        if row[cand]:
+            k = slot[order[pos]]
+            vec = vec[:k] + (row[cand],) + vec[k + 1:]
+        stack.append((pos + 1, branch, vec, 0, branch_sums))
 
     log.info(_COUNTERS, topology, steps, leaves, cuts, dominated,
              ", cut by the incumbent" if best_vec is None and cuts else "")

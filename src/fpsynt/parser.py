@@ -291,10 +291,6 @@ def validate_formats(bindings: Bindings, width: int) -> list[Diagnostic]:
             diags.append(Diagnostic(
                 "cannot-fit",
                 f"input '{name}': declared width {w} exceeds word width {width}"))
-    # rationals are always finite; the check is for symmetry with other frontends
-    for name, value in bindings.consts.items():
-        if value.denominator == 0:  # pragma: no cover - unreachable with Fraction
-            diags.append(Diagnostic("invalid", f"const '{name}' is not finite"))
     return diags
 
 

@@ -174,7 +174,8 @@ def test_truncate_product_to_word_width():
     base = NodeInfo(ScaledSignal(SifFormat(2, 0, 30)), x * w, ErrorBound(0))
     spec = plan_truncate(base, 16)
     assert spec.signal.fmt == SifFormat(1, 0, 15)
-    assert spec.drop_f == 15 and spec.drop_msbs == 1
+    assert spec.drop_f == 15
+    assert base.width - spec.drop_f - spec.signal.fmt.width == 1  # one MSB dropped
     assert spec.added_error.as_fraction() == Fraction((1 << 15) - 1, 1 << 30)
 
 
@@ -211,8 +212,8 @@ def test_prescale_two_full_scale_operands():
     assert spec.result.signal.scale == 1
     assert spec.result.width <= 16
     assert spec.a_view.signal.grid == spec.b_view.signal.grid
-    assert spec.a_view.signal.fmt.f == spec.b_view.signal.fmt.f == spec.f_star
-    assert spec.a_view.signal.scale == spec.b_view.signal.scale == spec.e_star
+    assert spec.a_view.signal.fmt.f == spec.b_view.signal.fmt.f == spec.result.signal.fmt.f
+    assert spec.a_view.signal.scale == spec.b_view.signal.scale == spec.result.signal.scale
 
 
 def test_prescale_skipped_when_sum_fits():
@@ -247,7 +248,7 @@ def test_prescale_exhaustive_one_sided_loss():
             got = raw_sum * res_grid
             exact = decode(ra, fmt) + decode(rb, fmt)
             assert -2 * ulp <= got - exact <= 0
-            assert spec.result.interval.contains(got)
+            assert spec.result.interval.lo <= got <= spec.result.interval.hi
 
 
 def test_prescale_error_accounts_shift_loss():
@@ -333,7 +334,8 @@ def test_overflow_freedom_invariant_on_plans():
         plan = synthesize(src, Config(width=width))
         check_plan(plan)  # raises on any violated invariant
         for nid, ni in plan.info.items():
-            rng = ni.semantic_range()
+            fmt = ni.signal.fmt
+            rng = Interval.from_raws(fmt.min_raw, fmt.max_raw, ni.signal.grid_exp)
             assert rng.lo <= ni.interval.lo and ni.interval.hi <= rng.hi
 
 
@@ -511,7 +513,7 @@ def ref_floor_loss(eff, grid, lo, hi) -> Fraction:
 
 def ref_truncate(info: NodeInfo, target: int):
     """plan_truncate in Fraction arithmetic: None, "cannot fit", or (drop_f,
-    drop_msbs, signal, lo, hi, added error, eff)."""
+    dropped MSBs, signal, lo, hi, added error, eff)."""
     sig, lo, hi = info.signal, info.interval.lo, info.interval.hi
     fmt = sig.fmt
     if fmt.width <= target:
@@ -616,7 +618,7 @@ def test_interval_arithmetic_matches_fraction_reference(a, b, grid_exp):
                         (x.floor_to(grid_exp), ref_floor(x.lo, grid), ref_floor(x.hi, grid))]:
         assert (got.lo, got.hi) == (lo, hi)
         assert got == Interval(lo, hi)
-    assert x.max_abs == max(-x.lo, x.hi, 0)
+    assert x.m_abs * Fraction(2) ** x.exp == max(-x.lo, x.hi, 0)
 
 
 @given(on_grid_infos(), st.integers(0, 14), st.integers(-2, 5))
@@ -649,7 +651,8 @@ def test_plan_truncate_matches_fraction_reference(info, target):
     if want is None:
         assert spec is None
         return
-    assert (spec.drop_f, spec.drop_msbs, spec.signal, spec.interval.lo, spec.interval.hi,
+    assert (spec.drop_f, info.width - spec.drop_f - target, spec.signal,
+            spec.interval.lo, spec.interval.hi,
             spec.added_error.as_fraction(), Fraction(2) ** spec.eff_exp) == want
 
 

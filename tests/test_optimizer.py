@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from fpsynt.analysis import ErrorBound, PlanBuilder, check_plan, find_chains
-from fpsynt.codegen import emit_c
+from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
 from fpsynt.core import Dfg, NodeKind
 from fpsynt.errors import CannotFitError
@@ -17,6 +17,7 @@ from fpsynt.optimizer import (GridFloor, combinatorial_search, enumerate_topolog
                               topological_optimize)
 from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
+from fpsynt.report import report_json
 from fpsynt.simulator import run_fixed_columns, run_reference_columns
 
 from conftest import (FIR4_SRC, exact_eval, make_fir_src, make_graph, make_matvec_src,
@@ -244,6 +245,82 @@ def test_chain_falls_back_when_accumulator_capped():
     check_plan(plan)
     (acc,) = _chain_plan(dfg, bindings, Config(width=61)).accumulators
     assert acc.width == 64
+
+
+def test_chain_fallback_warns_once_per_chain(caplog):
+    # at W=64 each chain's accumulator would need 64 + ceil(log2 n) bits; the
+    # chain plan's search and its replay step t14's chain five times and
+    # t6's and t9's twice each
+    src = """\
+input x : sif(1/0/15);
+input u : sif(1/0/15);
+const c0 = 0.223;
+const c1 = 0.026;
+const c2 = -0.181;
+const c3 = 0.108;
+output y = c0*u + c1*x + x*(c2 + x*(c3 + c1*u + c2*x) + u) + c3*u*x;
+"""
+    dfg, bindings = parse_spec(src)
+    with caplog.at_level(logging.WARNING, logger="fpsynt.analysis"):
+        plan = _chain_plan(dfg, bindings, Config(width=64))
+    assert plan.accumulators == ()
+    lines = [r.getMessage() for r in caplog.records if r.name == "fpsynt.analysis"]
+    assert sorted(lines) == [f"chain at '{root}' falls back to pairwise pre-scaling"
+                             for root in ("t14", "t6", "t9")]
+
+
+# Both chains, t4 = (-c0 + t0) - (-t0 + c1) and t5 = (-c0 + t0) + v4, open
+# with a negated term and fall back to pairwise adds. The product t0 feeds
+# both at full width: the chain a walk reaches first emits its truncation
+# t0_q, and the other reuses it. The search reaches t5 first, the level-first
+# replay t4.
+SHARED_FALLBACK_TERM = make_graph(
+    {"v0": (1, 0, 2), "v4": (1, 1, 5)}, {"c0": Fraction(-1), "c1": Fraction(1, 2)},
+    [("t0", NodeKind.MUL, ("v0", "c1"), (False, False)),
+     ("t1", NodeKind.ADD, ("c0", "t0"), (True, False)),
+     ("t2", NodeKind.ADD, ("c0", "t0"), (True, False)),
+     ("t3", NodeKind.ADD, ("t0", "c1"), (True, False)),
+     ("t4", NodeKind.ADD, ("t1", "t3"), (False, True)),
+     ("t5", NodeKind.ADD, ("t2", "v4"), (False, False)),
+     ("t6", NodeKind.MUL, ("c1", "t5"), (False, False))],
+    {"y0": "t6", "y1": "t4"})
+
+# Two chains truncate the shared input x1; fresh names follow walk order
+TWO_CHAINS_SHARE_AN_INPUT = parse_spec("""\
+input x0 : sif(1/3/12);
+input x1 : sif(1/0/15);
+input x2 : sif(1/0/15);
+input x3 : sif(1/2/13);
+input x4 : sif(1/0/15);
+input x5 : sif(1/0/15);
+output y0 = x0 + x1 + x2 + x4;
+output y1 = x3 + x1 + x5;
+output y2 = 0.3*x0 + 0.7*x1;
+""")
+
+
+def test_search_returns_the_level_first_replay_of_its_winner():
+    """The node order and names of a chain plan depend on the walk, so the
+    search's plan is its winner rebuilt level-first, not its best leaf."""
+    cases = [(SHARED_FALLBACK_TERM, Config(width=32, k_max=2)),
+             (TWO_CHAINS_SHARE_AN_INPUT, Config(width=16, k_max=1, enable_topology_opt=False))]
+    plans = []
+    for (dfg, bindings), cfg in cases:
+        roots = frozenset(c.root for c in find_chains(dfg))
+        plan = combinatorial_search(dfg, bindings, cfg, chain_roots=roots,
+                                    topology="source+chain")
+        replay = PlanBuilder(dfg, bindings, cfg, roots, "source+chain").build(
+            dict(plan.choices))
+        assert emit_c(plan).source == emit_c(replay).source
+        assert emit_vhdl(plan).source == emit_vhdl(replay).source
+        assert report_json(plan) == report_json(replay)
+        check_plan(plan)
+        plans.append(plan)
+    ids = [n.id for n in plans[0].graph.nodes]
+    assert ids[ids.index("t0"):ids.index("t4") + 1] == [
+        "t0", "t0_q", "t3_p1", "t3_p2", "t3", "t1_p1", "t1_p2", "t1", "t4"]
+    assert plans[1].graph.node("t4_acc1").operands == ("x3", "x1_q")
+    assert plans[1].graph.node("t2_acc1").operands == ("x0", "x1_q_")
 
 
 def test_chain_opened_by_a_negated_term_falls_back_soundly():
