@@ -46,8 +46,9 @@ class ErrorBound:
     Not normalized: one value has many representations, and every operator
     reads the value, so results never depend on the representation. Two
     bounds on one q add and compare by a shift and one integer operation
-    (``+``, ``<=`` and ``>``, the search's hot operators, do it inline);
-    unequal q, as a cross term e_a*e_b makes, go through their lcm.
+    (``+``, ``-``, ``==``, ``<=`` and ``>``, the search's hot operators, do
+    it inline); unequal q, as a cross term e_a*e_b makes, go through their
+    lcm.
     Operands are ``ErrorBound`` only, and an ``int`` factor for ``*``.
     Unhashable, as it is not normalized."""
 
@@ -99,6 +100,11 @@ class ErrorBound:
         return NotImplemented if p is None else ErrorBound(p[0] + p[1], p[2], p[3])
 
     def __sub__(self, other):
+        if type(other) is ErrorBound and other.q == self.q:
+            d = self.e - other.e
+            if d >= 0:
+                return ErrorBound((self.n << d) - other.n, other.e, self.q)
+            return ErrorBound(self.n - (other.n << -d), self.e, self.q)
         p = self._pair(other)
         return NotImplemented if p is None else ErrorBound(p[0] - p[1], p[2], p[3])
 
@@ -115,6 +121,9 @@ class ErrorBound:
     __rmul__ = __mul__
 
     def __eq__(self, other):
+        if type(other) is ErrorBound and other.q == self.q:
+            d = self.e - other.e
+            return (self.n << d) == other.n if d >= 0 else self.n == (other.n << -d)
         p = self._pair(other)
         return NotImplemented if p is None else p[0] == p[1]
 
@@ -364,7 +373,8 @@ def _shift_view(info: NodeInfo, shift: int, f_star: int, e_star: int) -> NodeInf
     and its stored range are untouched)."""
     fmt = info.signal.fmt
     delta = fmt.f - f_star
-    assert delta >= 0
+    if delta < 0:
+        raise PlanCheckError(f"view of f={fmt.f} cannot have f={f_star}")
     new_sig = ScaledSignal(SifFormat(fmt.s, fmt.i + delta, f_star), e_star)
     if shift == 0:
         return NodeInfo(new_sig, info.interval, info.err, info.eff_exp)
@@ -390,7 +400,8 @@ def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
         f_star = min(a.signal.fmt.f, b.signal.fmt.f)
         # the operand achieving f_star fixes the common scale exponent
         e_star = (a.signal.scale + sa - (a.signal.fmt.f - f_star))
-        assert e_star == b.signal.scale + sb - (b.signal.fmt.f - f_star)
+        if e_star != b.signal.scale + sb - (b.signal.fmt.f - f_star):
+            raise PlanCheckError(f"addition operands disagree on the scale of grid {g}")
         av = _shift_view(a, sa, f_star, e_star)
         bv = _shift_view(b, sb, f_star, e_star)
         ia = -av.interval if negate[0] else av.interval
@@ -411,7 +422,8 @@ def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
         raise CannotFitError(f"cannot align addition operands within {width} bits")
     if extra:
         spec = attempt(g + extra)
-        assert spec is not None  # coarsening never un-fits a sum
+        if spec is None:
+            raise PlanCheckError(f"coarsening un-fit a sum at grid {g + extra}")
     return spec
 
 
@@ -868,7 +880,8 @@ class PlanBuilder:
             ref = ctx.alias[tid]
             if t.signal.fmt.f > f_acc:
                 ref = self._truncate(ctx, ref, 1 + _min_integer_bits(view, f_acc, 0) + f_acc)
-                assert ctx.info[ref].signal.fmt.f == f_acc
+                if ctx.info[ref].signal.fmt.f != f_acc:
+                    raise PlanCheckError(f"chain term '{tid}' is not on the accumulator grid")
             refs.append(ref)
 
         running = refs[0]

@@ -33,7 +33,8 @@ class CannotFitError(FpsyntError):
 
 
 class PlanCheckError(FpsyntError):
-    """A finished plan breaks an analysis invariant: a planner bug, not a user error."""
+    """A plan, finished or in the making, breaks an analysis invariant: a
+    planner bug, not a user error."""
 
 
 class MalformedRawError(FpsyntError):

@@ -17,22 +17,28 @@ choices (extra product truncation, extra pre-scaling).
 
 The search walks positions depth-first from the outputs
 (``PlanBuilder.search_order``), so each product is consumed by its add
-soon after it is made and few values are live at once. Three facts make
-its cuts exact. Error bounds never decrease along a path, and an addition
-passes on the errors of both operands in full, so a state whose errors
-already add up past the incumbent's cost cannot win. Every downstream
-bound is monotone in the operand errors, so of two states at one position
-that agree on the format, interval and value grid of every live value, the
-one with no larger errors there and on the finished outputs, and with a
-choice prefix no larger, reaches every completion at least as well as the
-other; the other is dropped (the dominance memo). And in a plan that can
-tie the incumbent no error exceeds the incumbent's largest, so a value's
-grid is at least as coarse as a W-bit format holding its exact range,
-less that error, allows, and a value floored from its finest grid 2^e0 to
-2^g has lost at least 2^g - 2^e0 on the way. Before a topology's first
-step these bound each output's error from below (the grid floor,
-``GridFloor``), and a topology whose floor exceeds the incumbent is cut
-whole.
+soon after it is made and few values are live at once. Four facts make
+its cuts exact. Error bounds never decrease along a path, an addition
+passes on the errors of both operands in full and a product at least one
+operand's, so a state whose errors already add up past the incumbent's
+cost cannot win. Every downstream bound is monotone in the operand errors,
+so of two states at one position that agree on the format, interval and
+value grid of every live value, the one with no larger errors there and on
+the finished outputs, and with a choice prefix no larger, reaches every
+completion at least as well as the other; the other is dropped (the
+dominance memo). In a plan that can tie the incumbent no error exceeds the
+incumbent's largest, b0, so no flooring loses more than b0: that bounds
+how far a flooring lowers an interval and how coarse a value grid gets. A
+value's grid is then at least as coarse as a W-bit format holding its
+interval allows, and a value floored from its finest grid 2^e0 to 2^g has
+lost at least 2^g - 2^e0 on the way. Before a topology's first step these
+bound each output's error from below (the grid floor, ``GridFloor``), and
+a topology whose floor exceeds the incumbent is cut whole. And the same
+rules bound from below the loss of each step, in every plan that can tie
+the incumbent, whatever the state it runs on: the losses of the steps
+still to come add onto the errors already made, so a state's bound is its
+errors so far plus the losses ahead of it on each output's paths (the
+completion floor, ``_Frontier``).
 
 A search returns the minimum of (cost, choice vector in level-first
 order), replayed once with ``PlanBuilder.build`` so that node order and
@@ -53,7 +59,7 @@ from .analysis import (Chain, ErrorBound, Plan, PlanBuilder, cost_key, find_chai
                        floor_loss)
 from .config import Config
 from .core import Dfg, Node, NodeKind
-from .errors import CannotFitError
+from .errors import CannotFitError, PlanCheckError
 from .parser import Bindings
 
 log = logging.getLogger("fpsynt.optimizer")
@@ -65,6 +71,11 @@ _MAX_TOPOLOGY_PRODUCT = 1024
 
 _COUNTERS = "search %s: %d steps, %d leaves, %d incumbent prunes, %d dominance prunes%s"
 
+# which operand of a product carries its error into the cones: the first
+# one of the highest rank, a computed value's being 2 (an input's error is
+# 0, a constant's is fixed)
+_CARRIES = {NodeKind.INPUT: 0, NodeKind.CONST: 1}
+
 
 class _Frontier:
     """What the rest of a search reads of a state, for each position.
@@ -74,38 +85,63 @@ class _Frontier:
     are the outputs made before p. Both are fixed per position, so they
     are worked out once per search.
 
-    The cone of an output is the multiset of live values that reach it
-    through additions only, each as often as it has such paths; an
-    addition passes their errors on in full. ``advance`` runs a step and
-    carries each output's cone sum, the sum of the errors in its cone, or
-    its own error once it is made: it subtracts the values the step reads
-    out of the cones and adds the value it makes, as worked out once per
-    position. ``lower_bound`` reads those sums. ``dominated`` keeps, per
+    A node's error is at least the sum of the errors of its cone reads, each
+    as often as the node reads it: an addition passes its operands' errors
+    on in full, and a product one operand's, with weight 1, by
+    ``mul_error_bound``'s clamp. That operand is fixed per product: a
+    computed value if the product reads one, else a constant, as an
+    input's error is 0. The cone of an output is the multiset of live values that
+    reach it through cone reads only, each as often as it has such paths.
+    ``advance`` runs a step and carries each output's cone sum, the sum of
+    the errors in its cone, or its own error once it is made: it subtracts
+    the values the step reads out of the cones and adds the value it
+    makes, as worked out once per position.
+
+    ``lower_bound`` reads those sums and adds each output's completion
+    floor: the errors that the steps at and after the state's position add
+    on the way to the output, each step's ``_Floor.need`` times its number
+    of paths to the output, for the bound ``bound_to`` last set; where a
+    product's truncation is still to come, a view of it at a later ADD adds
+    what the two lose together beyond their two needs. A need bounds a
+    step's own loss in every plan that can tie that bound, so the floor
+    does not depend on the state. ``dominated`` keeps, per
     position and per (format, interval, value grid) of every live value, the
     (errors, choice vector) pairs that no other pair there dominates.
     """
 
-    def __init__(self, builder: PlanBuilder):
+    def __init__(self, builder: PlanBuilder, floor: GridFloor):
         order = builder.search_order
         dfg = builder.dfg
         outputs = dfg.output_ids
         readers: dict[str, list[str]] = {nid: [] for nid in order}
+        cone_readers: dict[str, list[str]] = {nid: [] for nid in order}
+        cone_reads = {}
         for nid in order:
+            node = dfg.node(nid)
+            reads = builder.reads(nid)
+            if node.kind is NodeKind.MUL:
+                reads = (max(reads, key=lambda r: _CARRIES.get(dfg.node(r).kind, 2)),)
+            elif node.kind not in (NodeKind.ADD, NodeKind.OUTPUT):
+                reads = ()
+            cone_reads[nid] = reads
             for r in builder.reads(nid):
                 readers[r].append(nid)
-        sums = {nid for nid in order if dfg.node(nid).kind in (NodeKind.ADD, NodeKind.OUTPUT)}
-        # paths[o][v]: the number of paths from v to output o whose later
-        # nodes are all additions, i.e. the multiple of err(v) in err(o)
+            for r in reads:
+                cone_readers[r].append(nid)
+        # paths[o][v]: the number of paths from v to output o through cone
+        # reads, a floor on the multiple of err(v) in err(o)
         paths = {}
         for o in outputs:
             to_o = {o: 1}
             for nid in reversed(order):
-                c = sum(to_o.get(r, 0) for r in readers[nid] if r in sums)
+                c = sum(to_o.get(r, 0) for r in cone_readers[nid])
                 if c:
                     to_o[nid] = c
             paths[o] = to_o
 
         self._builder = builder
+        self._floor = floor
+        self._suffix: list | None = None  # see bound_to
         self.zero_sums = (builder.zero,) * len(outputs)
         self._tables = []  # per position: (live, finished outputs)
         # per position: (output index, value read, multiple) leaving the
@@ -124,10 +160,42 @@ class _Frontier:
             if nid in paths:
                 done.append(nid)
             made = tuple((k, paths[o][nid]) for k, o in enumerate(outputs) if nid in paths[o])
-            taken = tuple((k, r, c) for k, c in made for r in builder.reads(nid)) \
-                if nid in sums else ()
+            taken = tuple((k, r, c) for k, c in made for r in cone_reads[nid])
             self._moves.append((taken, made))
         self._seen: list[dict] = [{} for _ in order]
+
+    def bound_to(self, b0: ErrorBound):
+        """Take the completion floors of the plans that can tie ``b0``: per
+        position, each output's, or None where the grid floor does not
+        cover the graph."""
+        builder = self._builder
+        floors = self._floor.node_floors(builder, b0)
+        if floors is None:
+            self._suffix = None
+            return
+        order, dfg, den = builder.search_order, builder.dfg, builder.den
+        self._suffix = suffix = [self.zero_sums] * (len(order) + 1)
+        sums = list(self.zero_sums)
+        joint: dict[str, list] = {}  # product -> (output index, excess) of its views
+        for pos in range(len(order) - 1, -1, -1):
+            nid = order[pos]
+            kind = dfg.node(nid).kind
+            if kind is not NodeKind.OUTPUT:  # an output's floor is its operand's
+                made, floor = self._moves[pos][1], floors[nid]
+                for k, c in made:
+                    sums[k] = sums[k] + c * floor.need
+                for k, excess in joint.pop(nid, ()):
+                    sums[k] = sums[k] + excess
+                if kind is NodeKind.ADD:
+                    for v, loss in zip(dfg.node(nid).operands, floor.views):
+                        u = floors[v]
+                        if u.product_eff is not None:  # v is a product
+                            # the truncation of v and this view together
+                            excess = floor_loss(u.product_eff, max(u.g, floor.g), q=den) \
+                                - u.need - loss
+                            if excess.n > 0:
+                                joint.setdefault(v, []).extend((k, c * excess) for k, c in made)
+            suffix[pos] = tuple(sums)
 
     def advance(self, pos: int, ctx, choice: int, sums: tuple) -> tuple:
         """Run the step at ``pos`` on ``ctx`` and return the cone sums after
@@ -142,9 +210,12 @@ class _Frontier:
             new[k] = new[k] + c * ctx.info[ctx.alias[nid]].err
         return tuple(new)
 
-    def lower_bound(self, ctx, sums: tuple) -> tuple:
-        """A cost key no completion of the state with these cone sums goes
-        below: each output's error is at least its cone sum."""
+    def lower_bound(self, pos: int, ctx, sums: tuple) -> tuple:
+        """A cost key no completion of the state at ``pos`` with these cone
+        sums goes below, when it can tie the bound: each output's error is
+        at least its cone sum plus its completion floor."""
+        if self._suffix is not None:
+            sums = tuple(map(ErrorBound.__add__, sums, self._suffix[pos]))
         top = max(sums)
         if ctx.live_err > top:
             top = ctx.live_err
@@ -167,31 +238,44 @@ class _Frontier:
         return False
 
 
-_FORM_TERMS = 32  # affine forms over more inputs are not kept
-
-
 class _Cone:
     """What the grid floor knows of a node in every plan.
 
     ``e0``: the finest value grid the node can have, set only when its
     interval spans zero (lo < 0 <= hi) in every plan, so that no flooring
     collapses it to a point. ``pos``: its value, as its consumers read it,
-    has hi > 0 in every plan. ``lo``, ``hi``: its exact range over the
-    input box, attained at input corners, when it is affine in the inputs;
-    ``mask``: the inputs it reads, as bits; ``form``: the affine function,
-    (constant, {input bit: coefficient}), up to ``_FORM_TERMS`` inputs.
-    Exact values are those of the declared constants. ``const``: a
-    constant's quantized NodeInfo and raw word. ``err``, ``grid``: a leaf's
-    error and grid exponent. ``factor``: for a product by a constant with
-    e0 set, the operand index of the constant."""
+    has hi > 0 in every plan. ``const``: a constant's quantized NodeInfo
+    and raw word. ``err``, ``grid``, ``reach``: a leaf's error, grid
+    exponent and reach (see ``GridFloor``). ``factor``: for a product by a
+    constant with e0 set, the operand index of the constant."""
 
-    __slots__ = ("e0", "pos", "lo", "hi", "mask", "form", "const", "err", "grid", "factor")
+    __slots__ = ("e0", "pos", "const", "err", "grid", "reach", "factor")
 
-    def __init__(self, e0=None, pos=False, lo=None, hi=None, mask=0, form=None,
-                 const=None, err=None, grid=None, factor=None):
-        self.e0, self.pos, self.lo, self.hi, self.mask = e0, pos, lo, hi, mask
-        self.form, self.const, self.err, self.grid = form, const, err, grid
-        self.factor = factor
+    def __init__(self, e0=None, pos=False, const=None, err=None, grid=None, reach=None,
+                 factor=None):
+        self.e0, self.pos, self.const, self.err = e0, pos, const, err
+        self.grid, self.reach, self.factor = grid, reach, factor
+
+
+class _Floor:
+    """What the grid floor knows of a node's W-bit value (a product's after
+    truncation) in every plan that can tie a bound b0: ``err`` and ``g``
+    bound its error and grid exponent from below, ``base`` as in
+    ``GridFloor`` where the cone has an e0; ``reach``, a triple (L, H, x)
+    such that the value's interval [lo, hi] has lo <= L * 2^x and
+    hi >= H * 2^x, or None; ``eff``, an upper bound on the exponent of its
+    value grid, or None; ``need``, a lower bound on the error that the
+    node's own step adds (a constant's: its quantization error). A product
+    whose W-bit value is no point has ``product_eff``, the bound on the
+    value grid of its full-width value; an ADD has ``views``, the part of
+    its need that each operand view adds."""
+
+    __slots__ = ("err", "g", "base", "reach", "eff", "need", "product_eff", "views")
+
+    def __init__(self, err, g, base, reach, eff, need, product_eff=None, views=()):
+        self.err, self.g, self.base = err, g, base
+        self.reach, self.eff, self.need = reach, eff, need
+        self.product_eff, self.views = product_eff, views
 
 
 def _exp_above(x: ErrorBound, strict: bool) -> int:
@@ -205,42 +289,107 @@ def _exp_above(x: ErrorBound, strict: bool) -> int:
         t += 1
 
 
+def _reach_sum(a: tuple | None, b: tuple | None) -> tuple | None:
+    """The reach of a sum, from its operands' reaches."""
+    if a is None or b is None:
+        return None
+    e = min(a[2], b[2])
+    return ((a[0] << (a[2] - e)) + (b[0] << (b[2] - e)),
+            (a[1] << (a[2] - e)) + (b[1] << (b[2] - e)), e)
+
+
+def _reach_product(a: tuple | None, b: tuple | None) -> tuple | None:
+    """The reach of a product, where both operands' reaches are intervals."""
+    if a is None or b is None or a[0] > a[1] or b[0] > b[1]:
+        return None
+    corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+    return min(corners), max(corners), a[2] + b[2]
+
+
+def _lowered(r: tuple | None, s: int | None, negate: bool = False) -> tuple | None:
+    """The reach ``r`` with hi lowered by 2^s (by 0 when s is None), then
+    negated if ``negate``."""
+    if r is not None and s is not None:
+        e = min(r[2], s)
+        r = r[0] << (r[2] - e), (r[1] << (r[2] - e)) - (1 << (s - e)), e
+    return (-r[1], -r[0], r[2]) if negate and r is not None else r
+
+
+def _no_point(r: tuple | None) -> bool:
+    """True when no interval that reaches past ``r`` is a point."""
+    return r is not None and r[0] < r[1]
+
+
+def _floored_eff(b0: ErrorBound, eff: int) -> int:
+    """The largest G with 2^G <= b0 + 2^eff: the coarsest value grid that
+    flooring a value from eff can reach while it loses at most b0."""
+    n, e, q = b0.n, b0.e, b0.q
+    m = min(e, eff)  # b0 + 2^eff = x * 2^m / q, and x >= q as 2^eff <= it
+    x = (n << (e - m)) + (q << (eff - m))
+    return m + (x // q).bit_length() - 1
+
+
 class GridFloor:
-    """Lower bounds on the output errors of the plans that can tie or beat
-    an incumbent, taken before a search's first step: the grid floor.
+    """Lower bounds on the errors of the plans that can tie or beat an
+    incumbent, per node: the grid floor.
 
-    For a bound ``b0``, ``output_floors`` gives each output an error that
-    every plan of the builder's graph whose errors are all at most ``b0``
-    reaches. A plan whose cost key ties or beats ``(b0, s)`` is such a
-    plan, since bounds never decrease along an edge. It is one bottom-up
-    pass over ``builder.positions``. Per node it bounds from below the
-    error of the node's W-bit value (a product's after truncation) and the
-    exponent g of that value's grid; each rule is the analyzer's own, read
-    from below:
+    For a bound ``b0``, ``node_floors`` gives each position a ``_Floor``
+    that holds in every plan of the builder's graph whose errors are all at
+    most ``b0``; ``output_floors`` gives each output's error floor. A plan
+    whose cost key ties or beats ``(b0, s)`` is such a plan, since bounds
+    never decrease along an edge. It is one bottom-up pass over
+    ``builder.positions``. Per node it bounds the W-bit value (a product's
+    after truncation); each rule is the analyzer's own, read from below:
 
-    * Floors. INPUT: 0. CONST: its quantization error. MUL: the larger
-      operand floor (``mul_error_bound``'s clamp), and for c*u base + need
-      at g. Pairwise ADD: the views' errors add in full, each at least its
-      operand's floor and, for an operand u with an e0, base(u) + need(u, g).
+    * Reaches. A value's reach (L, H) says that its interval has lo <= L
+      and hi >= H in every plan: an input's range, a constant's point, the
+      sum of an ADD's views' reaches (one maybe negated), and the product
+      of a MUL's operands' where both have L <= H, as interval arithmetic
+      is monotone in its operands. Flooring onto a grid lowers lo, and
+      lowers hi by at most the loss it adds, so by at most b0 and by at
+      most 2^s, the least power of two at or above b0: each view of an ADD
+      and each truncation lowers H by 2^s. A value whose reach has L < H is
+      no point in any plan.
     * Grids. A product's grid is the sum of its operands' grids, and
       truncation only coarsens it; an ADD aligns both views to at least the
       coarser operand grid. A format of at most W bits with range exponent
-      R has its grid at 2^(R - (W - 1)) or coarser. For a node affine in
-      the inputs, at the input corner where its exact value is hi the
-      computed value is at least hi - b0 and lies in the node's interval,
-      which its format holds; likewise lo + b0. So R is at least that of a
-      format holding both.
-    * ``need(u, g) = floor_loss(e0(u), g)`` = 2^g - 2^e0(u), e0 the finest
-      grid u's value can have. A value that never becomes a point has
-      err >= base + 2^eff - 2^e0 in every plan. Flooring a non-point
+      R has its grid at 2^(R - (W - 1)) or coarser, and its range holds
+      the value's interval, so R is at least that of a format holding the
+      reach.
+    * Value grids. Every end of an interval is a multiple of the value grid
+      2^eff, so flooring a value that is no point from eff to g adds
+      2^g - 2^eff, or 0 when g <= eff, and that is at most b0: g is at most
+      the largest G with 2^G <= b0 + 2^eff. A product's eff is the sum of
+      its operands', an input's its format grid, a constant's fixed, a
+      flooring's the larger of eff and g, an ADD's the smaller of its
+      views'. ``eff`` bounds it from above where the reach shows that the
+      values floored on the way are no points.
+    * Needs. ``need`` bounds from below the loss that the node's own step
+      adds: a truncation's, from eff (bounded above) to g (bounded below);
+      an ADD's views', where a constant's view loses the exact remainder of
+      its point on the grid, which never shrinks as the grid coarsens. A
+      product's truncation and a later view of it at an ADD floor the same
+      value twice, so when the truncated value is no point they lose
+      together at least 2^g - 2^eff, from the product's eff to the coarser
+      of the two grids, g.
+    * Floors. INPUT: 0. CONST: its quantization error. MUL: the larger
+      operand floor (``mul_error_bound``'s clamp) plus the need, and for
+      c*u base + e0 need(c*u, g). Pairwise ADD: the views' errors add in
+      full, each at least its operand's floor plus its view's need and, for
+      an operand u with an e0, base(u) + e0 need(u, g).
+    * e0 need(u, g) = ``floor_loss(e0(u), g)`` = 2^g - 2^e0(u), e0 the
+      finest grid u's value can have. A value that never becomes a point
+      has err >= base + 2^eff - 2^e0 in every plan. Flooring a non-point
       interval from eff to g adds 2^g - 2^eff, so the bound telescopes
       along a path. An ADD passes on both views' errors in full and takes
       the finer view grid: its base and e0 are the sum and the minimum of
       its operands'. A product c*u by a constant adds M_c*err(u) + M_u*e_c
       with M_c = |c| >= 2^eff(c), so e0 = eff(c) + e0(u) and base =
-      |c|*base(u) + M_u*e_c, where M_u is at least the larger end of |u|'s
-      exact range less b0. As eff is never below the format grid, a value
-      on the grid 2^g has err >= base + need(u, g).
+      |c|*base(u) + M_u*e_c, where M_u, the largest |value| of u's
+      interval, is at least the larger end of |u|'s reach. As eff is never below the format grid, a value
+      on the grid 2^g has err >= base + e0 need(u, g). This total holds
+      from the inputs on, not on top of an error already made: a suffix
+      of it would count again the 2^eff - 2^e0 that error holds.
     * Points. e0 is set only for values whose interval spans zero,
       lo < 0 <= hi, in every plan. Flooring keeps that, so none collapses
       to a point, whose ``floor_loss`` is an exact remainder instead. A sum
@@ -255,18 +404,26 @@ class GridFloor:
 
     def __init__(self):
         self._cones: dict[tuple, _Cone] = {}
-        self._floors: dict[tuple, tuple] = {}  # per (cone, b0): see _floor
-        self._inputs: list[tuple[ErrorBound, ErrorBound]] = []  # range per input bit
+        self._floors: dict[tuple, _Floor] = {}  # per (cone, b0)
+        self._last: tuple | None = None  # (builder, b0, node floors) of the last call
 
     def output_floors(self, builder: PlanBuilder, b0: ErrorBound) -> tuple | None:
-        """Each output's floor, or None when the graph holds a chain or a
-        node the rules do not cover, or a constant does not fit."""
+        """Each output's error floor, or None as for ``node_floors``."""
+        floors = self.node_floors(builder, b0)
+        return None if floors is None else tuple(floors[o].err for o in builder.dfg.output_ids)
+
+    def node_floors(self, builder: PlanBuilder, b0: ErrorBound) -> dict[str, _Floor] | None:
+        """Each position's ``_Floor``, or None when the graph holds a chain
+        or a node the rules do not cover, or a constant does not fit."""
         if builder.chains:
             return None
         dfg, width = builder.dfg, builder.config.width
         b0_key = (b0.n, b0.e, b0.q)
+        if self._last is not None and self._last[0] is builder and self._last[1] == b0_key:
+            return self._last[2]
+        slack = _exp_above(b0, False) if b0.n > 0 else None
         cones: dict[str, _Cone] = {}
-        floors: dict[str, tuple] = {}
+        floors: dict[str, _Floor] = {}
         for nid in builder.positions:
             node = dfg.node(nid)
             if node.kind is NodeKind.OUTPUT:
@@ -274,7 +431,7 @@ class GridFloor:
                 continue
             ops = [cones[o] for o in node.operands]
             leaf = nid if node.kind in (NodeKind.INPUT, NodeKind.CONST) else None
-            key = (node.kind, leaf, node.negate, *map(id, ops))
+            key = (node.kind.value, leaf, node.negate, *map(id, ops))
             cone = self._cones.get(key)
             if cone is None:
                 try:
@@ -288,102 +445,97 @@ class GridFloor:
             floor = self._floors.get(f_key)
             if floor is None:
                 floor = self._floors[f_key] = self._floor(
-                    builder, node, cone, ops, [floors[o] for o in node.operands], b0, width)
+                    builder, node, cone, ops, [floors[o] for o in node.operands], b0, slack,
+                    width)
             cones[nid], floors[nid] = cone, floor
-        return tuple(floors[o][0] for o in dfg.output_ids)
+        self._last = (builder, b0_key, floors)
+        return floors
 
-    def _cone(self, builder: PlanBuilder, node, ops: list) -> _Cone | None:
-        kind, den = node.kind, builder.den
+    @staticmethod
+    def _cone(builder: PlanBuilder, node, ops: list) -> _Cone | None:
+        kind = node.kind
         if kind is NodeKind.INPUT:
             fmt = builder.bindings.input_format(node.id)
-            lo = ErrorBound(fmt.min_raw * den, -fmt.f, den)
-            hi = ErrorBound(fmt.max_raw * den, -fmt.f, den)
-            bit = len(self._inputs)
-            self._inputs.append((lo, hi))
-            return _Cone(-fmt.f, fmt.max_raw > 0, lo, hi, 1 << bit,
-                         (builder.zero, {bit: ErrorBound(den, 0, den)}),
-                         err=builder.zero, grid=-fmt.f)
+            return _Cone(-fmt.f, fmt.max_raw > 0, err=builder.zero, grid=-fmt.f,
+                         reach=(fmt.min_raw, fmt.max_raw, -fmt.f))
         if kind is NodeKind.CONST:
             info, raw = builder.quantized(node)
-            value = ErrorBound.of(node.value, den)
-            return _Cone(lo=value, hi=value, form=(value, {}), const=(info, raw),
-                         err=info.err, grid=info.signal.grid_exp)
+            iv = info.interval
+            return _Cone(const=(info, raw), err=info.err, grid=info.signal.grid_exp,
+                         reach=(iv.m_lo, iv.m_hi, iv.exp))
         a, b = ops
         if kind is NodeKind.MUL:
-            e0 = factor = None
             for k, (c, u) in enumerate(((a, b), (b, a))):
                 if c.const is not None and c.const[1] and u.e0 is not None \
                         and (c.const[1] > 0 or u.pos):
-                    e0, factor = c.const[0].eff_exp + u.e0, k
-                    break
-            c, u = (a, b) if not a.mask else (b, a)
-            if c.mask or c.lo is None or u.lo is None:
-                return _Cone(e0, factor=factor)  # not affine: no range
-            k = c.lo
-            form = None if u.form is None else (
-                k * u.form[0], {bit: k * v for bit, v in u.form[1].items()})
-            return _Cone(e0, False, min(k * u.lo, k * u.hi), max(k * u.lo, k * u.hi),
-                         u.mask, form, factor=factor)
+                    return _Cone(c.const[0].eff_exp + u.e0, factor=k)
+            return _Cone()
         if kind is NodeKind.ADD:
             na, nb = node.negate  # never both: the sum spans zero as its operands do
             e0 = min(a.e0, b.e0) if a.e0 is not None and b.e0 is not None else None
-            form = None
-            if a.form is not None and b.form is not None:
-                terms = {bit: -v if na else v for bit, v in a.form[1].items()}
-                for bit, v in b.form[1].items():
-                    v = -v if nb else v
-                    terms[bit] = terms[bit] + v if bit in terms else v
-                k0 = (-a.form[0] if na else a.form[0]) + \
-                    (-b.form[0] if nb else b.form[0])
-                form = (k0, terms) if len(terms) <= _FORM_TERMS else None
-            if a.lo is not None and b.lo is not None and not a.mask & b.mask:
-                # the operands read disjoint inputs: their ranges add
-                lo = (-a.hi if na else a.lo) + (-b.hi if nb else b.lo)
-                hi = (-a.lo if na else a.hi) + (-b.lo if nb else b.hi)
-            elif form is not None:
-                lo = hi = form[0]
-                for bit, v in form[1].items():
-                    x_lo, x_hi = self._inputs[bit]
-                    ends = (v * x_lo, v * x_hi)
-                    lo, hi = lo + min(ends), hi + max(ends)
-            else:
-                return _Cone(e0, na or nb)
-            return _Cone(e0, na or nb, lo, hi, a.mask | b.mask, form)
+            return _Cone(e0, na or nb)
         return None
 
     @staticmethod
     def _floor(builder: PlanBuilder, node, cone: _Cone, ops: list, below: list,
-               b0: ErrorBound, width: int) -> tuple:
-        """The node's (floor, finest grid exponent of its W-bit value, base),
-        from its operands' (``below``); base is None where e0 is."""
+               b0: ErrorBound, slack: int | None, width: int) -> _Floor:
+        """The node's ``_Floor`` from its operands' (``below``); 2^slack is
+        the least power of two at or above b0, None when b0 is 0."""
+        zero = builder.zero
         if cone.err is not None:
-            return cone.err, cone.grid, builder.zero if cone.e0 is not None else None
+            eff = cone.const[0].eff_exp if cone.const is not None else cone.grid
+            return _Floor(cone.err, cone.grid, zero if cone.e0 is not None else None,
+                          cone.reach, eff, cone.err)
         den = builder.den
+        a, b = below
         if node.kind is NodeKind.MUL:
-            g = below[0][1] + below[1][1]  # a product's grid; truncation coarsens it
+            g = a.g + b.g  # a product's grid; truncation coarsens it
+            full = _reach_product(a.reach, b.reach)
+            reach = _lowered(full, slack)
         else:
-            g = max(below[0][1], below[1][1])  # the grid both views align to
-        if cone.lo is not None:
-            top, bottom = cone.hi - b0, -(cone.lo + b0)
-            if top.n > 0:
-                g = max(g, _exp_above(top, True) - (width - 1))
-            if bottom.n > 0:
-                g = max(g, _exp_above(bottom, False) - (width - 1))
+            g = max(a.g, b.g)  # the grid both views align to
+            reach = _reach_sum(*(_lowered(f.reach, slack, neg)
+                                 for f, neg in zip(below, node.negate)))
+        if reach is not None:
+            lo, hi, e = reach
+            if hi > 0:
+                g = max(g, e + hi.bit_length() - (width - 1))
+            if lo < 0:
+                g = max(g, e + (-lo - 1).bit_length() - (width - 1))
         if node.kind is NodeKind.MUL:
-            floor, base = max(below[0][0], below[1][0]), None
+            need, eff, product_eff = zero, None, None
+            if _no_point(full) and a.eff is not None and b.eff is not None:
+                need = floor_loss(a.eff + b.eff, g, q=den)
+                eff = _floored_eff(b0, a.eff + b.eff)
+                if _no_point(reach):
+                    product_eff = a.eff + b.eff
+            floor, base = max(a.err, b.err) + need, None
             if cone.e0 is not None:
                 k = cone.factor
-                (info, raw), u = ops[k].const, ops[1 - k]
-                # |u| reaches within b0 of an end of u's exact range
-                m_u = max(u.hi - b0, -(u.lo + b0), builder.zero) \
-                    if u.lo is not None else builder.zero
-                base = below[1 - k][2].scaled(abs(raw), -info.signal.fmt.f) + info.err * m_u
+                (info, raw), u = ops[k].const, below[1 - k]
+                # |u|'s interval reaches past the ends of its reach
+                m_u = zero if u.reach is None else \
+                    ErrorBound(max(u.reach[1], -u.reach[0], 0) * den, u.reach[2], den)
+                base = u.base.scaled(abs(raw), -info.signal.fmt.f) + info.err * m_u
                 floor = max(floor, base + floor_loss(cone.e0, g, q=den))
-            return floor, g, base
-        parts = [max(f, base + floor_loss(op.e0, g, q=den)) if op.e0 is not None else f
-                 for op, (f, _g, base) in zip(ops, below)]
-        return parts[0] + parts[1], g, \
-            below[0][2] + below[1][2] if cone.e0 is not None else None
+            return _Floor(floor, g, base, reach, eff, need, product_eff)
+        floor, need, eff, views = zero, zero, None, []
+        for op, f in zip(ops, below):
+            loss = zero
+            if op.const is not None:  # a point: its view loses the exact remainder
+                info = op.const[0]
+                loss = floor_loss(info.eff_exp, g, info.interval, den)
+            elif _no_point(f.reach) and f.eff is not None:
+                loss = floor_loss(f.eff, g, q=den)
+                view = _floored_eff(b0, f.eff)
+                eff = view if eff is None else min(eff, view)
+            part = f.err + loss
+            if op.e0 is not None:
+                part = max(part, f.base + floor_loss(op.e0, g, q=den))
+            floor, need = floor + part, need + loss
+            views.append(loss)
+        return _Floor(floor, g, a.base + b.base if cone.e0 is not None else None,
+                      reach, eff, need, views=views)
 
 
 def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
@@ -406,17 +558,21 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
 
     With ``prune`` a state is cut when a lower bound on its cost exceeds
     the best cost known: the incumbent passed in, or the best plan found.
-    The bound is its largest error so far, or the errors that reach each
-    output through additions only (``_Frontier.lower_bound``). Added error
-    grows with the candidate, so a cut candidate also cuts the larger ones
-    at that choice point. A state is also dropped when an earlier state at
-    the same position dominates it (``_Frontier.dominated``).
-    ``prune=False`` walks the whole tree, for oracle comparisons.
+    The bound is its largest error so far, or per output the errors made
+    so far that reach it through additions and products plus the losses
+    the steps still to come must add on the way, the completion floor
+    (``_Frontier.lower_bound``). Added error grows with the candidate, so
+    a cut candidate also cuts the larger ones at that choice point. A state
+    is also dropped when an earlier state at the same position dominates it
+    (``_Frontier.dominated``). ``prune=False`` walks the whole tree, for
+    oracle comparisons.
 
-    With ``prune`` and an incumbent, and no chain in ``chain_roots``, the
-    search first takes the grid floor (``GridFloor``; ``floor`` shares one
-    across the searches of one graph): when it exceeds the incumbent, no
-    plan can tie it, and the search ends before its first step.
+    With ``prune`` and no chain in ``chain_roots``, the grid floor
+    (``GridFloor``; ``floor`` shares one across the searches of one graph)
+    gives the completion floors for each bound the search takes, and, with
+    an incumbent, bounds each output's error before the first step: when
+    that exceeds the incumbent, no plan can tie it, and the search ends
+    there.
 
     Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
     when no choice fits the word width.
@@ -430,8 +586,9 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     # bounds are compared on the builder's denominator
     bound = tuple(ErrorBound.of(x, builder.den) for x in incumbent) \
         if prune and incumbent is not None else None
+    floor = floor or GridFloor()
     if bound is not None and outputs:
-        floors = (floor or GridFloor()).output_floors(builder, bound[0])
+        floors = floor.output_floors(builder, bound[0])
         if floors is not None and cost_key(floors) > bound:
             log.info(_COUNTERS, topology, 0, 0, 0, 0, ", cut by the grid floor")
             return None
@@ -440,7 +597,9 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     n = len(order)
     rows = [cands if builder.is_choice_point(nid) else (0,) for nid in order]
     slot = {nid: k for k, nid in enumerate(points)}
-    frontier = _Frontier(builder) if prune and free else None
+    frontier = _Frontier(builder, floor) if prune and free else None
+    if frontier is not None and bound is not None:
+        frontier.bound_to(bound[0])
     best_key = best_vec = best_ctx = None
     last_fail = ""
     steps = leaves = cuts = dominated = 0
@@ -463,6 +622,8 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
                     best_key, best_vec, best_ctx = key, vec, ctx
                     if prune and (bound is None or key < bound):
                         bound = key
+                        if frontier is not None:
+                            frontier.bound_to(bound[0])
                 continue
             if frontier is not None and frontier.dominated(pos, ctx, vec):
                 dominated += 1
@@ -485,7 +646,7 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
             continue
         if bound is not None and (branch.live_err > bound[0] or (
                 frontier is not None and pos + 1 < n
-                and frontier.lower_bound(branch, branch_sums) > bound)):
+                and frontier.lower_bound(pos + 1, branch, branch_sums) > bound)):
             # added error grows with the candidate, so the rest of the row
             # cannot beat the incumbent either
             cuts += 1
@@ -567,7 +728,8 @@ def _rebuild_chain(nodes: list[Node], chain: Chain, shape, used: set[str]) -> li
         return nid, sign
 
     _, sign = build(shape, True)
-    assert sign > 0, "a chain cannot be globally negative"
+    if sign < 0:
+        raise PlanCheckError("a chain cannot be globally negative")
     return out
 
 

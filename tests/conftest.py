@@ -67,6 +67,16 @@ def make_matvec_src(n: int) -> str:
                       + ";\n" for i in range(n)))
 
 
+def make_horner_src(n: int) -> str:
+    """c0 + x*(c1 + x*(... + x*cn)) with x in sif(1/0/15) and
+    c_k = 0.{(37k + 11) mod 97, two digits}."""
+    consts = "".join(f"const c{k} = 0.{(37 * k + 11) % 97:02d};\n" for k in range(n + 1))
+    expr = f"c{n}"
+    for k in range(n - 1, -1, -1):
+        expr = f"c{k} + x*({expr})"
+    return "input x : sif(1/0/15);\n" + consts + f"output y = {expr};\n"
+
+
 def quantize_const(value, f: int) -> int:
     """Integer literal for a real constant at f fraction bits: the nearest
     integer to value * 2^f, ties away from zero."""

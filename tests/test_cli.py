@@ -194,6 +194,34 @@ def test_check_plan_raises_under_python_O(fir4_spec):
     assert proc.stdout == "1 interval of 'y' escapes its format\n"
 
 
+# No input reaches these two checks (CHANGES.md says why for each), so the
+# child calls the helpers that hold them with arguments no caller passes.
+_BROKEN_INVARIANTS = """\
+import sys
+from fpsynt import ErrorBound, Interval, NodeInfo, PlanCheckError, ScaledSignal, SifFormat
+from fpsynt.analysis import Chain, _shift_view
+from fpsynt.optimizer import _rebuild_chain
+info = NodeInfo(ScaledSignal(SifFormat(1, 0, 7), 0), Interval.from_raws(-128, 127, -7),
+                ErrorBound(0))
+chain = Chain("t1", ("t0",), (("a", -1), ("b", -1), ("c", -1)), ((0, 1), 2))
+for call in (lambda: _shift_view(info, 1, 8, 0), lambda: _rebuild_chain([], chain, chain.shape, set())):
+    try:
+        call()
+    except PlanCheckError as e:
+        print(sys.flags.optimize, e)
+"""
+
+
+def test_internal_checks_raise_under_python_O():
+    """The analyzer's and the optimizer's internal checks raise
+    PlanCheckError also when ``python -O`` strips asserts."""
+    proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("1 view of f=7 cannot have f=8\n"
+                           "1 a chain cannot be globally negative\n")
+
+
 @pytest.mark.parametrize("args,message", [
     (["synth", "--width", "100"], "width must be in [4, 64], got 100"),
     (["synth", "--width", "3"], "width must be in [4, 64], got 3"),

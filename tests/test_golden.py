@@ -8,9 +8,12 @@ leaves and prunes of the ``fpsynt.optimizer`` counter lines, is a change
 in the search's behaviour. The specs are ``demos/specs/fir4.fps``, copies of
 the benchmark's FIR-5, Horner-8, ``matvec2x3`` and ``matvec2x2`` sources,
 two of acceptance criterion 06's fuzz specs under that criterion's config,
-and three larger rungs: FIR-32, an 80-term sum and ``matvec4x4``. FIR-64
-and a 160-term sum are held to a step bound instead. One graph with
-non-decimal constants pins every node's exact error bound.
+and three larger rungs: FIR-32, an 80-term sum and ``matvec4x4``. FIR-64,
+a 160-term sum and Horner-16 are held to a step bound instead. One graph
+with non-decimal constants pins every node's exact error bound.
+
+``PYTHONPATH=src python tests/test_golden.py`` prints, for each pinned
+spec, its step count and digests now next to the pinned ones.
 """
 
 import hashlib
@@ -25,7 +28,7 @@ from fpsynt.analysis import PlanBuilder, check_plan
 from fpsynt.core import NodeKind
 from fpsynt.optimizer import topological_optimize
 
-from conftest import make_fir_src, make_graph, make_matvec_src, make_sum_src
+from conftest import make_fir_src, make_graph, make_horner_src, make_matvec_src, make_sum_src
 
 FIR4 = (Path(__file__).resolve().parent.parent / "demos" / "specs" / "fir4.fps").read_text()
 
@@ -143,36 +146,36 @@ GOLDEN = {
         "80a823140d4fe32e623f388404e2ca1e9b8a0ccdbfb204a11bb6a6b19e3955eb",
         "b0e59e04b23dbae4a73320b54f51483a01e5092dfe298a93e50cefd0c82cc947",
         "17ffaa6bf25734547c53d6070500ec1ff65f2ecd5aff89cbf1679da26c8ca7ad"),
-    "horner8": (HORNER8, Config(width=16), 886,
+    "horner8": (HORNER8, Config(width=16), 129,
         "5cb96c4acb38dded66ceb112ccd269e8405f9119c5a8a54730dc54f94055c975",
         "1ea91fd5372c155e5b6f4b10e4d00518a9cf79920182fed129b8627947daf933",
         "58aaf11103e158111ff3c3d204e3be8ddb006c934de5c3c91d1eac39069d2ab9",
         "f2c2ab5a6fda8b6ecf0ee3eae4e67c8f9bb9f180d701d27c790629f928620ba0",
-        "105ee8cac6b565b175526d9d780204cc46a9d12ea3efe2fe565c7f38d7325f49"),
+        "1ab1bbe2f2689159879ea6d644857d55b15eed414ab385896c7e54be0bd68666"),
     "matvec2x3": (MATVEC2X3, Config(width=16), 19,
         "900c6ea6e82fe691124635f959b4be9968c50a818dbc5783c20e7528c015c33f",
         "c1e4730a6717146c02de628185883039f832586134e7fb136d113e27ea260708",
         "984800c99efe507571a952cff0038663e34ab4fae2537b19651ccfb29a8e7474",
         "d1c7243bf9018000526f9f420bcde1b67348bc78aa366f105df611b7dce50cc0",
         "c0298153252b9f7cd108b5cb9988c31e54b8977bb54b2ab2f75192f8b4c3f503"),
-    "matvec2x2_w32": (MATVEC2X2_W32, Config(width=32), 68,
+    "matvec2x2_w32": (MATVEC2X2_W32, Config(width=32), 61,
         "a9af20e9d0da91f2a9381897fa189e1517ddc4eb5b5f9f1419a8a0e73147d76f",
         "d0958817827fd78b8f992c1e900bb5ecc8b8265006ccb4ab6b6695ddcca0e863",
         "d4d1d41e1d35dc18e7359437f3d4f17880398afe3c501b7d79fe0a8439f88b19",
         "7d8a5c1af896215d294c03870e93b1e812675b3c856af4003fcc14d069871ce6",
-        "7364d82e6971490e0a656d123c0daf40b54f3aa22dfca140fa14fc3de5a933c0"),
+        "a282d1acb8bb22b841a792da962f16ce9204b33ca8e304ca5cee6f46aabde958"),
     "fuzz04_fir6_w8": (FUZZ04_FIR6_W8, _fuzz_config(8, True), 20,
         "966fe1db21bc188f61ddefd7bc7a140e0aaf63312fb565e267596ca9d9cb1a96",
         "89fa49ef6307eb8938e6ea456668f7b54232f243d2f6a4cf1b372aac0b0b4f09",
         "6369eba60d6cda1d16b47fbcc5d9e6626a871183655799f2dabc8b0d012a4c3f",
         "594128b5bfe4e56d27fd1b97c47a3b6035b3250b8b0e3231c6bfbc7383cdcf79",
         "8120825f35398f9d982e102209d6d7b7bae8fa1b46e75e16e1258b2e71055a5d"),
-    "fuzz11_fir8_w32": (FUZZ11_FIR8_W32, _fuzz_config(32, False), 282,
+    "fuzz11_fir8_w32": (FUZZ11_FIR8_W32, _fuzz_config(32, False), 166,
         "3c5738782421e5a971b00e223bea3247d237502b7ba08b664fbd415c59874bd1",
         "0325aae94bfc137453361daf91ba3b31c94c56b73a4dff651aac371616c5b9fa",
         "a766605801bc09f1acd40ed082231a655ad6eee920f9340a9d3abde142d16de7",
         "674671ab85d2ef609b67fec316f450136a82e7a3ecdfc0ee87cef415430ce855",
-        "12b96c5d1c984b3d472c77b1e890d5b9faaca0e635d9670ef0b3d6aa86bbfd8f"),
+        "d36a6f2ac1e857bcd4535737c8ff251b75371442d8ef0170a36bf26a0b6cadce"),
     "fir32": (FIR32, Config(width=16), 98,
         "1609890642439f7ee366a351fc33ae1dda78b53755c7311fda2585183dd5552e",
         "16fa8a6b037d0dc70db11000915062c59253c014c02abdd732c3086dbbf150e1",
@@ -228,13 +231,16 @@ def test_artifacts_and_step_count_are_pinned(name, monkeypatch, caplog):
     assert got == (steps, c, c_portable, vhdl, report, counters)
 
 
-@pytest.mark.parametrize("source", [make_fir_src([(k + 1) / 100 for k in range(64)]),
-                                    make_sum_src(160)], ids=["fir64", "sum160"])
-def test_scale_rungs_finish_within_a_step_bound(source, monkeypatch):
+@pytest.mark.parametrize("source,bound", [
+    (make_fir_src([(k + 1) / 100 for k in range(64)]), 1_000),
+    (make_sum_src(160), 1_000),
+    (make_horner_src(16), 560),
+], ids=["fir64", "sum160", "horner16"])
+def test_scale_rungs_finish_within_a_step_bound(source, bound, monkeypatch):
     calls = _count_steps(monkeypatch)
     plan = synthesize(source, Config(width=16))
     check_plan(plan)
-    assert calls[0] <= 1_000
+    assert calls[0] <= bound
 
 
 # constants with odd denominators 3 and 7, and a product of two values that
@@ -274,7 +280,50 @@ def test_exact_error_bounds_are_pinned(monkeypatch):
     calls = _count_steps(monkeypatch)
     plan = topological_optimize(*ODD_DENOMINATORS, Config(width=16))
     assert plan.topology == "source+chain"
-    assert calls[0] == 189
+    assert calls[0] == 118
     assert {n.id: str(plan.info[n.id].err) for n in plan.graph.nodes} == ODD_DENOMINATOR_ERRORS
     assert list(ODD_DENOMINATOR_ERRORS) == [n.id for n in plan.graph.nodes]
     assert all(type(plan.info[n.id].err) is Fraction for n in plan.graph.nodes)
+
+
+class _Lines(logging.Handler):
+    def __init__(self):
+        super().__init__(logging.INFO)
+        self.lines: list[str] = []
+
+    def emit(self, record):
+        if record.name == "fpsynt.optimizer" and record.levelno == logging.INFO:
+            self.lines.append(record.getMessage())
+
+
+def _current(name: str) -> tuple:
+    """What ``test_artifacts_and_step_count_are_pinned`` compares for one
+    spec: (steps, C, portable C, VHDL, report.json, counter lines)."""
+    source, config = GOLDEN[name][:2]
+    handler, logger = _Lines(), logging.getLogger("fpsynt.optimizer")
+    level = logger.level
+    logger.addHandler(handler)
+    logger.setLevel(logging.INFO)
+    try:
+        with pytest.MonkeyPatch.context() as mp:
+            calls = _count_steps(mp)
+            plan = synthesize(source, config)
+    finally:
+        logger.removeHandler(handler)
+        logger.setLevel(level)
+    return (calls[0],
+            _digest(emit_c(plan, name=name).source),
+            _digest(emit_c(plan, name=name, portable_shift=True).source),
+            _digest(emit_vhdl(plan, name=name).source),
+            _digest(report_json(plan)),
+            _digest("\n".join(handler.lines)))
+
+
+if __name__ == "__main__":
+    # PYTHONPATH=src python tests/test_golden.py: each spec's current step
+    # count and digests next to the pinned ones
+    fields = ("steps", "c", "c_portable", "vhdl", "report", "counters")
+    for name in GOLDEN:
+        for field, pinned, now in zip(fields, GOLDEN[name][2:], _current(name)):
+            mark = "same" if pinned == now else "MOVED"
+            print(f"{name:16} {field:10} {mark:5} pinned {pinned}  now {now}")

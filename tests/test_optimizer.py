@@ -8,12 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpsynt.analysis import ErrorBound, PlanBuilder, check_plan, find_chains
+from fpsynt.analysis import ErrorBound, PlanBuilder, check_plan, cost_key, find_chains
 from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
 from fpsynt.core import Dfg, NodeKind
 from fpsynt.errors import CannotFitError
-from fpsynt.optimizer import (GridFloor, combinatorial_search, enumerate_topologies,
+from fpsynt.optimizer import (GridFloor, _Frontier, combinatorial_search, enumerate_topologies,
                               topological_optimize)
 from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
@@ -583,8 +583,7 @@ def _random_floor_graph(rng: random.Random, width: int) -> tuple[Dfg, Bindings]:
     return make_graph(inputs, consts, ops, {"y0": acc, "y1": "u"})
 
 
-# Found by a random search. Without the b0 slack in gmin, the floor of y0
-# here exceeds its optimum at W=9: the optimum holds t1 = v0 - v1 in a
+# Found by a random search. At W=9 the optimum holds t1 = v0 - v1 in a
 # format whose range is too small for t1's exact range, which its computed
 # values come within the error of.
 SLACK_MATTERS = (make_graph(
@@ -598,8 +597,8 @@ SLACK_MATTERS = (make_graph(
 # Found by a random search. With v1 in sif(1/0/0), t0 = -0.7 * v1 lies in
 # [0, 0.7]; an extra truncation of t1 or t2 can floor it to a point, which
 # the next flooring takes by its exact remainder. Without the point guard
-# (a product c*u with c < 0 spans zero only if u's hi is > 0), the floor of
-# y0 exceeds its optimum at W=6.
+# (a product c*u with c < 0 spans zero only if u's hi is > 0), or without
+# the slack on hi of the reaches, the floor of y0 exceeds its optimum at W=6.
 COLLAPSES_TO_A_POINT = (make_graph(
     {"v0": (1, 0, 2), "v1": (1, 0, 0)}, {"c0": Fraction(3, 10), "c1": Fraction(-7, 10)},
     [("t0", NodeKind.MUL, ("c1", "v1"), (False, False)),
@@ -637,3 +636,105 @@ def test_grid_floor_never_exceeds_a_topologys_optimum():
             checked += 1
     # the floor is no vacuous 0: it reaches half the optimum on many outputs
     assert checked >= 70 and tight * 3 >= outputs, (checked, outputs, tight)
+
+
+# ---------------------------------------------------------------------------
+# Horner chains and the completion floor
+
+_HORNER_CONSTS = [Fraction(-3, 4), Fraction(1, 2), Fraction(-1, 4), Fraction(1), Fraction(-1, 2),
+                  Fraction(1, 3), Fraction(-5, 7), Fraction(3, 10), Fraction(-7, 10),
+                  Fraction(2, 9), Fraction(-11, 13)]
+
+
+def _random_horner_graph(rng: random.Random, n: int, width: int) -> tuple[Dfg, Bindings]:
+    """c0 + x*(c1 + x*(... + x*cn)) with x in sif(1/0/f) or sif(1/1/f) and
+    constants that are negative, powers of two or not dyadic."""
+    i = rng.choice([0, 1])
+    consts = {f"c{k}": rng.choice(_HORNER_CONSTS) for k in range(n + 1)}
+    ops, acc = [], f"c{n}"
+    for k in range(n - 1, -1, -1):
+        ops.append((f"m{k}", NodeKind.MUL, ("x", acc), (False, False)))
+        ops.append((f"a{k}", NodeKind.ADD, (f"c{k}", f"m{k}"), (False, False)))
+        acc = f"a{k}"
+    return make_graph({"x": (1, i, rng.randint(2, width - 1 - i))}, consts, ops, {"y": acc})
+
+
+def _horner_cases():
+    rng = random.Random(13)
+    return [(_random_horner_graph(rng, n, width), Config(width=width, k_max=2))
+            for n in (2, 3, 4) for width in rng.sample(range(6, 11), 3)]
+
+
+def test_horner_search_matches_the_exhaustive_oracle():
+    """Pruned and unpruned searches of Horner chains agree in cost, choices
+    and C; with at most 6 choice points they also equal the brute force."""
+    checked = 0
+    for (dfg, bindings), cfg in _horner_cases():
+        try:
+            full = combinatorial_search(dfg, bindings, cfg, prune=False)
+        except CannotFitError:
+            with pytest.raises(CannotFitError):
+                combinatorial_search(dfg, bindings, cfg, prune=True)
+            continue
+        pruned = combinatorial_search(dfg, bindings, cfg, prune=True)
+        assert pruned.cost_key == full.cost_key
+        assert pruned.choices == full.choices
+        assert emit_c(pruned).source == emit_c(full).source
+        if len(full.choices) <= 6:
+            assert full.cost == exhaustive_minimum(dfg, bindings, cfg)
+        checked += 1
+    assert checked >= 7
+
+
+def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
+    """Walk every state of the unpruned search tree. With the bound set to
+    the best leaf key below a state, the frontier's lower bound there is at
+    most that key. Returns the number of states checked, and of those where
+    the completion floor raised the bound."""
+    builder = PlanBuilder(dfg, bindings, cfg)
+    frontier = _Frontier(builder, GridFloor())
+    no_floor = _Frontier(builder, GridFloor())  # never bound: cone sums only
+    order = builder.search_order
+    cands = builder.candidates()
+    checked = [0, 0]
+
+    def best_below(pos, ctx, sums):
+        if pos == len(order):
+            return cost_key([ctx.info[o].err for o in dfg.output_ids])
+        best = None
+        for choice in cands if builder.is_choice_point(order[pos]) else (0,):
+            branch = ctx.clone()
+            try:
+                branch_sums = frontier.advance(pos, branch, choice, sums)
+            except CannotFitError:
+                continue
+            key = best_below(pos + 1, branch, branch_sums)
+            if key is not None and (best is None or key < best):
+                best = key
+        if best is not None:
+            frontier.bound_to(best[0])
+            bound = frontier.lower_bound(pos, ctx, sums)
+            assert bound <= best, (order[pos], best)
+            checked[0] += 1
+            checked[1] += bound > no_floor.lower_bound(pos, ctx, sums)
+        return best
+
+    best_below(0, builder.new_ctx(), frontier.zero_sums)
+    return checked[0], checked[1]
+
+
+def test_completion_floor_is_admissible():
+    rng = random.Random(17)
+    cases = _horner_cases()
+    for _ in range(12):
+        width = rng.randint(6, 12)
+        cases.append((_random_floor_graph(rng, width), Config(width=width, k_max=1)))
+        cases.append((_random_shared_graph(rng), Config(width=rng.choice([6, 8]), k_max=1)))
+    # at W=12 and 16 the losses are small against the values' ranges, and
+    # the floor raises the bound in more of the states
+    cases += [(_random_horner_graph(rng, 3, width), Config(width=width, k_max=2))
+              for width in (12, 16)]
+    counts = [_check_completion_floor(dfg, bindings, cfg) for (dfg, bindings), cfg in cases]
+    states, raised = map(sum, zip(*counts))
+    # the floor is no vacuous 0
+    assert states >= 10_000 and raised >= 500, (states, raised)
