@@ -16,19 +16,22 @@ Shifts and truncations floor toward -inf, so their loss is one-sided and
 bounded by (2^k - 1) * grid. All arithmetic is exact and on integers:
 intervals are integer mantissas on a power-of-two exponent, grids are
 exponents, and error bounds are ``ErrorBound`` values n * 2^e / q with an
-odd q. A builder puts every constant's quantization error |c - q(c)| on one
-odd denominator, so adding or comparing two bounds is a shift and one
-integer operation. The rules take only ``ErrorBound``; a ``Fraction`` enters
-through ``ErrorBound.of``, and a finished ``Plan`` holds its bounds as
-``Fraction``. The bounds are sound by construction and validated by
-simulation.
+odd q. A graph's ``GraphTable`` puts every constant's quantization error
+|c - q(c)| on one odd denominator, so adding or comparing two bounds is a
+shift and one integer operation. The rules take only ``ErrorBound``; a
+``Fraction`` enters through ``ErrorBound.of``, and a finished ``Plan``
+holds its bounds as ``Fraction``. The bounds are sound by construction and
+validated by simulation.
 """
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
+import sys
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 from .config import MAX_WIDTH, Config
@@ -451,7 +454,9 @@ def choose_const_format(value: Fraction, width: int) -> SifFormat:
         fmt = SifFormat(1, i, f)
         if fmt.min_value <= value <= fmt.max_value:
             return fmt
-    raise CannotFitError(f"constant {float(value)} does not fit in {width} bits")
+    shown = float(value) if abs(value) <= sys.float_info.max else \
+        f"{Decimal(value.numerator) / value.denominator:.3e}"
+    raise CannotFitError(f"constant {shown} does not fit in {width} bits")
 
 
 # ---------------------------------------------------------------------------
@@ -628,6 +633,56 @@ class _Ctx:
             self.live_err = info.err
 
 
+def depth_first_order(dfg: Dfg, reads=None) -> list[str]:
+    """The inputs that no output reads, in declaration order, then every
+    node the outputs read in depth-first post-order from the outputs, taken
+    in declaration order, ``reads(nid)`` (by default operands) left first."""
+    reads = reads or (lambda nid: dfg.node(nid).operands)
+    order, seen = [], set()
+    stack = [(o, False) for o in reversed(dfg.output_ids)]
+    while stack:
+        nid, ready = stack.pop()
+        if ready:
+            order.append(nid)
+        elif nid not in seen:
+            seen.add(nid)
+            stack.append((nid, True))
+            stack.extend((r, False) for r in reversed(reads(nid)) if r not in seen)
+    return [n.id for n in dfg.nodes if n.kind is NodeKind.INPUT and n.id not in seen] + order
+
+
+class GraphTable:
+    """What re-association cannot change, worked out once per graph,
+    bindings and config: ``den`` (see ``PlanBuilder``), each constant's
+    quantized NodeInfo and raw word, and, on first use, the graph's chains."""
+
+    def __init__(self, dfg: Dfg, bindings: Bindings, config: Config):
+        self.dfg, self.bindings, self.config = dfg, bindings, config
+        self.den = math.lcm(*(_odd_part(Fraction(n.value).denominator)
+                              for n in dfg.nodes if n.kind is NodeKind.CONST))
+        self.zero = ErrorBound(0, 0, self.den)
+        self._quantized: dict[str, tuple[NodeInfo, int]] = {}
+
+    @functools.cached_property
+    def chains(self) -> list[Chain]:
+        return find_chains(self.dfg)
+
+    def quantized(self, node: Node) -> tuple[NodeInfo, int]:
+        """A constant's NodeInfo and raw word, quantized once per table."""
+        quantized = self._quantized.get(node.id)
+        if quantized is None:
+            try:
+                fmt = choose_const_format(node.value, self.config.width)
+            except CannotFitError as e:
+                raise CannotFitError(f"const '{node.id}': {e}") from None
+            raw = encode(node.value, fmt, self.config.quantize)
+            err = ErrorBound.of(abs(node.value - decode(raw, fmt)), self.den)
+            value = Interval.from_raws(raw, raw, -fmt.f)
+            quantized = self._quantized[node.id] = (
+                NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
+        return quantized
+
+
 class PlanBuilder:
     """Builds annotated plans for one graph, one position at a time.
 
@@ -645,27 +700,27 @@ class PlanBuilder:
     reuses it. So a search rebuilds its winner with ``build``.
 
     Error bounds are ``ErrorBound`` values on ``den``, the lcm of the odd
-    parts of the constants' denominators; each constant is quantized once.
+    parts of the constants' denominators; each constant is quantized once
+    per graph, in the ``table`` that its topologies' builders share. Chains
+    come from the table too, so a builder with chain roots is on its graph.
     """
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config,
                  chain_roots: frozenset[str] = frozenset(), topology: str = "source",
-                 source: Dfg | None = None):
+                 source: Dfg | None = None, table: GraphTable | None = None):
         self.dfg = dfg
         self.bindings = bindings
         self.config = config
         self.topology = topology
         self.source = source if source is not None else dfg
-        consts = [n for n in dfg.nodes if n.kind is NodeKind.CONST]
-        self.den = math.lcm(*(_odd_part(Fraction(n.value).denominator) for n in consts))
-        self.zero = ErrorBound(0, 0, self.den)
-        self._quantized: dict[str, tuple[NodeInfo, int]] = {}
-        self.chains = {c.root: c for c in find_chains(dfg)
-                       if c.root in chain_roots}
+        self.table = table or GraphTable(dfg, bindings, config)
+        self.den, self.zero = self.table.den, self.table.zero
+        chains = self.table.chains if chain_roots else ()
+        self.chains = {c.root: c for c in chains if c.root in chain_roots}
         self._absorbed = {m: c.root for c in self.chains.values() for m in c.members}
         self._fallbacks: set[str] = set()  # chain roots already warned about
         # terms whose full-width value may feed the accumulator directly
-        consumers = dfg.consumers()
+        consumers = dfg.consumers() if self.chains else {}
         chain_adds = set(self._absorbed) | set(self.chains)
         self._full_width_terms = set()
         for c in self.chains.values():
@@ -674,44 +729,20 @@ class PlanBuilder:
                         and all(u in chain_adds for u in consumers[tid])):
                     self._full_width_terms.add(tid)
 
-        reachable = self._reachable()
+        reachable = set(depth_first_order(dfg))
         self.positions = [nid for nid in topo_order(dfg)
                           if nid in reachable and nid not in self._absorbed]
-        self.search_order = self._post_order()
 
-    def _reachable(self) -> set[str]:
-        seen = set(self.dfg.output_ids)
-        stack = list(seen)
-        while stack:
-            for op in self.dfg.node(stack.pop()).operands:
-                if op not in seen:
-                    seen.add(op)
-                    stack.append(op)
-        seen.update(n.id for n in self.dfg.nodes if n.kind is NodeKind.INPUT)
-        return seen
+    @functools.cached_property
+    def search_order(self) -> list[str]:
+        """The positions in ``depth_first_order`` over ``reads``."""
+        return depth_first_order(self.dfg, self.reads)
 
     def reads(self, nid: str) -> tuple[str, ...]:
         """Source ids whose current value the step at ``nid`` reads."""
         if nid in self.chains:
             return tuple(tid for tid, _sign in self.chains[nid].terms)
         return self.dfg.node(nid).operands
-
-    def _post_order(self) -> list[str]:
-        """Positions in depth-first post-order from the outputs, taken in
-        declaration order, operands left first; inputs that nothing reads
-        go first."""
-        order: list[str] = []
-        seen: set[str] = set()
-        stack = [(o, False) for o in reversed(self.dfg.output_ids)]
-        while stack:
-            nid, ready = stack.pop()
-            if ready:
-                order.append(nid)
-            elif nid not in seen:
-                seen.add(nid)
-                stack.append((nid, True))
-                stack.extend((r, False) for r in reversed(self.reads(nid)) if r not in seen)
-        return [nid for nid in self.positions if nid not in seen] + order
 
     def new_ctx(self) -> _Ctx:
         return _Ctx({n.id for n in self.dfg.nodes}, self.zero)
@@ -741,7 +772,7 @@ class PlanBuilder:
                 fmt.min_raw, fmt.max_raw, -fmt.f), self.zero))
             ctx.alias[nid] = nid
         elif node.kind is NodeKind.CONST:
-            ctx.emit(node, self.quantized(node)[0])
+            ctx.emit(node, self.table.quantized(node)[0])
             ctx.alias[nid] = nid
         elif node.kind is NodeKind.MUL:
             self._step_mul(ctx, node, choice)
@@ -756,21 +787,6 @@ class PlanBuilder:
             ctx.alias[nid] = nid
         else:
             raise ValueError(f"source graphs cannot contain {node.kind} nodes")
-
-    def quantized(self, node: Node) -> tuple[NodeInfo, int]:
-        """A constant's NodeInfo and raw word, quantized once per builder."""
-        quantized = self._quantized.get(node.id)
-        if quantized is None:
-            try:
-                fmt = choose_const_format(node.value, self.config.width)
-            except CannotFitError as e:
-                raise CannotFitError(f"const '{node.id}': {e}") from None
-            raw = encode(node.value, fmt, self.config.quantize)
-            err = ErrorBound.of(abs(node.value - decode(raw, fmt)), self.den)
-            value = Interval.from_raws(raw, raw, -fmt.f)
-            quantized = self._quantized[node.id] = (
-                NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
-        return quantized
 
     def _step_mul(self, ctx: _Ctx, node: Node, choice: int):
         a = ctx.info[ctx.alias[node.operands[0]]]
@@ -908,7 +924,7 @@ class PlanBuilder:
         return Plan(graph=Dfg(tuple(ctx.nodes)),
                     info={nid: NodeInfo(i.signal, i.interval, i.err.as_fraction(), i.eff_exp)
                           for nid, i in ctx.info.items()},
-                    const_raws={n.id: self.quantized(n)[1] for n in ctx.nodes
+                    const_raws={n.id: self.table.quantized(n)[1] for n in ctx.nodes
                                 if n.kind is NodeKind.CONST},
                     bindings=self.bindings,
                     source=self.source,

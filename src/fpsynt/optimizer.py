@@ -55,8 +55,8 @@ from __future__ import annotations
 import logging
 import math
 
-from .analysis import (Chain, ErrorBound, Plan, PlanBuilder, cost_key, find_chains,
-                       floor_loss)
+from .analysis import (Chain, ErrorBound, GraphTable, Plan, PlanBuilder, cost_key,
+                       depth_first_order, find_chains, floor_loss)
 from .config import Config
 from .core import Dfg, Node, NodeKind
 from .errors import CannotFitError, PlanCheckError
@@ -169,7 +169,8 @@ class _Frontier:
         position, each output's, or None where the grid floor does not
         cover the graph."""
         builder = self._builder
-        floors = self._floor.node_floors(builder, b0)
+        floors = None if builder.chains else \
+            self._floor.node_floors(builder.dfg, builder.search_order, b0)
         if floors is None:
             self._suffix = None
             return
@@ -333,13 +334,13 @@ class GridFloor:
     """Lower bounds on the errors of the plans that can tie or beat an
     incumbent, per node: the grid floor.
 
-    For a bound ``b0``, ``node_floors`` gives each position a ``_Floor``
-    that holds in every plan of the builder's graph whose errors are all at
-    most ``b0``; ``output_floors`` gives each output's error floor. A plan
+    For a bound ``b0``, ``node_floors`` gives each node of a graph with no
+    chain accumulator a ``_Floor`` that holds in every plan of the graph
+    whose errors are all at most ``b0``; an output's bounds its error. A plan
     whose cost key ties or beats ``(b0, s)`` is such a plan, since bounds
-    never decrease along an edge. It is one bottom-up pass over
-    ``builder.positions``. Per node it bounds the W-bit value (a product's
-    after truncation); each rule is the analyzer's own, read from below:
+    never decrease along an edge. It is one bottom-up pass over the graph.
+    Per node it bounds the W-bit value (a product's after truncation); each
+    rule is the analyzer's own, read from below:
 
     * Reaches. A value's reach (L, H) says that its interval has lo <= L
       and hi >= H in every plan: an input's range, a constant's point, the
@@ -396,35 +397,30 @@ class GridFloor:
       spans zero when its operands do (it negates at most one), a product
       c*u with c < 0 only when u's hi is > 0 too.
 
-    The rules read the builder's quantized constants and do integer and
-    ``ErrorBound`` arithmetic only. One instance memoizes each distinct
-    cone, and per ``b0`` its floor, so the searches of one graph's
-    candidates (one bindings and config) share what their cones share.
+    The rules read the table's input formats and quantized constants and do
+    integer and ``ErrorBound`` arithmetic only. One instance serves the
+    topologies of the table's graph: it memoizes each distinct cone, and per
+    ``b0`` its floor, so their searches share what their cones share.
     """
 
-    def __init__(self):
+    def __init__(self, table: GraphTable):
+        self.table = table
         self._cones: dict[tuple, _Cone] = {}
         self._floors: dict[tuple, _Floor] = {}  # per (cone, b0)
-        self._last: tuple | None = None  # (builder, b0, node floors) of the last call
+        self._last: tuple | None = None  # (graph, b0, node floors) of the last call
 
-    def output_floors(self, builder: PlanBuilder, b0: ErrorBound) -> tuple | None:
-        """Each output's error floor, or None as for ``node_floors``."""
-        floors = self.node_floors(builder, b0)
-        return None if floors is None else tuple(floors[o].err for o in builder.dfg.output_ids)
-
-    def node_floors(self, builder: PlanBuilder, b0: ErrorBound) -> dict[str, _Floor] | None:
-        """Each position's ``_Floor``, or None when the graph holds a chain
-        or a node the rules do not cover, or a constant does not fit."""
-        if builder.chains:
-            return None
-        dfg, width = builder.dfg, builder.config.width
+    def node_floors(self, dfg: Dfg, order: list[str], b0: ErrorBound) -> dict[str, _Floor] | None:
+        """The ``_Floor`` of each node of ``order``, a bottom-up order of the
+        nodes the outputs read, or None when the graph holds a node the
+        rules do not cover, or a constant does not fit."""
+        table, width = self.table, self.table.config.width
         b0_key = (b0.n, b0.e, b0.q)
-        if self._last is not None and self._last[0] is builder and self._last[1] == b0_key:
+        if self._last is not None and self._last[0] is dfg and self._last[1] == b0_key:
             return self._last[2]
         slack = _exp_above(b0, False) if b0.n > 0 else None
         cones: dict[str, _Cone] = {}
         floors: dict[str, _Floor] = {}
-        for nid in builder.positions:
+        for nid in order:
             node = dfg.node(nid)
             if node.kind is NodeKind.OUTPUT:
                 cones[nid], floors[nid] = cones[node.operands[0]], floors[node.operands[0]]
@@ -435,7 +431,7 @@ class GridFloor:
             cone = self._cones.get(key)
             if cone is None:
                 try:
-                    cone = self._cone(builder, node, ops)
+                    cone = self._cone(table, node, ops)
                 except CannotFitError:
                     return None
                 if cone is None:
@@ -445,21 +441,21 @@ class GridFloor:
             floor = self._floors.get(f_key)
             if floor is None:
                 floor = self._floors[f_key] = self._floor(
-                    builder, node, cone, ops, [floors[o] for o in node.operands], b0, slack,
+                    table, node, cone, ops, [floors[o] for o in node.operands], b0, slack,
                     width)
             cones[nid], floors[nid] = cone, floor
-        self._last = (builder, b0_key, floors)
+        self._last = (dfg, b0_key, floors)
         return floors
 
     @staticmethod
-    def _cone(builder: PlanBuilder, node, ops: list) -> _Cone | None:
+    def _cone(table: GraphTable, node, ops: list) -> _Cone | None:
         kind = node.kind
         if kind is NodeKind.INPUT:
-            fmt = builder.bindings.input_format(node.id)
-            return _Cone(-fmt.f, fmt.max_raw > 0, err=builder.zero, grid=-fmt.f,
+            fmt = table.bindings.input_format(node.id)
+            return _Cone(-fmt.f, fmt.max_raw > 0, err=table.zero, grid=-fmt.f,
                          reach=(fmt.min_raw, fmt.max_raw, -fmt.f))
         if kind is NodeKind.CONST:
-            info, raw = builder.quantized(node)
+            info, raw = table.quantized(node)
             iv = info.interval
             return _Cone(const=(info, raw), err=info.err, grid=info.signal.grid_exp,
                          reach=(iv.m_lo, iv.m_hi, iv.exp))
@@ -477,16 +473,16 @@ class GridFloor:
         return None
 
     @staticmethod
-    def _floor(builder: PlanBuilder, node, cone: _Cone, ops: list, below: list,
+    def _floor(table: GraphTable, node, cone: _Cone, ops: list, below: list,
                b0: ErrorBound, slack: int | None, width: int) -> _Floor:
         """The node's ``_Floor`` from its operands' (``below``); 2^slack is
         the least power of two at or above b0, None when b0 is 0."""
-        zero = builder.zero
+        zero = table.zero
         if cone.err is not None:
             eff = cone.const[0].eff_exp if cone.const is not None else cone.grid
             return _Floor(cone.err, cone.grid, zero if cone.e0 is not None else None,
                           cone.reach, eff, cone.err)
-        den = builder.den
+        den = table.den
         a, b = below
         if node.kind is NodeKind.MUL:
             g = a.g + b.g  # a product's grid; truncation coarsens it
@@ -568,31 +564,30 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     oracle comparisons.
 
     With ``prune`` and no chain in ``chain_roots``, the grid floor
-    (``GridFloor``; ``floor`` shares one across the searches of one graph)
-    gives the completion floors for each bound the search takes, and, with
-    an incumbent, bounds each output's error before the first step: when
-    that exceeds the incumbent, no plan can tie it, and the search ends
-    there.
+    (``GridFloor``) gives the completion floors for each bound the search
+    takes, and, with an incumbent, bounds each output's error before the
+    first step: when that exceeds the incumbent, no plan can tie it, and the
+    search ends there, before it makes a ``PlanBuilder``: the floor reads only
+    the graph and the ``GraphTable`` of ``floor``, shared by its topologies.
 
     Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
     when no choice fits the word width.
     """
-    builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, source)
-    points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
-    cands = builder.candidates()
-    free = bool(points) and len(cands) > 1
+    floor = floor or GridFloor(GraphTable(dfg, bindings, config))
     outputs = dfg.output_ids
-
-    # bounds are compared on the builder's denominator
-    bound = tuple(ErrorBound.of(x, builder.den) for x in incumbent) \
+    # bounds are compared on the table's denominator
+    bound = tuple(ErrorBound.of(x, floor.table.den) for x in incumbent) \
         if prune and incumbent is not None else None
-    floor = floor or GridFloor()
-    if bound is not None and outputs:
-        floors = floor.output_floors(builder, bound[0])
-        if floors is not None and cost_key(floors) > bound:
+    if bound is not None and outputs and not chain_roots:
+        floors = floor.node_floors(dfg, depth_first_order(dfg), bound[0])
+        if floors is not None and cost_key([floors[o].err for o in outputs]) > bound:
             log.info(_COUNTERS, topology, 0, 0, 0, 0, ", cut by the grid floor")
             return None
 
+    builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, source, floor.table)
+    points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
+    cands = builder.candidates()
+    free = bool(points) and len(cands) > 1
     order = builder.search_order if free else builder.positions
     n = len(order)
     rows = [cands if builder.is_choice_point(nid) else (0,) for nid in order]
@@ -790,13 +785,13 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
         topologies = [("source", dfg)]
     candidates = [(rank, label, topo, frozenset())
                   for rank, (label, topo) in enumerate(topologies)]
+    floor = GridFloor(GraphTable(dfg, bindings, config))
     if config.enable_chain_alloc:
-        roots = frozenset(c.root for c in find_chains(dfg))
+        roots = frozenset(c.root for c in floor.table.chains)
         if roots:
             candidates.insert(0, (len(topologies), "source+chain", dfg, roots))
 
     incumbent = None
-    floor = GridFloor()
     ranked: list[tuple] = []
     errors: list[tuple[int, str]] = []
     for rank, label, graph, chain_roots in candidates:

@@ -15,7 +15,8 @@ coefficient like 0.15 reaches quantization uncorrupted by a binary-float
 detour. Subtraction becomes an ADD node with a negate flag on the second
 operand; unparenthesized sums associate to the left. The parser never
 re-associates and never folds constants; it reproduces the source tree
-exactly. Parentheses nest at most ``MAX_NESTING`` levels deep.
+exactly. Parentheses nest at most ``MAX_NESTING`` levels deep, and a
+numeric literal's decimal exponent is at most ``MAX_EXPONENT`` in size.
 """
 
 from __future__ import annotations
@@ -34,11 +35,16 @@ KEYWORDS = {"input", "const", "output", "sif"}
 # end in RecursionError; past the limit it is a positioned ParseError.
 MAX_NESTING = 200
 
+# Largest size of a literal's decimal exponent: a Fraction expands 10**e in
+# full, so 1e-99999999 would take minutes. 1e999 and 1e-999 already lie far
+# outside any word of up to 64 bits (such a constant does not fit, or is 0).
+MAX_EXPONENT = 999
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<number>\d+(\.\d+)?([eE][+-]?\d+)?)
+  | (?P<number>\d+(\.\d+)?([eE](?P<exp>[+-]?\d+))?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[():;=+\-*/])
     """,
@@ -64,6 +70,9 @@ def tokenize(text: str) -> list[Token]:
         lexeme = m.group(0)
         group = m.lastgroup
         if group == "number":
+            exp = (m.group("exp") or "").lstrip("+-0")  # its digits
+            if len(exp) > len(str(MAX_EXPONENT)) or int(exp or 0) > MAX_EXPONENT:
+                raise ParseError(f"exponent of {lexeme[:40]!r} exceeds {MAX_EXPONENT}", line, col)
             tokens.append(Token("number", lexeme, line, col))
         elif group == "ident":
             kind = lexeme if lexeme in KEYWORDS else "ident"

@@ -77,6 +77,17 @@ def test_width_4_cannot_fit_exits_2(fir4_spec, tmp_path, capsys):
     assert "cannot fit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value,shown", [
+    ("1e400", "1.000e+400"), ("-1e400", "-1.000e+400"), ("1e40", "1e+40")])
+def test_constant_too_large_exits_2(tmp_path, capsys, value, shown):
+    """A constant past the float range is a cannot-fit error naming it, not
+    an OverflowError traceback; in float range the message is unchanged."""
+    spec = tmp_path / "big.fps"
+    spec.write_text(f"input x : sif(1/0/15);\nconst c = {value};\noutput y = c*x;\n")
+    assert main(["synth", str(spec), "--width", "16", "-o", str(tmp_path / "o")]) == 2
+    assert f"const 'c': constant {shown} does not fit in 16 bits" in capsys.readouterr().err
+
+
 def test_missing_file_exits_3(tmp_path, capsys):
     rc = main(["synth", str(tmp_path / "nope.fps"), "-o", str(tmp_path)])
     assert rc == 3

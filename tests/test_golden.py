@@ -5,15 +5,17 @@ A change to the analyzer's arithmetic or to the search must leave plans,
 C (both shift styles), VHDL and ``report.json`` byte for byte as they are,
 and a change in the number of ``PlanBuilder.step`` calls, or in the
 leaves and prunes of the ``fpsynt.optimizer`` counter lines, is a change
-in the search's behaviour. The specs are ``demos/specs/fir4.fps``, copies of
-the benchmark's FIR-5, Horner-8, ``matvec2x3`` and ``matvec2x2`` sources,
-two of acceptance criterion 06's fuzz specs under that criterion's config,
-and three larger rungs: FIR-32, an 80-term sum and ``matvec4x4``. FIR-64,
-a 160-term sum and Horner-16 are held to a step bound instead. One graph
-with non-decimal constants pins every node's exact error bound.
+in the search's behaviour. The number of ``PlanBuilder`` constructions is
+pinned too: a candidate that the grid floor cuts makes none. The specs are
+``demos/specs/fir4.fps``, copies of the benchmark's FIR-5, Horner-8,
+``matvec2x3`` and ``matvec2x2`` sources, two of acceptance criterion 06's
+fuzz specs under that criterion's config, and three larger rungs: FIR-32,
+an 80-term sum and ``matvec4x4``. FIR-64, a 160-term sum and Horner-16 are
+held to a step bound instead. One graph with non-decimal constants pins
+every node's exact error bound.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints, for each pinned
-spec, its step count and digests now next to the pinned ones.
+spec, its builder and step counts and digests now next to the pinned ones.
 """
 
 import hashlib
@@ -197,6 +199,12 @@ GOLDEN = {
 }
 
 
+# name: PlanBuilder constructions. Each spec makes one builder, for its chain
+# plan or its one candidate, as the grid floor cuts every other candidate
+# before its first step; matvec4x4 has 626 candidates.
+BUILDERS = {name: 1 for name in GOLDEN}
+
+
 def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
@@ -214,10 +222,24 @@ def _count_steps(monkeypatch) -> list[int]:
     return calls
 
 
+def _count_builders(monkeypatch) -> list[int]:
+    """Patch ``PlanBuilder.__init__`` to count constructions into the
+    returned cell."""
+    made = [0]
+    init = PlanBuilder.__init__
+
+    def counting_init(self, *args, **kwargs):
+        made[0] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanBuilder, "__init__", counting_init)
+    return made
+
+
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_artifacts_and_step_count_are_pinned(name, monkeypatch, caplog):
     source, config, steps, c, c_portable, vhdl, report, counters = GOLDEN[name]
-    calls = _count_steps(monkeypatch)
+    calls, made = _count_steps(monkeypatch), _count_builders(monkeypatch)
     with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
         plan = synthesize(source, config)
     lines = [r.getMessage() for r in caplog.records
@@ -229,6 +251,7 @@ def test_artifacts_and_step_count_are_pinned(name, monkeypatch, caplog):
            _digest(report_json(plan)),
            _digest("\n".join(lines)))
     assert got == (steps, c, c_portable, vhdl, report, counters)
+    assert made[0] == BUILDERS[name]
 
 
 @pytest.mark.parametrize("source,bound", [
@@ -277,10 +300,11 @@ ODD_DENOMINATOR_ERRORS = {
 
 
 def test_exact_error_bounds_are_pinned(monkeypatch):
-    calls = _count_steps(monkeypatch)
+    calls, made = _count_steps(monkeypatch), _count_builders(monkeypatch)
     plan = topological_optimize(*ODD_DENOMINATORS, Config(width=16))
     assert plan.topology == "source+chain"
     assert calls[0] == 118
+    assert made[0] == 3  # its two topologies are not cut
     assert {n.id: str(plan.info[n.id].err) for n in plan.graph.nodes} == ODD_DENOMINATOR_ERRORS
     assert list(ODD_DENOMINATOR_ERRORS) == [n.id for n in plan.graph.nodes]
     assert all(type(plan.info[n.id].err) is Fraction for n in plan.graph.nodes)
@@ -298,7 +322,8 @@ class _Lines(logging.Handler):
 
 def _current(name: str) -> tuple:
     """What ``test_artifacts_and_step_count_are_pinned`` compares for one
-    spec: (steps, C, portable C, VHDL, report.json, counter lines)."""
+    spec: (builders, steps, C, portable C, VHDL, report.json, counter
+    lines)."""
     source, config = GOLDEN[name][:2]
     handler, logger = _Lines(), logging.getLogger("fpsynt.optimizer")
     level = logger.level
@@ -306,12 +331,12 @@ def _current(name: str) -> tuple:
     logger.setLevel(logging.INFO)
     try:
         with pytest.MonkeyPatch.context() as mp:
-            calls = _count_steps(mp)
+            calls, made = _count_steps(mp), _count_builders(mp)
             plan = synthesize(source, config)
     finally:
         logger.removeHandler(handler)
         logger.setLevel(level)
-    return (calls[0],
+    return (made[0], calls[0],
             _digest(emit_c(plan, name=name).source),
             _digest(emit_c(plan, name=name, portable_shift=True).source),
             _digest(emit_vhdl(plan, name=name).source),
@@ -320,10 +345,11 @@ def _current(name: str) -> tuple:
 
 
 if __name__ == "__main__":
-    # PYTHONPATH=src python tests/test_golden.py: each spec's current step
-    # count and digests next to the pinned ones
-    fields = ("steps", "c", "c_portable", "vhdl", "report", "counters")
+    # PYTHONPATH=src python tests/test_golden.py: each spec's current
+    # builder and step counts and digests next to the pinned ones
+    fields = ("builders", "steps", "c", "c_portable", "vhdl", "report", "counters")
     for name in GOLDEN:
-        for field, pinned, now in zip(fields, GOLDEN[name][2:], _current(name)):
+        pins = (BUILDERS[name],) + GOLDEN[name][2:]
+        for field, pinned, now in zip(fields, pins, _current(name)):
             mark = "same" if pinned == now else "MOVED"
             print(f"{name:16} {field:10} {mark:5} pinned {pinned}  now {now}")

@@ -8,10 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpsynt.analysis import ErrorBound, PlanBuilder, check_plan, cost_key, find_chains
+from fpsynt.analysis import (ErrorBound, GraphTable, PlanBuilder, check_plan,
+                             choose_const_format, cost_key, find_chains)
 from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
-from fpsynt.core import Dfg, NodeKind
+from fpsynt.core import Dfg, NodeKind, encode
 from fpsynt.errors import CannotFitError
 from fpsynt.optimizer import (GridFloor, _Frontier, combinatorial_search, enumerate_topologies,
                               topological_optimize)
@@ -608,6 +609,71 @@ COLLAPSES_TO_A_POINT = (make_graph(
     {"y0": "t3", "y1": "t2"}), Config(width=6, k_max=1))
 
 
+# the benchmark's FIR-5 and matvec2x3 specs
+FIR5_SRC = make_fir_src(["-0.150", "-0.896", "-0.196", "0.801", "0.511"])
+MATVEC2X3_SRC = "".join(f"input x{j} : sif(1/0/15);\n" for j in range(3)) + """\
+const a00 = -0.838;
+const a01 = 0.650;
+const a02 = 0.402;
+const a10 = 0.115;
+const a11 = 0.889;
+const a12 = 0.394;
+output y0 = a00*x0 + a01*x1 + a02*x2;
+output y1 = a10*x0 + a11*x1 + a12*x2;
+"""
+
+
+def _search_logged(caplog, *args, **kwargs) -> tuple:
+    """A search's plan (None when cut, else its constants, choices and
+    errors) and its ``fpsynt.optimizer`` counter lines."""
+    caplog.clear()
+    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
+        plan = combinatorial_search(*args, **kwargs)
+    lines = [r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer"]
+    if plan is None:
+        return None, lines
+    return (plan.const_raws, plan.choices, {n: i.err for n, i in plan.info.items()}), lines
+
+
+@pytest.mark.parametrize("src", [FIR5_SRC, MATVEC2X3_SRC], ids=["fir5", "matvec2x3"])
+def test_a_shared_graph_table_gives_the_plans_of_a_fresh_one(src, caplog):
+    """Every topology and the chain plan, searched with one grid floor and
+    ``GraphTable`` shared across them as ``topological_optimize`` does,
+    give the plans and counter lines that a fresh table and floor give:
+    with no incumbent, and with the chain plan's cost as incumbent, where
+    the floor cuts."""
+    dfg, bindings = parse_spec(src)
+    cfg = Config(width=16)
+    shared = GridFloor(GraphTable(dfg, bindings, cfg))
+    roots = frozenset(c.root for c in shared.table.chains)
+    chain = combinatorial_search(dfg, bindings, cfg, roots, "source+chain", floor=shared)
+    assert _search_logged(caplog, dfg, bindings, cfg, roots, "source+chain", floor=shared) \
+        == _search_logged(caplog, dfg, bindings, cfg, roots, "source+chain")
+    cut = 0
+    for label, topo in enumerate_topologies(dfg):
+        for incumbent in (None, chain.cost_key):
+            args = (topo, bindings, cfg, frozenset(), label, True, dfg, incumbent)
+            got = _search_logged(caplog, *args, floor=shared)
+            assert got == _search_logged(caplog, *args), (label, incumbent)
+            cut += got[0] is None
+    assert cut  # the shared floor cut some topology before its first step
+
+
+def test_each_config_quantizes_its_own_constants():
+    """A table serves one Config: one graph optimized at W=8, then W=16,
+    then W=8 again in one process gets each width's own constant words."""
+    dfg, bindings = parse_spec(make_fir_src(["-0.150", "-0.896", "-0.196", "0.801", "0.511"],
+                                            sif=(1, 0, 7)))
+    raws = {}
+    for width in (8, 16, 8):
+        cfg = Config(width=width)
+        plan = topological_optimize(dfg, bindings, cfg)
+        assert plan.const_raws == {c: encode(v, choose_const_format(v, width), cfg.quantize)
+                                   for c, v in bindings.consts.items()}
+        raws.setdefault(width, plan.const_raws)
+    assert raws[8] != raws[16]
+
+
 def test_grid_floor_never_exceeds_a_topologys_optimum():
     """With the incumbent set to a topology's own unpruned optimum, the floor
     of every output is at most that output's error in the optimum."""
@@ -625,11 +691,11 @@ def test_grid_floor_never_exceeds_a_topologys_optimum():
             except CannotFitError:
                 continue
             builder = PlanBuilder(topo, bindings, cfg, topology=label)
-            floors = GridFloor().output_floors(
-                builder, ErrorBound.of(best.cost_key[0], builder.den))
+            floors = GridFloor(builder.table).node_floors(
+                topo, builder.positions, ErrorBound.of(best.cost_key[0], builder.den))
             assert floors is not None
-            for o, floor in zip(topo.output_ids, floors):
-                floor = floor.as_fraction()
+            for o in topo.output_ids:
+                floor = floors[o].err.as_fraction()
                 assert floor <= best.info[o].err, (label, o)
                 outputs += 1
                 tight += floor * 2 > best.info[o].err
@@ -692,8 +758,8 @@ def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
     most that key. Returns the number of states checked, and of those where
     the completion floor raised the bound."""
     builder = PlanBuilder(dfg, bindings, cfg)
-    frontier = _Frontier(builder, GridFloor())
-    no_floor = _Frontier(builder, GridFloor())  # never bound: cone sums only
+    frontier = _Frontier(builder, GridFloor(builder.table))
+    no_floor = _Frontier(builder, GridFloor(builder.table))  # never bound: cone sums only
     order = builder.search_order
     cands = builder.candidates()
     checked = [0, 0]

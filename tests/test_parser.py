@@ -4,10 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+from fpsynt import synthesize
 from fpsynt.cli import main
 from fpsynt.core import NodeKind
 from fpsynt.errors import ParseError
-from fpsynt.parser import MAX_NESTING, parse_spec, pretty_print, validate_formats
+from fpsynt.parser import (MAX_EXPONENT, MAX_NESTING, parse_spec, pretty_print,
+                           validate_formats)
 
 from conftest import FIR4_SRC
 
@@ -124,6 +126,31 @@ def test_parenthesis_nesting_limit(tmp_path, capsys):
     spec.write_text(_nested(400))
     assert main(["synth", str(spec), "-o", str(tmp_path / "out")]) == 1
     assert f"2:{col}: parentheses nested" in capsys.readouterr().err
+
+
+def test_literal_exponent_limit(tmp_path, capsys):
+    """A literal whose decimal exponent is past ``MAX_EXPONENT`` is a
+    positioned ParseError, raised before any Fraction expands 10**e: without
+    the limit, 1e-99999999 does not parse within minutes."""
+    _, bindings = parse_spec(f"const c = 1e-{MAX_EXPONENT};\noutput y = c + 1e{MAX_EXPONENT};")
+    assert bindings.consts["c"] == Fraction(1, 10 ** MAX_EXPONENT)
+    for literal in ("1e-99999999", "1e9999999", "-2.5E+0001000", f"1e{MAX_EXPONENT + 1}"):
+        src = f"input x : sif(1/0/15);\nconst c = {literal};\noutput y = c*x;\n"
+        with pytest.raises(ParseError) as exc:
+            parse_spec(src)
+        assert "exceeds 999" in str(exc.value)
+        col = len("const c = ") + 1 + literal.startswith("-")  # the literal, past its sign
+        assert (exc.value.line, exc.value.col) == (2, col)
+    # the same in an expression, and through the CLI as a spec error
+    spec = tmp_path / "exp.fps"
+    spec.write_text("input x : sif(1/0/15);\noutput y = x * 1e-99999999;\n")
+    assert main(["synth", str(spec), "-o", str(tmp_path / "out")]) == 1
+    assert "2:16: exponent of '1e-99999999' exceeds 999" in capsys.readouterr().err
+
+
+def test_tiny_constant_quantizes_to_zero():
+    plan = synthesize("input x : sif(1/0/15);\nconst c = 1e-400;\noutput y = c*x + x;\n")
+    assert plan.const_raws["c"] == 0
 
 
 def test_parse_is_deterministic():
