@@ -26,5 +26,5 @@ from .pipeline import synthesize
 from .report import build_report, report_json, summary_table
 from .simulator import (ErrorStats, TestVector, VectorSet, compare,
                         generate_vectors, load_vectors_csv, run_fixed,
-                        run_fixed_columns, run_reference,
-                        run_reference_columns, save_vectors_csv)
+                        run_fixed_columns, run_reference_columns,
+                        save_vectors_csv)

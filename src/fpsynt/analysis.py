@@ -594,21 +594,21 @@ class Plan:
 class _Ctx:
     """Mutable build state; cloned at every search branch point."""
 
-    __slots__ = ("nodes", "info", "alias", "used", "wide", "accumulators",
+    __slots__ = ("nodes", "info", "alias", "source_ids", "wide", "accumulators",
                  "live_err", "choices")
 
-    def __init__(self, used: set[str], live_err: ErrorBound):
+    def __init__(self, source_ids: frozenset[str], live_err: ErrorBound):
         self.nodes: list[Node] = []
         self.info: dict[str, NodeInfo] = {}
         self.alias: dict[str, str] = {}
-        self.used: set[str] = used
+        self.source_ids = source_ids  # shared by every clone
         self.wide: set[str] = set()
         self.accumulators: list[AccumulatorInfo] = []
         self.live_err = live_err
         self.choices: list[tuple[str, int]] = []
 
     def clone(self) -> "_Ctx":
-        c = _Ctx(set(self.used), self.live_err)
+        c = _Ctx(self.source_ids, self.live_err)
         c.nodes = list(self.nodes)
         c.info = dict(self.info)
         c.alias = dict(self.alias)
@@ -618,10 +618,11 @@ class _Ctx:
         return c
 
     def fresh(self, base: str) -> str:
+        """A name that no source node and no emitted node has; the caller
+        emits it at once."""
         name = base
-        while name in self.used:
+        while name in self.source_ids or name in self.info:
             name += "_"
-        self.used.add(name)
         return name
 
     def emit(self, node: Node, info: NodeInfo, wide: bool = False):
@@ -690,14 +691,17 @@ class PlanBuilder:
     (MUL extra truncation, ADD extra pre-scaling) branch; everything else is
     forced. ``build`` runs the whole walk with a fixed choice mapping.
 
-    ``positions`` is the level-first walk that ``build`` takes, which fixes
-    node order and fresh names in the plan. ``search_order`` holds the same
-    positions depth-first from the outputs, so a value is consumed soon
-    after it is made. The values a step computes do not depend on which of
-    the two walks makes it, but the nodes it emits do: fresh names follow
-    walk order, and when two chains that fall back share a full-width
-    product, the chain reached first emits its truncation and the other
-    reuses it. So a search rebuilds its winner with ``build``.
+    The builder walks its graph once: ``search_order`` is the
+    ``depth_first_order`` over ``reads``, so a value is consumed soon after
+    it is made. It holds the positions, the nodes a step runs at; a chain
+    root reads its terms directly, so no other addition of its chain is
+    one. ``positions`` holds them in topological order, the level-first
+    walk that ``build`` takes, which fixes node order and fresh names in
+    the plan. The values a step computes do not depend on which of the two
+    orders makes it, but the nodes it emits do: fresh names follow walk
+    order, and when two chains that fall back share a full-width product,
+    the chain reached first emits its truncation and the other reuses it.
+    So a search rebuilds its winner with ``build``.
 
     Error bounds are ``ErrorBound`` values on ``den``, the lcm of the odd
     parts of the constants' denominators; each constant is quantized once
@@ -717,11 +721,11 @@ class PlanBuilder:
         self.den, self.zero = self.table.den, self.table.zero
         chains = self.table.chains if chain_roots else ()
         self.chains = {c.root: c for c in chains if c.root in chain_roots}
-        self._absorbed = {m: c.root for c in self.chains.values() for m in c.members}
         self._fallbacks: set[str] = set()  # chain roots already warned about
+        self._source_ids = frozenset(n.id for n in dfg.nodes)
         # terms whose full-width value may feed the accumulator directly
         consumers = dfg.consumers() if self.chains else {}
-        chain_adds = set(self._absorbed) | set(self.chains)
+        chain_adds = {m for c in self.chains.values() for m in c.members} | set(self.chains)
         self._full_width_terms = set()
         for c in self.chains.values():
             for tid, _sign in c.terms:
@@ -729,14 +733,9 @@ class PlanBuilder:
                         and all(u in chain_adds for u in consumers[tid])):
                     self._full_width_terms.add(tid)
 
-        reachable = set(depth_first_order(dfg))
-        self.positions = [nid for nid in topo_order(dfg)
-                          if nid in reachable and nid not in self._absorbed]
-
-    @functools.cached_property
-    def search_order(self) -> list[str]:
-        """The positions in ``depth_first_order`` over ``reads``."""
-        return depth_first_order(self.dfg, self.reads)
+        self.search_order = depth_first_order(dfg, self.reads)
+        walked = set(self.search_order)
+        self.positions = [nid for nid in topo_order(dfg) if nid in walked]
 
     def reads(self, nid: str) -> tuple[str, ...]:
         """Source ids whose current value the step at ``nid`` reads."""
@@ -745,7 +744,7 @@ class PlanBuilder:
         return self.dfg.node(nid).operands
 
     def new_ctx(self) -> _Ctx:
-        return _Ctx({n.id for n in self.dfg.nodes}, self.zero)
+        return _Ctx(self._source_ids, self.zero)
 
     def is_choice_point(self, nid: str) -> bool:
         node = self.dfg.node(nid)

@@ -166,15 +166,13 @@ class _Frontier:
 
     def bound_to(self, b0: ErrorBound):
         """Take the completion floors of the plans that can tie ``b0``: per
-        position, each output's, or None where the grid floor does not
-        cover the graph."""
+        position, each output's, or None on a graph with a chain
+        accumulator, which the grid floor does not cover."""
         builder = self._builder
-        floors = None if builder.chains else \
-            self._floor.node_floors(builder.dfg, builder.search_order, b0)
-        if floors is None:
-            self._suffix = None
+        if builder.chains:
             return
         order, dfg, den = builder.search_order, builder.dfg, builder.den
+        floors = self._floor.node_floors(dfg, order, b0)
         self._suffix = suffix = [self.zero_sums] * (len(order) + 1)
         sums = list(self.zero_sums)
         joint: dict[str, list] = {}  # product -> (output index, excess) of its views
@@ -239,43 +237,32 @@ class _Frontier:
         return False
 
 
-class _Cone:
-    """What the grid floor knows of a node in every plan.
-
-    ``e0``: the finest value grid the node can have, set only when its
-    interval spans zero (lo < 0 <= hi) in every plan, so that no flooring
-    collapses it to a point. ``pos``: its value, as its consumers read it,
-    has hi > 0 in every plan. ``const``: a constant's quantized NodeInfo
-    and raw word. ``err``, ``grid``, ``reach``: a leaf's error, grid
-    exponent and reach (see ``GridFloor``). ``factor``: for a product by a
-    constant with e0 set, the operand index of the constant."""
-
-    __slots__ = ("e0", "pos", "const", "err", "grid", "reach", "factor")
-
-    def __init__(self, e0=None, pos=False, const=None, err=None, grid=None, reach=None,
-                 factor=None):
-        self.e0, self.pos, self.const, self.err = e0, pos, const, err
-        self.grid, self.reach, self.factor = grid, reach, factor
-
-
 class _Floor:
     """What the grid floor knows of a node's W-bit value (a product's after
-    truncation) in every plan that can tie a bound b0: ``err`` and ``g``
-    bound its error and grid exponent from below, ``base`` as in
-    ``GridFloor`` where the cone has an e0; ``reach``, a triple (L, H, x)
-    such that the value's interval [lo, hi] has lo <= L * 2^x and
-    hi >= H * 2^x, or None; ``eff``, an upper bound on the exponent of its
-    value grid, or None; ``need``, a lower bound on the error that the
-    node's own step adds (a constant's: its quantization error). A product
-    whose W-bit value is no point has ``product_eff``, the bound on the
-    value grid of its full-width value; an ADD has ``views``, the part of
-    its need that each operand view adds."""
+    truncation) in every plan that can tie a bound b0.
 
-    __slots__ = ("err", "g", "base", "reach", "eff", "need", "product_eff", "views")
+    ``err`` and ``g`` bound its error and grid exponent from below. ``e0``:
+    the finest value grid the node can have, set only when its interval
+    spans zero (lo < 0 <= hi) in every plan, so that no flooring collapses
+    it to a point; ``base`` as in ``GridFloor`` where e0 is set. ``pos``:
+    its value, as its consumers read it, has hi > 0 in every plan.
+    ``const``: a constant's quantized NodeInfo and raw word. ``reach``: a
+    triple (L, H, x) such that the value's interval [lo, hi] has
+    lo <= L * 2^x and hi >= H * 2^x, or None. ``eff``: an upper bound on
+    the exponent of its value grid, or None. ``need``: a lower bound on the
+    error that the node's own step adds (a constant's: its quantization
+    error). A product whose W-bit value is no point has ``product_eff``,
+    the bound on the value grid of its full-width value; an ADD has
+    ``views``, the part of its need that each operand view adds."""
 
-    def __init__(self, err, g, base, reach, eff, need, product_eff=None, views=()):
+    __slots__ = ("err", "g", "base", "reach", "eff", "need", "e0", "pos", "const",
+                 "product_eff", "views")
+
+    def __init__(self, err, g, base, reach, eff, need, e0=None, pos=False, const=None,
+                 product_eff=None, views=()):
         self.err, self.g, self.base = err, g, base
         self.reach, self.eff, self.need = reach, eff, need
+        self.e0, self.pos, self.const = e0, pos, const
         self.product_eff, self.views = product_eff, views
 
 
@@ -399,92 +386,58 @@ class GridFloor:
 
     The rules read the table's input formats and quantized constants and do
     integer and ``ErrorBound`` arithmetic only. One instance serves the
-    topologies of the table's graph: it memoizes each distinct cone, and per
-    ``b0`` its floor, so their searches share what their cones share.
+    topologies of the table's graph: it memoizes one record per ``b0`` and
+    distinct cone, so their searches share what their cones share.
     """
 
     def __init__(self, table: GraphTable):
         self.table = table
-        self._cones: dict[tuple, _Cone] = {}
-        self._floors: dict[tuple, _Floor] = {}  # per (cone, b0)
+        # per (b0, kind, leaf, negate, ids of the operands' records)
+        self._floors: dict[tuple, _Floor] = {}
         self._last: tuple | None = None  # (graph, b0, node floors) of the last call
 
-    def node_floors(self, dfg: Dfg, order: list[str], b0: ErrorBound) -> dict[str, _Floor] | None:
+    def node_floors(self, dfg: Dfg, order: list[str], b0: ErrorBound) -> dict[str, _Floor]:
         """The ``_Floor`` of each node of ``order``, a bottom-up order of the
-        nodes the outputs read, or None when the graph holds a node the
-        rules do not cover, or a constant does not fit."""
-        table, width = self.table, self.table.config.width
+        nodes the outputs read. Raises CannotFitError when a constant does
+        not fit, and ValueError on a node kind no source graph holds."""
         b0_key = (b0.n, b0.e, b0.q)
         if self._last is not None and self._last[0] is dfg and self._last[1] == b0_key:
             return self._last[2]
         slack = _exp_above(b0, False) if b0.n > 0 else None
-        cones: dict[str, _Cone] = {}
         floors: dict[str, _Floor] = {}
         for nid in order:
             node = dfg.node(nid)
             if node.kind is NodeKind.OUTPUT:
-                cones[nid], floors[nid] = cones[node.operands[0]], floors[node.operands[0]]
+                floors[nid] = floors[node.operands[0]]
                 continue
-            ops = [cones[o] for o in node.operands]
+            below = [floors[o] for o in node.operands]
             leaf = nid if node.kind in (NodeKind.INPUT, NodeKind.CONST) else None
-            key = (node.kind.value, leaf, node.negate, *map(id, ops))
-            cone = self._cones.get(key)
-            if cone is None:
-                try:
-                    cone = self._cone(table, node, ops)
-                except CannotFitError:
-                    return None
-                if cone is None:
-                    return None
-                self._cones[key] = cone
-            f_key = (id(cone), b0_key)
-            floor = self._floors.get(f_key)
+            key = (b0_key, node.kind.value, leaf, node.negate, *map(id, below))
+            floor = self._floors.get(key)
             if floor is None:
-                floor = self._floors[f_key] = self._floor(
-                    table, node, cone, ops, [floors[o] for o in node.operands], b0, slack,
-                    width)
-            cones[nid], floors[nid] = cone, floor
+                floor = self._floors[key] = self._floor(node, below, b0, slack)
+            floors[nid] = floor
         self._last = (dfg, b0_key, floors)
         return floors
 
-    @staticmethod
-    def _cone(table: GraphTable, node, ops: list) -> _Cone | None:
-        kind = node.kind
+    def _floor(self, node, below: list, b0: ErrorBound, slack: int | None) -> _Floor:
+        """The node's ``_Floor`` from its operands' (``below``); 2^slack is
+        the least power of two at or above b0, None when b0 is 0."""
+        table, kind = self.table, node.kind
+        zero, den, width = table.zero, table.den, table.config.width
         if kind is NodeKind.INPUT:
             fmt = table.bindings.input_format(node.id)
-            return _Cone(-fmt.f, fmt.max_raw > 0, err=table.zero, grid=-fmt.f,
-                         reach=(fmt.min_raw, fmt.max_raw, -fmt.f))
+            return _Floor(zero, -fmt.f, zero, (fmt.min_raw, fmt.max_raw, -fmt.f), -fmt.f, zero,
+                          e0=-fmt.f, pos=fmt.max_raw > 0)
         if kind is NodeKind.CONST:
             info, raw = table.quantized(node)
             iv = info.interval
-            return _Cone(const=(info, raw), err=info.err, grid=info.signal.grid_exp,
-                         reach=(iv.m_lo, iv.m_hi, iv.exp))
-        a, b = ops
-        if kind is NodeKind.MUL:
-            for k, (c, u) in enumerate(((a, b), (b, a))):
-                if c.const is not None and c.const[1] and u.e0 is not None \
-                        and (c.const[1] > 0 or u.pos):
-                    return _Cone(c.const[0].eff_exp + u.e0, factor=k)
-            return _Cone()
-        if kind is NodeKind.ADD:
-            na, nb = node.negate  # never both: the sum spans zero as its operands do
-            e0 = min(a.e0, b.e0) if a.e0 is not None and b.e0 is not None else None
-            return _Cone(e0, na or nb)
-        return None
-
-    @staticmethod
-    def _floor(table: GraphTable, node, cone: _Cone, ops: list, below: list,
-               b0: ErrorBound, slack: int | None, width: int) -> _Floor:
-        """The node's ``_Floor`` from its operands' (``below``); 2^slack is
-        the least power of two at or above b0, None when b0 is 0."""
-        zero = table.zero
-        if cone.err is not None:
-            eff = cone.const[0].eff_exp if cone.const is not None else cone.grid
-            return _Floor(cone.err, cone.grid, zero if cone.e0 is not None else None,
-                          cone.reach, eff, cone.err)
-        den = table.den
+            return _Floor(info.err, info.signal.grid_exp, None, (iv.m_lo, iv.m_hi, iv.exp),
+                          info.eff_exp, info.err, const=(info, raw))
+        if kind not in (NodeKind.MUL, NodeKind.ADD):
+            raise ValueError(f"source graphs cannot contain {kind} nodes")
         a, b = below
-        if node.kind is NodeKind.MUL:
+        if kind is NodeKind.MUL:
             g = a.g + b.g  # a product's grid; truncation coarsens it
             full = _reach_product(a.reach, b.reach)
             reach = _lowered(full, slack)
@@ -498,40 +451,45 @@ class GridFloor:
                 g = max(g, e + hi.bit_length() - (width - 1))
             if lo < 0:
                 g = max(g, e + (-lo - 1).bit_length() - (width - 1))
-        if node.kind is NodeKind.MUL:
+        if kind is NodeKind.MUL:
             need, eff, product_eff = zero, None, None
             if _no_point(full) and a.eff is not None and b.eff is not None:
                 need = floor_loss(a.eff + b.eff, g, q=den)
                 eff = _floored_eff(b0, a.eff + b.eff)
                 if _no_point(reach):
                     product_eff = a.eff + b.eff
-            floor, base = max(a.err, b.err) + need, None
-            if cone.e0 is not None:
-                k = cone.factor
-                (info, raw), u = ops[k].const, below[1 - k]
-                # |u|'s interval reaches past the ends of its reach
-                m_u = zero if u.reach is None else \
-                    ErrorBound(max(u.reach[1], -u.reach[0], 0) * den, u.reach[2], den)
-                base = u.base.scaled(abs(raw), -info.signal.fmt.f) + info.err * m_u
-                floor = max(floor, base + floor_loss(cone.e0, g, q=den))
-            return _Floor(floor, g, base, reach, eff, need, product_eff)
+            err, e0, base = max(a.err, b.err) + need, None, None
+            for c, u in ((a, b), (b, a)):  # c*u by a constant c
+                if c.const is not None and c.const[1] and u.e0 is not None \
+                        and (c.const[1] > 0 or u.pos):
+                    info, raw = c.const
+                    e0 = info.eff_exp + u.e0
+                    # |u|'s interval reaches past the ends of its reach
+                    m_u = zero if u.reach is None else \
+                        ErrorBound(max(u.reach[1], -u.reach[0], 0) * den, u.reach[2], den)
+                    base = u.base.scaled(abs(raw), -info.signal.fmt.f) + info.err * m_u
+                    err = max(err, base + floor_loss(e0, g, q=den))
+                    break
+            return _Floor(err, g, base, reach, eff, need, e0=e0, product_eff=product_eff)
         floor, need, eff, views = zero, zero, None, []
-        for op, f in zip(ops, below):
+        for f in below:
             loss = zero
-            if op.const is not None:  # a point: its view loses the exact remainder
-                info = op.const[0]
+            if f.const is not None:  # a point: its view loses the exact remainder
+                info = f.const[0]
                 loss = floor_loss(info.eff_exp, g, info.interval, den)
             elif _no_point(f.reach) and f.eff is not None:
                 loss = floor_loss(f.eff, g, q=den)
                 view = _floored_eff(b0, f.eff)
                 eff = view if eff is None else min(eff, view)
             part = f.err + loss
-            if op.e0 is not None:
-                part = max(part, f.base + floor_loss(op.e0, g, q=den))
+            if f.e0 is not None:
+                part = max(part, f.base + floor_loss(f.e0, g, q=den))
             floor, need = floor + part, need + loss
             views.append(loss)
-        return _Floor(floor, g, a.base + b.base if cone.e0 is not None else None,
-                      reach, eff, need, views=views)
+        # the sum spans zero as its operands do: it negates at most one
+        e0 = min(a.e0, b.e0) if a.e0 is not None and b.e0 is not None else None
+        return _Floor(floor, g, a.base + b.base if e0 is not None else None, reach, eff, need,
+                      e0=e0, pos=any(node.negate), views=views)
 
 
 def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
@@ -571,7 +529,8 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     the graph and the ``GraphTable`` of ``floor``, shared by its topologies.
 
     Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
-    when no choice fits the word width.
+    when no choice fits the word width, and, with an incumbent, from the
+    floor when a constant does not fit.
     """
     floor = floor or GridFloor(GraphTable(dfg, bindings, config))
     outputs = dfg.output_ids
@@ -580,7 +539,7 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
         if prune and incumbent is not None else None
     if bound is not None and outputs and not chain_roots:
         floors = floor.node_floors(dfg, depth_first_order(dfg), bound[0])
-        if floors is not None and cost_key([floors[o].err for o in outputs]) > bound:
+        if cost_key([floors[o].err for o in outputs]) > bound:
             log.info(_COUNTERS, topology, 0, 0, 0, 0, ", cut by the grid floor")
             return None
 

@@ -16,7 +16,8 @@ detour. Subtraction becomes an ADD node with a negate flag on the second
 operand; unparenthesized sums associate to the left. The parser never
 re-associates and never folds constants; it reproduces the source tree
 exactly. Parentheses nest at most ``MAX_NESTING`` levels deep, and a
-numeric literal's decimal exponent is at most ``MAX_EXPONENT`` in size.
+numeric literal has at most ``MAX_DIGITS`` digits before its decimal
+exponent, which is at most ``MAX_EXPONENT`` in size.
 """
 
 from __future__ import annotations
@@ -40,11 +41,15 @@ MAX_NESTING = 200
 # outside any word of up to 64 bits (such a constant does not fit, or is 0).
 MAX_EXPONENT = 999
 
+# Most digits of a literal before its exponent: a Fraction reads them with
+# int(), which refuses strings of more than 4300 digits with a ValueError.
+MAX_DIGITS = 2000
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>[ \t\r\n]+)
   | (?P<comment>\#[^\n]*)
-  | (?P<number>\d+(\.\d+)?([eE](?P<exp>[+-]?\d+))?)
+  | (?P<number>(?P<digits>\d+(\.\d+)?)([eE](?P<exp>[+-]?\d+))?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[():;=+\-*/])
     """,
@@ -73,6 +78,8 @@ def tokenize(text: str) -> list[Token]:
             exp = (m.group("exp") or "").lstrip("+-0")  # its digits
             if len(exp) > len(str(MAX_EXPONENT)) or int(exp or 0) > MAX_EXPONENT:
                 raise ParseError(f"exponent of {lexeme[:40]!r} exceeds {MAX_EXPONENT}", line, col)
+            if len(m.group("digits").replace(".", "")) > MAX_DIGITS:
+                raise ParseError(f"{lexeme[:40]!r}... has over {MAX_DIGITS} digits", line, col)
             tokens.append(Token("number", lexeme, line, col))
         elif group == "ident":
             kind = lexeme if lexeme in KEYWORDS else "ident"

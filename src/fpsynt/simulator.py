@@ -15,7 +15,7 @@ unquantized constants (float64 columns, mirroring a floating-point
 implementation) or in exact rational arithmetic (``Fraction`` columns) for
 oracle duty. Both sides consume the same quantized input samples, so the
 measured deviation is purely coefficient quantization plus formatting loss.
-run_fixed and run_reference run one vector, as a block of one row.
+run_fixed runs one vector, as a block of one row.
 """
 
 from __future__ import annotations
@@ -360,23 +360,12 @@ def _to_float(raws: np.ndarray, exponent: int) -> np.ndarray:
     return np.ldexp(raws.astype(np.float64), exponent)
 
 
-def _one_row(plan: Plan, vector: TestVector) -> np.ndarray:
-    return np.array(vector.raws, dtype=object).reshape(1, len(plan.bindings.inputs))
-
-
 def run_fixed(plan: Plan, vector: TestVector) -> dict[str, tuple[int, Fraction]]:
     """Execute the plan on one vector: raw and semantic value
     (raw * 2^(E-F)) per output."""
-    cols = run_fixed_columns(plan, _one_row(plan, vector))
+    cols = run_fixed_columns(plan, np.array([vector.raws], dtype=object))
     raws = {oid: int(col[0]) for oid, col in cols.items()}
     return {oid: (raw, plan.info[oid].signal.value_of(raw)) for oid, raw in raws.items()}
-
-
-def run_reference(plan: Plan, vector: TestVector, mode: str = "double") -> dict:
-    """Evaluate the source expression on one vector: a float ('double') or
-    a Fraction ('exact') per output."""
-    cols = run_reference_columns(plan, _one_row(plan, vector), mode)
-    return {oid: col[0] if mode == "exact" else float(col[0]) for oid, col in cols.items()}
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from fpsynt.analysis import (ErrorBound, GraphTable, PlanBuilder, check_plan,
-                             choose_const_format, cost_key, find_chains)
+                             choose_const_format, cost_key, depth_first_order, find_chains)
 from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
-from fpsynt.core import Dfg, NodeKind, encode
+from fpsynt.core import Dfg, Node, NodeKind, encode
 from fpsynt.errors import CannotFitError
 from fpsynt.optimizer import (GridFloor, _Frontier, combinatorial_search, enumerate_topologies,
                               topological_optimize)
@@ -674,6 +674,61 @@ def test_each_config_quantizes_its_own_constants():
     assert raws[8] != raws[16]
 
 
+def _record(floor) -> tuple:
+    return floor.err, floor.g, floor.need, tuple(floor.views)
+
+
+def test_one_grid_floor_keeps_each_bounds_floors_apart():
+    """One grid floor asked for FIR-5's floors at the chain plan's cost b0,
+    then at b0/4 on the same graph, gives at b0/4 the floors of a fresh one.
+    At one bound, topologies that share a sub-sum share its record."""
+    dfg, bindings = parse_spec(FIR5_SRC)
+    cfg = Config(width=16)
+    shared = GridFloor(GraphTable(dfg, bindings, cfg))
+    roots = frozenset(c.root for c in shared.table.chains)
+    chain = combinatorial_search(dfg, bindings, cfg, roots, "source+chain", floor=shared)
+    b0 = ErrorBound.of(chain.cost, shared.table.den)
+    small = ErrorBound(b0.n, b0.e - 2, b0.q)
+    moved = adds = 0
+    records: dict[tuple, object] = {}
+    for _label, topo in enumerate_topologies(dfg):
+        order = depth_first_order(topo)
+        at_b0 = {n: _record(f) for n, f in shared.node_floors(topo, order, b0).items()}
+        got = shared.node_floors(topo, order, small)
+        fresh = GridFloor(GraphTable(dfg, bindings, cfg)).node_floors(topo, order, small)
+        assert {n: _record(f) for n, f in got.items()} == \
+            {n: _record(f) for n, f in fresh.items()}
+        moved += sum(at_b0[n] != _record(got[n]) for n in order)
+        # a node's cone as the terms it adds, with their signs
+        cone = {n: n for n in order if topo.node(n).kind is not NodeKind.ADD}
+        for n in order:
+            node = topo.node(n)
+            if node.kind is NodeKind.ADD:
+                cone[n] = (cone[node.operands[0]], cone[node.operands[1]], node.negate)
+                assert records.setdefault(cone[n], got[n]) is got[n]
+                adds += 1
+    assert moved  # the smaller bound moves some floors
+    # 14 shapes of 4 additions each, over 4 + 3*2 + 2*5 + 14 distinct
+    # sub-sums of adjacent terms: one record per sub-sum
+    assert (adds, len(records)) == (56, 34)
+
+
+def test_grid_floor_input_edges():
+    """With an incumbent the grid floor runs before any step: a SHR node in a
+    source graph still gets the builder's ValueError, and a constant that
+    does not fit a CannotFitError that names it."""
+    shr = Dfg((Node("x", NodeKind.INPUT), Node("s", NodeKind.SHR, ("x",), amount=1),
+               Node("y", NodeKind.OUTPUT, ("s",))))
+    too_big = parse_spec("input x : sif(1/0/7);\nconst c = 300;\noutput y = c*x + x;\n")
+    one = (Fraction(1), Fraction(1))
+    for incumbent in (None, one):
+        with pytest.raises(ValueError, match="source graphs cannot contain NodeKind.SHR nodes"):
+            combinatorial_search(shr, Bindings({"x": (1, 0, 7)}, {}, ("y",)), W8,
+                                 incumbent=incumbent)
+        with pytest.raises(CannotFitError, match="const 'c': constant 300.0 does not fit"):
+            combinatorial_search(*too_big, W8, incumbent=incumbent)
+
+
 def test_grid_floor_never_exceeds_a_topologys_optimum():
     """With the incumbent set to a topology's own unpruned optimum, the floor
     of every output is at most that output's error in the optimum."""
@@ -693,7 +748,6 @@ def test_grid_floor_never_exceeds_a_topologys_optimum():
             builder = PlanBuilder(topo, bindings, cfg, topology=label)
             floors = GridFloor(builder.table).node_floors(
                 topo, builder.positions, ErrorBound.of(best.cost_key[0], builder.den))
-            assert floors is not None
             for o in topo.output_ids:
                 floor = floors[o].err.as_fraction()
                 assert floor <= best.info[o].err, (label, o)

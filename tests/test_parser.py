@@ -8,8 +8,8 @@ from fpsynt import synthesize
 from fpsynt.cli import main
 from fpsynt.core import NodeKind
 from fpsynt.errors import ParseError
-from fpsynt.parser import (MAX_EXPONENT, MAX_NESTING, parse_spec, pretty_print,
-                           validate_formats)
+from fpsynt.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, parse_spec,
+                           pretty_print, validate_formats)
 
 from conftest import FIR4_SRC
 
@@ -146,6 +146,34 @@ def test_literal_exponent_limit(tmp_path, capsys):
     spec.write_text("input x : sif(1/0/15);\noutput y = x * 1e-99999999;\n")
     assert main(["synth", str(spec), "-o", str(tmp_path / "out")]) == 1
     assert "2:16: exponent of '1e-99999999' exceeds 999" in capsys.readouterr().err
+
+
+def test_literal_digit_limit(tmp_path, capsys):
+    """A literal with more than ``MAX_DIGITS`` digits before its exponent is
+    a positioned ParseError: past 4300 digits, ``Fraction`` raises a
+    ValueError that used to end the CLI in a traceback."""
+    zeros = "0" * 5000
+    specs = {f"const c = 0.{zeros}1;\noutput y = c*x;\n": (2, 11),
+             f"output y = x * 0.{zeros}1;\n": (2, 16),
+             f"const c = 1{zeros};\noutput y = c*x;\n": (2, 11)}
+    for k, (body, pos) in enumerate(specs.items()):
+        src = "input x : sif(1/0/15);\n" + body
+        with pytest.raises(ParseError) as exc:
+            parse_spec(src)
+        assert f"has over {MAX_DIGITS} digits" in str(exc.value)
+        assert (exc.value.line, exc.value.col) == pos
+        spec = tmp_path / f"long{k}.fps"
+        spec.write_text(src)
+        assert main(["synth", str(spec), "-o", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{pos[0]}:{pos[1]}: '" in err and "Traceback" not in err
+    # 999 zeros still parse and synthesize, to a constant of 0
+    small = "0." + "0" * 999 + "1"
+    _, bindings = parse_spec(f"input x : sif(1/0/15);\nconst c = {small};\noutput y = c*x;\n")
+    assert bindings.consts["c"] == Fraction(1, 10 ** 1000)
+    plan = synthesize(f"input x : sif(1/0/15);\nconst c = {small};\n"
+                      f"output y = c*x + 1{'0' * 999}e-999 * x;\n")
+    assert plan.const_raws["c"] == 0
 
 
 def test_tiny_constant_quantizes_to_zero():

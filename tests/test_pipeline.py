@@ -11,7 +11,7 @@ from fpsynt.core import NodeKind, Quantize, SifFormat, decode
 from fpsynt.parser import parse_spec, pretty_print
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import TestVector as Vec
-from fpsynt.simulator import generate_vectors, run_fixed, run_reference
+from fpsynt.simulator import generate_vectors, run_fixed, run_reference_columns
 
 from conftest import exact_eval, extract_c_expression, interpret_c_expression
 
@@ -26,10 +26,10 @@ def test_reference_keeps_source_association_after_reassociation():
     assert plan.topology != "source"
     assert [n.id for n in plan.source.nodes] == [n.id for n in source_dfg.nodes]
     # double-mode reference evaluates the source tree left to right
-    vec = generate_vectors(plan.bindings, 5, seed=0).vectors[4]
+    vecset = generate_vectors(plan.bindings, 5, seed=0)
     fmts = [plan.bindings.input_format(n) for n in plan.bindings.inputs]
-    vals = [float(decode(r, f)) for r, f in zip(vec.raws, fmts)]
-    assert run_reference(plan, vec, mode="double")["y"] == \
+    vals = [float(decode(r, f)) for r, f in zip(vecset.vectors[4].raws, fmts)]
+    assert run_reference_columns(plan, vecset.raws[4:5], "double")["y"][0] == \
         ((vals[0] + vals[1]) + vals[2]) + vals[3]
 
 

@@ -20,8 +20,8 @@ from fpsynt.parser import parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import (VectorSet, _out_of_range, _quantize_column, compare,
                               fits_int64, generate_vectors, load_vectors_csv,
-                              run_fixed, run_fixed_columns, run_reference,
-                              run_reference_columns, save_vectors_csv,
+                              run_fixed, run_fixed_columns, run_reference_columns,
+                              save_vectors_csv,
                               stats_from_deviations)
 from fpsynt.simulator import TestVector as Vec
 
@@ -65,14 +65,19 @@ def test_two_tap_exhaustive_within_bound_and_max_is_tight():
     assert stats.max == float(max(devs))
 
 
+def _row(vec: Vec) -> np.ndarray:
+    """The one-row raw matrix of ``vec``."""
+    return np.array([vec.raws], dtype=object)
+
+
 def test_reference_exact_mode_sums_coefficients():
     plan = synthesize(FIR4_SRC)
     top = SifFormat(1, 0, 15).max_raw
     # reference with every input at +1 requires unquantized inputs; feed the
     # closest representable sample and compare exactly
-    ref = run_reference(plan, Vec((top,) * 4), mode="exact")["y"]
+    ref = run_reference_columns(plan, _row(Vec((top,) * 4)), "exact")["y"][0]
     assert ref == Fraction(top, 1 << 15) * Fraction(1)
-    zero = run_reference(plan, Vec((0, 0, 0, 0)), mode="exact")["y"]
+    zero = run_reference_columns(plan, _row(Vec((0, 0, 0, 0))), "exact")["y"][0]
     assert zero == 0
 
 
@@ -80,8 +85,8 @@ def test_reference_double_close_to_exact():
     plan = synthesize(FIR4_SRC)
     vecset = generate_vectors(plan.bindings, 50, seed=3)
     for vec in vecset.vectors:
-        d = run_reference(plan, vec, mode="double")["y"]
-        e = run_reference(plan, vec, mode="exact")["y"]
+        d = run_reference_columns(plan, _row(vec), "double")["y"][0]
+        e = run_reference_columns(plan, _row(vec), "exact")["y"][0]
         assert abs(d - float(e)) <= 1e-12
 
 
@@ -112,7 +117,7 @@ def test_corner_vector_reference_value():
     plan = synthesize(FIR4_SRC)
     vecset = generate_vectors(plan.bindings, 1, seed=0)
     all_max = vecset.vectors[2]
-    ref = run_reference(plan, all_max, mode="exact")["y"]
+    ref = run_reference_columns(plan, _row(all_max), "exact")["y"][0]
     assert ref == Fraction((1 << 15) - 1, 1 << 15)  # coefficients sum to one
 
 
@@ -375,7 +380,7 @@ def test_blocks_and_a_batch_of_one_agree():
     for k in range(0, len(vecset), 331):
         vec = vecset.vectors[k]
         assert run_fixed(plan, vec)["y"][0] == cols[k] == scalar_fixed(plan, vec.raws)[0]
-        assert run_reference(plan, vec)["y"] == ref[k]
+        assert run_reference_columns(plan, _row(vec))["y"][0] == ref[k]
 
 
 def test_narrowed_node_overflows_on_int64():
