@@ -592,23 +592,20 @@ class Plan:
 
 
 class _Ctx:
-    """Mutable build state; cloned at every search branch point."""
+    """What one walk has emitted so far; cloned at every search branch point."""
 
-    __slots__ = ("nodes", "info", "alias", "source_ids", "wide", "accumulators",
-                 "live_err", "choices")
+    __slots__ = ("nodes", "info", "alias", "wide", "accumulators", "choices")
 
-    def __init__(self, source_ids: frozenset[str], live_err: ErrorBound):
+    def __init__(self):
         self.nodes: list[Node] = []
         self.info: dict[str, NodeInfo] = {}
         self.alias: dict[str, str] = {}
-        self.source_ids = source_ids  # shared by every clone
         self.wide: set[str] = set()
         self.accumulators: list[AccumulatorInfo] = []
-        self.live_err = live_err
         self.choices: list[tuple[str, int]] = []
 
     def clone(self) -> "_Ctx":
-        c = _Ctx(self.source_ids, self.live_err)
+        c = _Ctx()
         c.nodes = list(self.nodes)
         c.info = dict(self.info)
         c.alias = dict(self.alias)
@@ -617,21 +614,11 @@ class _Ctx:
         c.choices = list(self.choices)
         return c
 
-    def fresh(self, base: str) -> str:
-        """A name that no source node and no emitted node has; the caller
-        emits it at once."""
-        name = base
-        while name in self.source_ids or name in self.info:
-            name += "_"
-        return name
-
     def emit(self, node: Node, info: NodeInfo, wide: bool = False):
         self.nodes.append(node)
         self.info[node.id] = info
         if wide:
             self.wide.add(node.id)
-        if info.err > self.live_err:
-            self.live_err = info.err
 
 
 def depth_first_order(dfg: Dfg, reads=None) -> list[str]:
@@ -707,16 +694,17 @@ class PlanBuilder:
     parts of the constants' denominators; each constant is quantized once
     per graph, in the ``table`` that its topologies' builders share. Chains
     come from the table too, so a builder with chain roots is on its graph.
+    A plan's ``source`` is the table's graph: the source graph of every
+    topology that shares the table, and the builder's own graph by default.
     """
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config,
                  chain_roots: frozenset[str] = frozenset(), topology: str = "source",
-                 source: Dfg | None = None, table: GraphTable | None = None):
+                 table: GraphTable | None = None):
         self.dfg = dfg
         self.bindings = bindings
         self.config = config
         self.topology = topology
-        self.source = source if source is not None else dfg
         self.table = table or GraphTable(dfg, bindings, config)
         self.den, self.zero = self.table.den, self.table.zero
         chains = self.table.chains if chain_roots else ()
@@ -744,7 +732,15 @@ class PlanBuilder:
         return self.dfg.node(nid).operands
 
     def new_ctx(self) -> _Ctx:
-        return _Ctx(self._source_ids, self.zero)
+        return _Ctx()
+
+    def _fresh(self, ctx: _Ctx, base: str) -> str:
+        """A name that no source node and no node emitted into ``ctx`` has;
+        the caller emits it at once."""
+        name = base
+        while name in self._source_ids or name in ctx.info:
+            name += "_"
+        return name
 
     def is_choice_point(self, nid: str) -> bool:
         node = self.dfg.node(nid)
@@ -814,7 +810,7 @@ class PlanBuilder:
         spec = plan_truncate(info, width)
         if spec is None:
             return ref
-        qid = ctx.fresh(f"{ref}_q")
+        qid = self._fresh(ctx, f"{ref}_q")
         ctx.emit(Node(qid, NodeKind.TRUNC, (ref,), amount=spec.drop_f),
                  NodeInfo(spec.signal, spec.interval, info.err + spec.added_error,
                           spec.eff_exp),
@@ -830,7 +826,7 @@ class PlanBuilder:
         for op_id, shift, view in ((a_id, spec.shift_a, spec.a_view),
                                    (b_id, spec.shift_b, spec.b_view)):
             if shift:
-                sid = ctx.fresh(f"{node.id}_p{len(refs) + 1}")
+                sid = self._fresh(ctx, f"{node.id}_p{len(refs) + 1}")
                 ctx.emit(Node(sid, NodeKind.SHR, (op_id,), amount=shift), view)
                 refs.append(sid)
             else:
@@ -901,7 +897,8 @@ class PlanBuilder:
 
         running = refs[0]
         for j, ((tid, sign), prefix) in enumerate(zip(chain.terms[1:], prefixes[1:]), 1):
-            aid = chain.root if j == chain.n_terms - 1 else ctx.fresh(f"{chain.root}_acc{j}")
+            aid = chain.root if j == chain.n_terms - 1 else \
+                self._fresh(ctx, f"{chain.root}_acc{j}")
             i_p = _min_integer_bits(prefix, f_acc, 0)
             sig = ScaledSignal(SifFormat(1, i_p, f_acc), 0)
             prev = ctx.info[running]
@@ -926,7 +923,7 @@ class PlanBuilder:
                     const_raws={n.id: self.table.quantized(n)[1] for n in ctx.nodes
                                 if n.kind is NodeKind.CONST},
                     bindings=self.bindings,
-                    source=self.source,
+                    source=self.table.dfg,
                     config=self.config,
                     choices=tuple(ctx.choices),
                     wide_ids=frozenset(ctx.wide),

@@ -97,16 +97,17 @@ class _Frontier:
     the values the step reads out of the cones and adds the value it
     makes, as worked out once per position.
 
-    ``lower_bound`` reads those sums and adds each output's completion
-    floor: the errors that the steps at and after the state's position add
-    on the way to the output, each step's ``_Floor.need`` times its number
-    of paths to the output, for the bound ``bound_to`` last set; where a
-    product's truncation is still to come, a view of it at a later ADD adds
-    what the two lose together beyond their two needs. A need bounds a
-    step's own loss in every plan that can tie that bound, so the floor
-    does not depend on the state. ``dominated`` keeps, per
-    position and per (format, interval, value grid) of every live value, the
-    (errors, choice vector) pairs that no other pair there dominates.
+    ``lower_bound``, the search's one bound per state, reads only those
+    sums and adds each output's completion floor: the errors that the steps
+    at and after the state's position add on the way to the output, each
+    step's ``_Floor.need`` times its number of paths to the output, for the
+    bound ``bound_to`` last set; where a product's truncation is still to
+    come, a view of it at a later ADD adds what the two lose together
+    beyond their two needs. A need bounds a step's own loss in every plan
+    that can tie that bound, so the floor does not depend on the state.
+    ``dominated`` keeps, per position and per (format, interval, value
+    grid) of every live value, the (errors, choice vector) pairs that no
+    other pair there dominates.
     """
 
     def __init__(self, builder: PlanBuilder, floor: GridFloor):
@@ -209,16 +210,13 @@ class _Frontier:
             new[k] = new[k] + c * ctx.info[ctx.alias[nid]].err
         return tuple(new)
 
-    def lower_bound(self, pos: int, ctx, sums: tuple) -> tuple:
-        """A cost key no completion of the state at ``pos`` with these cone
+    def lower_bound(self, pos: int, sums: tuple) -> tuple:
+        """A cost key no completion of a state at ``pos`` with these cone
         sums goes below, when it can tie the bound: each output's error is
         at least its cone sum plus its completion floor."""
         if self._suffix is not None:
             sums = tuple(map(ErrorBound.__add__, sums, self._suffix[pos]))
-        top = max(sums)
-        if ctx.live_err > top:
-            top = ctx.live_err
-        return (top, max(top, sum(sums[1:], sums[0])))
+        return cost_key(sums)
 
     def dominated(self, pos: int, ctx, vec: tuple) -> bool:
         """True when an earlier state at ``pos`` dominates this one;
@@ -394,15 +392,12 @@ class GridFloor:
         self.table = table
         # per (b0, kind, leaf, negate, ids of the operands' records)
         self._floors: dict[tuple, _Floor] = {}
-        self._last: tuple | None = None  # (graph, b0, node floors) of the last call
 
     def node_floors(self, dfg: Dfg, order: list[str], b0: ErrorBound) -> dict[str, _Floor]:
         """The ``_Floor`` of each node of ``order``, a bottom-up order of the
         nodes the outputs read. Raises CannotFitError when a constant does
         not fit, and ValueError on a node kind no source graph holds."""
         b0_key = (b0.n, b0.e, b0.q)
-        if self._last is not None and self._last[0] is dfg and self._last[1] == b0_key:
-            return self._last[2]
         slack = _exp_above(b0, False) if b0.n > 0 else None
         floors: dict[str, _Floor] = {}
         for nid in order:
@@ -417,7 +412,6 @@ class GridFloor:
             if floor is None:
                 floor = self._floors[key] = self._floor(node, below, b0, slack)
             floors[nid] = floor
-        self._last = (dfg, b0_key, floors)
         return floors
 
     def _floor(self, node, below: list, b0: ErrorBound, slack: int | None) -> _Floor:
@@ -495,8 +489,7 @@ class GridFloor:
 def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
                          chain_roots: frozenset[str] = frozenset(),
                          topology: str = "source",
-                         prune: bool = True, source: Dfg | None = None,
-                         incumbent: tuple | None = None,
+                         prune: bool = True, incumbent: tuple | None = None,
                          floor: GridFloor | None = None) -> Plan | None:
     """Minimize the output error bound over all per-node formatting choices.
 
@@ -512,14 +505,15 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
 
     With ``prune`` a state is cut when a lower bound on its cost exceeds
     the best cost known: the incumbent passed in, or the best plan found.
-    The bound is its largest error so far, or per output the errors made
-    so far that reach it through additions and products plus the losses
-    the steps still to come must add on the way, the completion floor
-    (``_Frontier.lower_bound``). Added error grows with the candidate, so
-    a cut candidate also cuts the larger ones at that choice point. A state
-    is also dropped when an earlier state at the same position dominates it
-    (``_Frontier.dominated``). ``prune=False`` walks the whole tree, for
-    oracle comparisons.
+    The one bound per state is ``_Frontier.lower_bound``: per output, the
+    errors made so far that reach it through additions and products plus
+    the losses the steps still to come must add on the way, the completion
+    floor. Added error grows with the candidate, so a cut candidate also
+    cuts the larger ones at that choice point. A state is also dropped when
+    an earlier state at the same position dominates it
+    (``_Frontier.dominated``). With no choice to make there is no frontier,
+    and only the leaf is held against the bound. ``prune=False`` walks the
+    whole tree, for oracle comparisons.
 
     With ``prune`` and no chain in ``chain_roots``, the grid floor
     (``GridFloor``) gives the completion floors for each bound the search
@@ -527,6 +521,8 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     first step: when that exceeds the incumbent, no plan can tie it, and the
     search ends there, before it makes a ``PlanBuilder``: the floor reads only
     the graph and the ``GraphTable`` of ``floor``, shared by its topologies.
+    The plan's ``source`` is that table's graph; without ``floor``, the
+    search builds its table on ``dfg``.
 
     Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
     when no choice fits the word width, and, with an incumbent, from the
@@ -543,7 +539,7 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
             log.info(_COUNTERS, topology, 0, 0, 0, 0, ", cut by the grid floor")
             return None
 
-    builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, source, floor.table)
+    builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, floor.table)
     points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
     cands = builder.candidates()
     free = bool(points) and len(cands) > 1
@@ -598,9 +594,8 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
             if more:
                 stack.append((pos, ctx, vec, cand + 1, sums))
             continue
-        if bound is not None and (branch.live_err > bound[0] or (
-                frontier is not None and pos + 1 < n
-                and frontier.lower_bound(pos + 1, branch, branch_sums) > bound)):
+        if bound is not None and frontier is not None and pos + 1 < n \
+                and frontier.lower_bound(pos + 1, branch_sums) > bound:
             # added error grows with the candidate, so the rest of the row
             # cannot beat the incumbent either
             cuts += 1
@@ -756,8 +751,7 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     for rank, label, graph, chain_roots in candidates:
         try:
             plan = combinatorial_search(graph, bindings, config, chain_roots=chain_roots,
-                                        topology=label, source=dfg, incumbent=incumbent,
-                                        floor=floor)
+                                        topology=label, incumbent=incumbent, floor=floor)
         except CannotFitError as e:
             errors.append((rank, f"{'chain' if chain_roots else label}: {e}"))
             continue

@@ -300,10 +300,9 @@ def validate_formats(bindings: Bindings, width: int) -> list[Diagnostic]:
         if i < 0 or f < 0:
             diags.append(Diagnostic("invalid", f"input '{name}': negative field width"))
             continue
-        w = s + i + f
-        if w < 1:
-            diags.append(Diagnostic("invalid", f"input '{name}': zero-width format"))
-        elif w > width:
+        if s + i + f > width:
+            w = str(s + i + f)  # a width of 2000 digits is shown as its first 40
+            w = w if len(w) <= 40 else f"{w[:40]}..."
             diags.append(Diagnostic(
                 "cannot-fit",
                 f"input '{name}': declared width {w} exceeds word width {width}"))

@@ -5,14 +5,16 @@ exact_eval walks the parsed tree with plain Fraction arithmetic and
 interval_eval propagates bounds the brute-force way, so tests compare two
 independently written computations. interpret_c_expression evaluates an
 emitted C expression with C semantics, the differential oracle where no C
-compiler exists. quantize_const is a constant quantizer written apart from
-the library's ``encode``.
+compiler exists; interpret_vhdl does the same for an emitted VHDL
+architecture where no VHDL analyzer exists. quantize_const is a constant
+quantizer written apart from the library's ``encode``.
 """
 
 import ast
 import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from fpsynt.core import Dfg, Node, NodeKind
@@ -32,6 +34,11 @@ output y = w0*x0 + w1*x1 + w2*x2 + w3*x3;
 """
 
 FIR4_COEFFS = [Fraction(k, 100) for k in (15, 5, 45, 35)]
+
+# one wide input among narrow ones: pairwise additions pre-scale
+SKEWED_SUM = ("input x0 : sif(1/3/4);\n" +
+              "".join(f"input x{k} : sif(1/0/7);\n" for k in (1, 2, 3)) +
+              "output y = x0 + x1 + x2 + x3;\n")
 
 
 def make_graph(inputs, consts, ops, outputs) -> tuple[Dfg, Bindings]:
@@ -191,6 +198,131 @@ def interpret_c_expression(expr: str, env: dict[str, int]) -> int:
     names = dict(env)
     names["fps_shr"] = _floor_shr
     return eval(compile(tree, "<emitted-c>", "eval"), {"__builtins__": {}}, names)
+
+
+class VhdlError(ValueError):
+    """The emitted VHDL breaks a numeric_std rule, or a value does not fit."""
+
+
+_VHDL_PORT_OR_SIGNAL = re.compile(r"(\w+) : (in |out )?\s*signed\((\d+) downto 0\)")
+_VHDL_TOKEN = re.compile(r"\s*(\w+|[(),*+-])")
+
+
+def _fits(col, width: int) -> bool:
+    return not len(col) or (min(col) >= -(1 << (width - 1)) and max(col) < 1 << (width - 1))
+
+
+def interpret_vhdl(source: str, inputs: dict) -> dict[str, list[int]]:
+    """Evaluate an emitted numeric_std architecture on whole input columns.
+
+    ``inputs`` maps each input port to a column of raw words; the result
+    maps each output port to its column. Values are exact integers paired
+    with their numeric_std widths: ``to_signed(n, w)`` is w bits, ``a * b``
+    is len(a) + len(b) bits, ``a + b`` and ``a - b`` are max(len(a), len(b))
+    bits and wrap, ``resize(a, w)`` is w bits and keeps the sign and the
+    low bits, ``shift_right(a, k)`` floors and keeps len(a). Raises
+    VhdlError where a VHDL analyzer or simulator would differ from exact
+    arithmetic: an assignment whose width is not its target's, a narrowing
+    resize or a wrapping sum that changes a value, a literal that does not
+    fit, or a signal never or twice assigned. Concurrent statements run in
+    the order their reads are ready."""
+    widths, outs = {}, []
+    for name, direction, msb in _VHDL_PORT_OR_SIGNAL.findall(source):
+        widths[name] = int(msb) + 1
+        if direction == "out ":
+            outs.append(name)
+    env = {}
+    for name, col in inputs.items():
+        col = np.asarray(col, dtype=object)
+        if not _fits(col, widths[name]):
+            raise VhdlError(f"input '{name}' does not fit {widths[name]} bits")
+        env[name] = col
+    m = len(next(iter(env.values())))
+    body = source[source.index("\nbegin\n") + 7:source.index("\nend dataflow;")]
+    pending = []
+    for line in body.splitlines():
+        if line.strip() and not line.lstrip().startswith("--"):
+            target, rhs = re.fullmatch(r"\s*(\w+) <= (.*);", line).groups()
+            pending.append((target, _VHDL_TOKEN.findall(rhs)))
+    targets = [t for t, _ in pending]
+    if len(set(targets)) < len(targets) or set(targets) & set(env):
+        raise VhdlError(f"a signal is assigned twice: {targets}")
+
+    def ready(tokens) -> bool:
+        return all(t in env for k, t in enumerate(tokens) if re.fullmatch(r"[A-Za-z]\w*", t)
+                   and (k + 1 == len(tokens) or tokens[k + 1] != "("))
+
+    def evaluate(tokens) -> tuple:
+        pos = [0]
+
+        def take(want=None) -> str:
+            tok = tokens[pos[0]]
+            if want is not None and tok != want:
+                raise VhdlError(f"expected {want!r}, got {tok!r}")
+            pos[0] += 1
+            return tok
+
+        def integer() -> int:
+            if tokens[pos[0]] == "-":
+                take()
+                return -int(take())
+            return int(take())
+
+        def atom() -> tuple:
+            name = take()
+            if name not in ("to_signed", "resize", "shift_right"):
+                return env[name], widths[name]
+            take("(")
+            if name == "to_signed":
+                value, width = integer(), (take(","), integer())[1]
+                if not _fits([value], width):
+                    raise VhdlError(f"to_signed({value}, {width}) does not fit")
+                col = np.full(m, value, dtype=object)
+            else:
+                (col, width), amount = expr(), (take(","), integer())[1]
+                if name == "shift_right":
+                    col = col >> amount
+                else:
+                    if amount < width and not _fits(col, amount):
+                        raise VhdlError(f"resize of {width} to {amount} bits changes a value")
+                    width = amount
+            take(")")
+            return col, width
+
+        def term() -> tuple:
+            col, width = atom()
+            while pos[0] < len(tokens) and tokens[pos[0]] == "*":
+                take()
+                rc, rw = atom()
+                col, width = col * rc, width + rw
+            return col, width
+
+        def expr() -> tuple:
+            col, width = term()
+            while pos[0] < len(tokens) and tokens[pos[0]] in "+-":
+                op = take()
+                rc, rw = term()
+                col, width = (col + rc if op == "+" else col - rc), max(width, rw)
+                if not _fits(col, width):
+                    raise VhdlError(f"a {width}-bit {op} wraps")
+            return col, width
+
+        value = expr()
+        if pos[0] != len(tokens):
+            raise VhdlError(f"trailing {tokens[pos[0]:]}")
+        return value
+
+    while pending:
+        now = [(t, toks) for t, toks in pending if ready(toks)]
+        if not now:
+            raise VhdlError(f"never assigned or cyclic: {[t for t, _ in pending]}")
+        for target, tokens in now:
+            col, width = evaluate(tokens)
+            if width != widths[target]:
+                raise VhdlError(f"'{target}' is {widths[target]} bits, assigned {width}")
+            env[target] = col
+        pending = [p for p in pending if p[0] not in env]
+    return {o: env[o].tolist() for o in outs}
 
 
 @pytest.fixture

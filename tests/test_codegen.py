@@ -17,9 +17,10 @@ from fpsynt.config import Config
 from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
 from fpsynt.simulator import TestVector as Vec
-from fpsynt.simulator import run_fixed, run_fixed_columns
+from fpsynt.simulator import generate_vectors, run_fixed, run_fixed_columns
 
-from conftest import FIR4_SRC, extract_c_expression, interpret_c_expression, quantize_const
+from conftest import (FIR4_SRC, SKEWED_SUM, VhdlError, extract_c_expression,
+                      interpret_c_expression, interpret_vhdl, make_horner_src, quantize_const)
 
 TWO_TAP_SRC = ("input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\n"
                "const w0 = 0.3;\nconst w1 = 0.6;\n"
@@ -241,3 +242,77 @@ def test_vhdl_analyzes_clean(tmp_path):
     path = tmp_path / art.suggested_name
     path.write_text(art.source)
     subprocess.run(["ghdl", "-a", "--std=08", str(path)], check=True)
+
+
+# the benchmark's matvec2x2 at W=32: 62-bit products
+MATVEC2X2_W32 = ("input x0 : sif(1/0/31);\ninput x1 : sif(1/0/31);\n"
+                 "const a00 = -0.845;\nconst a01 = -0.573;\n"
+                 "const a10 = -0.394;\nconst a11 = 0.800;\n"
+                 "output y0 = a00*x0 + a01*x1;\noutput y1 = a10*x0 + a11*x1;\n")
+
+
+def _vhdl_agrees(plan, raws, source=None) -> bool:
+    """True when the VHDL interpreter gives ``run_fixed_columns``'s raw
+    output columns on the input raw matrix ``raws``."""
+    source = source or emit_vhdl(plan, "dut").source
+    got = interpret_vhdl(source, {n: raws[:, k] for k, n in enumerate(plan.bindings.inputs)})
+    want = run_fixed_columns(plan, raws)
+    return got == {o: want[o].tolist() for o in plan.output_ids}
+
+
+def test_vhdl_interpreter_exhaustive_two_tap():
+    plan = synthesize(TWO_TAP_SRC, Config(width=8))
+    assert _vhdl_agrees(plan, np.array(list(itertools.product(range(-128, 128), repeat=2))))
+
+
+@pytest.mark.parametrize("src,cfg", [
+    (FIR4_SRC, Config(width=16)),
+    (make_horner_src(8), Config(width=16)),
+    (MATVEC2X2_W32, Config(width=32)),
+    (SKEWED_SUM, Config(width=8, enable_chain_alloc=False)),
+], ids=["fir4", "horner8", "matvec2x2_w32", "skewed_sum"])
+def test_vhdl_interpreter_matches_simulator(src, cfg):
+    plan = synthesize(src, cfg)
+    assert _vhdl_agrees(plan, generate_vectors(plan.bindings, 200, seed=1).raws)
+
+
+def test_vhdl_interpreter_sees_a_changed_shift():
+    plan = synthesize(SKEWED_SUM, Config(width=8, enable_chain_alloc=False))
+    raws = generate_vectors(plan.bindings, 200, seed=1).raws
+    source = emit_vhdl(plan, "dut").source
+    assert "shift_right(x0, 1)" in source
+    mutant = source.replace("shift_right(x0, 1)", "shift_right(x0, 2)")
+    assert not _vhdl_agrees(plan, raws, mutant)
+
+
+_BY_HAND = """\
+entity e is
+  port (
+    a : in  signed(7 downto 0);
+    y : out signed(7 downto 0)
+  );
+end e;
+
+architecture dataflow of e is
+  signal t : signed(15 downto 0);
+begin
+  t <= a * a;
+  y <= {};
+end dataflow;
+"""
+
+
+@pytest.mark.parametrize("rhs,small,exact,fails", [
+    ("resize(a, 8) + resize(a, 8)", 60, [120, -120], "8-bit \\+ wraps"),
+    ("resize(a, 8) - to_signed(-100, 8)", 20, [120, 80], "8-bit - wraps"),
+    ("resize(t, 8)", 11, [121, 121], "resize of 16 to 8 bits changes a value"),
+    ("t", 11, None, "'y' is 8 bits, assigned 16"),
+])
+def test_vhdl_interpreter_rejects_what_an_analyzer_or_simulator_would(rhs, small, exact, fails):
+    """Each statement but the last is exact on a small input; on a = 127 it
+    wraps or loses bits. A width mismatch fails on any input."""
+    source = _BY_HAND.format(rhs)
+    if exact is not None:
+        assert interpret_vhdl(source, {"a": [small, -small]})["y"] == exact
+    with pytest.raises(VhdlError, match=fails):
+        interpret_vhdl(source, {"a": [small, 127]})

@@ -15,11 +15,13 @@ held to a step bound instead. One graph with non-decimal constants pins
 every node's exact error bound.
 
 ``PYTHONPATH=src python tests/test_golden.py`` prints, for each pinned
-spec, its builder and step counts and digests now next to the pinned ones.
+spec, its builder and step counts and digests now next to the pinned ones,
+and exits 1 when any of them moved.
 """
 
 import hashlib
 import logging
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -346,10 +348,14 @@ def _current(name: str) -> tuple:
 
 if __name__ == "__main__":
     # PYTHONPATH=src python tests/test_golden.py: each spec's current
-    # builder and step counts and digests next to the pinned ones
+    # builder and step counts and digests next to the pinned ones; exit 1
+    # when any moved
     fields = ("builders", "steps", "c", "c_portable", "vhdl", "report", "counters")
+    moved = False
     for name in GOLDEN:
         pins = (BUILDERS[name],) + GOLDEN[name][2:]
         for field, pinned, now in zip(fields, pins, _current(name)):
+            moved |= pinned != now
             mark = "same" if pinned == now else "MOVED"
             print(f"{name:16} {field:10} {mark:5} pinned {pinned}  now {now}")
+    sys.exit(1 if moved else 0)

@@ -21,8 +21,8 @@ from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
 from fpsynt.simulator import run_fixed_columns, run_reference_columns
 
-from conftest import (FIR4_SRC, exact_eval, make_fir_src, make_graph, make_matvec_src,
-                      make_sum_src)
+from conftest import (FIR4_SRC, SKEWED_SUM, exact_eval, make_fir_src, make_graph,
+                      make_matvec_src, make_sum_src)
 
 W8 = Config(width=8, k_max=2)
 
@@ -469,8 +469,7 @@ def _argmin_oracle(dfg, bindings, cfg):
     plans = []
     for label, topo in enumerate_topologies(dfg):
         try:
-            plans.append(combinatorial_search(topo, bindings, cfg, topology=label,
-                                              source=dfg))
+            plans.append(combinatorial_search(topo, bindings, cfg, topology=label))
         except CannotFitError:
             pass
     if cfg.enable_chain_alloc and find_chains(dfg):
@@ -479,9 +478,8 @@ def _argmin_oracle(dfg, bindings, cfg):
                key=lambda kv: (kv[1].cost_key, kv[1].n_format_nodes, kv[0]))[1]
 
 
-SKEWED_SUM = ("input x0 : sif(1/3/4);\n" +
-              "".join(f"input x{k} : sif(1/0/7);\n" for k in (1, 2, 3)) +
-              "output y = x0 + x1 + x2 + x3;\n")
+# the benchmark's FIR-5 spec
+FIR5_SRC = make_fir_src(["-0.150", "-0.896", "-0.196", "0.801", "0.511"])
 
 
 @pytest.mark.parametrize("src,cfg", [
@@ -491,6 +489,9 @@ SKEWED_SUM = ("input x0 : sif(1/3/4);\n" +
     # every plan is exact here: the source shape ties with the chain plan
     # and wins on candidate order
     (make_sum_src(4), Config(width=32)),
+    # with no choice to make, a search has no frontier and cuts at its leaf
+    (FIR5_SRC, Config(k_max=0, enable_chain_alloc=False)),
+    (FIR4_SRC, Config(k_max=0)),
 ])
 def test_shared_incumbent_returns_the_argmin(src, cfg):
     dfg, bindings = parse_spec(src)
@@ -498,6 +499,20 @@ def test_shared_incumbent_returns_the_argmin(src, cfg):
     want = _argmin_oracle(dfg, bindings, cfg)
     assert (got.topology, got.choices) == (want.topology, want.choices)
     assert emit_c(got).source == emit_c(want).source
+
+
+def test_a_plans_source_is_its_tables_graph():
+    """A topology searched with a grid floor shared across the source
+    graph's topologies has the source graph as its plan's source; searched
+    alone, its own graph."""
+    dfg, bindings = parse_spec(FIR5_SRC)
+    cfg = Config(width=16)
+    shared = GridFloor(GraphTable(dfg, bindings, cfg))
+    label, topo = enumerate_topologies(dfg)[1]
+    assert topo is not dfg
+    assert combinatorial_search(topo, bindings, cfg, topology=label,
+                                floor=shared).source is dfg
+    assert combinatorial_search(topo, bindings, cfg, topology=label).source is topo
 
 
 def test_matvec3x3_step_count(monkeypatch):
@@ -609,8 +624,7 @@ COLLAPSES_TO_A_POINT = (make_graph(
     {"y0": "t3", "y1": "t2"}), Config(width=6, k_max=1))
 
 
-# the benchmark's FIR-5 and matvec2x3 specs
-FIR5_SRC = make_fir_src(["-0.150", "-0.896", "-0.196", "0.801", "0.511"])
+# the benchmark's matvec2x3 spec
 MATVEC2X3_SRC = "".join(f"input x{j} : sif(1/0/15);\n" for j in range(3)) + """\
 const a00 = -0.838;
 const a01 = 0.650;
@@ -652,7 +666,7 @@ def test_a_shared_graph_table_gives_the_plans_of_a_fresh_one(src, caplog):
     cut = 0
     for label, topo in enumerate_topologies(dfg):
         for incumbent in (None, chain.cost_key):
-            args = (topo, bindings, cfg, frozenset(), label, True, dfg, incumbent)
+            args = (topo, bindings, cfg, frozenset(), label, True, incumbent)
             got = _search_logged(caplog, *args, floor=shared)
             assert got == _search_logged(caplog, *args), (label, incumbent)
             cut += got[0] is None
@@ -833,10 +847,10 @@ def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
                 best = key
         if best is not None:
             frontier.bound_to(best[0])
-            bound = frontier.lower_bound(pos, ctx, sums)
+            bound = frontier.lower_bound(pos, sums)
             assert bound <= best, (order[pos], best)
             checked[0] += 1
-            checked[1] += bound > no_floor.lower_bound(pos, ctx, sums)
+            checked[1] += bound > no_floor.lower_bound(pos, sums)
         return best
 
     best_below(0, builder.new_ctx(), frontier.zero_sums)

@@ -202,6 +202,24 @@ def test_validate_formats_collects_all_diagnostics():
     assert any("13 exceeds word width 8" in str(d) and d.kind == "cannot-fit" for d in diags)
 
 
+def test_huge_declared_width_is_shown_shortened(tmp_path, capsys):
+    """A width of 2,000 digits is reported by its first 40, through the API
+    and the CLI; a small width keeps its exact message."""
+    src = "input x : sif(1/0/" + "9" * 1999 + ");\noutput y = x;\n"
+    _, b = parse_spec(src)
+    [diag] = validate_formats(b, 16)
+    assert diag.kind == "cannot-fit"
+    assert str(diag) == f"input 'x': declared width 1{'0' * 39}... exceeds word width 16"
+    _, b = parse_spec("input x : sif(1/0/20);\noutput y = x;\n")
+    assert [str(d) for d in validate_formats(b, 16)] == \
+        ["input 'x': declared width 21 exceeds word width 16"]
+    spec = tmp_path / "wide.fps"
+    spec.write_text(src)
+    assert main(["synth", str(spec), "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "declared width 1000" in err and "Traceback" not in err and len(err) < 200
+
+
 def _shape(dfg, nid, names):
     node = dfg.node(nid)
     if node.kind in (NodeKind.INPUT, NodeKind.CONST):
