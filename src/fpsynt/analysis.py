@@ -640,9 +640,10 @@ def depth_first_order(dfg: Dfg, reads=None) -> list[str]:
 
 
 class GraphTable:
-    """What re-association cannot change, worked out once per graph,
-    bindings and config: ``den`` (see ``PlanBuilder``), each constant's
-    quantized NodeInfo and raw word, and, on first use, the graph's chains."""
+    """What re-association cannot change, worked out once per synthesis:
+    ``den`` (see ``PlanBuilder``), each constant's quantized NodeInfo and
+    raw word, on first use the graph's chains, and ``floors``, the memo of
+    ``optimizer.node_floors`` that the graph's topologies share."""
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config):
         self.dfg, self.bindings, self.config = dfg, bindings, config
@@ -650,6 +651,7 @@ class GraphTable:
                               for n in dfg.nodes if n.kind is NodeKind.CONST))
         self.zero = ErrorBound(0, 0, self.den)
         self._quantized: dict[str, tuple[NodeInfo, int]] = {}
+        self.floors: dict[tuple, object] = {}
 
     @functools.cached_property
     def chains(self) -> list[Chain]:
@@ -731,9 +733,6 @@ class PlanBuilder:
             return tuple(tid for tid, _sign in self.chains[nid].terms)
         return self.dfg.node(nid).operands
 
-    def new_ctx(self) -> _Ctx:
-        return _Ctx()
-
     def _fresh(self, ctx: _Ctx, base: str) -> str:
         """A name that no source node and no node emitted into ``ctx`` has;
         the caller emits it at once."""
@@ -747,11 +746,6 @@ class PlanBuilder:
         if nid in self.chains or nid in self._full_width_terms:
             return False
         return node.kind in (NodeKind.MUL, NodeKind.ADD)
-
-    def candidates(self) -> range:
-        """Extra coarsening steps tried at a choice point; only the mandatory
-        minimum when ``k_max`` is 0."""
-        return range(self.config.k_max + 1)
 
     # per-node assignment
 
@@ -932,7 +926,7 @@ class PlanBuilder:
 
     def build(self, choices: dict[str, int] | None = None) -> Plan:
         choices = choices or {}
-        ctx = self.new_ctx()
+        ctx = _Ctx()
         for nid in self.positions:
             self.step(ctx, nid, choices.get(nid, 0))
         return self.finish(ctx)

@@ -8,6 +8,9 @@ from .core import Quantize
 
 MIN_WIDTH = 4
 MAX_WIDTH = 64
+# addition chains up to this many terms are re-associated exhaustively
+# (Catalan(n-1) shapes); longer ones try only the balanced tree
+N_MAX_TOPOLOGIES = 6
 
 
 @dataclass(frozen=True)
@@ -19,7 +22,7 @@ class Config:
     k_max: extra right-shift / extra-truncation candidates explored per node;
         0 turns the combinatorial search off (one candidate per node).
     enable_topology_opt: re-associate addition chains, exhaustively up to
-        ``optimizer.N_MAX_TOPOLOGIES`` terms.
+        ``N_MAX_TOPOLOGIES`` terms (``as_dict``'s ``n_max_topologies``).
     enable_chain_alloc: try each addition chain on one accumulator of at
         most ``MAX_WIDTH`` bits (``as_dict``'s ``accumulator_width_limit``).
     """
@@ -37,7 +40,6 @@ class Config:
             raise ValueError("k_max must be >= 0")
 
     def as_dict(self) -> dict:
-        from .optimizer import N_MAX_TOPOLOGIES  # optimizer imports this module
         return {
             "width": self.width,
             "quantize": self.quantize.value,

@@ -32,7 +32,7 @@ how far a flooring lowers an interval and how coarse a value grid gets. A
 value's grid is then at least as coarse as a W-bit format holding its
 interval allows, and a value floored from its finest grid 2^e0 to 2^g has
 lost at least 2^g - 2^e0 on the way. Before a topology's first step these
-bound each output's error from below (the grid floor, ``GridFloor``), and
+bound each output's error from below (the grid floor, ``node_floors``), and
 a topology whose floor exceeds the incumbent is cut whole. And the same
 rules bound from below the loss of each step, in every plan that can tie
 the incumbent, whatever the state it runs on: the losses of the steps
@@ -52,21 +52,19 @@ can still win on the choice vector or on the formatting-node count.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 
-from .analysis import (Chain, ErrorBound, GraphTable, Plan, PlanBuilder, cost_key,
+from .analysis import (Chain, ErrorBound, GraphTable, Plan, PlanBuilder, _Ctx, cost_key,
                        depth_first_order, find_chains, floor_loss)
-from .config import Config
+from .config import N_MAX_TOPOLOGIES, Config
 from .core import Dfg, Node, NodeKind
 from .errors import CannotFitError, PlanCheckError
 from .parser import Bindings
 
 log = logging.getLogger("fpsynt.optimizer")
 
-# addition chains up to this many terms are re-associated exhaustively
-# (Catalan(n-1) shapes); longer ones try only the balanced tree
-N_MAX_TOPOLOGIES = 6
 _MAX_TOPOLOGY_PRODUCT = 1024
 
 _COUNTERS = "search %s: %d steps, %d leaves, %d incumbent prunes, %d dominance prunes%s"
@@ -110,7 +108,7 @@ class _Frontier:
     other pair there dominates.
     """
 
-    def __init__(self, builder: PlanBuilder, floor: GridFloor):
+    def __init__(self, builder: PlanBuilder):
         order = builder.search_order
         dfg = builder.dfg
         outputs = dfg.output_ids
@@ -141,7 +139,6 @@ class _Frontier:
             paths[o] = to_o
 
         self._builder = builder
-        self._floor = floor
         self._suffix: list | None = None  # see bound_to
         self.zero_sums = (builder.zero,) * len(outputs)
         self._tables = []  # per position: (live, finished outputs)
@@ -173,7 +170,7 @@ class _Frontier:
         if builder.chains:
             return
         order, dfg, den = builder.search_order, builder.dfg, builder.den
-        floors = self._floor.node_floors(dfg, order, b0)
+        floors = node_floors(builder.table, dfg, order, b0)
         self._suffix = suffix = [self.zero_sums] * (len(order) + 1)
         sums = list(self.zero_sums)
         joint: dict[str, list] = {}  # product -> (output index, excess) of its views
@@ -242,7 +239,7 @@ class _Floor:
     ``err`` and ``g`` bound its error and grid exponent from below. ``e0``:
     the finest value grid the node can have, set only when its interval
     spans zero (lo < 0 <= hi) in every plan, so that no flooring collapses
-    it to a point; ``base`` as in ``GridFloor`` where e0 is set. ``pos``:
+    it to a point; ``base`` as in ``node_floors`` where e0 is set. ``pos``:
     its value, as its consumers read it, has hi > 0 in every plan.
     ``const``: a constant's quantized NodeInfo and raw word. ``reach``: a
     triple (L, H, x) such that the value's interval [lo, hi] has
@@ -315,15 +312,14 @@ def _floored_eff(b0: ErrorBound, eff: int) -> int:
     return m + (x // q).bit_length() - 1
 
 
-class GridFloor:
-    """Lower bounds on the errors of the plans that can tie or beat an
-    incumbent, per node: the grid floor.
-
-    For a bound ``b0``, ``node_floors`` gives each node of a graph with no
-    chain accumulator a ``_Floor`` that holds in every plan of the graph
-    whose errors are all at most ``b0``; an output's bounds its error. A plan
-    whose cost key ties or beats ``(b0, s)`` is such a plan, since bounds
-    never decrease along an edge. It is one bottom-up pass over the graph.
+def node_floors(table: GraphTable, dfg: Dfg, order: list[str],
+                b0: ErrorBound) -> dict[str, _Floor]:
+    """The grid floor: per node of ``order``, a bottom-up order of the nodes
+    the outputs read, a ``_Floor`` that holds in every plan of ``dfg`` whose
+    errors are all at most ``b0``, on a graph with no chain accumulator; an
+    output's bounds its error. A plan whose cost key ties or beats
+    ``(b0, s)`` is such a plan, since bounds never decrease along an edge.
+    It is one bottom-up pass over the graph.
     Per node it bounds the W-bit value (a product's after truncation); each
     rule is the analyzer's own, read from below:
 
@@ -372,10 +368,11 @@ class GridFloor:
       its operands'. A product c*u by a constant adds M_c*err(u) + M_u*e_c
       with M_c = |c| >= 2^eff(c), so e0 = eff(c) + e0(u) and base =
       |c|*base(u) + M_u*e_c, where M_u, the largest |value| of u's
-      interval, is at least the larger end of |u|'s reach. As eff is never below the format grid, a value
-      on the grid 2^g has err >= base + e0 need(u, g). This total holds
-      from the inputs on, not on top of an error already made: a suffix
-      of it would count again the 2^eff - 2^e0 that error holds.
+      interval, is at least the larger end of |u|'s reach. As eff is never
+      below the format grid, a value on the grid 2^g has err >= base +
+      e0 need(u, g). This total holds from the inputs on, not on top of an
+      error already made: a suffix of it would count again the
+      2^eff - 2^e0 that error holds.
     * Points. e0 is set only for values whose interval spans zero,
       lo < 0 <= hi, in every plan. Flooring keeps that, so none collapses
       to a point, whose ``floor_loss`` is an exact remainder instead. A sum
@@ -383,114 +380,106 @@ class GridFloor:
       c*u with c < 0 only when u's hi is > 0 too.
 
     The rules read the table's input formats and quantized constants and do
-    integer and ``ErrorBound`` arithmetic only. One instance serves the
-    topologies of the table's graph: it memoizes one record per ``b0`` and
-    distinct cone, so their searches share what their cones share.
+    integer and ``ErrorBound`` arithmetic only. One table serves the
+    topologies of its graph: ``table.floors`` memoizes one record per ``b0``
+    and distinct cone, so their searches share what their cones share.
+    Raises CannotFitError when a constant does not fit, and ValueError on a
+    node kind no source graph holds.
     """
+    b0_key = (b0.n, b0.e, b0.q)
+    slack = _exp_above(b0, False) if b0.n > 0 else None
+    floors: dict[str, _Floor] = {}
+    for nid in order:
+        node = dfg.node(nid)
+        if node.kind is NodeKind.OUTPUT:
+            floors[nid] = floors[node.operands[0]]
+            continue
+        below = [floors[o] for o in node.operands]
+        leaf = nid if node.kind in (NodeKind.INPUT, NodeKind.CONST) else None
+        key = (b0_key, node.kind.value, leaf, node.negate, *map(id, below))
+        floor = table.floors.get(key)
+        if floor is None:
+            floor = table.floors[key] = _floor(table, node, below, b0, slack)
+        floors[nid] = floor
+    return floors
 
-    def __init__(self, table: GraphTable):
-        self.table = table
-        # per (b0, kind, leaf, negate, ids of the operands' records)
-        self._floors: dict[tuple, _Floor] = {}
 
-    def node_floors(self, dfg: Dfg, order: list[str], b0: ErrorBound) -> dict[str, _Floor]:
-        """The ``_Floor`` of each node of ``order``, a bottom-up order of the
-        nodes the outputs read. Raises CannotFitError when a constant does
-        not fit, and ValueError on a node kind no source graph holds."""
-        b0_key = (b0.n, b0.e, b0.q)
-        slack = _exp_above(b0, False) if b0.n > 0 else None
-        floors: dict[str, _Floor] = {}
-        for nid in order:
-            node = dfg.node(nid)
-            if node.kind is NodeKind.OUTPUT:
-                floors[nid] = floors[node.operands[0]]
-                continue
-            below = [floors[o] for o in node.operands]
-            leaf = nid if node.kind in (NodeKind.INPUT, NodeKind.CONST) else None
-            key = (b0_key, node.kind.value, leaf, node.negate, *map(id, below))
-            floor = self._floors.get(key)
-            if floor is None:
-                floor = self._floors[key] = self._floor(node, below, b0, slack)
-            floors[nid] = floor
-        return floors
-
-    def _floor(self, node, below: list, b0: ErrorBound, slack: int | None) -> _Floor:
-        """The node's ``_Floor`` from its operands' (``below``); 2^slack is
-        the least power of two at or above b0, None when b0 is 0."""
-        table, kind = self.table, node.kind
-        zero, den, width = table.zero, table.den, table.config.width
-        if kind is NodeKind.INPUT:
-            fmt = table.bindings.input_format(node.id)
-            return _Floor(zero, -fmt.f, zero, (fmt.min_raw, fmt.max_raw, -fmt.f), -fmt.f, zero,
-                          e0=-fmt.f, pos=fmt.max_raw > 0)
-        if kind is NodeKind.CONST:
-            info, raw = table.quantized(node)
-            iv = info.interval
-            return _Floor(info.err, info.signal.grid_exp, None, (iv.m_lo, iv.m_hi, iv.exp),
-                          info.eff_exp, info.err, const=(info, raw))
-        if kind not in (NodeKind.MUL, NodeKind.ADD):
-            raise ValueError(f"source graphs cannot contain {kind} nodes")
-        a, b = below
-        if kind is NodeKind.MUL:
-            g = a.g + b.g  # a product's grid; truncation coarsens it
-            full = _reach_product(a.reach, b.reach)
-            reach = _lowered(full, slack)
-        else:
-            g = max(a.g, b.g)  # the grid both views align to
-            reach = _reach_sum(*(_lowered(f.reach, slack, neg)
-                                 for f, neg in zip(below, node.negate)))
-        if reach is not None:
-            lo, hi, e = reach
-            if hi > 0:
-                g = max(g, e + hi.bit_length() - (width - 1))
-            if lo < 0:
-                g = max(g, e + (-lo - 1).bit_length() - (width - 1))
-        if kind is NodeKind.MUL:
-            need, eff, product_eff = zero, None, None
-            if _no_point(full) and a.eff is not None and b.eff is not None:
-                need = floor_loss(a.eff + b.eff, g, q=den)
-                eff = _floored_eff(b0, a.eff + b.eff)
-                if _no_point(reach):
-                    product_eff = a.eff + b.eff
-            err, e0, base = max(a.err, b.err) + need, None, None
-            for c, u in ((a, b), (b, a)):  # c*u by a constant c
-                if c.const is not None and c.const[1] and u.e0 is not None \
-                        and (c.const[1] > 0 or u.pos):
-                    info, raw = c.const
-                    e0 = info.eff_exp + u.e0
-                    # |u|'s interval reaches past the ends of its reach
-                    m_u = zero if u.reach is None else \
-                        ErrorBound(max(u.reach[1], -u.reach[0], 0) * den, u.reach[2], den)
-                    base = u.base.scaled(abs(raw), -info.signal.fmt.f) + info.err * m_u
-                    err = max(err, base + floor_loss(e0, g, q=den))
-                    break
-            return _Floor(err, g, base, reach, eff, need, e0=e0, product_eff=product_eff)
-        floor, need, eff, views = zero, zero, None, []
-        for f in below:
-            loss = zero
-            if f.const is not None:  # a point: its view loses the exact remainder
-                info = f.const[0]
-                loss = floor_loss(info.eff_exp, g, info.interval, den)
-            elif _no_point(f.reach) and f.eff is not None:
-                loss = floor_loss(f.eff, g, q=den)
-                view = _floored_eff(b0, f.eff)
-                eff = view if eff is None else min(eff, view)
-            part = f.err + loss
-            if f.e0 is not None:
-                part = max(part, f.base + floor_loss(f.e0, g, q=den))
-            floor, need = floor + part, need + loss
-            views.append(loss)
-        # the sum spans zero as its operands do: it negates at most one
-        e0 = min(a.e0, b.e0) if a.e0 is not None and b.e0 is not None else None
-        return _Floor(floor, g, a.base + b.base if e0 is not None else None, reach, eff, need,
-                      e0=e0, pos=any(node.negate), views=views)
+def _floor(table: GraphTable, node, below: list, b0: ErrorBound, slack: int | None) -> _Floor:
+    """The node's ``_Floor`` from its operands' (``below``); 2^slack is
+    the least power of two at or above b0, None when b0 is 0."""
+    kind, zero, den, width = node.kind, table.zero, table.den, table.config.width
+    if kind is NodeKind.INPUT:
+        fmt = table.bindings.input_format(node.id)
+        return _Floor(zero, -fmt.f, zero, (fmt.min_raw, fmt.max_raw, -fmt.f), -fmt.f, zero,
+                      e0=-fmt.f, pos=fmt.max_raw > 0)
+    if kind is NodeKind.CONST:
+        info, raw = table.quantized(node)
+        iv = info.interval
+        return _Floor(info.err, info.signal.grid_exp, None, (iv.m_lo, iv.m_hi, iv.exp),
+                      info.eff_exp, info.err, const=(info, raw))
+    if kind not in (NodeKind.MUL, NodeKind.ADD):
+        raise ValueError(f"source graphs cannot contain {kind} nodes")
+    a, b = below
+    if kind is NodeKind.MUL:
+        g = a.g + b.g  # a product's grid; truncation coarsens it
+        full = _reach_product(a.reach, b.reach)
+        reach = _lowered(full, slack)
+    else:
+        g = max(a.g, b.g)  # the grid both views align to
+        reach = _reach_sum(*(_lowered(f.reach, slack, neg)
+                             for f, neg in zip(below, node.negate)))
+    if reach is not None:
+        lo, hi, e = reach
+        if hi > 0:
+            g = max(g, e + hi.bit_length() - (width - 1))
+        if lo < 0:
+            g = max(g, e + (-lo - 1).bit_length() - (width - 1))
+    if kind is NodeKind.MUL:
+        need, eff, product_eff = zero, None, None
+        if _no_point(full) and a.eff is not None and b.eff is not None:
+            need = floor_loss(a.eff + b.eff, g, q=den)
+            eff = _floored_eff(b0, a.eff + b.eff)
+            if _no_point(reach):
+                product_eff = a.eff + b.eff
+        err, e0, base = max(a.err, b.err) + need, None, None
+        for c, u in ((a, b), (b, a)):  # c*u by a constant c
+            if c.const is not None and c.const[1] and u.e0 is not None \
+                    and (c.const[1] > 0 or u.pos):
+                info, raw = c.const
+                e0 = info.eff_exp + u.e0
+                # |u|'s interval reaches past the ends of its reach
+                m_u = zero if u.reach is None else \
+                    ErrorBound(max(u.reach[1], -u.reach[0], 0) * den, u.reach[2], den)
+                base = u.base.scaled(abs(raw), -info.signal.fmt.f) + info.err * m_u
+                err = max(err, base + floor_loss(e0, g, q=den))
+                break
+        return _Floor(err, g, base, reach, eff, need, e0=e0, product_eff=product_eff)
+    floor, need, eff, views = zero, zero, None, []
+    for f in below:
+        loss = zero
+        if f.const is not None:  # a point: its view loses the exact remainder
+            info = f.const[0]
+            loss = floor_loss(info.eff_exp, g, info.interval, den)
+        elif _no_point(f.reach) and f.eff is not None:
+            loss = floor_loss(f.eff, g, q=den)
+            view = _floored_eff(b0, f.eff)
+            eff = view if eff is None else min(eff, view)
+        part = f.err + loss
+        if f.e0 is not None:
+            part = max(part, f.base + floor_loss(f.e0, g, q=den))
+        floor, need = floor + part, need + loss
+        views.append(loss)
+    # the sum spans zero as its operands do: it negates at most one
+    e0 = min(a.e0, b.e0) if a.e0 is not None and b.e0 is not None else None
+    return _Floor(floor, g, a.base + b.base if e0 is not None else None, reach, eff, need,
+                  e0=e0, pos=any(node.negate), views=views)
 
 
 def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
                          chain_roots: frozenset[str] = frozenset(),
                          topology: str = "source",
                          prune: bool = True, incumbent: tuple | None = None,
-                         floor: GridFloor | None = None) -> Plan | None:
+                         table: GraphTable | None = None) -> Plan | None:
     """Minimize the output error bound over all per-node formatting choices.
 
     Candidate k at a choice point means k extra grid-coarsening steps beyond
@@ -516,38 +505,38 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     whole tree, for oracle comparisons.
 
     With ``prune`` and no chain in ``chain_roots``, the grid floor
-    (``GridFloor``) gives the completion floors for each bound the search
+    (``node_floors``) gives the completion floors for each bound the search
     takes, and, with an incumbent, bounds each output's error before the
     first step: when that exceeds the incumbent, no plan can tie it, and the
     search ends there, before it makes a ``PlanBuilder``: the floor reads only
-    the graph and the ``GraphTable`` of ``floor``, shared by its topologies.
-    The plan's ``source`` is that table's graph; without ``floor``, the
-    search builds its table on ``dfg``.
+    the graph and ``table``, the ``GraphTable`` its topologies share. The
+    plan's ``source`` is that table's graph; without ``table``, the search
+    builds its table on ``dfg``.
 
     Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
     when no choice fits the word width, and, with an incumbent, from the
     floor when a constant does not fit.
     """
-    floor = floor or GridFloor(GraphTable(dfg, bindings, config))
+    table = table or GraphTable(dfg, bindings, config)
     outputs = dfg.output_ids
     # bounds are compared on the table's denominator
-    bound = tuple(ErrorBound.of(x, floor.table.den) for x in incumbent) \
+    bound = tuple(ErrorBound.of(x, table.den) for x in incumbent) \
         if prune and incumbent is not None else None
     if bound is not None and outputs and not chain_roots:
-        floors = floor.node_floors(dfg, depth_first_order(dfg), bound[0])
+        floors = node_floors(table, dfg, depth_first_order(dfg), bound[0])
         if cost_key([floors[o].err for o in outputs]) > bound:
             log.info(_COUNTERS, topology, 0, 0, 0, 0, ", cut by the grid floor")
             return None
 
-    builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, floor.table)
+    builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, table)
     points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
-    cands = builder.candidates()
+    cands = range(config.k_max + 1)
     free = bool(points) and len(cands) > 1
     order = builder.search_order if free else builder.positions
     n = len(order)
     rows = [cands if builder.is_choice_point(nid) else (0,) for nid in order]
     slot = {nid: k for k, nid in enumerate(points)}
-    frontier = _Frontier(builder, floor) if prune and free else None
+    frontier = _Frontier(builder) if prune and free else None
     if frontier is not None and bound is not None:
         frontier.bound_to(bound[0])
     best_key = best_vec = best_ctx = None
@@ -557,7 +546,7 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     # entries (pos, ctx, vec, cand, sums): try candidate index ``cand`` of
     # the row at ``order[pos]`` on a copy of ``ctx``, whose cone sums are
     # ``sums``; a forced position's row is (0,)
-    stack = [(0, builder.new_ctx(), (0,) * len(points), 0,
+    stack = [(0, _Ctx(), (0,) * len(points), 0,
               frontier.zero_sums if frontier is not None else None)]
     while stack:
         pos, ctx, vec, cand, sums = stack.pop()
@@ -682,38 +671,32 @@ def _rebuild_chain(nodes: list[Node], chain: Chain, shape, used: set[str]) -> li
     return out
 
 
-def enumerate_topologies(dfg: Dfg, n_max: int = N_MAX_TOPOLOGIES) -> list[tuple[str, Dfg]]:
+def enumerate_topologies(dfg: Dfg) -> list[tuple[str, Dfg]]:
     """All distinct re-associations of the graph's addition chains.
 
-    The source topology always comes first. Chains with more than ``n_max``
-    terms contribute only the source shape and the balanced tree; when the
-    cross product over several chains grows past a safety cap, every chain
-    does (``n_max`` 2, below every chain's length).
+    The source topology always comes first. Chains with more than
+    ``N_MAX_TOPOLOGIES`` terms contribute only the source shape and the
+    balanced tree; when the cross product over several chains grows past a
+    safety cap, every chain does (a limit of 2, below every chain's length).
     """
     chains = [c for c in find_chains(dfg) if c.n_terms >= 3]
     if not chains:
         return [("source", dfg)]
 
-    shape_lists = [_shapes_for_chain(c, n_max) for c in chains]
+    shape_lists = [_shapes_for_chain(c, N_MAX_TOPOLOGIES) for c in chains]
     if math.prod(map(len, shape_lists)) > _MAX_TOPOLOGY_PRODUCT:
         shape_lists = [_shapes_for_chain(c, 2) for c in chains]
 
-    combos = [((), ())]
-    for chain, shapes in zip(chains, shape_lists):
-        combos = [(labels + (f"{chain.root}:{k}",), picks + ((chain, s),))
-                  for labels, picks in combos
-                  for k, s in enumerate(shapes)]
-
     result = []
-    for labels, picks in combos:
+    for ks in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
         nodes = list(dfg.nodes)
         used = {n.id for n in dfg.nodes}
         changed = False
-        for chain, shape in picks:
-            if shape != chain.shape:
-                nodes = _rebuild_chain(nodes, chain, shape, used)
+        for chain, shapes, k in zip(chains, shape_lists, ks):
+            if k:  # shape 0 is the chain's source shape
+                nodes = _rebuild_chain(nodes, chain, shapes[k], used)
                 changed = True
-        label = "source" if not changed else ",".join(labels)
+        label = ",".join(f"{c.root}:{k}" for c, k in zip(chains, ks)) if changed else "source"
         result.append((label, Dfg(tuple(nodes)) if changed else dfg))
     return result
 
@@ -739,9 +722,9 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
         topologies = [("source", dfg)]
     candidates = [(rank, label, topo, frozenset())
                   for rank, (label, topo) in enumerate(topologies)]
-    floor = GridFloor(GraphTable(dfg, bindings, config))
+    table = GraphTable(dfg, bindings, config)
     if config.enable_chain_alloc:
-        roots = frozenset(c.root for c in floor.table.chains)
+        roots = frozenset(c.root for c in table.chains)
         if roots:
             candidates.insert(0, (len(topologies), "source+chain", dfg, roots))
 
@@ -751,7 +734,7 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     for rank, label, graph, chain_roots in candidates:
         try:
             plan = combinatorial_search(graph, bindings, config, chain_roots=chain_roots,
-                                        topology=label, incumbent=incumbent, floor=floor)
+                                        topology=label, incumbent=incumbent, table=table)
         except CannotFitError as e:
             errors.append((rank, f"{'chain' if chain_roots else label}: {e}"))
             continue

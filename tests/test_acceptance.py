@@ -162,7 +162,7 @@ def test_criterion_07_search_oracle_equivalence():
         builder = PlanBuilder(dfg, bindings, cfg)
         points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
         best = None
-        for combo in itertools.product(builder.candidates(), repeat=len(points)):
+        for combo in itertools.product(range(cfg.k_max + 1), repeat=len(points)):
             try:
                 cost = builder.build(dict(zip(points, combo))).cost
             except CannotFitError:

@@ -8,14 +8,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpsynt.analysis import (ErrorBound, GraphTable, PlanBuilder, check_plan,
+from fpsynt.analysis import (ErrorBound, GraphTable, PlanBuilder, _Ctx, check_plan,
                              choose_const_format, cost_key, depth_first_order, find_chains)
 from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
 from fpsynt.core import Dfg, Node, NodeKind, encode
 from fpsynt.errors import CannotFitError
-from fpsynt.optimizer import (GridFloor, _Frontier, combinatorial_search, enumerate_topologies,
-                              topological_optimize)
+from fpsynt.optimizer import (_Frontier, combinatorial_search, enumerate_topologies,
+                              node_floors, topological_optimize)
 from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
@@ -51,7 +51,7 @@ def exhaustive_minimum(dfg, bindings, config) -> Fraction:
     builder = PlanBuilder(dfg, bindings, config)
     points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
     best = None
-    for combo in itertools.product(builder.candidates(), repeat=len(points)):
+    for combo in itertools.product(range(config.k_max + 1), repeat=len(points)):
         try:
             plan = builder.build(dict(zip(points, combo)))
         except CannotFitError:
@@ -89,21 +89,21 @@ def test_identity_plan_for_passthrough():
 
 def test_topology_counts():
     dfg3, _ = parse_spec(make_sum_src(3))
-    assert len(enumerate_topologies(dfg3, 6)) == 2     # Catalan(2)
+    assert len(enumerate_topologies(dfg3)) == 2     # Catalan(2)
 
     dfg4, _ = parse_spec(make_sum_src(4))
-    topos = enumerate_topologies(dfg4, 6)
+    topos = enumerate_topologies(dfg4)
     assert len(topos) == 5                              # Catalan(3)
     assert topos[0][0] == "source"
 
     dfg7, _ = parse_spec(make_sum_src(7))
-    assert len(enumerate_topologies(dfg7, 6)) == 2      # source + balanced only
+    assert len(enumerate_topologies(dfg7)) == 2      # source + balanced only
 
 
 def test_topologies_are_distinct_and_valid():
     dfg4, bindings = parse_spec(make_sum_src(4))
     seen = set()
-    for label, topo in enumerate_topologies(dfg4, 6):
+    for label, topo in enumerate_topologies(dfg4):
         (chain,) = find_chains(topo)
         assert chain.n_terms == 4
         seen.add(chain.shape)
@@ -118,7 +118,7 @@ def test_capped_topologies_are_distinct():
            + "output b = " + " - ".join(f"x{k}" for k in range(6)) + ";\n"
            + "output c = x0 + x1 + x2;\n")
     dfg, _ = parse_spec(src)
-    topos = enumerate_topologies(dfg, 6)
+    topos = enumerate_topologies(dfg)
     labels = [label for label, _ in topos]
     graphs = [topo.nodes for _, topo in topos]
     assert len(set(labels)) == len(labels)
@@ -128,7 +128,7 @@ def test_capped_topologies_are_distinct():
 
 def test_fir4_balanced_topology_enumerated(fir4):
     dfg, _ = fir4
-    shapes = {find_chains(t)[0].shape for _, t in enumerate_topologies(dfg, 6)}
+    shapes = {find_chains(t)[0].shape for _, t in enumerate_topologies(dfg)}
     assert ((0, 1), (2, 3)) in shapes  # the two-by-two grouping
 
 
@@ -160,7 +160,7 @@ def test_skewed_magnitudes_reward_reassociation():
     dfg, bindings = parse_spec(src)
     best = topological_optimize(dfg, bindings, cfg)
     costs = [combinatorial_search(t, bindings, cfg, topology=l).cost
-             for l, t in enumerate_topologies(dfg, 6)]
+             for l, t in enumerate_topologies(dfg)]
     assert best.cost == min(costs)
     assert min(costs) < max(costs)  # topology genuinely matters here
 
@@ -168,7 +168,7 @@ def test_skewed_magnitudes_reward_reassociation():
     # worst error on a shared vector grid
     vectors = _vector_grid(bindings, step=37)
     best_max = _max_sim_error(best, dfg, bindings, vectors)
-    for label, topo in enumerate_topologies(dfg, 6):
+    for label, topo in enumerate_topologies(dfg):
         plan = combinatorial_search(topo, bindings, cfg, topology=label)
         other = _max_sim_error(plan, dfg, bindings, vectors)
         assert best_max <= other + Fraction(1, 10**12)
@@ -425,7 +425,7 @@ def exhaustive_argmin(dfg, bindings, config):
     builder = PlanBuilder(dfg, bindings, config)
     points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
     ranked = []
-    for combo in itertools.product(builder.candidates(), repeat=len(points)):
+    for combo in itertools.product(range(config.k_max + 1), repeat=len(points)):
         try:
             ranked.append((builder.build(dict(zip(points, combo))).cost_key, combo))
         except CannotFitError:
@@ -507,11 +507,11 @@ def test_a_plans_source_is_its_tables_graph():
     alone, its own graph."""
     dfg, bindings = parse_spec(FIR5_SRC)
     cfg = Config(width=16)
-    shared = GridFloor(GraphTable(dfg, bindings, cfg))
+    shared = GraphTable(dfg, bindings, cfg)
     label, topo = enumerate_topologies(dfg)[1]
     assert topo is not dfg
     assert combinatorial_search(topo, bindings, cfg, topology=label,
-                                floor=shared).source is dfg
+                                table=shared).source is dfg
     assert combinatorial_search(topo, bindings, cfg, topology=label).source is topo
 
 
@@ -534,7 +534,7 @@ def test_search_counters_logged(caplog):
     with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
         topological_optimize(dfg, bindings, Config())
     lines = [r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer"]
-    labels = [label for label, _ in enumerate_topologies(dfg, 6)] + ["source+chain"]
+    labels = [label for label, _ in enumerate_topologies(dfg)] + ["source+chain"]
     assert sorted(line.split(": ")[0] for line in lines) == sorted(f"search {l}" for l in labels)
     for line in lines:
         for counter in ("steps", "leaves", "incumbent prunes", "dominance prunes"):
@@ -658,16 +658,16 @@ def test_a_shared_graph_table_gives_the_plans_of_a_fresh_one(src, caplog):
     the floor cuts."""
     dfg, bindings = parse_spec(src)
     cfg = Config(width=16)
-    shared = GridFloor(GraphTable(dfg, bindings, cfg))
-    roots = frozenset(c.root for c in shared.table.chains)
-    chain = combinatorial_search(dfg, bindings, cfg, roots, "source+chain", floor=shared)
-    assert _search_logged(caplog, dfg, bindings, cfg, roots, "source+chain", floor=shared) \
+    shared = GraphTable(dfg, bindings, cfg)
+    roots = frozenset(c.root for c in shared.chains)
+    chain = combinatorial_search(dfg, bindings, cfg, roots, "source+chain", table=shared)
+    assert _search_logged(caplog, dfg, bindings, cfg, roots, "source+chain", table=shared) \
         == _search_logged(caplog, dfg, bindings, cfg, roots, "source+chain")
     cut = 0
     for label, topo in enumerate_topologies(dfg):
         for incumbent in (None, chain.cost_key):
             args = (topo, bindings, cfg, frozenset(), label, True, incumbent)
-            got = _search_logged(caplog, *args, floor=shared)
+            got = _search_logged(caplog, *args, table=shared)
             assert got == _search_logged(caplog, *args), (label, incumbent)
             cut += got[0] is None
     assert cut  # the shared floor cut some topology before its first step
@@ -698,18 +698,18 @@ def test_one_grid_floor_keeps_each_bounds_floors_apart():
     At one bound, topologies that share a sub-sum share its record."""
     dfg, bindings = parse_spec(FIR5_SRC)
     cfg = Config(width=16)
-    shared = GridFloor(GraphTable(dfg, bindings, cfg))
-    roots = frozenset(c.root for c in shared.table.chains)
-    chain = combinatorial_search(dfg, bindings, cfg, roots, "source+chain", floor=shared)
-    b0 = ErrorBound.of(chain.cost, shared.table.den)
+    shared = GraphTable(dfg, bindings, cfg)
+    roots = frozenset(c.root for c in shared.chains)
+    chain = combinatorial_search(dfg, bindings, cfg, roots, "source+chain", table=shared)
+    b0 = ErrorBound.of(chain.cost, shared.den)
     small = ErrorBound(b0.n, b0.e - 2, b0.q)
     moved = adds = 0
     records: dict[tuple, object] = {}
     for _label, topo in enumerate_topologies(dfg):
         order = depth_first_order(topo)
-        at_b0 = {n: _record(f) for n, f in shared.node_floors(topo, order, b0).items()}
-        got = shared.node_floors(topo, order, small)
-        fresh = GridFloor(GraphTable(dfg, bindings, cfg)).node_floors(topo, order, small)
+        at_b0 = {n: _record(f) for n, f in node_floors(shared, topo, order, b0).items()}
+        got = node_floors(shared, topo, order, small)
+        fresh = node_floors(GraphTable(dfg, bindings, cfg), topo, order, small)
         assert {n: _record(f) for n, f in got.items()} == \
             {n: _record(f) for n, f in fresh.items()}
         moved += sum(at_b0[n] != _record(got[n]) for n in order)
@@ -760,8 +760,8 @@ def test_grid_floor_never_exceeds_a_topologys_optimum():
             except CannotFitError:
                 continue
             builder = PlanBuilder(topo, bindings, cfg, topology=label)
-            floors = GridFloor(builder.table).node_floors(
-                topo, builder.positions, ErrorBound.of(best.cost_key[0], builder.den))
+            floors = node_floors(
+                builder.table, topo, builder.positions, ErrorBound.of(best.cost_key[0], builder.den))
             for o in topo.output_ids:
                 floor = floors[o].err.as_fraction()
                 assert floor <= best.info[o].err, (label, o)
@@ -826,10 +826,10 @@ def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
     most that key. Returns the number of states checked, and of those where
     the completion floor raised the bound."""
     builder = PlanBuilder(dfg, bindings, cfg)
-    frontier = _Frontier(builder, GridFloor(builder.table))
-    no_floor = _Frontier(builder, GridFloor(builder.table))  # never bound: cone sums only
+    frontier = _Frontier(builder)
+    no_floor = _Frontier(builder)  # never bound: cone sums only
     order = builder.search_order
-    cands = builder.candidates()
+    cands = range(cfg.k_max + 1)
     checked = [0, 0]
 
     def best_below(pos, ctx, sums):
@@ -853,7 +853,7 @@ def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
             checked[1] += bound > no_floor.lower_bound(pos, sums)
         return best
 
-    best_below(0, builder.new_ctx(), frontier.zero_sums)
+    best_below(0, _Ctx(), frontier.zero_sums)
     return checked[0], checked[1]
 
 
