@@ -487,9 +487,7 @@ def find_chains(dfg: Dfg) -> list[Chain]:
     consumers = dfg.consumers()
     add_ids = {n.id for n in dfg.nodes if n.kind is NodeKind.ADD}
 
-    def absorbed(nid: str) -> bool:
-        if nid not in add_ids:
-            return False
+    def absorbed(nid: str) -> bool:  # for an ADD
         cons = consumers[nid]
         return len(cons) == 1 and dfg.node(cons[0]).kind is NodeKind.ADD
 

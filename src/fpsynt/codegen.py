@@ -29,33 +29,62 @@ class EmittedArtifact:
     suggested_name: str
 
 
-_C_KEYWORDS = {
-    "auto", "break", "case", "char", "const", "continue", "default", "do",
-    "double", "else", "enum", "extern", "float", "for", "goto", "if", "int",
-    "long", "register", "return", "short", "signed", "sizeof", "static",
-    "struct", "switch", "typedef", "union", "unsigned", "void", "volatile",
-    "while", "inline", "restrict",
+# the C99 keywords, and the names the C emitter declares (an output y declares fps_y)
+_C_RESERVED = {
+    "auto", "break", "case", "char", "const", "continue", "default", "do", "double", "else",
+    "enum", "extern", "float", "for", "goto", "if", "int", "long", "register", "return", "short",
+    "signed", "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned", "void",
+    "volatile", "while", "inline", "restrict", "_Bool", "_Complex", "_Imaginary", "int32_t",
+    "int64_t", "fps_shr",
 }
 
-_VHDL_KEYWORDS = {
-    "abs", "access", "after", "alias", "all", "and", "architecture", "array",
-    "assert", "attribute", "begin", "block", "body", "buffer", "bus", "case",
-    "component", "configuration", "constant", "disconnect", "downto", "else",
-    "elsif", "end", "entity", "exit", "file", "for", "function", "generate",
-    "generic", "group", "guarded", "if", "impure", "in", "inertial", "inout",
-    "is", "label", "library", "linkage", "literal", "loop", "map", "mod",
-    "nand", "new", "next", "nor", "not", "null", "of", "on", "open", "or",
-    "others", "out", "package", "port", "postponed", "procedure", "process",
-    "pure", "range", "record", "register", "reject", "rem", "report",
-    "return", "rol", "ror", "select", "severity", "signal", "shared", "sla",
-    "sll", "sra", "srl", "subtype", "then", "to", "transport", "type",
-    "unaffected", "units", "until", "use", "variable", "wait", "when",
+# the VHDL-2008 reserved words, and the names the VHDL emitter reads from ieee
+_VHDL_RESERVED = {
+    "abs", "access", "after", "alias", "all", "and", "architecture", "array", "assert", "assume",
+    "assume_guarantee", "attribute", "begin", "block", "body", "buffer", "bus", "case",
+    "component", "configuration", "constant", "context", "cover", "default", "disconnect",
+    "downto", "else", "elsif", "end", "entity", "exit", "fairness", "file", "for", "force",
+    "function", "generate", "generic", "group", "guarded", "if", "impure", "in", "inertial",
+    "inout", "is", "label", "library", "linkage", "literal", "loop", "map", "mod", "nand", "new",
+    "next", "nor", "not", "null", "of", "on", "open", "or", "others", "out", "package",
+    "parameter", "port", "postponed", "procedure", "process", "property", "protected", "pure",
+    "range", "record", "register", "reject", "release", "rem", "report", "restrict",
+    "restrict_guarantee", "return", "rol", "ror", "select", "sequence", "severity", "shared",
+    "signal", "sla", "sll", "sra", "srl", "strong", "subtype", "then", "to", "transport", "type",
+    "unaffected", "units", "until", "use", "variable", "vmode", "vprop", "vunit", "wait", "when",
     "while", "with", "xnor", "xor",
+    "ieee", "std_logic_1164", "numeric_std", "signed", "to_signed", "resize", "shift_right",
 }
+_VHDL_BASIC = re.compile(r"[A-Za-z](_?[A-Za-z0-9])*")
 
 
-def _safe(name: str, keywords: set[str]) -> str:
-    return name + "_" if name.lower() in keywords else name
+def _c_names(plan: Plan) -> dict[str, str]:
+    """The C name of each input and output: its own, or where that is
+    reserved, itself with ``_`` appended until it is free and unique."""
+    def reserved(name: str, nid: str) -> bool:  # an output y is also fps_y
+        return name in _C_RESERVED or (nid in plan.output_ids and f"fps_{name}" in _C_RESERVED)
+
+    names = [*plan.bindings.inputs, *plan.output_ids]
+    emitted = {nid: nid for nid in names if not reserved(nid, nid)}
+    for nid in [n for n in names if n not in emitted]:
+        name = nid + "_"
+        while name in emitted.values() or reserved(name, nid):
+            name += "_"
+        emitted[nid] = name
+    return emitted
+
+
+def _vhdl_names(names) -> dict[str, str]:
+    """The VHDL name of each of ``names``: its own where that is a basic
+    identifier, not reserved and unlike every earlier one up to case; else
+    the extended identifier ``\\name\\``, which is case-sensitive and unlike
+    every basic identifier."""
+    emitted, taken = {}, set(_VHDL_RESERVED)
+    for nid in names:
+        basic = _VHDL_BASIC.fullmatch(nid) and nid.lower() not in taken
+        emitted[nid] = nid if basic else f"\\{nid}\\"
+        taken.add(nid.lower())
+    return emitted
 
 
 def _header_lines(plan: Plan) -> list[str]:
@@ -90,12 +119,11 @@ def emit_c(plan: Plan, name: str = "datapath", portable_shift: bool = False) -> 
                         f"integer type fits it, rerun with a narrower word width")
     suffix = "LL" if ctype == "int64_t" else ""
 
-    def cname(nid: str) -> str:
-        return _safe(nid, _C_KEYWORDS)
+    cname = _c_names(plan)
 
     def leaf(node) -> str:
         if node.kind is NodeKind.INPUT:
-            return cname(node.id)
+            return cname[node.id]
         raw = plan.const_raws[node.id]
         return f"({raw}{suffix})" if raw < 0 else f"{raw}{suffix}"
 
@@ -126,11 +154,11 @@ def emit_c(plan: Plan, name: str = "datapath", portable_shift: bool = False) -> 
                   "}",
                   ""]
     for oid in plan.output_ids:
-        args = ", ".join(f"{ctype} {cname(i)}" for i in plan.bindings.inputs)
+        args = ", ".join(f"{ctype} {cname[i]}" for i in plan.bindings.inputs)
         info = plan.info[oid]
         fmt = info.signal.fmt
         lines += [f"/* {oid} = raw * 2^({info.signal.scale - fmt.f}) */",
-                  f"{ctype} fps_{cname(oid)}({args}) {{",
+                  f"{ctype} fps_{cname[oid]}({args}) {{",
                   f"    return {render_infix(plan.graph, oid, leaf, shift)};",
                   "}",
                   ""]
@@ -143,9 +171,7 @@ def emit_vhdl(plan: Plan, name: str = "datapath") -> EmittedArtifact:
     ent = re.sub(r"[^A-Za-z0-9_]", "_", name)
     if not re.match(r"[A-Za-z]", ent):
         ent = "e_" + ent
-
-    def vname(nid: str) -> str:
-        return _safe(nid, _VHDL_KEYWORDS)
+    ent = _vhdl_names([ent])[ent]
 
     def width(nid: str) -> int:
         return plan.info[nid].width
@@ -154,35 +180,25 @@ def emit_vhdl(plan: Plan, name: str = "datapath") -> EmittedArtifact:
     outputs = list(plan.output_ids)
     internal = [n for n in (plan.graph.node(i) for i in plan.order())
                 if n.kind not in (NodeKind.INPUT, NodeKind.OUTPUT)]
+    vname = _vhdl_names(inputs + outputs + [n.id for n in internal])
 
     consts, mults, adders = [], [], []
     for node in internal:
-        nid = node.id
-        w = width(nid)
+        nid, w = node.id, width(node.id)
+        ops = [vname[o] for o in node.operands]
         if node.kind is NodeKind.CONST:
-            consts.append(f"  {vname(nid)} <= to_signed({plan.const_raws[nid]}, {w});")
+            consts.append(f"  {vname[nid]} <= to_signed({plan.const_raws[nid]}, {w});")
         elif node.kind is NodeKind.MUL:
-            a, b = (vname(o) for o in node.operands)
-            mults.append(f"  {vname(nid)} <= {a} * {b};")
-        elif node.kind is NodeKind.ADD:
-            a, b = node.operands
-            ra = f"resize({vname(a)}, {w})"
-            rb = f"resize({vname(b)}, {w})"
-            if node.negate[0]:
-                stmt = f"  {vname(nid)} <= {rb} - {ra};"
-            elif node.negate[1]:
-                stmt = f"  {vname(nid)} <= {ra} - {rb};"
-            else:
-                stmt = f"  {vname(nid)} <= {ra} + {rb};"
-            adders.append(stmt)
+            mults.append(f"  {vname[nid]} <= {ops[0]} * {ops[1]};")
+        elif node.kind is NodeKind.ADD:  # a negated first operand swaps the two
+            ra, rb = (f"resize({o}, {w})" for o in (ops[::-1] if node.negate[0] else ops))
+            adders.append(f"  {vname[nid]} <= {ra} {'-' if any(node.negate) else '+'} {rb};")
         elif node.kind in (NodeKind.SHR, NodeKind.TRUNC):
-            src = vname(node.operands[0])
-            rhs = f"shift_right({src}, {node.amount})" if node.amount else src
+            rhs = f"shift_right({ops[0]}, {node.amount})" if node.amount else ops[0]
             if w != width(node.operands[0]):
                 rhs = f"resize({rhs}, {w})"
-            stmt = f"  {vname(nid)} <= {rhs};"
             feeder = plan.graph.node(node.operands[0]).kind
-            (mults if feeder is NodeKind.MUL else adders).append(stmt)
+            (mults if feeder is NodeKind.MUL else adders).append(f"  {vname[nid]} <= {rhs};")
 
     lines = [f"-- {ent} -- fixed-point datapath, generated by fpsynt {__version__}",
              "-- value of a word = raw * 2^(E-F):"]
@@ -194,15 +210,15 @@ def emit_vhdl(plan: Plan, name: str = "datapath") -> EmittedArtifact:
               "",
               f"entity {ent} is",
               "  port ("]
-    ports = [f"    {vname(i)} : in  signed({width(i) - 1} downto 0)" for i in inputs]
-    ports += [f"    {vname(o)} : out signed({width(o) - 1} downto 0)" for o in outputs]
+    ports = [f"    {vname[i]} : in  signed({width(i) - 1} downto 0)" for i in inputs]
+    ports += [f"    {vname[o]} : out signed({width(o) - 1} downto 0)" for o in outputs]
     lines += [";\n".join(ports)]
     lines += ["  );",
               f"end {ent};",
               "",
               f"architecture dataflow of {ent} is"]
     for node in internal:
-        lines.append(f"  signal {vname(node.id)} : signed({width(node.id) - 1} downto 0);")
+        lines.append(f"  signal {vname[node.id]} : signed({width(node.id) - 1} downto 0);")
     lines += ["begin"]
     if consts:
         lines += ["  --Constants"] + consts
@@ -213,6 +229,6 @@ def emit_vhdl(plan: Plan, name: str = "datapath") -> EmittedArtifact:
     lines += ["  --Outputs"]
     for oid in outputs:
         src = plan.graph.node(oid).operands[0]
-        lines.append(f"  {vname(oid)} <= {vname(src)};")
+        lines.append(f"  {vname[oid]} <= {vname[src]};")
     lines += ["end dataflow;", ""]
     return EmittedArtifact("vhdl", "\n".join(lines), f"{name}.fps.vhd")

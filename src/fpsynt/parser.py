@@ -134,6 +134,9 @@ class _Parser:
         self.consts: dict[str, Fraction] = {}
         self.outputs: list[str] = []
         self._declared: set[str] = set()
+        # every name the spec declares, also further on: no generated name takes one
+        self._reserved = {name.text for decl, name in zip(tokens, tokens[1:])
+                          if decl.kind in ("input", "const", "output")}
         self._gen = 0
         self._depth = 0
 
@@ -158,7 +161,7 @@ class _Parser:
         while True:
             name = f"{prefix}{self._gen}"
             self._gen += 1
-            if name not in self._declared:
+            if name not in self._reserved:
                 return name
 
     # declarations
@@ -266,7 +269,6 @@ class _Parser:
         if self.cur.kind == "number":
             tok = self.advance()
             node_id = self.fresh_id("lit")
-            self._declared.add(node_id)
             self.nodes.append(Node(node_id, NodeKind.CONST, value=Fraction(tok.text)))
             return node_id
         if self.cur.kind == "(":

@@ -204,8 +204,24 @@ class VhdlError(ValueError):
     """The emitted VHDL breaks a numeric_std rule, or a value does not fit."""
 
 
-_VHDL_PORT_OR_SIGNAL = re.compile(r"(\w+) : (in |out )?\s*signed\((\d+) downto 0\)")
-_VHDL_TOKEN = re.compile(r"\s*(\w+|[(),*+-])")
+# a name is a basic identifier (\w+) or an extended one (\\...\\)
+_VHDL_NAME = r"\\[^\\]+\\|\w+"
+_VHDL_PORT_OR_SIGNAL = re.compile(rf"({_VHDL_NAME}) : (in |out )?\s*signed\((\d+) downto 0\)")
+_VHDL_TOKEN = re.compile(rf"\s*({_VHDL_NAME}|[(),*+-])")
+
+
+def _vhdl_key(name: str) -> str:
+    """A VHDL name as the language compares it: a basic identifier ignores
+    case, an extended one keeps its backslashes and its case."""
+    return name if name.startswith("\\") else name.lower()
+
+
+def vhdl_ports(source: str) -> tuple[list[str], list[str]]:
+    """The input and the output port names of an emitted entity, as written,
+    in declaration order."""
+    ports = [(name, direction) for name, direction, _ in _VHDL_PORT_OR_SIGNAL.findall(source)
+             if direction]
+    return ([n for n, d in ports if d == "in "], [n for n, d in ports if d == "out "])
 
 
 def _fits(col, width: int) -> bool:
@@ -220,20 +236,24 @@ def interpret_vhdl(source: str, inputs: dict) -> dict[str, list[int]]:
     with their numeric_std widths: ``to_signed(n, w)`` is w bits, ``a * b``
     is len(a) + len(b) bits, ``a + b`` and ``a - b`` are max(len(a), len(b))
     bits and wrap, ``resize(a, w)`` is w bits and keeps the sign and the
-    low bits, ``shift_right(a, k)`` floors and keeps len(a). Raises
-    VhdlError where a VHDL analyzer or simulator would differ from exact
-    arithmetic: an assignment whose width is not its target's, a narrowing
-    resize or a wrapping sum that changes a value, a literal that does not
-    fit, or a signal never or twice assigned. Concurrent statements run in
+    low bits, ``shift_right(a, k)`` floors and keeps len(a). Names are
+    compared as VHDL does (``_vhdl_key``), and the result is keyed by the
+    output names as declared. Raises VhdlError where a VHDL analyzer or
+    simulator would differ from exact arithmetic: an assignment whose width
+    is not its target's, a narrowing resize or a wrapping sum that changes a
+    value, a literal that does not fit, or a signal never or twice assigned,
+    and on two ports or signals of one name. Concurrent statements run in
     the order their reads are ready."""
-    widths, outs = {}, []
+    widths, outs = {}, {}
     for name, direction, msb in _VHDL_PORT_OR_SIGNAL.findall(source):
-        widths[name] = int(msb) + 1
+        if _vhdl_key(name) in widths:
+            raise VhdlError(f"'{name}' is declared twice")
+        widths[_vhdl_key(name)] = int(msb) + 1
         if direction == "out ":
-            outs.append(name)
+            outs[name] = _vhdl_key(name)
     env = {}
     for name, col in inputs.items():
-        col = np.asarray(col, dtype=object)
+        col, name = np.asarray(col, dtype=object), _vhdl_key(name)
         if not _fits(col, widths[name]):
             raise VhdlError(f"input '{name}' does not fit {widths[name]} bits")
         env[name] = col
@@ -242,14 +262,15 @@ def interpret_vhdl(source: str, inputs: dict) -> dict[str, list[int]]:
     pending = []
     for line in body.splitlines():
         if line.strip() and not line.lstrip().startswith("--"):
-            target, rhs = re.fullmatch(r"\s*(\w+) <= (.*);", line).groups()
-            pending.append((target, _VHDL_TOKEN.findall(rhs)))
+            target, rhs = re.fullmatch(rf"\s*({_VHDL_NAME}) <= (.*);", line).groups()
+            pending.append((_vhdl_key(target), _VHDL_TOKEN.findall(rhs)))
     targets = [t for t, _ in pending]
     if len(set(targets)) < len(targets) or set(targets) & set(env):
         raise VhdlError(f"a signal is assigned twice: {targets}")
 
     def ready(tokens) -> bool:
-        return all(t in env for k, t in enumerate(tokens) if re.fullmatch(r"[A-Za-z]\w*", t)
+        return all(_vhdl_key(t) in env for k, t in enumerate(tokens)
+                   if re.fullmatch(r"[A-Za-z]\w*|\\.*", t)
                    and (k + 1 == len(tokens) or tokens[k + 1] != "("))
 
     def evaluate(tokens) -> tuple:
@@ -271,7 +292,7 @@ def interpret_vhdl(source: str, inputs: dict) -> dict[str, list[int]]:
         def atom() -> tuple:
             name = take()
             if name not in ("to_signed", "resize", "shift_right"):
-                return env[name], widths[name]
+                return env[_vhdl_key(name)], widths[_vhdl_key(name)]
             take("(")
             if name == "to_signed":
                 value, width = integer(), (take(","), integer())[1]
@@ -322,7 +343,7 @@ def interpret_vhdl(source: str, inputs: dict) -> dict[str, list[int]]:
                 raise VhdlError(f"'{target}' is {widths[target]} bits, assigned {width}")
             env[target] = col
         pending = [p for p in pending if p[0] not in env]
-    return {o: env[o].tolist() for o in outs}
+    return {o: env[key].tolist() for o, key in outs.items()}
 
 
 @pytest.fixture

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import fpsynt
-from fpsynt.codegen import emit_c, emit_vhdl
+from fpsynt.codegen import _VHDL_RESERVED, emit_c, emit_vhdl
 from fpsynt.config import Config
 from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
@@ -20,7 +20,8 @@ from fpsynt.simulator import TestVector as Vec
 from fpsynt.simulator import generate_vectors, run_fixed, run_fixed_columns
 
 from conftest import (FIR4_SRC, SKEWED_SUM, VhdlError, extract_c_expression,
-                      interpret_c_expression, interpret_vhdl, make_horner_src, quantize_const)
+                      interpret_c_expression, interpret_vhdl, make_horner_src, quantize_const,
+                      vhdl_ports)
 
 TWO_TAP_SRC = ("input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\n"
                "const w0 = 0.3;\nconst w1 = 0.6;\n"
@@ -90,6 +91,15 @@ def test_c_keyword_inputs_are_renamed():
     assert "int32_t int_" in src
 
 
+# inputs whose C names collide: a keyword renamed onto a declared name, and
+# the names the emitter declares; an output named shr would be fps_shr
+C_CLASH_SRCS = [
+    "input int : sif(1/0/7);\ninput int_ : sif(1/0/7);\noutput shr = 0.3*int + 0.71*int_;\n",
+    "input int32_t : sif(1/0/7);\ninput fps_shr : sif(1/0/7);\n"
+    "output shr = 0.3*int32_t - 0.71*fps_shr;\n",
+]
+
+
 def _compile_and_run_c(tmp_path: Path, c_source: str, func: str, pairs):
     """Compile the emitted function plus a looping harness, return outputs."""
     cc = shutil.which("cc") or shutil.which("gcc")
@@ -143,6 +153,22 @@ def test_portable_shift_compiles_and_matches(tmp_path):
     got = _compile_and_run_c(tmp_path, art.source, "fps_y", None)
     pairs = np.array(list(itertools.product(range(-128, 128), repeat=2)))
     assert got == run_fixed_columns(plan, pairs)["y"].tolist()
+
+
+@pytest.mark.parametrize("portable", [False, True])
+@pytest.mark.parametrize("src", C_CLASH_SRCS, ids=["int_int_", "declared"])
+def test_c_names_are_distinct_and_free(tmp_path, src, portable):
+    """Clashing names compile in both shift styles and give the simulator's
+    words on every input pair."""
+    plan = synthesize(src, Config(width=8))
+    art = emit_c(plan, "clash", portable_shift=portable)
+    signature = re.search(r"int32_t fps_(\w+)\(int32_t (\w+), int32_t (\w+)\)", art.source)
+    assert signature is not None
+    assert len(set(signature.groups())) == 3
+    assert set(signature.groups()).isdisjoint({"int", "int32_t", "fps_shr", "shr"})
+    got = _compile_and_run_c(tmp_path, art.source, f"fps_{signature[1]}", None)
+    pairs = np.array(list(itertools.product(range(-128, 128), repeat=2)))
+    assert got == run_fixed_columns(plan, pairs)["shr"].tolist()
 
 
 def test_c_uses_wider_type_for_wide_plans():
@@ -253,11 +279,13 @@ MATVEC2X2_W32 = ("input x0 : sif(1/0/31);\ninput x1 : sif(1/0/31);\n"
 
 def _vhdl_agrees(plan, raws, source=None) -> bool:
     """True when the VHDL interpreter gives ``run_fixed_columns``'s raw
-    output columns on the input raw matrix ``raws``."""
+    output columns on the input raw matrix ``raws``. Ports are declared
+    inputs first, then outputs, each in the plan's order."""
     source = source or emit_vhdl(plan, "dut").source
-    got = interpret_vhdl(source, {n: raws[:, k] for k, n in enumerate(plan.bindings.inputs)})
+    ins, outs = vhdl_ports(source)
+    got = interpret_vhdl(source, {n: raws[:, k] for k, n in enumerate(ins)})
     want = run_fixed_columns(plan, raws)
-    return got == {o: want[o].tolist() for o in plan.output_ids}
+    return got == {v: want[o].tolist() for v, o in zip(outs, plan.output_ids, strict=True)}
 
 
 def test_vhdl_interpreter_exhaustive_two_tap():
@@ -283,6 +311,46 @@ def test_vhdl_interpreter_sees_a_changed_shift():
     assert "shift_right(x0, 1)" in source
     mutant = source.replace("shift_right(x0, 1)", "shift_right(x0, 2)")
     assert not _vhdl_agrees(plan, raws, mutant)
+
+
+# names that are VHDL keywords, names of ieee, names no basic identifier
+# has, and names equal up to case
+VHDL_CLASH_SRC = ("input in : sif(1/0/7);\ninput X : sif(1/0/7);\ninput x : sif(1/0/7);\n"
+                  "input _a__b_ : sif(1/0/7);\nconst signed = 0.375;\nconst Signal = -0.25;\n"
+                  "output out = 0.3*in + signed*X;\noutput x_ = x*_a__b_ + Signal*in;\n")
+_VHDL_LEGAL = re.compile(r"[A-Za-z](_?[A-Za-z0-9])*|\\[^\\]+\\")
+
+
+@pytest.mark.parametrize("name,entity", [
+    ("out", "\\out\\"), ("2tap", "e_2tap"), ("a__b", "\\a__b\\"), ("fir-4", "fir_4"),
+])
+def test_vhdl_names_are_legal_and_distinct(name, entity):
+    """Every identifier of the entity, its ports and its signals is a basic
+    identifier that is not reserved, or an extended one; no two are equal
+    as VHDL compares them; and the VHDL gives the simulator's words."""
+    plan = synthesize(VHDL_CLASH_SRC, Config(width=8))
+    source = emit_vhdl(plan, name).source
+    assert re.search(r"^entity (\S+) is$", source, re.MULTILINE)[1] == entity
+    assert f"end {entity};" in source and f"architecture dataflow of {entity} is" in source
+    declared = re.findall(r"^    (\S+) : (?:in |out)", source, re.MULTILINE)  # ports
+    declared += re.findall(r"^  signal (\S+) :", source, re.MULTILINE)
+    assert len(declared) == len(plan.graph.nodes)
+    keys = [n if n.startswith("\\") else n.lower() for n in [entity] + declared]
+    assert len(set(keys[1:])) == len(keys) - 1
+    for n in [entity] + declared:
+        assert _VHDL_LEGAL.fullmatch(n) and n.lower() not in _VHDL_RESERVED, n
+    assert _vhdl_agrees(plan, generate_vectors(plan.bindings, 200, seed=1).raws, source)
+
+
+def test_vhdl_names_exhaustive_two_inputs():
+    """Inputs ``in`` and ``IN`` become two extended identifiers; the VHDL
+    gives the simulator's words on every input pair at W=8."""
+    plan = synthesize("input in : sif(1/0/7);\ninput IN : sif(1/0/7);\n"
+                      "output signed = 0.3*in - 0.71*IN;\n", Config(width=8))
+    source = emit_vhdl(plan, "dut").source
+    assert vhdl_ports(source) == (["\\in\\", "\\IN\\"], ["\\signed\\"])
+    assert _vhdl_agrees(plan, np.array(list(itertools.product(range(-128, 128), repeat=2))),
+                        source)
 
 
 _BY_HAND = """\

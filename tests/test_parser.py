@@ -8,7 +8,7 @@ from fpsynt import synthesize
 from fpsynt.cli import main
 from fpsynt.core import NodeKind
 from fpsynt.errors import ParseError
-from fpsynt.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, parse_spec,
+from fpsynt.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, Bindings, parse_spec,
                            pretty_print, validate_formats)
 
 from conftest import FIR4_SRC
@@ -94,6 +94,7 @@ def test_comments_are_ignored():
     ("input x : sif(1.5/0/7);\noutput y = x;", "expected an integer"),
     ("input x : sif(1/0/7);\noutput y = x +;", "expected an operand"),
     ("input x : sif(1/0/7);\noutput y = x;\noutput z = y;", "cannot be used"),
+    ("input x : sif(1/0/7);\ny = x;", "expected a declaration"),
 ])
 def test_parse_errors(src, needle):
     with pytest.raises(ParseError) as exc:
@@ -200,6 +201,10 @@ def test_validate_formats_collects_all_diagnostics():
     assert len(diags) == 2
     assert any("sign bits must be >= 1" in str(d) and d.kind == "invalid" for d in diags)
     assert any("13 exceeds word width 8" in str(d) and d.kind == "cannot-fit" for d in diags)
+    # a Bindings built through the API can hold what the grammar cannot
+    diags = validate_formats(Bindings({**b.inputs, "c": (1, -1, 4)}, {}, ("y",)), 8)
+    assert len(diags) == 3
+    assert any(str(d) == "input 'c': negative field width" and d.kind == "invalid" for d in diags)
 
 
 def test_huge_declared_width_is_shown_shortened(tmp_path, capsys):
@@ -233,12 +238,37 @@ def _canonical(dfg, bindings):
     return {o: _shape(dfg, dfg.node(o).operands[0], names) for o in bindings.outputs}
 
 
+# specs that declare a name the parser would otherwise make up: the product
+# of an output named t0, an input t0 declared after a t0 was made, and the
+# literal of an output named lit0
+DECLARED_MADE_UP_NAMES = [
+    "input a : sif(1/0/7);\ninput b : sif(1/0/7);\noutput t0 = a*b;\n",
+    "input a : sif(1/0/7);\noutput y = a*a;\ninput t0 : sif(1/0/7);\noutput z = t0 + a;\n",
+    "input a : sif(1/0/7);\noutput lit0 = a*0.5;\n",
+]
+
+
+@pytest.mark.parametrize("src", DECLARED_MADE_UP_NAMES, ids=["output_t0", "input_t0", "lit0"])
+def test_made_up_names_skip_declared_ones(src, tmp_path, capsys):
+    dfg, b = parse_spec(src)
+    assert [n.id for n in dfg.nodes if n.kind is NodeKind.OUTPUT] == list(b.outputs)
+    assert [n.id for n in dfg.nodes if n.kind is NodeKind.INPUT] == list(b.inputs)
+    plan = synthesize(src)
+    assert plan.output_ids == b.outputs
+    spec = tmp_path / "names.fps"
+    spec.write_text(src)
+    assert main(["synth", str(spec), "-o", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("src", [
     FIR4_SRC,
     "input x : sif(1/0/7);\noutput y = x;\n",
     "input a : sif(1/0/7);\ninput b : sif(2/1/5);\nconst k = -0.25;\n"
     "output y = (a - b) * k + a * 0.125;\n",
     "input a : sif(1/0/7);\noutput s = a + a + a;\noutput p = a * a;\n",
+    "const c = 2;\nconst d = -3;\ninput a : sif(1/0/7);\noutput y = c * a + d;\n",
+    *DECLARED_MADE_UP_NAMES,
 ])
 def test_pretty_print_round_trip(src):
     dfg1, b1 = parse_spec(src)
