@@ -649,6 +649,7 @@ class GraphTable:
                               for n in dfg.nodes if n.kind is NodeKind.CONST))
         self.zero = ErrorBound(0, 0, self.den)
         self._quantized: dict[str, tuple[NodeInfo, int]] = {}
+        # per (b0, kind, leaf, negate, ids of the operands' records)
         self.floors: dict[tuple, object] = {}
 
     @functools.cached_property
