@@ -29,31 +29,36 @@ class EmittedArtifact:
     suggested_name: str
 
 
-# the C99 keywords, and the names the C emitter declares (an output y declares fps_y)
+# C99 keywords, and the names the C emitter declares (an output y is fps_y)
 _C_RESERVED = {
-    "auto", "break", "case", "char", "const", "continue", "default", "do", "double", "else",
-    "enum", "extern", "float", "for", "goto", "if", "int", "long", "register", "return", "short",
-    "signed", "sizeof", "static", "struct", "switch", "typedef", "union", "unsigned", "void",
-    "volatile", "while", "inline", "restrict", "_Bool", "_Complex", "_Imaginary", "int32_t",
-    "int64_t", "fps_shr",
+    "auto", "break", "case", "char", "const", "continue", "default", "do",
+    "double", "else", "enum", "extern", "float", "for", "goto", "if", "int",
+    "long", "register", "return", "short", "signed", "sizeof", "static",
+    "struct", "switch", "typedef", "union", "unsigned", "void", "volatile",
+    "while", "inline", "restrict",
+    "_Bool", "_Complex", "_Imaginary", "int32_t", "int64_t", "fps_shr",
 }
 
-# the VHDL-2008 reserved words, and the names the VHDL emitter reads from ieee
+# VHDL-2008 reserved words, and the ieee names the VHDL emitter reads
 _VHDL_RESERVED = {
-    "abs", "access", "after", "alias", "all", "and", "architecture", "array", "assert", "assume",
-    "assume_guarantee", "attribute", "begin", "block", "body", "buffer", "bus", "case",
-    "component", "configuration", "constant", "context", "cover", "default", "disconnect",
-    "downto", "else", "elsif", "end", "entity", "exit", "fairness", "file", "for", "force",
-    "function", "generate", "generic", "group", "guarded", "if", "impure", "in", "inertial",
-    "inout", "is", "label", "library", "linkage", "literal", "loop", "map", "mod", "nand", "new",
-    "next", "nor", "not", "null", "of", "on", "open", "or", "others", "out", "package",
-    "parameter", "port", "postponed", "procedure", "process", "property", "protected", "pure",
-    "range", "record", "register", "reject", "release", "rem", "report", "restrict",
-    "restrict_guarantee", "return", "rol", "ror", "select", "sequence", "severity", "shared",
-    "signal", "sla", "sll", "sra", "srl", "strong", "subtype", "then", "to", "transport", "type",
-    "unaffected", "units", "until", "use", "variable", "vmode", "vprop", "vunit", "wait", "when",
+    "abs", "access", "after", "alias", "all", "and", "architecture", "array",
+    "assert", "attribute", "begin", "block", "body", "buffer", "bus", "case",
+    "component", "configuration", "constant", "disconnect", "downto", "else",
+    "elsif", "end", "entity", "exit", "file", "for", "function", "generate",
+    "generic", "group", "guarded", "if", "impure", "in", "inertial", "inout",
+    "is", "label", "library", "linkage", "literal", "loop", "map", "mod",
+    "nand", "new", "next", "nor", "not", "null", "of", "on", "open", "or",
+    "others", "out", "package", "port", "postponed", "procedure", "process",
+    "pure", "range", "record", "register", "reject", "rem", "report",
+    "return", "rol", "ror", "select", "severity", "signal", "shared", "sla",
+    "sll", "sra", "srl", "subtype", "then", "to", "transport", "type",
+    "unaffected", "units", "until", "use", "variable", "wait", "when",
     "while", "with", "xnor", "xor",
-    "ieee", "std_logic_1164", "numeric_std", "signed", "to_signed", "resize", "shift_right",
+    "assume", "assume_guarantee", "context", "cover", "default", "fairness",
+    "force", "parameter", "property", "protected", "release", "restrict",
+    "restrict_guarantee", "sequence", "strong", "vmode", "vprop", "vunit",
+    "ieee", "std_logic_1164", "numeric_std", "signed", "to_signed", "resize",
+    "shift_right",
 }
 _VHDL_BASIC = re.compile(r"[A-Za-z](_?[A-Za-z0-9])*")
 
@@ -97,10 +102,6 @@ def _header_lines(plan: Plan) -> list[str]:
     return lines
 
 
-def _host_width(plan: Plan) -> int:
-    return max(plan.info[n.id].width for n in plan.graph.nodes)
-
-
 def emit_c(plan: Plan, name: str = "datapath", portable_shift: bool = False) -> EmittedArtifact:
     """One C function per output, raw words in, raw word out.
 
@@ -109,7 +110,7 @@ def emit_c(plan: Plan, name: str = "datapath", portable_shift: bool = False) -> 
     shift for a helper that floors by division, at the cost of leaving the
     plain multiply/shift/add expression shape.
     """
-    widest = _host_width(plan)
+    widest = max(plan.info[n.id].width for n in plan.graph.nodes)
     if widest <= 32:
         ctype = "int32_t"
     elif widest <= 64:
