@@ -639,37 +639,36 @@ def depth_first_order(dfg: Dfg, reads=None) -> list[str]:
 
 class GraphTable:
     """What re-association cannot change, worked out once per synthesis:
-    ``den`` (see ``PlanBuilder``), each constant's quantized NodeInfo and
-    raw word, on first use the graph's chains, and ``floors``, the memo of
-    ``optimizer.node_floors`` that the graph's topologies share."""
+    ``den`` (see ``PlanBuilder``), ``quantized``, the NodeInfo and raw word
+    of each constant that a node reads, on first use the graph's chains, and
+    ``floors``, the memo of ``optimizer.node_floors`` that the graph's
+    topologies share. Raises CannotFitError, before any search, when such a
+    constant does not fit the word width."""
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config):
         self.dfg, self.bindings, self.config = dfg, bindings, config
         self.den = math.lcm(*(_odd_part(Fraction(n.value).denominator)
                               for n in dfg.nodes if n.kind is NodeKind.CONST))
         self.zero = ErrorBound(0, 0, self.den)
-        self._quantized: dict[str, tuple[NodeInfo, int]] = {}
+        self.quantized: dict[str, tuple[NodeInfo, int]] = {}
+        read = {r for n in dfg.nodes for r in n.operands}
+        for node in dfg.nodes:
+            if node.kind is NodeKind.CONST and node.id in read:
+                try:
+                    fmt = choose_const_format(node.value, config.width)
+                except CannotFitError as e:
+                    raise CannotFitError(f"const '{node.id}': {e}") from None
+                raw = encode(node.value, fmt, config.quantize)
+                err = ErrorBound.of(abs(node.value - decode(raw, fmt)), self.den)
+                value = Interval.from_raws(raw, raw, -fmt.f)
+                self.quantized[node.id] = (
+                    NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
         # per (b0, kind, leaf, negate, ids of the operands' records)
         self.floors: dict[tuple, object] = {}
 
     @functools.cached_property
     def chains(self) -> list[Chain]:
         return find_chains(self.dfg)
-
-    def quantized(self, node: Node) -> tuple[NodeInfo, int]:
-        """A constant's NodeInfo and raw word, quantized once per table."""
-        quantized = self._quantized.get(node.id)
-        if quantized is None:
-            try:
-                fmt = choose_const_format(node.value, self.config.width)
-            except CannotFitError as e:
-                raise CannotFitError(f"const '{node.id}': {e}") from None
-            raw = encode(node.value, fmt, self.config.quantize)
-            err = ErrorBound.of(abs(node.value - decode(raw, fmt)), self.den)
-            value = Interval.from_raws(raw, raw, -fmt.f)
-            quantized = self._quantized[node.id] = (
-                NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
-        return quantized
 
 
 class PlanBuilder:
@@ -760,7 +759,7 @@ class PlanBuilder:
                 fmt.min_raw, fmt.max_raw, -fmt.f), self.zero))
             ctx.alias[nid] = nid
         elif node.kind is NodeKind.CONST:
-            ctx.emit(node, self.table.quantized(node)[0])
+            ctx.emit(node, self.table.quantized[nid][0])
             ctx.alias[nid] = nid
         elif node.kind is NodeKind.MUL:
             self._step_mul(ctx, node, choice)
@@ -913,7 +912,7 @@ class PlanBuilder:
         return Plan(graph=Dfg(tuple(ctx.nodes)),
                     info={nid: NodeInfo(i.signal, i.interval, i.err.as_fraction(), i.eff_exp)
                           for nid, i in ctx.info.items()},
-                    const_raws={n.id: self.table.quantized(n)[1] for n in ctx.nodes
+                    const_raws={n.id: self.table.quantized[n.id][1] for n in ctx.nodes
                                 if n.kind is NodeKind.CONST},
                     bindings=self.bindings,
                     source=self.table.dfg,

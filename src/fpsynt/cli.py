@@ -80,7 +80,10 @@ def _emit_targets(args) -> set[str]:
 
 
 def _synthesize_from_file(args):
-    source = Path(args.spec).read_text()
+    try:
+        source = Path(args.spec).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise SpecError(f"{args.spec}: not UTF-8 at byte {e.start}") from None
     config = _config_from(args)
     return synthesize(source, config)
 

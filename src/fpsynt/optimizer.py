@@ -76,45 +76,46 @@ _CARRIES = {NodeKind.INPUT: 0, NodeKind.CONST: 1}
 
 
 class _Frontier:
-    """What the rest of a search reads of a state, for each position.
+    """What the rest of a search reads of a state, for each position: a
+    table worked out once per search, read by the bound and the memo.
 
     A state at position p has run the steps before p. Its live values are
     the ones made before p and read at or after it; the finished outputs
-    are the outputs made before p. Both are fixed per position, so they
-    are worked out once per search.
+    are the outputs made before p. Both are fixed per position. An input or
+    a constant, which ``step`` aliases to itself, has the same info in every
+    state, so only the computed live values can differ between states.
 
     A node's error is at least the sum of the errors of its cone reads, each
     as often as the node reads it: an addition passes its operands' errors
     on in full, and a product one operand's, with weight 1, by
     ``mul_error_bound``'s clamp. That operand is fixed per product: a
     computed value if the product reads one, else a constant, as an
-    input's error is 0. The cone of an output is the multiset of live values that
-    reach it through cone reads only, each as often as it has such paths.
-    ``advance`` runs a step and carries each output's cone sum, the sum of
-    the errors in its cone, or its own error once it is made: it subtracts
-    the values the step reads out of the cones and adds the value it
-    makes, as worked out once per position.
+    input's error is 0. The cone of an output at p is the multiset of live
+    values that reach it through the cone reads of the steps at or after p,
+    each as often as it has such paths, or the output once it is finished.
+    The table holds each cone's computed values with their multiples, and
+    its fixed share: the sum of multiple times error over its constants.
 
-    ``lower_bound``, the search's one bound per state, reads only those
-    sums and adds each output's completion floor: the errors that the steps
-    at and after the state's position add on the way to the output, each
-    step's ``_Floor.need`` times its number of paths to the output, for the
-    bound ``bound_to`` last set; where a product's truncation is still to
-    come, a view of it at a later ADD adds what the two lose together
-    beyond their two needs. A need bounds a step's own loss in every plan
-    that can tie that bound, so the floor does not depend on the state.
-    ``dominated`` keeps, per position and per (format, interval, value
-    grid) of every live value, the (errors, choice vector) pairs that no
-    other pair there dominates.
+    ``lower_bound``, the search's one bound per state, adds per output the
+    errors of its cone's computed values, read from the state, times their
+    multiples, its fixed share and its completion floor: the errors that the
+    steps at and after the state's position add on the way to the output,
+    each step's ``_Floor.need`` times its number of paths to the output,
+    for the bound ``bound_to`` last set; where a product's truncation is
+    still to come, a view of it at a later ADD adds what the two lose
+    together beyond their two needs. A need bounds a step's own loss in
+    every plan that can tie that bound, so the floor does not depend on the
+    state. ``dominated`` keeps, per position and per (format, interval,
+    value grid) of every computed live value, the (errors, choice vector)
+    pairs that no other pair there dominates.
     """
 
     def __init__(self, builder: PlanBuilder):
-        order = builder.search_order
-        dfg = builder.dfg
-        outputs = dfg.output_ids
-        readers: dict[str, list[str]] = {nid: [] for nid in order}
+        order, dfg, outputs = builder.search_order, builder.dfg, builder.dfg.output_ids
+        readers = dict.fromkeys(order, 0)
         cone_readers: dict[str, list[str]] = {nid: [] for nid in order}
         cone_reads = {}
+        leaves = set()  # the inputs and constants
         for nid in order:
             node = dfg.node(nid)
             reads = builder.reads(nid)
@@ -122,63 +123,73 @@ class _Frontier:
                 reads = (max(reads, key=lambda r: _CARRIES.get(dfg.node(r).kind, 2)),)
             elif node.kind not in (NodeKind.ADD, NodeKind.OUTPUT):
                 reads = ()
+                leaves.add(nid)
             cone_reads[nid] = reads
             for r in builder.reads(nid):
-                readers[r].append(nid)
+                readers[r] += 1
             for r in reads:
                 cone_readers[r].append(nid)
-        # paths[o][v]: the number of paths from v to output o through cone
-        # reads, a floor on the multiple of err(v) in err(o)
-        paths = {}
+        # paths[k][v]: the number of paths from v to the k-th output through
+        # cone reads, a floor on the multiple of err(v) in the output's error
+        self._paths = paths = []
         for o in outputs:
             to_o = {o: 1}
             for nid in reversed(order):
                 c = sum(to_o.get(r, 0) for r in cone_readers[nid])
                 if c:
                     to_o[nid] = c
-            paths[o] = to_o
+            paths.append(to_o)
 
         self._builder = builder
-        self._suffix: list | None = None  # see bound_to
-        self.zero_sums = (builder.zero,) * len(outputs)
-        self._tables = []  # per position: (live, finished outputs)
-        # per position: (output index, value read, multiple) leaving the
-        # cones, and (output index, multiple) of the value made
-        self._moves = []
+        consts = builder.table.quantized
+        self._tables = []  # per position: (computed live values, finished outputs)
+        self._cones = []  # per position: each output's (computed value, multiple) pairs
+        self._fixed = self._base = []  # per position: each output's fixed share; see bound_to
         live: dict[str, int] = {}  # value -> count of reads still to come
         done: list[str] = []
+        cones: list[dict[str, int]] = [{} for _ in outputs]  # value -> multiple
         for nid in order:
-            self._tables.append((tuple(live), tuple(done)))
+            self._tables.append((tuple(v for v in live if v not in leaves), tuple(done)))
+            self._cones.append(tuple(tuple((v, c) for v, c in cone.items() if v not in leaves)
+                                     for cone in cones))
+            self._fixed.append(tuple(sum((c * consts[v][0].err for v, c in cone.items()
+                                          if v in consts), builder.zero) for cone in cones))
             for r in builder.reads(nid):
                 live[r] -= 1
                 if not live[r]:
                     del live[r]
             if readers[nid]:
-                live[nid] = len(readers[nid])
-            if nid in paths:
+                live[nid] = readers[nid]
+            if nid in outputs:
                 done.append(nid)
-            made = tuple((k, paths[o][nid]) for k, o in enumerate(outputs) if nid in paths[o])
-            taken = tuple((k, r, c) for k, c in made for r in cone_reads[nid])
-            self._moves.append((taken, made))
+            for cone, to_o in zip(cones, paths):
+                c = to_o.get(nid)
+                if c:  # the value made takes the place of the reads it counts
+                    for r in cone_reads[nid]:
+                        cone[r] -= c
+                        if not cone[r]:
+                            del cone[r]
+                    cone[nid] = c
         self._seen: list[dict] = [{} for _ in order]
 
     def bound_to(self, b0: ErrorBound):
-        """Take the completion floors of the plans that can tie ``b0``: per
-        position, each output's, or None on a graph with a chain
-        accumulator, which the grid floor does not cover."""
+        """Add onto the fixed shares the completion floors of the plans that
+        can tie ``b0``: per position, each output's; none on a graph with a
+        chain accumulator, which the grid floor does not cover."""
         builder = self._builder
         if builder.chains:
             return
         order, dfg, den = builder.search_order, builder.dfg, builder.den
         floors = node_floors(builder.table, dfg, order, b0)
-        self._suffix = suffix = [self.zero_sums] * (len(order) + 1)
-        sums = list(self.zero_sums)
+        sums = [builder.zero] * len(self._paths)
+        base = [()] * len(order)
         joint: dict[str, list] = {}  # product -> (output index, excess) of its views
         for pos in range(len(order) - 1, -1, -1):
             nid = order[pos]
             kind = dfg.node(nid).kind
             if kind is not NodeKind.OUTPUT:  # an output's floor is its operand's
-                made, floor = self._moves[pos][1], floors[nid]
+                made = [(k, to_o[nid]) for k, to_o in enumerate(self._paths) if nid in to_o]
+                floor = floors[nid]
                 for k, c in made:
                     sums[k] = sums[k] + c * floor.need
                 for k, excess in joint.pop(nid, ()):
@@ -192,27 +203,19 @@ class _Frontier:
                                 - u.need - loss
                             if excess.n > 0:
                                 joint.setdefault(v, []).extend((k, c * excess) for k, c in made)
-            suffix[pos] = tuple(sums)
+            base[pos] = tuple(map(ErrorBound.__add__, self._fixed[pos], sums))
+        self._base = base
 
-    def advance(self, pos: int, ctx, choice: int, sums: tuple) -> tuple:
-        """Run the step at ``pos`` on ``ctx`` and return the cone sums after
-        it, from ``sums`` before it."""
-        taken, made = self._moves[pos]
-        new = list(sums)
-        for k, r, c in taken:
-            new[k] = new[k] - c * ctx.info[ctx.alias[r]].err
-        nid = self._builder.search_order[pos]
-        self._builder.step(ctx, nid, choice)
-        for k, c in made:
-            new[k] = new[k] + c * ctx.info[ctx.alias[nid]].err
-        return tuple(new)
-
-    def lower_bound(self, pos: int, sums: tuple) -> tuple:
-        """A cost key no completion of a state at ``pos`` with these cone
-        sums goes below, when it can tie the bound: each output's error is
-        at least its cone sum plus its completion floor."""
-        if self._suffix is not None:
-            sums = tuple(map(ErrorBound.__add__, sums, self._suffix[pos]))
+    def lower_bound(self, pos: int, ctx) -> tuple:
+        """A cost key no completion of the state ``ctx`` at ``pos`` goes
+        below, when it can tie the bound: each output's error is at least
+        its cone's errors plus its fixed share and completion floor."""
+        info, alias = ctx.info, ctx.alias
+        sums = []
+        for pairs, s in zip(self._cones[pos], self._base[pos]):
+            for v, c in pairs:
+                s = s + c * info[alias[v]].err
+            sums.append(s)
         return cost_key(sums)
 
     def dominated(self, pos: int, ctx, vec: tuple) -> bool:
@@ -383,8 +386,7 @@ def node_floors(table: GraphTable, dfg: Dfg, order: list[str],
     integer and ``ErrorBound`` arithmetic only. One table serves the
     topologies of its graph: ``table.floors`` memoizes one record per ``b0``
     and distinct cone, so their searches share what their cones share.
-    Raises CannotFitError when a constant does not fit, and ValueError on a
-    node kind no source graph holds.
+    Raises ValueError on a node kind no source graph holds.
     """
     b0_key = (b0.n, b0.e, b0.q)
     slack = _exp_above(b0, False) if b0.n > 0 else None
@@ -413,7 +415,7 @@ def _floor(table: GraphTable, node, below: list, b0: ErrorBound, slack: int | No
         return _Floor(zero, -fmt.f, zero, (fmt.min_raw, fmt.max_raw, -fmt.f), -fmt.f, zero,
                       e0=-fmt.f, pos=fmt.max_raw > 0)
     if kind is NodeKind.CONST:
-        info, raw = table.quantized(node)
+        info, raw = table.quantized[node.id]
         iv = info.interval
         return _Floor(info.err, info.signal.grid_exp, None, (iv.m_lo, iv.m_hi, iv.exp),
                       info.eff_exp, info.err, const=(info, raw))
@@ -514,8 +516,7 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     builds its table on ``dfg``.
 
     Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
-    when no choice fits the word width, and, with an incumbent, from the
-    floor when a constant does not fit.
+    when no choice fits the word width, or from ``GraphTable``.
     """
     table = table or GraphTable(dfg, bindings, config)
     outputs = dfg.output_ids
@@ -543,13 +544,11 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     last_fail = ""
     steps = leaves = cuts = dominated = 0
 
-    # entries (pos, ctx, vec, cand, sums): try candidate index ``cand`` of
-    # the row at ``order[pos]`` on a copy of ``ctx``, whose cone sums are
-    # ``sums``; a forced position's row is (0,)
-    stack = [(0, _Ctx(), (0,) * len(points), 0,
-              frontier.zero_sums if frontier is not None else None)]
+    # entries (pos, ctx, vec, cand): try candidate index ``cand`` of the row
+    # at ``order[pos]`` on a copy of ``ctx``; a forced position's row is (0,)
+    stack = [(0, _Ctx(), (0,) * len(points), 0)]
     while stack:
-        pos, ctx, vec, cand, sums = stack.pop()
+        pos, ctx, vec, cand = stack.pop()
         if not cand:
             # the state has just reached this position
             if pos == n:
@@ -573,28 +572,24 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
         branch = ctx.clone() if more else ctx
         steps += 1
         try:
-            if frontier is None:
-                builder.step(branch, order[pos], row[cand])
-                branch_sums = None
-            else:
-                branch_sums = frontier.advance(pos, branch, row[cand], sums)
+            builder.step(branch, order[pos], row[cand])
         except CannotFitError as e:
             last_fail = str(e)
             if more:
-                stack.append((pos, ctx, vec, cand + 1, sums))
+                stack.append((pos, ctx, vec, cand + 1))
             continue
         if bound is not None and frontier is not None and pos + 1 < n \
-                and frontier.lower_bound(pos + 1, branch_sums) > bound:
+                and frontier.lower_bound(pos + 1, branch) > bound:
             # added error grows with the candidate, so the rest of the row
             # cannot beat the incumbent either
             cuts += 1
             continue
         if more:
-            stack.append((pos, ctx, vec, cand + 1, sums))
+            stack.append((pos, ctx, vec, cand + 1))
         if row[cand]:
             k = slot[order[pos]]
             vec = vec[:k] + (row[cand],) + vec[k + 1:]
-        stack.append((pos + 1, branch, vec, 0, branch_sums))
+        stack.append((pos + 1, branch, vec, 0))
 
     log.info(_COUNTERS, topology, steps, leaves, cuts, dominated,
              ", cut by the incumbent" if best_vec is None and cuts else "")

@@ -23,6 +23,7 @@ from __future__ import annotations
 import csv
 import logging
 import math
+import re
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
@@ -32,7 +33,7 @@ import numpy as np
 from .analysis import Plan
 from .core import NodeKind, Quantize, SifFormat, encode
 from .errors import InternalOverflowError, RangeError, VectorError
-from .parser import Bindings
+from .parser import MAX_EXPONENT, Bindings
 
 log = logging.getLogger("fpsynt.simulator")
 
@@ -186,10 +187,10 @@ def save_vectors_csv(path, bindings: Bindings, vecset: VectorSet):
 def load_vectors_csv(source, bindings: Bindings,
                      mode: Quantize = Quantize.ROUND) -> VectorSet:
     """Read a vector file: header = input names in declaration order, then
-    one decimal real per column per row. Each decimal is parsed and
-    quantized exactly."""
+    one decimal real per column per row, in UTF-8. Each decimal, its
+    exponent at most ``MAX_EXPONENT`` in size, is parsed and quantized exactly."""
     if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, newline="")
+        fh = open(source, newline="", encoding="utf-8")
         close = True
     else:
         fh = source
@@ -213,6 +214,9 @@ def load_vectors_csv(source, bindings: Bindings,
                 raise VectorError(
                     f"row {lineno}: expected {len(expected)} columns, found {len(row)}")
             try:
+                if any(m and abs(int(m[1])) > MAX_EXPONENT
+                       for m in (re.search(r"[eE]([-+]?[\d_]+)", cell) for cell in row)):
+                    raise VectorError(f"row {lineno}: exponent exceeds {MAX_EXPONENT}")
                 values = [Fraction(cell.strip()) for cell in row]
             except (ValueError, ZeroDivisionError):
                 raise VectorError(f"row {lineno}: malformed number") from None
@@ -222,6 +226,10 @@ def load_vectors_csv(source, bindings: Bindings,
             raise VectorError("vector file contains no data rows")
         columns = [np.array([row[k] for row in rows], dtype=object) for k in range(len(fmts))]
         return VectorSet(tuple(expected), _raw_matrix(columns, fmts, len(rows)), mode)
+    except UnicodeDecodeError:
+        raise VectorError("vector file is not UTF-8") from None
+    except csv.Error as e:
+        raise VectorError(f"row {reader.line_num}: {e}") from None
     finally:
         if close:
             fh.close()

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -85,7 +86,11 @@ def test_constant_too_large_exits_2(tmp_path, capsys, value, shown):
     spec = tmp_path / "big.fps"
     spec.write_text(f"input x : sif(1/0/15);\nconst c = {value};\noutput y = c*x;\n")
     assert main(["synth", str(spec), "--width", "16", "-o", str(tmp_path / "o")]) == 2
-    assert f"const 'c': constant {shown} does not fit in 16 bits" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"const 'c': constant {shown} does not fit in 16 bits" in err
+    # reported once, when the constant is quantized, not once per candidate
+    assert err == f"fpsynt: cannot fit: const 'c': constant {shown} does not fit in 16 bits\n"
+    assert "no formatting choice" not in err
 
 
 def test_missing_file_exits_3(tmp_path, capsys):
@@ -100,6 +105,36 @@ def test_bad_vector_file_exits_4(fir4_spec, tmp_path, capsys):
                "-o", str(tmp_path / "o")])
     assert rc == 4
     assert "row 2" in capsys.readouterr().err
+
+
+TWO_INPUT_SRC = "input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\noutput y = x0*x1;\n"
+
+
+@pytest.mark.parametrize("spec,vectors,rc,message", [
+    (b"input x0 : sif(1/0/7);\n# caf\xe9\noutput y = x0;\n", None, 1,
+     "fpsynt: {spec}: not UTF-8 at byte 28\n"),
+    (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5,0.5\n\xe9,0.1\n", 4,
+     "fpsynt: bad vectors: vector file is not UTF-8\n"),
+    (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5," + b"1" * 140_000 + b"\n", 4,
+     "fpsynt: bad vectors: row 2: field larger than field limit (131072)\n"),
+    (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5,0.5\n0.25,1e-9999999\n", 4,
+     "fpsynt: bad vectors: row 3: exponent exceeds 999\n"),
+], ids=["spec-latin1", "vectors-latin1", "long-cell", "huge-exponent"])
+def test_bad_input_files_exit_with_their_code(tmp_path, capsys, spec, vectors, rc, message):
+    """A spec or vector file that is not UTF-8, a vector cell past the csv
+    field limit and a cell with a huge exponent each end in their exit code
+    and one line, with no traceback, in well under a second."""
+    (tmp_path / "bad.fps").write_bytes(spec)
+    args = ["synth", str(tmp_path / "bad.fps")]
+    if vectors is not None:
+        (tmp_path / "v.csv").write_bytes(vectors)
+        args = ["simulate", str(tmp_path / "bad.fps"), "--vectors", str(tmp_path / "v.csv")]
+    start = time.perf_counter()
+    assert main([*args, "-o", str(tmp_path / "o")]) == rc
+    assert time.perf_counter() - start < 1
+    err = capsys.readouterr().err
+    assert err == message.format(spec=tmp_path / "bad.fps")
+    assert "Traceback" not in err
 
 
 def test_simulate_random_stats_json(fir4_spec, tmp_path, capsys):

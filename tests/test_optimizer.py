@@ -324,6 +324,26 @@ def test_search_returns_the_level_first_replay_of_its_winner():
     assert plans[1].graph.node("t2_acc1").operands == ("x0", "x1_q_")
 
 
+@pytest.mark.parametrize("graph,cfg", [
+    (SHARED_FALLBACK_TERM, Config(width=16, k_max=2)),
+    (SHARED_FALLBACK_TERM, Config(width=32, k_max=2)),
+    (SHARED_FALLBACK_TERM, Config(width=64, k_max=1)),
+    (TWO_CHAINS_SHARE_AN_INPUT, Config(width=16, k_max=1)),
+    (TWO_CHAINS_SHARE_AN_INPUT, Config(width=16, k_max=3)),
+], ids=["shared-term-w16", "shared-term-w32", "shared-term-w64", "shared-input-k1",
+        "shared-input-k3"])
+def test_chain_fallbacks_pruned_equal_unpruned(graph, cfg):
+    """Chain plans whose fallbacks re-alias a shared product or input: the
+    bound reads the truncated value that the second chain reads, and the
+    pruned search still finds the unpruned walk's choices and cost."""
+    dfg, bindings = graph
+    roots = frozenset(c.root for c in find_chains(dfg))
+    pruned, full = (combinatorial_search(dfg, bindings, cfg, roots, "source+chain", prune=p)
+                    for p in (True, False))
+    assert pruned.cost_key == full.cost_key
+    assert pruned.choices == full.choices
+
+
 def test_chain_opened_by_a_negated_term_falls_back_soundly():
     # t2 = ((-x + c) + x) + c: the chain's first term is negated, so the
     # chain plan falls back to pairwise adds instead of failing
@@ -832,28 +852,28 @@ def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
     cands = range(cfg.k_max + 1)
     checked = [0, 0]
 
-    def best_below(pos, ctx, sums):
+    def best_below(pos, ctx):
         if pos == len(order):
             return cost_key([ctx.info[o].err for o in dfg.output_ids])
         best = None
         for choice in cands if builder.is_choice_point(order[pos]) else (0,):
             branch = ctx.clone()
             try:
-                branch_sums = frontier.advance(pos, branch, choice, sums)
+                builder.step(branch, order[pos], choice)
             except CannotFitError:
                 continue
-            key = best_below(pos + 1, branch, branch_sums)
+            key = best_below(pos + 1, branch)
             if key is not None and (best is None or key < best):
                 best = key
         if best is not None:
             frontier.bound_to(best[0])
-            bound = frontier.lower_bound(pos, sums)
+            bound = frontier.lower_bound(pos, ctx)
             assert bound <= best, (order[pos], best)
             checked[0] += 1
-            checked[1] += bound > no_floor.lower_bound(pos, sums)
+            checked[1] += bound > no_floor.lower_bound(pos, ctx)
         return best
 
-    best_below(0, _Ctx(), frontier.zero_sums)
+    best_below(0, _Ctx())
     return checked[0], checked[1]
 
 

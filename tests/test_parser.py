@@ -7,7 +7,7 @@ import pytest
 from fpsynt import synthesize
 from fpsynt.cli import main
 from fpsynt.core import NodeKind
-from fpsynt.errors import ParseError
+from fpsynt.errors import ParseError, ValidationError
 from fpsynt.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, Bindings, parse_spec,
                            pretty_print, validate_formats)
 
@@ -95,6 +95,7 @@ def test_comments_are_ignored():
     ("input x : sif(1/0/7);\noutput y = x +;", "expected an operand"),
     ("input x : sif(1/0/7);\noutput y = x;\noutput z = y;", "cannot be used"),
     ("input x : sif(1/0/7);\ny = x;", "expected a declaration"),
+    ("input x : sif(1/0/7);\noutput y = x @ x;", "unexpected character '@'"),
 ])
 def test_parse_errors(src, needle):
     with pytest.raises(ParseError) as exc:
@@ -205,6 +206,9 @@ def test_validate_formats_collects_all_diagnostics():
     diags = validate_formats(Bindings({**b.inputs, "c": (1, -1, 4)}, {}, ("y",)), 8)
     assert len(diags) == 3
     assert any(str(d) == "input 'c': negative field width" and d.kind == "invalid" for d in diags)
+    # synthesize raises on an invalid format before any search
+    with pytest.raises(ValidationError, match="input 'x': sign bits must be >= 1"):
+        synthesize("input x : sif(0/0/7);\noutput y = x;\n")
 
 
 def test_huge_declared_width_is_shown_shortened(tmp_path, capsys):

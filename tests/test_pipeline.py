@@ -92,6 +92,9 @@ def test_unused_const_dropped_unused_input_kept():
     assert "dead" not in ids
     assert "unused" in ids          # declared interface survives
     assert "unused" in emit_c(plan, "iface").source
+    # a constant that nothing reads is not quantized, so it need not fit
+    plan = synthesize("input x : sif(1/0/7);\nconst big = 300;\noutput y = x;\n", Config(width=8))
+    assert plan.const_raws == {} and plan.cost == 0
 
 
 def test_trunc_quantization_mode_is_one_sided():

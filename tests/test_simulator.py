@@ -6,6 +6,7 @@ import io
 import itertools
 import random
 import statistics
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -79,6 +80,8 @@ def test_reference_exact_mode_sums_coefficients():
     assert ref == Fraction(top, 1 << 15) * Fraction(1)
     zero = run_reference_columns(plan, _row(Vec((0, 0, 0, 0))), "exact")["y"][0]
     assert zero == 0
+    with pytest.raises(ValueError, match="unknown reference mode 'bogus'"):
+        run_reference_columns(plan, _row(Vec((0, 0, 0, 0))), "bogus")
 
 
 def test_reference_double_close_to_exact():
@@ -95,6 +98,12 @@ def test_identity_plan_has_zero_stats():
     vecset = generate_vectors(plan.bindings, 20, seed=9)
     stats = compare(plan, vecset)
     assert stats.min == stats.max == stats.mean == stats.median == 0.0
+    # a spec with no inputs: n + 3 vectors of no columns, each exact
+    plan = synthesize("const c = 0.5;\noutput y = c*0.25 + c;\n")
+    vecset = generate_vectors(plan.bindings, 20, seed=9)
+    assert vecset.raws.shape == (23, 0)
+    stats = compare(plan, vecset)
+    assert stats.count == 23 and stats.max == 0.0
 
 
 def test_generate_vectors_contract():
@@ -143,6 +152,23 @@ def test_csv_errors():
         load_vectors_csv(io.StringIO("x0,x1\n0.5,1.5\n"), bindings)
     with pytest.raises(VectorError, match="empty"):
         load_vectors_csv(io.StringIO(""), bindings)
+    with pytest.raises(VectorError, match="no data rows"):
+        load_vectors_csv(io.StringIO("x0,x1\n"), bindings)
+    # a blank line is skipped, and the next row's error names its file line
+    with pytest.raises(VectorError, match="row 3.*x1"):
+        load_vectors_csv(io.StringIO("x0,x1\n\n0.5,1.5\n"), bindings)
+    with pytest.raises(VectorError, match="not UTF-8"):
+        load_vectors_csv(io.TextIOWrapper(io.BytesIO(b"x0,x1\n0.5,\xe9\n"), "utf-8"), bindings)
+    with pytest.raises(VectorError, match="row 2: field larger than field limit"):
+        load_vectors_csv(io.StringIO("x0,x1\n0.5," + "1" * 140_000 + "\n"), bindings)
+    # a decimal exponent is bounded as a spec literal's is, so this is quick
+    start = time.perf_counter()
+    with pytest.raises(VectorError, match="row 2: exponent exceeds 999"):
+        load_vectors_csv(io.StringIO("x0,x1\n0.5,1e-9999999\n"), bindings)
+    assert time.perf_counter() - start < 1
+    # an exponent of that size itself still loads
+    assert load_vectors_csv(io.StringIO("x0,x1\n1e-999,-5E-1\n"), bindings).vectors[0].raws \
+        == (0, -64)
 
 
 def test_vector_quantization_mode_recorded():
