@@ -524,12 +524,14 @@ def find_chains(dfg: Dfg) -> list[Chain]:
 
 @dataclass(frozen=True)
 class AccumulatorInfo:
-    """Widened accumulator allocated for one addition chain."""
+    """Widened accumulator allocated for one addition chain; ``nodes`` are
+    the ids of its term truncations and additions, each at most ``width`` bits."""
 
     root: str
     width: int
     fraction_bits: int
     n_terms: int
+    nodes: tuple[str, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +555,6 @@ class Plan:
     source: Dfg
     config: Config
     choices: tuple[tuple[str, int], ...]
-    wide_ids: frozenset[str]
     accumulators: tuple[AccumulatorInfo, ...]
     topology: str = "source"
 
@@ -590,15 +591,14 @@ class Plan:
 
 
 class _Ctx:
-    """What one walk has emitted so far; cloned at every search branch point."""
+    """What one walk has emitted, each accumulator with its nodes; cloned at each branch point."""
 
-    __slots__ = ("nodes", "info", "alias", "wide", "accumulators", "choices")
+    __slots__ = ("nodes", "info", "alias", "accumulators", "choices")
 
     def __init__(self):
         self.nodes: list[Node] = []
         self.info: dict[str, NodeInfo] = {}
         self.alias: dict[str, str] = {}
-        self.wide: set[str] = set()
         self.accumulators: list[AccumulatorInfo] = []
         self.choices: list[tuple[str, int]] = []
 
@@ -607,16 +607,13 @@ class _Ctx:
         c.nodes = list(self.nodes)
         c.info = dict(self.info)
         c.alias = dict(self.alias)
-        c.wide = set(self.wide)
         c.accumulators = list(self.accumulators)
         c.choices = list(self.choices)
         return c
 
-    def emit(self, node: Node, info: NodeInfo, wide: bool = False):
+    def emit(self, node: Node, info: NodeInfo):
         self.nodes.append(node)
         self.info[node.id] = info
-        if wide:
-            self.wide.add(node.id)
 
 
 def depth_first_order(dfg: Dfg, reads=None) -> list[str]:
@@ -805,8 +802,7 @@ class PlanBuilder:
         qid = self._fresh(ctx, f"{ref}_q")
         ctx.emit(Node(qid, NodeKind.TRUNC, (ref,), amount=spec.drop_f),
                  NodeInfo(spec.signal, spec.interval, info.err + spec.added_error,
-                          spec.eff_exp),
-                 wide=spec.signal.fmt.width > self.config.width)
+                          spec.eff_exp))
         return qid
 
     def _step_add(self, ctx: _Ctx, node: Node, choice: int):
@@ -830,8 +826,7 @@ class PlanBuilder:
     # chain accumulator
 
     def _step_chain(self, ctx: _Ctx, chain: Chain):
-        built = self._try_chain(ctx, chain)
-        if built:
+        if self._try_chain(ctx, chain):
             return
         if chain.root not in self._fallbacks:
             self._fallbacks.add(chain.root)
@@ -846,6 +841,9 @@ class PlanBuilder:
         self._step_add(ctx, self.dfg.node(chain.root), 0)
 
     def _try_chain(self, ctx: _Ctx, chain: Chain) -> bool:
+        """Emit ``chain`` as terms truncated onto the finest grid where they and
+        every partial sum fit W + ceil(log2 n) bits, added by ``plan_add`` at that
+        width, which shifts nothing. False, with nothing emitted, if no grid fits."""
         W = self.config.width
         w_acc = W + math.ceil(math.log2(chain.n_terms))
         # the accumulator opens with the first term, taken positive
@@ -856,54 +854,45 @@ class PlanBuilder:
             return False
 
         f_cap = min(t.signal.fmt.f for t in term_infos)
-        plan = None
         for f_acc in range(f_cap, -1, -1):
-            views = [t.interval.floor_to(-f_acc) if t.signal.fmt.f > f_acc else t.interval
-                     for t in term_infos]
-            ok = all(1 + _min_integer_bits(v, f_acc, 0) + f_acc <= w_acc for v in views)
-            if ok:
-                run = views[0]
-                prefixes = [run]
-                for (tid, sign), v in zip(chain.terms[1:], views[1:]):
-                    run = run + (v if sign > 0 else -v)
-                    if 1 + _min_integer_bits(run, f_acc, 0) + f_acc > w_acc:
-                        ok = False
-                        break
-                    prefixes.append(run)
-            if ok:
-                plan = (f_acc, views, prefixes)
+            views = [t.interval.floor_to(-f_acc) for t in term_infos]
+            widths = [1 + _min_integer_bits(v, f_acc, 0) + f_acc for v in views]
+            run, fits = views[0], max(widths) <= w_acc
+            for (_tid, sign), v in zip(chain.terms[1:], views[1:]):
+                if not fits:
+                    break
+                run = run + (v if sign > 0 else -v)
+                fits = 1 + _min_integer_bits(run, f_acc, 0) + f_acc <= w_acc
+            if fits:
                 break
-        if plan is None:
+        else:
             return False
-        f_acc, views, prefixes = plan
 
         # one truncation per finer-grid term, no loss inside the accumulator
+        first = len(ctx.nodes)
         refs = []
-        for (tid, _sign), t, view in zip(chain.terms, term_infos, views):
+        for (tid, _sign), t, width in zip(chain.terms, term_infos, widths):
             ref = ctx.alias[tid]
             if t.signal.fmt.f > f_acc:
-                ref = self._truncate(ctx, ref, 1 + _min_integer_bits(view, f_acc, 0) + f_acc)
+                ref = self._truncate(ctx, ref, width)
                 if ctx.info[ref].signal.fmt.f != f_acc:
                     raise PlanCheckError(f"chain term '{tid}' is not on the accumulator grid")
             refs.append(ref)
 
         running = refs[0]
-        for j, ((tid, sign), prefix) in enumerate(zip(chain.terms[1:], prefixes[1:]), 1):
+        for j, ((_tid, sign), ref) in enumerate(zip(chain.terms[1:], refs[1:]), 1):
             aid = chain.root if j == chain.n_terms - 1 else \
                 self._fresh(ctx, f"{chain.root}_acc{j}")
-            i_p = _min_integer_bits(prefix, f_acc, 0)
-            sig = ScaledSignal(SifFormat(1, i_p, f_acc), 0)
-            prev = ctx.info[running]
-            term = ctx.info[refs[j]]
-            ctx.emit(Node(aid, NodeKind.ADD, (running, refs[j]),
-                          negate=(False, sign < 0)),
-                     NodeInfo(sig, prefix, prev.err + term.err,
-                              min(prev.eff_exp, term.eff_exp)),
-                     wide=sig.fmt.width > W)
+            spec = plan_add(ctx.info[running], ctx.info[ref], (False, sign < 0), w_acc)
+            if spec.shift_a or spec.shift_b:
+                raise PlanCheckError(f"chain addition '{aid}' is not on the accumulator grid")
+            ctx.emit(Node(aid, NodeKind.ADD, (running, ref), negate=(False, sign < 0)),
+                     spec.result)
             running = aid
 
+        ctx.accumulators.append(AccumulatorInfo(chain.root, w_acc, f_acc, chain.n_terms,
+                                                tuple(n.id for n in ctx.nodes[first:])))
         ctx.alias[chain.root] = self._truncate(ctx, running, W)
-        ctx.accumulators.append(AccumulatorInfo(chain.root, w_acc, f_acc, chain.n_terms))
         return True
 
     # whole-graph entry points
@@ -918,7 +907,6 @@ class PlanBuilder:
                     source=self.table.dfg,
                     config=self.config,
                     choices=tuple(ctx.choices),
-                    wide_ids=frozenset(ctx.wide),
                     accumulators=tuple(ctx.accumulators),
                     topology=self.topology)
 
@@ -939,13 +927,13 @@ def check_plan(plan: Plan):
     """Check the analysis invariants of a finished plan.
 
     Raises PlanCheckError on: a value interval escaping its format range
-    (overflow risk), a persisted signal wider than the word width, addition
+    (overflow risk), a node wider than its limit (2W bits for a product, its
+    accumulator's width for an accumulator's node, W for any other), addition
     operands on unequal grids, a negative scale exponent or error bound, or
     an error bound decreasing along an edge.
     """
     W = plan.config.width
-    acc_widths = {a.root: a.width for a in plan.accumulators}
-    max_acc = max(acc_widths.values(), default=W)
+    limit = {nid: a.width for a in plan.accumulators for nid in a.nodes}
     for node in plan.graph.nodes:
         info = plan.info[node.id]
         fmt, iv = info.signal.fmt, info.interval
@@ -957,12 +945,8 @@ def check_plan(plan: Plan):
         _require(lo <= m_lo and m_hi <= hi, "interval of '%s' escapes its format", node.id)
         _require(info.signal.scale >= 0, "negative scale at '%s'", node.id)
         _require(info.err >= 0, "negative error bound at '%s'", node.id)
-        if node.kind is NodeKind.MUL:
-            _require(info.width <= 2 * W, "product '%s' beyond 2W bits", node.id)
-        elif node.id in plan.wide_ids:
-            _require(info.width <= max_acc, "wide node '%s' beyond accumulator width", node.id)
-        else:
-            _require(info.width <= W, "node '%s' is %d bits, W=%d", node.id, info.width, W)
+        w = 2 * W if node.kind is NodeKind.MUL else limit.get(node.id, W)
+        _require(info.width <= w, "node '%s' is %d bits, limit %d", node.id, info.width, w)
         if node.kind is NodeKind.ADD:
             a, b = (plan.info[op] for op in node.operands)
             _require(a.signal.grid_exp == b.signal.grid_exp, "unaligned add '%s'", node.id)

@@ -167,6 +167,10 @@ def generate_vectors(bindings: Bindings, n: int, seed: int,
     return VectorSet(names, _raw_matrix(columns, fmts, n + 3), mode)
 
 
+# one decimal per vector cell; group 1 holds its exponent's digits, less leading zeros
+_DECIMAL_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?0*(\d+))?")
+
+
 def _encode_value(value: Fraction, fmt: SifFormat, mode: Quantize, where: str) -> int:
     try:
         return encode(value, fmt, mode)
@@ -189,12 +193,8 @@ def load_vectors_csv(source, bindings: Bindings,
     """Read a vector file: header = input names in declaration order, then
     one decimal real per column per row, in UTF-8. Each decimal, its
     exponent at most ``MAX_EXPONENT`` in size, is parsed and quantized exactly."""
-    if isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        fh = open(source, newline="", encoding="utf-8")
-        close = True
-    else:
-        fh = source
-        close = False
+    close = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+    fh = open(source, newline="", encoding="utf-8") if close else source
     try:
         reader = csv.reader(fh)
         try:
@@ -207,18 +207,22 @@ def load_vectors_csv(source, bindings: Bindings,
                 f"vector header {header!r} does not match the declared inputs {expected!r}")
         fmts = [bindings.input_format(name) for name in expected]
         rows = []
-        for lineno, row in enumerate(reader, start=2):
+        for row in reader:
             if not row:
                 continue
+            lineno = reader.line_num  # the file line that ends the record
             if len(row) != len(expected):
                 raise VectorError(
                     f"row {lineno}: expected {len(expected)} columns, found {len(row)}")
+            cells = [_DECIMAL_RE.fullmatch(cell.strip()) for cell in row]
+            if not all(cells):
+                raise VectorError(f"row {lineno}: malformed number")
+            if any(m[1] and (len(m[1]) > len(str(MAX_EXPONENT)) or int(m[1]) > MAX_EXPONENT)
+                   for m in cells):
+                raise VectorError(f"row {lineno}: exponent exceeds {MAX_EXPONENT}")
             try:
-                if any(m and abs(int(m[1])) > MAX_EXPONENT
-                       for m in (re.search(r"[eE]([-+]?[\d_]+)", cell) for cell in row)):
-                    raise VectorError(f"row {lineno}: exponent exceeds {MAX_EXPONENT}")
-                values = [Fraction(cell.strip()) for cell in row]
-            except (ValueError, ZeroDivisionError):
+                values = [Fraction(m[0]) for m in cells]
+            except ValueError:  # int() refuses a decimal of over 4,300 digits
                 raise VectorError(f"row {lineno}: malformed number") from None
             rows.append([_encode_value(v, fmt, mode, f"row {lineno}: input '{name}'")
                          for name, fmt, v in zip(expected, fmts, values)])

@@ -1,5 +1,6 @@
 """Interval propagation, format inference, formatting ops, error bounds."""
 
+import dataclasses
 import itertools
 import re
 from fractions import Fraction
@@ -355,6 +356,24 @@ def test_check_plan_rejects_an_interval_one_lsb_outside_its_format():
         plan.info[y] = NodeInfo(info.signal, Interval.from_raws(m_lo, m_hi, exp), info.err)
         with pytest.raises(PlanCheckError, match="escapes its format"):
             check_plan(plan)
+
+
+def test_check_plan_limits_each_accumulator_node_by_its_own_width():
+    """An accumulator's nodes may be as wide as that accumulator, not as the
+    widest one in the plan; every other non-product node stays within W."""
+    src = "".join(f"input x{k} : sif(1/0/15);\n" for k in range(8))
+    src += "output y0 = x0 + x1 + x2;\noutput y1 = x3 + x4 + x5 + x6 + x7;\n"
+    plan = synthesize(src, Config(width=16, enable_topology_opt=False))
+    assert [(a.root, a.width) for a in plan.accumulators] == [("t1", 18), ("t5", 19)]
+    assert plan.accumulators[0].nodes == ("t1_acc1", "t1")
+    check_plan(plan)
+    for nid in ("t1", "t1_q"):  # the 18-bit root, then a node outside every accumulator
+        i = plan.info[nid]
+        fmt = i.signal.fmt
+        wider = NodeInfo(ScaledSignal(SifFormat(fmt.s + 1, fmt.i, fmt.f), i.signal.scale),
+                         i.interval, i.err, i.eff_exp)
+        with pytest.raises(PlanCheckError, match=f"node '{nid}' is {fmt.width + 1} bits"):
+            check_plan(dataclasses.replace(plan, info={**plan.info, nid: wider}))
 
 
 def test_chain_detection(fir4):

@@ -275,16 +275,23 @@ output y = c0*u + c1*x + x*(c2 + x*(c3 + c1*u + c2*x) + u) + c3*u*x;
 # both at full width: the chain a walk reaches first emits its truncation
 # t0_q, and the other reuses it. The search reaches t5 first, the level-first
 # replay t4.
-SHARED_FALLBACK_TERM = make_graph(
-    {"v0": (1, 0, 2), "v4": (1, 1, 5)}, {"c0": Fraction(-1), "c1": Fraction(1, 2)},
-    [("t0", NodeKind.MUL, ("v0", "c1"), (False, False)),
-     ("t1", NodeKind.ADD, ("c0", "t0"), (True, False)),
-     ("t2", NodeKind.ADD, ("c0", "t0"), (True, False)),
-     ("t3", NodeKind.ADD, ("t0", "c1"), (True, False)),
-     ("t4", NodeKind.ADD, ("t1", "t3"), (False, True)),
-     ("t5", NodeKind.ADD, ("t2", "v4"), (False, False)),
-     ("t6", NodeKind.MUL, ("c1", "t5"), (False, False))],
-    {"y0": "t6", "y1": "t4"})
+def _shared_fallback(c1: Fraction):
+    return make_graph(
+        {"v0": (1, 0, 2), "v4": (1, 1, 5)}, {"c0": Fraction(-1), "c1": c1},
+        [("t0", NodeKind.MUL, ("v0", "c1"), (False, False)),
+         ("t1", NodeKind.ADD, ("c0", "t0"), (True, False)),
+         ("t2", NodeKind.ADD, ("c0", "t0"), (True, False)),
+         ("t3", NodeKind.ADD, ("t0", "c1"), (True, False)),
+         ("t4", NodeKind.ADD, ("t1", "t3"), (False, True)),
+         ("t5", NodeKind.ADD, ("t2", "v4"), (False, False)),
+         ("t6", NodeKind.MUL, ("c1", "t5"), (False, False))],
+        {"y0": "t6", "y1": "t4"})
+
+
+SHARED_FALLBACK_TERM = _shared_fallback(Fraction(1, 2))
+# with c1 = 3/10 the shared product t0 carries a quantization error, so the
+# plan's cost is not 0 and the bound can cut
+SHARED_FALLBACK_PRODUCT = _shared_fallback(Fraction(3, 10))
 
 # Two chains truncate the shared input x1; fresh names follow walk order
 TWO_CHAINS_SHARE_AN_INPUT = parse_spec("""\
@@ -330,18 +337,25 @@ def test_search_returns_the_level_first_replay_of_its_winner():
     (SHARED_FALLBACK_TERM, Config(width=64, k_max=1)),
     (TWO_CHAINS_SHARE_AN_INPUT, Config(width=16, k_max=1)),
     (TWO_CHAINS_SHARE_AN_INPUT, Config(width=16, k_max=3)),
+    (SHARED_FALLBACK_PRODUCT, Config(width=16, k_max=2)),
+    (SHARED_FALLBACK_PRODUCT, Config(width=32, k_max=2)),
+    (SHARED_FALLBACK_PRODUCT, Config(width=64, k_max=1)),
 ], ids=["shared-term-w16", "shared-term-w32", "shared-term-w64", "shared-input-k1",
-        "shared-input-k3"])
-def test_chain_fallbacks_pruned_equal_unpruned(graph, cfg):
+        "shared-input-k3", "shared-product-w16", "shared-product-w32", "shared-product-w64"])
+def test_chain_fallbacks_pruned_equal_unpruned(graph, cfg, caplog):
     """Chain plans whose fallbacks re-alias a shared product or input: the
     bound reads the truncated value that the second chain reads, and the
     pruned search still finds the unpruned walk's choices and cost."""
     dfg, bindings = graph
     roots = frozenset(c.root for c in find_chains(dfg))
-    pruned, full = (combinatorial_search(dfg, bindings, cfg, roots, "source+chain", prune=p)
-                    for p in (True, False))
+    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
+        pruned, full = (combinatorial_search(dfg, bindings, cfg, roots, "source+chain", prune=p)
+                        for p in (True, False))
     assert pruned.cost_key == full.cost_key
     assert pruned.choices == full.choices
+    if graph is SHARED_FALLBACK_PRODUCT:  # the bound cuts on this shape
+        line = next(r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer")
+        assert int(line.split(" leaves, ")[1].split()[0]) >= 1, line  # incumbent prunes
 
 
 def test_chain_opened_by_a_negated_term_falls_back_soundly():

@@ -169,6 +169,18 @@ def test_csv_errors():
     # an exponent of that size itself still loads
     assert load_vectors_csv(io.StringIO("x0,x1\n1e-999,-5E-1\n"), bindings).vectors[0].raws \
         == (0, -64)
+    # one decimal per cell: Fraction's other forms are refused
+    for cell in ("1/3", "1_0"):
+        with pytest.raises(VectorError, match="row 2: malformed number"):
+            load_vectors_csv(io.StringIO(f"x0,x1\n0.5,{cell}\n"), bindings)
+    # rows are named by file line, also after a record that spans two lines
+    with pytest.raises(VectorError, match="row 5: malformed number"):
+        load_vectors_csv(io.StringIO('x0,x1\n0.5,0.5\n"0.5\n",0.5\n0.5,abc\n'), bindings)
+    # a decimal past int()'s digit limit is a malformed number, not a traceback
+    with pytest.raises(VectorError, match="row 2: malformed number"):
+        load_vectors_csv(io.StringIO("x0,x1\n0.5," + "1" * 5000 + "\n"), bindings)
+    assert load_vectors_csv(io.StringIO("x0,x1\n.5,-.25\n+0.5,0\n"), bindings).raws.tolist() \
+        == [[64, -32], [64, 0]]
 
 
 def test_vector_quantization_mode_recorded():
