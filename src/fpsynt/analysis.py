@@ -29,14 +29,12 @@ from __future__ import annotations
 import functools
 import logging
 import math
-import sys
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .config import MAX_WIDTH, Config
 from .core import (Dfg, Node, NodeKind, ScaledSignal, SifFormat, _pow2_frac,
-                   decode, encode, topo_order)
+                   decode, encode, show_value, topo_order)
 from .errors import CannotFitError, PlanCheckError
 from .parser import Bindings
 
@@ -454,9 +452,7 @@ def choose_const_format(value: Fraction, width: int) -> SifFormat:
         fmt = SifFormat(1, i, f)
         if fmt.min_value <= value <= fmt.max_value:
             return fmt
-    shown = float(value) if abs(value) <= sys.float_info.max else \
-        f"{Decimal(value.numerator) / value.denominator:.3e}"
-    raise CannotFitError(f"constant {shown} does not fit in {width} bits")
+    raise CannotFitError(f"constant {show_value(value)} does not fit in {width} bits")
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,6 @@ from .core import Quantize
 from .errors import CannotFitError, EmitError, FpsyntError, SpecError, VectorError
 from .pipeline import synthesize
 from .report import report_json, summary_table
-from .simulator import compare, generate_vectors, load_vectors_csv
 
 EXIT_OK = 0
 EXIT_SPEC = 1
@@ -40,8 +39,10 @@ MAX_RANDOM_VECTORS = 10_000_000
 
 
 def _setup_logging():
-    level = os.environ.get("FPSYNT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # a level's name maps to its number; any other value (even a module
+    # constant such as BASIC_FORMAT) maps to a string and falls back to warning
+    level = logging.getLevelName(os.environ.get("FPSYNT_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(name)s: %(levelname)s: %(message)s")
 
 
@@ -113,6 +114,9 @@ def cmd_synth(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    # imported here, so that the synth command never loads numpy
+    from .simulator import compare, generate_vectors, load_vectors_csv
+
     if not args.vectors:
         if args.random < 1:
             raise SpecError(f"--random must be >= 1, got {args.random}")

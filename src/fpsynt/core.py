@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import enum
 import functools
+import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import CycleError, MalformedRawError, RangeError
@@ -95,6 +97,14 @@ def round_half_away(x: Fraction) -> int:
     return -((-2 * n + d) // (2 * d))
 
 
+def show_value(x: Fraction) -> str:
+    """``x`` for a message: as a float, or to 4 significant digits when it
+    is past the largest float (a literal or vector cell may reach 10^2000)."""
+    if abs(x) <= sys.float_info.max:
+        return str(float(x))
+    return f"{Decimal(x.numerator) / x.denominator:.3e}"
+
+
 def encode(value, fmt: SifFormat, mode: Quantize = Quantize.ROUND) -> int:
     """Encode a real value as a raw word of ``fmt``.
 
@@ -104,7 +114,7 @@ def encode(value, fmt: SifFormat, mode: Quantize = Quantize.ROUND) -> int:
     """
     v = Fraction(value)
     if not fmt.min_value <= v <= fmt.max_value:
-        raise RangeError(f"value {float(v)} is outside the decodable range of {fmt} "
+        raise RangeError(f"value {show_value(v)} is outside the decodable range of {fmt} "
                          f"[{float(fmt.min_value)}, {float(fmt.max_value)}]")
     scaled = v * (1 << fmt.f)
     if mode is Quantize.ROUND:

@@ -17,7 +17,7 @@ operand; unparenthesized sums associate to the left. The parser never
 re-associates and never folds constants; it reproduces the source tree
 exactly. Parentheses nest at most ``MAX_NESTING`` levels deep, and a
 numeric literal has at most ``MAX_DIGITS`` digits before its decimal
-exponent, which is at most ``MAX_EXPONENT`` in size.
+exponent (and as many in it), which is at most ``MAX_EXPONENT`` in size.
 """
 
 from __future__ import annotations
@@ -44,6 +44,21 @@ MAX_EXPONENT = 999
 # Most digits of a literal before its exponent: a Fraction reads them with
 # int(), which refuses strings of more than 4300 digits with a ValueError.
 MAX_DIGITS = 2000
+
+
+def literal_over_bound(digits: str, exp: str | None) -> str | None:
+    """The bound a decimal breaks, given its digits (with any point) and its
+    exponent's digits (with any sign): "exponent" when that is over
+    MAX_EXPONENT in size, else "digits" when either has over MAX_DIGITS
+    digits, else None. Spec literals and vector file cells share these bounds."""
+    size = (exp or "").lstrip("+-0")
+    if len(size) > len(str(MAX_EXPONENT)) or int(size or 0) > MAX_EXPONENT:
+        return "exponent"
+    # int() reads the exponent with its leading zeros, so they count too
+    if len(digits) - digits.count(".") > MAX_DIGITS or len(exp or "") > MAX_DIGITS:
+        return "digits"
+    return None
+
 
 _TOKEN_RE = re.compile(
     r"""
@@ -75,10 +90,10 @@ def tokenize(text: str) -> list[Token]:
         lexeme = m.group(0)
         group = m.lastgroup
         if group == "number":
-            exp = (m.group("exp") or "").lstrip("+-0")  # its digits
-            if len(exp) > len(str(MAX_EXPONENT)) or int(exp or 0) > MAX_EXPONENT:
+            over = literal_over_bound(m.group("digits"), m.group("exp"))
+            if over == "exponent":
                 raise ParseError(f"exponent of {lexeme[:40]!r} exceeds {MAX_EXPONENT}", line, col)
-            if len(m.group("digits").replace(".", "")) > MAX_DIGITS:
+            if over == "digits":
                 raise ParseError(f"{lexeme[:40]!r}... has over {MAX_DIGITS} digits", line, col)
             tokens.append(Token("number", lexeme, line, col))
         elif group == "ident":

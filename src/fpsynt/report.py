@@ -4,11 +4,14 @@ table (node, format, scale, error, operands) for humans."""
 from __future__ import annotations
 
 import json
+from typing import TYPE_CHECKING
 
 from . import __version__
 from .analysis import Plan
 from .core import NodeKind
-from .simulator import ErrorStats
+
+if TYPE_CHECKING:  # only the annotations name it; importing it loads numpy
+    from .simulator import ErrorStats
 
 
 def _operand_label(plan: Plan, op_id: str) -> str:

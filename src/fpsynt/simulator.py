@@ -33,7 +33,7 @@ import numpy as np
 from .analysis import Plan
 from .core import NodeKind, Quantize, SifFormat, encode
 from .errors import InternalOverflowError, RangeError, VectorError
-from .parser import MAX_EXPONENT, Bindings
+from .parser import MAX_DIGITS, MAX_EXPONENT, Bindings, literal_over_bound
 
 log = logging.getLogger("fpsynt.simulator")
 
@@ -167,8 +167,8 @@ def generate_vectors(bindings: Bindings, n: int, seed: int,
     return VectorSet(names, _raw_matrix(columns, fmts, n + 3), mode)
 
 
-# one decimal per vector cell; group 1 holds its exponent's digits, less leading zeros
-_DECIMAL_RE = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?0*(\d+))?")
+# one decimal per vector cell, its digits and exponent in named groups
+_DECIMAL_RE = re.compile(r"[-+]?(?P<digits>\d+\.?\d*|\.\d+)(?:[eE](?P<exp>[-+]?\d+))?")
 
 
 def _encode_value(value: Fraction, fmt: SifFormat, mode: Quantize, where: str) -> int:
@@ -191,8 +191,9 @@ def save_vectors_csv(path, bindings: Bindings, vecset: VectorSet):
 def load_vectors_csv(source, bindings: Bindings,
                      mode: Quantize = Quantize.ROUND) -> VectorSet:
     """Read a vector file: header = input names in declaration order, then
-    one decimal real per column per row, in UTF-8. Each decimal, its
-    exponent at most ``MAX_EXPONENT`` in size, is parsed and quantized exactly."""
+    one decimal real per column per row, in UTF-8. Each decimal, of at most
+    ``MAX_DIGITS`` digits and an exponent at most ``MAX_EXPONENT`` in size,
+    as in a spec, is parsed and quantized exactly."""
     close = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     fh = open(source, newline="", encoding="utf-8") if close else source
     try:
@@ -217,13 +218,13 @@ def load_vectors_csv(source, bindings: Bindings,
             cells = [_DECIMAL_RE.fullmatch(cell.strip()) for cell in row]
             if not all(cells):
                 raise VectorError(f"row {lineno}: malformed number")
-            if any(m[1] and (len(m[1]) > len(str(MAX_EXPONENT)) or int(m[1]) > MAX_EXPONENT)
-                   for m in cells):
-                raise VectorError(f"row {lineno}: exponent exceeds {MAX_EXPONENT}")
-            try:
-                values = [Fraction(m[0]) for m in cells]
-            except ValueError:  # int() refuses a decimal of over 4,300 digits
-                raise VectorError(f"row {lineno}: malformed number") from None
+            for m in cells:
+                over = literal_over_bound(m["digits"], m["exp"])
+                if over == "exponent":
+                    raise VectorError(f"row {lineno}: exponent exceeds {MAX_EXPONENT}")
+                if over == "digits":
+                    raise VectorError(f"row {lineno}: {m[0][:40]!r}... has over {MAX_DIGITS} digits")
+            values = [Fraction(m[0]) for m in cells]
             rows.append([_encode_value(v, fmt, mode, f"row {lineno}: input '{name}'")
                          for name, fmt, v in zip(expected, fmts, values)])
         if not rows:

@@ -11,12 +11,15 @@ quantizer written apart from the library's ``encode``.
 """
 
 import ast
+import os
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fpsynt
 from fpsynt.core import Dfg, Node, NodeKind
 from fpsynt.parser import Bindings, parse_spec
 
@@ -39,6 +42,17 @@ FIR4_COEFFS = [Fraction(k, 100) for k in (15, 5, 45, 35)]
 SKEWED_SUM = ("input x0 : sif(1/3/4);\n" +
               "".join(f"input x{k} : sif(1/0/7);\n" for k in (1, 2, 3)) +
               "output y = x0 + x1 + x2 + x3;\n")
+
+
+def child_env(**extra) -> dict:
+    """The environment plus ``extra``, with ``PYTHONPATH`` led by the
+    directory that holds the imported ``fpsynt``, so a child process finds
+    the same package whether it is installed or run from ``src/``."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(fpsynt.__file__).resolve().parents[1]),
+                    os.environ.get("PYTHONPATH")) if p)
+    return env
 
 
 def make_graph(inputs, consts, ops, outputs) -> tuple[Dfg, Bindings]:

@@ -1,31 +1,17 @@
 """Command-line driver: pipeline order, exit codes, file outputs."""
 
 import json
-import os
 import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 
-import fpsynt
 from fpsynt.cli import main
 
-from conftest import FIR4_SRC
+from conftest import FIR4_SRC, child_env
 
 BAD_SRC = "input x : sif(1/0/15)\noutput y = x;\n"  # missing semicolon
-
-
-def _child_env(**extra) -> dict:
-    """The environment plus ``extra``, with ``PYTHONPATH`` led by the
-    directory that holds the imported ``fpsynt``, so a child process finds
-    the same package whether it is installed or run from ``src/``."""
-    env = dict(os.environ, **extra)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(fpsynt.__file__).resolve().parents[1]),
-                    os.environ.get("PYTHONPATH")) if p)
-    return env
 
 
 @pytest.fixture
@@ -119,11 +105,18 @@ TWO_INPUT_SRC = "input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\noutput y = x0*x
      "fpsynt: bad vectors: row 2: field larger than field limit (131072)\n"),
     (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5,0.5\n0.25,1e-9999999\n", 4,
      "fpsynt: bad vectors: row 3: exponent exceeds 999\n"),
-], ids=["spec-latin1", "vectors-latin1", "long-cell", "huge-exponent"])
+    (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5,0.5\n0." + b"1" * 3000 + b",0.1\n", 4,
+     "fpsynt: bad vectors: row 3: '0." + "1" * 38 + "'... has over 2000 digits\n"),
+    (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5,1e999\n", 4,
+     "fpsynt: bad vectors: row 2: input 'x1': value 1.000e+999 is outside the decodable "
+     "range of (1/0/7) [-1.0, 0.9921875]\n"),
+], ids=["spec-latin1", "vectors-latin1", "long-cell", "huge-exponent", "many-digits",
+        "past-float"])
 def test_bad_input_files_exit_with_their_code(tmp_path, capsys, spec, vectors, rc, message):
     """A spec or vector file that is not UTF-8, a vector cell past the csv
-    field limit and a cell with a huge exponent each end in their exit code
-    and one line, with no traceback, in well under a second."""
+    field limit, with a huge exponent, with over ``parser.MAX_DIGITS``
+    digits or past the float range each end in their exit code and one
+    line, with no traceback, in well under a second."""
     (tmp_path / "bad.fps").write_bytes(spec)
     args = ["synth", str(tmp_path / "bad.fps")]
     if vectors is not None:
@@ -211,7 +204,7 @@ def test_console_entry_point(fir4_spec, tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "fpsynt.cli", "synth", str(fir4_spec),
          "-o", str(tmp_path / "o")],
-        capture_output=True, text=True, env=_child_env(FPSYNT_LOG="info"),
+        capture_output=True, text=True, env=child_env(FPSYNT_LOG="info"),
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "report.json").exists()
@@ -235,7 +228,7 @@ def test_check_plan_raises_under_python_O(fir4_spec):
     """``check_plan`` still rejects a plan when ``python -O`` strips asserts:
     an interval one LSB past its format raises PlanCheckError."""
     proc = subprocess.run([sys.executable, "-O", "-c", _CORRUPT_AND_CHECK, str(fir4_spec)],
-                          capture_output=True, text=True, env=_child_env())
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "1 interval of 'y' escapes its format\n"
 
@@ -262,7 +255,7 @@ def test_internal_checks_raise_under_python_O():
     """The analyzer's and the optimizer's internal checks raise
     PlanCheckError also when ``python -O`` strips asserts."""
     proc = subprocess.run([sys.executable, "-O", "-c", _BROKEN_INVARIANTS],
-                          capture_output=True, text=True, env=_child_env())
+                          capture_output=True, text=True, env=child_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ("1 view of f=7 cannot have f=8\n"
                            "1 a chain cannot be globally negative\n")
@@ -283,7 +276,7 @@ def test_bad_option_values_exit_1(fir4_spec, tmp_path, args, message):
     proc = subprocess.run(
         [sys.executable, "-m", "fpsynt.cli", args[0], str(fir4_spec), *args[1:],
          "-o", str(tmp_path / "o")],
-        capture_output=True, text=True, env=_child_env(), cwd=tmp_path,
+        capture_output=True, text=True, env=child_env(), cwd=tmp_path,
     )
     assert proc.returncode == 1
     assert proc.stderr == f"fpsynt: {message}\n"
@@ -302,13 +295,26 @@ def test_5000_term_sum_synthesizes_in_a_child_process(tmp_path):
     proc = subprocess.run(
         [sys.executable, "-m", "fpsynt.cli", "synth", str(spec), "--width", "32",
          "--opt", "none", "-o", str(out)],
-        capture_output=True, text=True, env=_child_env(),
+        capture_output=True, text=True, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
     assert "Traceback" not in proc.stderr
     for name in ("sum5000.fps.c", "sum5000.fps.vhd", "report.json"):
         assert (out / name).stat().st_size > 0
     assert json.loads((out / "report.json").read_text())["predicted_bound"] == 0
+
+
+@pytest.mark.parametrize("value", ["basic_format", "nonsense"])
+def test_unknown_log_level_falls_back_to_warning(fir4_spec, tmp_path, value):
+    """An ``FPSYNT_LOG`` value that names no logging level, even one that
+    names a string constant of the logging module, logs at warning."""
+    proc = subprocess.run(
+        [sys.executable, "-m", "fpsynt.cli", "synth", str(fir4_spec), "-o", str(tmp_path)],
+        capture_output=True, text=True, env=child_env(FPSYNT_LOG=value),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == ""
 
 
 def test_info_log_goes_to_stderr_only(fir4_spec, tmp_path):
@@ -321,7 +327,7 @@ def test_info_log_goes_to_stderr_only(fir4_spec, tmp_path):
             out = tmp_path / command / level
             proc = subprocess.run(
                 [sys.executable, "-m", "fpsynt.cli", command, str(fir4_spec), "-o", str(out)],
-                capture_output=True, text=True, env=_child_env(FPSYNT_LOG=level),
+                capture_output=True, text=True, env=child_env(FPSYNT_LOG=level),
             )
             assert proc.returncode == 0, proc.stderr
             runs[command, level] = (proc, (out / "report.json").read_bytes())

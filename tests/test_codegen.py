@@ -100,7 +100,8 @@ C_CLASH_SRCS = [
 ]
 
 
-def _compile_and_run_c(tmp_path: Path, c_source: str, func: str, pairs):
+def _compile_and_run_c(tmp_path: Path, c_source: str, func: str, pairs,
+                       flags=("-O1",)):
     """Compile the emitted function plus a looping harness, return outputs."""
     cc = shutil.which("cc") or shutil.which("gcc")
     assert cc is not None
@@ -119,10 +120,27 @@ int main(void) {{
 """
     (tmp_path / "main.c").write_text(harness)
     exe = tmp_path / "dut"
-    subprocess.run([cc, "-O1", "-o", str(exe), str(tmp_path / "dut.c"),
+    subprocess.run([cc, *flags, "-o", str(exe), str(tmp_path / "dut.c"),
                     str(tmp_path / "main.c")], check=True)
     out = subprocess.run([str(exe)], capture_output=True, text=True, check=True)
     return [int(line) for line in out.stdout.split()]
+
+
+UBSAN_FLAGS = ("-O2", "-fsanitize=undefined", "-fno-sanitize-recover=all")
+
+
+def _ubsan_links(tmp_path: Path) -> bool:
+    """Whether the C compiler builds and runs a trivial program under UBSan."""
+    cc = shutil.which("cc") or shutil.which("gcc")
+    (tmp_path / "probe.c").write_text("int main(void) { return 0; }\n")
+    exe = tmp_path / "probe"
+    try:
+        subprocess.run([cc, *UBSAN_FLAGS, "-o", str(exe), str(tmp_path / "probe.c")],
+                       capture_output=True, check=True)
+        subprocess.run([str(exe)], capture_output=True, check=True)
+    except (OSError, subprocess.CalledProcessError):
+        return False
+    return True
 
 
 def test_c_differential_exhaustive_two_tap(tmp_path):
@@ -133,6 +151,19 @@ def test_c_differential_exhaustive_two_tap(tmp_path):
     expected = run_fixed_columns(plan, np.array(pairs))["y"].tolist()
     for k, pair in enumerate(pairs):
         assert got[k] == expected[k], pair
+
+
+def test_c_differential_exhaustive_two_tap_under_ubsan(tmp_path):
+    """The two-tap C built at -O2 with every UBSan check fatal gives the
+    simulator's 65,536 words and no diagnostic: the emitted arithmetic has
+    no undefined behaviour for the optimizer to exploit."""
+    if not _ubsan_links(tmp_path):
+        pytest.skip("the C compiler cannot build a program with -fsanitize=undefined")
+    plan = synthesize(TWO_TAP_SRC, Config(width=8))
+    art = emit_c(plan, "twotap")
+    got = _compile_and_run_c(tmp_path, art.source, "fps_y", None, UBSAN_FLAGS)
+    pairs = np.array(list(itertools.product(range(-128, 128), repeat=2)))
+    assert got == run_fixed_columns(plan, pairs)["y"].tolist()
 
 
 @pytest.mark.parametrize("portable", [False, True])

@@ -5,6 +5,7 @@ import hashlib
 import io
 import itertools
 import random
+import re
 import statistics
 import time
 from fractions import Fraction
@@ -16,8 +17,8 @@ from hypothesis import strategies as st
 
 from fpsynt.config import Config
 from fpsynt.core import Dfg, NodeKind, Quantize, ScaledSignal, SifFormat, decode, encode
-from fpsynt.errors import InternalOverflowError, VectorError
-from fpsynt.parser import parse_spec
+from fpsynt.errors import InternalOverflowError, ParseError, VectorError
+from fpsynt.parser import MAX_DIGITS, parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.simulator import (VectorSet, _out_of_range, _quantize_column, compare,
                               fits_int64, generate_vectors, load_vectors_csv,
@@ -176,11 +177,36 @@ def test_csv_errors():
     # rows are named by file line, also after a record that spans two lines
     with pytest.raises(VectorError, match="row 5: malformed number"):
         load_vectors_csv(io.StringIO('x0,x1\n0.5,0.5\n"0.5\n",0.5\n0.5,abc\n'), bindings)
-    # a decimal past int()'s digit limit is a malformed number, not a traceback
-    with pytest.raises(VectorError, match="row 2: malformed number"):
+    # a cell has at most MAX_DIGITS digits, as a spec literal does
+    with pytest.raises(VectorError, match=f"row 2: '1+'... has over {MAX_DIGITS} digits"):
         load_vectors_csv(io.StringIO("x0,x1\n0.5," + "1" * 5000 + "\n"), bindings)
     assert load_vectors_csv(io.StringIO("x0,x1\n.5,-.25\n+0.5,0\n"), bindings).raws.tolist() \
         == [[64, -32], [64, 0]]
+
+
+def test_csv_digit_bound_is_the_spec_bound():
+    """A vector cell and a spec literal share ``parser.MAX_DIGITS``: a cell
+    of 2,000 digits loads, one more is refused with its file line, and a
+    cell past the float range is a range error, not a traceback."""
+    _, bindings = parse_spec(TWO_TAP_SRC)
+    cell = "0." + "1" * (MAX_DIGITS - 1)
+    assert load_vectors_csv(io.StringIO(f"x0,x1\n0.5,{cell}\n"), bindings).raws.tolist() \
+        == [[64, 14]]
+    over = "0." + "1" * 3000
+    with pytest.raises(ParseError, match=f"has over {MAX_DIGITS} digits"):
+        parse_spec(f"const c = {over};\noutput y = c;\n")
+    for bad in (cell + "1", over):
+        with pytest.raises(VectorError, match=f"^row 3: '0.1+'... has over {MAX_DIGITS} digits$"):
+            load_vectors_csv(io.StringIO(f"x0,x1\n0.5,0.5\n{bad},0.5\n"), bindings)
+    # an exponent's leading zeros count as digits: int() reads them all
+    padded = "1e-" + "0" * 5000 + "1"
+    with pytest.raises(VectorError, match=f"row 2: '1e-0+'... has over {MAX_DIGITS} digits"):
+        load_vectors_csv(io.StringIO(f"x0,x1\n0.5,{padded}\n"), bindings)
+    with pytest.raises(ParseError, match=f"2:12: '1e-0+'... has over {MAX_DIGITS} digits"):
+        parse_spec(f"input x : sif(1/0/7);\noutput y = {padded}*x;\n")
+    for big, shown in (("1e999", "1.000e+999"), ("-" + "9" * MAX_DIGITS, "-1.000e+2000")):
+        with pytest.raises(VectorError, match=re.escape(f"row 2: input 'x1': value {shown} is outside")):
+            load_vectors_csv(io.StringIO(f"x0,x1\n0.5,{big}\n"), bindings)
 
 
 def test_vector_quantization_mode_recorded():
