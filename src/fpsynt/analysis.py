@@ -587,16 +587,16 @@ class Plan:
 
 
 class _Ctx:
-    """What one walk has emitted, each accumulator with its nodes; cloned at each branch point."""
+    """What one walk has emitted, each node with its step's ``rank``; cloned at branch points."""
 
-    __slots__ = ("nodes", "info", "alias", "accumulators", "choices")
+    __slots__ = ("nodes", "info", "alias", "accumulators", "rank")
 
     def __init__(self):
-        self.nodes: list[Node] = []
+        self.nodes: list[tuple[int, Node]] = []
         self.info: dict[str, NodeInfo] = {}
         self.alias: dict[str, str] = {}
         self.accumulators: list[AccumulatorInfo] = []
-        self.choices: list[tuple[str, int]] = []
+        self.rank = 0
 
     def clone(self) -> "_Ctx":
         c = _Ctx()
@@ -604,19 +604,17 @@ class _Ctx:
         c.info = dict(self.info)
         c.alias = dict(self.alias)
         c.accumulators = list(self.accumulators)
-        c.choices = list(self.choices)
         return c
 
     def emit(self, node: Node, info: NodeInfo):
-        self.nodes.append(node)
+        self.nodes.append((self.rank, node))
         self.info[node.id] = info
 
 
-def depth_first_order(dfg: Dfg, reads=None) -> list[str]:
+def depth_first_order(dfg: Dfg) -> list[str]:
     """The inputs that no output reads, in declaration order, then every
     node the outputs read in depth-first post-order from the outputs, taken
-    in declaration order, ``reads(nid)`` (by default operands) left first."""
-    reads = reads or (lambda nid: dfg.node(nid).operands)
+    in declaration order, operands left first."""
     order, seen = [], set()
     stack = [(o, False) for o in reversed(dfg.output_ids)]
     while stack:
@@ -626,7 +624,7 @@ def depth_first_order(dfg: Dfg, reads=None) -> list[str]:
         elif nid not in seen:
             seen.add(nid)
             stack.append((nid, True))
-            stack.extend((r, False) for r in reversed(reads(nid)) if r not in seen)
+            stack.extend((r, False) for r in reversed(dfg.node(nid).operands) if r not in seen)
     return [n.id for n in dfg.nodes if n.kind is NodeKind.INPUT and n.id not in seen] + order
 
 
@@ -671,17 +669,17 @@ class PlanBuilder:
     (MUL extra truncation, ADD extra pre-scaling) branch; everything else is
     forced. ``build`` runs the whole walk with a fixed choice mapping.
 
-    The builder walks its graph once: ``search_order`` is the
-    ``depth_first_order`` over ``reads``, so a value is consumed soon after
-    it is made. It holds the positions, the nodes a step runs at; a chain
-    root reads its terms directly, so no other addition of its chain is
-    one. ``positions`` holds them in topological order, the level-first
-    walk that ``build`` takes, which fixes node order and fresh names in
-    the plan. The values a step computes do not depend on which of the two
-    orders makes it, but the nodes it emits do: fresh names follow walk
-    order, and when two chains that fall back share a full-width product,
-    the chain reached first emits its truncation and the other reuses it.
-    So a search rebuilds its winner with ``build``.
+    ``positions`` holds the nodes a step runs at in topological order, the
+    level-first walk that ``build`` takes: the ``depth_first_order`` nodes
+    but a chain's other additions, as its root reads its terms directly.
+    ``search_order`` is the depth-first order, so a value is consumed soon
+    after it is made. ``finish`` lays any walk out level-first, each node
+    at the rank of the step that emitted it. Without chains that is the
+    plan ``build`` makes: a step's nodes and fresh names (``{mul}_q``,
+    ``{add}_p1``, ``{add}_p2``) do not depend on walk order. Where chains
+    share a term, the chain reached first names its truncation of the term
+    or emits that of a shared full-width product, so a builder with chains
+    searches level-first too.
 
     Error bounds are ``ErrorBound`` values on ``den``, the lcm of the odd
     parts of the constants' denominators; each constant is quantized once
@@ -714,9 +712,11 @@ class PlanBuilder:
                         and all(u in chain_adds for u in consumers[tid])):
                     self._full_width_terms.add(tid)
 
-        self.search_order = depth_first_order(dfg, self.reads)
-        walked = set(self.search_order)
+        depth_first = depth_first_order(dfg)
+        walked = set(depth_first) - (chain_adds - set(self.chains))
         self.positions = [nid for nid in topo_order(dfg) if nid in walked]
+        self._rank = {nid: k for k, nid in enumerate(self.positions)}
+        self.search_order = self.positions if self.chains else depth_first
 
     def reads(self, nid: str) -> tuple[str, ...]:
         """Source ids whose current value the step at ``nid`` reads."""
@@ -743,6 +743,7 @@ class PlanBuilder:
     def step(self, ctx: _Ctx, nid: str, choice: int = 0):
         node = self.dfg.node(nid)
         W = self.config.width
+        ctx.rank = self._rank[nid]
         if node.kind is NodeKind.INPUT:
             fmt = self.bindings.input_format(nid)
             if fmt.width > W:
@@ -779,8 +780,6 @@ class PlanBuilder:
                         (ctx.alias[node.operands[0]], ctx.alias[node.operands[1]]))
         ctx.emit(mul_node, info)
         ctx.alias[node.id] = node.id
-        ctx.choices.append((node.id, choice))
-
         if node.id in self._full_width_terms:
             if choice:
                 raise CannotFitError("chain terms take no extra truncation")
@@ -817,7 +816,6 @@ class PlanBuilder:
                 refs.append(op_id)
         ctx.emit(Node(node.id, NodeKind.ADD, tuple(refs), negate=node.negate), spec.result)
         ctx.alias[node.id] = node.id
-        ctx.choices.append((node.id, choice))
 
     # chain accumulator
 
@@ -887,22 +885,27 @@ class PlanBuilder:
             running = aid
 
         ctx.accumulators.append(AccumulatorInfo(chain.root, w_acc, f_acc, chain.n_terms,
-                                                tuple(n.id for n in ctx.nodes[first:])))
+                                                tuple(n.id for _, n in ctx.nodes[first:])))
         ctx.alias[chain.root] = self._truncate(ctx, running, W)
         return True
 
     # whole-graph entry points
 
-    def finish(self, ctx: _Ctx) -> Plan:
-        return Plan(graph=Dfg(tuple(ctx.nodes)),
-                    info={nid: NodeInfo(i.signal, i.interval, i.err.as_fraction(), i.eff_exp)
-                          for nid, i in ctx.info.items()},
-                    const_raws={n.id: self.table.quantized[n.id][1] for n in ctx.nodes
+    def finish(self, ctx: _Ctx, choices: dict[str, int]) -> Plan:
+        """The plan of a walk that took ``choices`` (0 where it has none),
+        its nodes sorted stably by the rank of the step that emitted them."""
+        nodes = [n for _, n in sorted(ctx.nodes, key=lambda rn: rn[0])]
+        acc = {nid for a in ctx.accumulators for nid in a.nodes}
+        return Plan(graph=Dfg(tuple(nodes)),
+                    info={n.id: NodeInfo(i.signal, i.interval, i.err.as_fraction(), i.eff_exp)
+                          for n in nodes for i in (ctx.info[n.id],)},
+                    const_raws={n.id: self.table.quantized[n.id][1] for n in nodes
                                 if n.kind is NodeKind.CONST},
                     bindings=self.bindings,
                     source=self.table.dfg,
                     config=self.config,
-                    choices=tuple(ctx.choices),
+                    choices=tuple((n.id, choices.get(n.id, 0)) for n in nodes
+                                  if n.kind in (NodeKind.MUL, NodeKind.ADD) and n.id not in acc),
                     accumulators=tuple(ctx.accumulators),
                     topology=self.topology)
 
@@ -911,7 +914,7 @@ class PlanBuilder:
         ctx = _Ctx()
         for nid in self.positions:
             self.step(ctx, nid, choices.get(nid, 0))
-        return self.finish(ctx)
+        return self.finish(ctx, choices)
 
 
 def _require(ok: bool, message: str, *args):

@@ -4,11 +4,12 @@
                             [--quantize round|trunc] [-o DIR]
     fpsynt simulate <spec.fps> [--vectors FILE | --random N --seed S] [synth flags]
 
-Exit codes: 0 ok, 1 parse/validation error or bad option value (such as
---random outside 1 to MAX_RANDOM_VECTORS = 10^7, which bounds the memory
-of the vector matrix) or a plan that fails check_plan (PlanCheckError, a
-planner bug), 2 cannot-fit, 3 I/O error, 4 malformed vector file. Set
-FPSYNT_LOG=debug|info|warning for logging.
+Exit codes: 0 ok, 1 parse/validation error, usage error or bad option
+value (such as --random outside 1 to MAX_RANDOM_VECTORS = 10^7, which
+bounds the memory of the vector matrix), simulate without numpy, or a plan
+that fails check_plan (PlanCheckError, a planner bug), 2 cannot-fit, 3 I/O
+error, 4 malformed vector file. Set FPSYNT_LOG=debug|info|warning for
+logging.
 """
 
 from __future__ import annotations
@@ -44,6 +45,14 @@ def _setup_logging():
     level = logging.getLevelName(os.environ.get("FPSYNT_LOG", "warning").upper())
     logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(name)s: %(levelname)s: %(message)s")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises a usage error as a SpecError, which main reports in one
+    ``fpsynt:`` line and exit 1, in place of argparse's usage text and exit 2."""
+
+    def error(self, message):
+        raise SpecError(message)
 
 
 def _add_synth_flags(p: argparse.ArgumentParser):
@@ -115,7 +124,10 @@ def cmd_synth(args) -> int:
 
 def cmd_simulate(args) -> int:
     # imported here, so that the synth command never loads numpy
-    from .simulator import compare, generate_vectors, load_vectors_csv
+    try:
+        from .simulator import compare, generate_vectors, load_vectors_csv
+    except ImportError as e:
+        raise SpecError(f"simulate needs numpy: {e}") from None
 
     if not args.vectors:
         if args.random < 1:
@@ -138,7 +150,7 @@ def cmd_simulate(args) -> int:
 
 def main(argv=None) -> int:
     _setup_logging()
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fpsynt",
         description="fixed-point datapath synthesis with overflow control and "
                     "minimized worst-case arithmetic error")
@@ -158,8 +170,8 @@ def main(argv=None) -> int:
     p_sim.add_argument("--seed", type=int, default=1, help="RNG seed (default 1)")
     p_sim.set_defaults(func=cmd_simulate)
 
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
         return args.func(args)
     except SpecError as e:
         print(f"fpsynt: {e}", file=sys.stderr)

@@ -40,9 +40,8 @@ still to come add onto the errors already made, so a state's bound is its
 errors so far plus the losses ahead of it on each output's paths (the
 completion floor, ``_Frontier``).
 
-A search returns the minimum of (cost, choice vector in level-first
-order), replayed once with ``PlanBuilder.build`` so that node order and
-fresh names follow the level-first walk. Across candidates the best plan
+A search returns its best leaf, the minimum of (cost, choice vector in
+level-first order), laid out level-first. Across candidates the best plan
 has the smallest predicted output bound; ties fall to fewer inserted
 formatting nodes, then to the earlier rank: the topologies in enumeration
 order, then the chain-accumulator plan. The best cost found so far is the
@@ -487,12 +486,10 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     Candidate k at a choice point means k extra grid-coarsening steps beyond
     the mandatory minimum. The walk is depth-first over
     ``PlanBuilder.search_order`` with an explicit stack, candidates in
-    increasing order. The result is the plan with the smallest
+    increasing order. The result is the leaf with the smallest
     ``cost_key``; among equal keys, the one whose choice vector, read in
     the level-first order of ``PlanBuilder.positions``, is
-    lexicographically smallest. It is rebuilt once with
-    ``PlanBuilder.build``; with no choice to make (no choice point, or
-    ``k_max`` 0) the walk is level-first and its one leaf is the plan.
+    lexicographically smallest. ``PlanBuilder.finish`` makes it the plan.
 
     With ``prune`` a state is cut when a lower bound on its cost exceeds
     the best cost known: the incumbent passed in, or the best plan found.
@@ -530,14 +527,12 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
             return None
 
     builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, table)
+    order, n = builder.search_order, len(builder.search_order)
     points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
     cands = range(config.k_max + 1)
-    free = bool(points) and len(cands) > 1
-    order = builder.search_order if free else builder.positions
-    n = len(order)
     rows = [cands if builder.is_choice_point(nid) else (0,) for nid in order]
     slot = {nid: k for k, nid in enumerate(points)}
-    frontier = _Frontier(builder) if prune and free else None
+    frontier = _Frontier(builder) if prune and points and config.k_max else None
     if frontier is not None and bound is not None:
         frontier.bound_to(bound[0])
     best_key = best_vec = best_ctx = None
@@ -598,7 +593,7 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
             return None
         detail = f": {last_fail}" if last_fail else ""
         raise CannotFitError(f"no formatting choice fits the word width{detail}")
-    return builder.build(dict(zip(points, best_vec))) if free else builder.finish(best_ctx)
+    return builder.finish(best_ctx, dict(zip(points, best_vec)))
 
 
 # ---------------------------------------------------------------------------

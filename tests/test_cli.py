@@ -268,10 +268,13 @@ def test_internal_checks_raise_under_python_O():
     (["simulate", "--random", "-3"], "--random must be >= 1, got -3"),
     (["simulate", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["simulate", "--random", "100000000"], "--random must be <= 10000000, got 100000000"),
+    (["synth", "--width", "abc"], "argument --width: invalid int value: 'abc'"),
+    (["simulate", "--random", "x"], "argument --random: invalid int value: 'x'"),
+    (["simulate", "--seed", "1.5"], "argument --seed: invalid int value: '1.5'"),
 ])
 def test_bad_option_values_exit_1(fir4_spec, tmp_path, args, message):
-    """Out-of-range option values end in exit 1 and one ``fpsynt:`` line,
-    with no traceback and no file written."""
+    """Out-of-range or malformed option values end in exit 1 and one
+    ``fpsynt:`` line, with no traceback and no file written."""
     before = sorted(tmp_path.rglob("*"))
     proc = subprocess.run(
         [sys.executable, "-m", "fpsynt.cli", args[0], str(fir4_spec), *args[1:],
@@ -282,6 +285,26 @@ def test_bad_option_values_exit_1(fir4_spec, tmp_path, args, message):
     assert proc.stderr == f"fpsynt: {message}\n"
     assert "Traceback" not in proc.stderr + proc.stdout
     assert sorted(tmp_path.rglob("*")) == before
+
+
+@pytest.mark.parametrize("args", [[], ["synth"], ["bogus"]],
+                         ids=["no-command", "no-spec", "unknown-command"])
+def test_usage_errors_exit_1(tmp_path, args):
+    """A missing command or spec, or an unknown command, ends in exit 1 and
+    one ``fpsynt:`` line, as other bad input does; argparse words it."""
+    proc = subprocess.run([sys.executable, "-m", "fpsynt.cli", *args],
+                          capture_output=True, text=True, env=child_env(), cwd=tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("fpsynt: ") and proc.stderr.count("\n") == 1, proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert "synth" in capsys.readouterr().out
 
 
 def test_5000_term_sum_synthesizes_in_a_child_process(tmp_path):

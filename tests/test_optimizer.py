@@ -250,8 +250,7 @@ def test_chain_falls_back_when_accumulator_capped():
 
 def test_chain_fallback_warns_once_per_chain(caplog):
     # at W=64 each chain's accumulator would need 64 + ceil(log2 n) bits; the
-    # chain plan's search and its replay step t14's chain five times and
-    # t6's and t9's twice each
+    # chain plan's search steps each of the three chains four times
     src = """\
 input x : sif(1/0/15);
 input u : sif(1/0/15);
@@ -273,8 +272,7 @@ output y = c0*u + c1*x + x*(c2 + x*(c3 + c1*u + c2*x) + u) + c3*u*x;
 # Both chains, t4 = (-c0 + t0) - (-t0 + c1) and t5 = (-c0 + t0) + v4, open
 # with a negated term and fall back to pairwise adds. The product t0 feeds
 # both at full width: the chain a walk reaches first emits its truncation
-# t0_q, and the other reuses it. The search reaches t5 first, the level-first
-# replay t4.
+# t0_q, and the other reuses it. The level-first walk reaches t4 first.
 def _shared_fallback(c1: Fraction):
     return make_graph(
         {"v0": (1, 0, 2), "v4": (1, 1, 5)}, {"c0": Fraction(-1), "c1": c1},
@@ -307,9 +305,10 @@ output y2 = 0.3*x0 + 0.7*x1;
 """)
 
 
-def test_search_returns_the_level_first_replay_of_its_winner():
-    """The node order and names of a chain plan depend on the walk, so the
-    search's plan is its winner rebuilt level-first, not its best leaf."""
+def test_chain_plan_search_walks_level_first():
+    """The node order and names of a chain plan depend on the walk, so a
+    search with chains walks level-first, and its best leaf is the plan that
+    ``build`` makes of its choices."""
     cases = [(SHARED_FALLBACK_TERM, Config(width=32, k_max=2)),
              (TWO_CHAINS_SHARE_AN_INPUT, Config(width=16, k_max=1, enable_topology_opt=False))]
     plans = []
@@ -317,11 +316,11 @@ def test_search_returns_the_level_first_replay_of_its_winner():
         roots = frozenset(c.root for c in find_chains(dfg))
         plan = combinatorial_search(dfg, bindings, cfg, chain_roots=roots,
                                     topology="source+chain")
-        replay = PlanBuilder(dfg, bindings, cfg, roots, "source+chain").build(
+        built = PlanBuilder(dfg, bindings, cfg, roots, "source+chain").build(
             dict(plan.choices))
-        assert emit_c(plan).source == emit_c(replay).source
-        assert emit_vhdl(plan).source == emit_vhdl(replay).source
-        assert report_json(plan) == report_json(replay)
+        assert emit_c(plan).source == emit_c(built).source
+        assert emit_vhdl(plan).source == emit_vhdl(built).source
+        assert report_json(plan) == report_json(built)
         check_plan(plan)
         plans.append(plan)
     ids = [n.id for n in plans[0].graph.nodes]
@@ -450,6 +449,35 @@ def test_random_small_graphs_pruning_safety():
             assert emit_c(pruned).source == emit_c(full).source
             searched += 1
     assert shared >= 10 and searched >= 40
+
+
+def test_a_depth_first_walk_finishes_into_the_level_first_plan():
+    """A walk of ``search_order`` with any choices, closed by ``finish``,
+    gives the plan that ``build`` gives for those choices: with no chain,
+    a step's nodes and fresh names do not depend on walk order."""
+    rng = random.Random(7)
+    walks = reordered = 0
+    for _ in range(30):
+        dfg, bindings = _random_shared_graph(rng)
+        builder = PlanBuilder(dfg, bindings, Config(width=rng.choice([8, 12]), k_max=2))
+        points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
+        for _ in range(4):
+            choices = {nid: rng.randint(0, 2) for nid in points}
+            try:
+                want = builder.build(choices)
+            except CannotFitError:
+                continue
+            ctx = _Ctx()
+            for nid in builder.search_order:
+                builder.step(ctx, nid, choices.get(nid, 0))
+            got = builder.finish(ctx, choices)
+            assert got.choices == want.choices
+            assert emit_c(got).source == emit_c(want).source
+            assert emit_vhdl(got).source == emit_vhdl(want).source
+            assert report_json(got) == report_json(want)
+            walks += 1
+            reordered += [n for _, n in ctx.nodes] != list(want.graph.nodes)
+    assert walks >= 60 and reordered >= 30, (walks, reordered)
 
 
 def exhaustive_argmin(dfg, bindings, config):

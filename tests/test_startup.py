@@ -60,6 +60,23 @@ def test_synthesis_and_synth_command_run_without_numpy(tmp_path, capsys):
     assert {Path(name).suffix for name in _outputs(tmp_path / "child")} == {".c", ".vhd", ".json"}
 
 
+def test_simulate_without_numpy_exits_1(tmp_path):
+    """With numpy unimportable, ``fpsynt simulate`` ends in exit 1 and one
+    ``fpsynt:`` line, with no traceback and no file written."""
+    spec = tmp_path / "fir4.fps"
+    spec.write_text(FIR4_SRC)
+    script = ('import sys; sys.modules["numpy"] = None; import fpsynt.cli; '
+              'sys.exit(fpsynt.cli.main(sys.argv[1:]))')
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "simulate", str(spec), "-o", str(tmp_path / "o")],
+        capture_output=True, text=True, env=child_env())
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("fpsynt: simulate needs numpy: ")
+    assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr, proc.stderr
+    assert proc.stdout == ""
+    assert list(tmp_path.iterdir()) == [spec]
+
+
 def test_importing_the_cli_loads_no_numpy():
     proc = subprocess.run(
         [sys.executable, "-c", "import sys, fpsynt.cli; "
