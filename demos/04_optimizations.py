@@ -7,8 +7,8 @@
   accumulator and a single final truncation.
 """
 
-from fpsynt import (Config, combinatorial_search, enumerate_topologies,
-                    find_chains, parse_spec, topological_optimize)
+from fpsynt import (CHAIN_PLAN, Config, GraphTable, combinatorial_search,
+                    enumerate_topologies, parse_spec, topological_optimize)
 
 # a sum with one dominant operand: grouping the small terms first wins
 skewed = ("input x0 : sif(1/3/4);\n"
@@ -18,8 +18,9 @@ cfg = Config(width=8, enable_chain_alloc=False)
 dfg, bindings = parse_spec(skewed)
 
 print("per-topology predicted bounds (4-term sum, one wide operand, W=8):")
+table = GraphTable(dfg, bindings, cfg)
 for label, topo in enumerate_topologies(dfg):
-    plan = combinatorial_search(topo, bindings, cfg, topology=label)
+    plan = combinatorial_search(table, (label, topo))
     print(f"  {label:12s} bound={float(plan.cost):.4e}")
 best = topological_optimize(dfg, bindings, cfg)
 print(f"argmin: {best.topology} at {float(best.cost):.4e}\n")
@@ -30,10 +31,9 @@ sum8 = ("".join(f"input x{k} : sif(1/0/15);\n" for k in range(8))
         + "output y = " + " + ".join(f"x{k}" for k in range(8)) + ";\n")
 dfg8, bindings8 = parse_spec(sum8)
 cfg16 = Config(width=16)
-pairwise = combinatorial_search(dfg8, bindings8, cfg16)
-chained = combinatorial_search(dfg8, bindings8, cfg16,
-                               chain_roots=frozenset(c.root for c in find_chains(dfg8)),
-                               topology="source+chain")
+table8 = GraphTable(dfg8, bindings8, cfg16)
+pairwise = combinatorial_search(table8, ("source", dfg8))
+chained = combinatorial_search(table8, CHAIN_PLAN)
 acc = chained.accumulators[0]
 print(f"8-term sum at W=16:")
 print(f"  pairwise pre-scaling bound: {float(pairwise.cost):.4e}")

@@ -40,6 +40,9 @@ from .parser import Bindings
 
 log = logging.getLogger("fpsynt.analysis")
 
+# the candidate, and label, of the table's graph with every chain on a widened accumulator
+CHAIN_PLAN = "source+chain"
+
 
 class ErrorBound:
     """Exact error bound n * 2^e / q: integers n and e, odd q >= 1. Immutable.
@@ -629,9 +632,10 @@ def depth_first_order(dfg: Dfg) -> list[str]:
 
 
 class GraphTable:
-    """What re-association cannot change, worked out once per synthesis:
-    ``den`` (see ``PlanBuilder``), ``quantized``, the NodeInfo and raw word
-    of each constant that a node reads, on first use the graph's chains, and
+    """One synthesis: its source graph ``dfg``, ``bindings`` and ``config``,
+    and what re-association cannot change, worked out once: ``den`` (see
+    ``PlanBuilder``), ``quantized``, the NodeInfo and raw word of each
+    constant that a node reads, on first use the graph's chains, and
     ``floors``, the memo of ``optimizer.node_floors`` that the graph's
     topologies share. Raises CannotFitError, before any search, when such a
     constant does not fit the word width."""
@@ -663,7 +667,7 @@ class GraphTable:
 
 
 class PlanBuilder:
-    """Builds annotated plans for one graph, one position at a time.
+    """Builds annotated plans for one candidate, one position at a time.
 
     The optimizer drives it as a search tree: positions with a free choice
     (MUL extra truncation, ADD extra pre-scaling) branch; everything else is
@@ -681,25 +685,20 @@ class PlanBuilder:
     or emits that of a shared full-width product, so a builder with chains
     searches level-first too.
 
-    Error bounds are ``ErrorBound`` values on ``den``, the lcm of the odd
-    parts of the constants' denominators; each constant is quantized once
-    per graph, in the ``table`` that its topologies' builders share. Chains
-    come from the table too, so a builder with chain roots is on its graph.
-    A plan's ``source`` is the table's graph: the source graph of every
-    topology that shares the table, and the builder's own graph by default.
+    ``candidate`` is a ``(label, graph)`` pair of ``enumerate_topologies``
+    or ``CHAIN_PLAN``. Bindings, config and quantized constants are those of
+    the ``table`` that the candidates of one synthesis share, and a plan's
+    ``source`` is its graph. Error bounds are ``ErrorBound`` values on its
+    ``den``, the lcm of the odd parts of the constants' denominators.
     """
 
-    def __init__(self, dfg: Dfg, bindings: Bindings, config: Config,
-                 chain_roots: frozenset[str] = frozenset(), topology: str = "source",
-                 table: GraphTable | None = None):
-        self.dfg = dfg
-        self.bindings = bindings
-        self.config = config
-        self.topology = topology
-        self.table = table or GraphTable(dfg, bindings, config)
-        self.den, self.zero = self.table.den, self.table.zero
-        chains = self.table.chains if chain_roots else ()
-        self.chains = {c.root: c for c in chains if c.root in chain_roots}
+    def __init__(self, table: GraphTable, candidate: tuple[str, Dfg] | str):
+        self.table, self.den, self.zero = table, table.den, table.zero
+        self.width = table.config.width
+        chained = candidate == CHAIN_PLAN
+        self.topology, self.dfg = (CHAIN_PLAN, table.dfg) if chained else candidate
+        self.chains = {c.root: c for c in table.chains} if chained else {}
+        dfg = self.dfg
         self._fallbacks: set[str] = set()  # chain roots already warned about
         self._source_ids = frozenset(n.id for n in dfg.nodes)
         # terms whose full-width value may feed the accumulator directly
@@ -742,10 +741,10 @@ class PlanBuilder:
 
     def step(self, ctx: _Ctx, nid: str, choice: int = 0):
         node = self.dfg.node(nid)
-        W = self.config.width
+        W = self.width
         ctx.rank = self._rank[nid]
         if node.kind is NodeKind.INPUT:
-            fmt = self.bindings.input_format(nid)
+            fmt = self.table.bindings.input_format(nid)
             if fmt.width > W:
                 raise CannotFitError(
                     f"input '{nid}' is {fmt.width} bits wide, word width is {W}")
@@ -784,7 +783,7 @@ class PlanBuilder:
             if choice:
                 raise CannotFitError("chain terms take no extra truncation")
             return
-        target = min(sig.fmt.width, self.config.width) - choice
+        target = min(sig.fmt.width, self.width) - choice
         ctx.alias[node.id] = self._truncate(ctx, node.id, target)
 
     def _truncate(self, ctx: _Ctx, ref: str, width: int) -> str:
@@ -804,7 +803,7 @@ class PlanBuilder:
         a_id = ctx.alias[node.operands[0]]
         b_id = ctx.alias[node.operands[1]]
         spec = plan_add(ctx.info[a_id], ctx.info[b_id], node.negate,
-                        self.config.width, extra=choice)
+                        self.width, extra=choice)
         refs = []
         for op_id, shift, view in ((a_id, spec.shift_a, spec.a_view),
                                    (b_id, spec.shift_b, spec.b_view)):
@@ -828,7 +827,7 @@ class PlanBuilder:
         for tid, _sign in chain.terms:
             # terms left at full width for the accumulator now need the
             # ordinary post-multiply truncation
-            ctx.alias[tid] = self._truncate(ctx, ctx.alias[tid], self.config.width)
+            ctx.alias[tid] = self._truncate(ctx, ctx.alias[tid], self.width)
         # members were collected root-down; rebuild leaves-up
         for mid in reversed(chain.members):
             self._step_add(ctx, self.dfg.node(mid), 0)
@@ -838,7 +837,7 @@ class PlanBuilder:
         """Emit ``chain`` as terms truncated onto the finest grid where they and
         every partial sum fit W + ceil(log2 n) bits, added by ``plan_add`` at that
         width, which shifts nothing. False, with nothing emitted, if no grid fits."""
-        W = self.config.width
+        W = self.width
         w_acc = W + math.ceil(math.log2(chain.n_terms))
         # the accumulator opens with the first term, taken positive
         if w_acc > MAX_WIDTH or chain.terms[0][1] < 0:
@@ -901,9 +900,9 @@ class PlanBuilder:
                           for n in nodes for i in (ctx.info[n.id],)},
                     const_raws={n.id: self.table.quantized[n.id][1] for n in nodes
                                 if n.kind is NodeKind.CONST},
-                    bindings=self.bindings,
+                    bindings=self.table.bindings,
                     source=self.table.dfg,
-                    config=self.config,
+                    config=self.table.config,
                     choices=tuple((n.id, choices.get(n.id, 0)) for n in nodes
                                   if n.kind in (NodeKind.MUL, NodeKind.ADD) and n.id not in acc),
                     accumulators=tuple(ctx.accumulators),

@@ -1,16 +1,17 @@
 """Search over formatting choices and graph topologies.
 
-One loop searches a list of candidates, each a graph and the addition
-chains that accumulate in a widened register:
+A synthesis' ``GraphTable`` holds its source graph, bindings and config.
+One loop searches a list of candidates on it:
 
-  * the chain-accumulator plan: the source graph with every addition chain
-    in one register of width W + ceil(log2 n), with no intra-chain loss
-    and one final truncation. Its bound does not depend on the chains'
-    shapes, so it is searched once, on the source graph, and first: its
-    cost is a strong incumbent for the topologies;
-  * the topologies: every maximal addition chain re-associated into all
-    binary-tree shapes (Catalan(n-1) of them) up to a term limit, longer
-    chains trying only the balanced tree besides the source shape.
+  * the chain-accumulator plan (``CHAIN_PLAN``): the source graph with
+    every addition chain in one register of width W + ceil(log2 n), with
+    no intra-chain loss and one final truncation. Its bound does not
+    depend on the chains' shapes, so it is searched once, on the source
+    graph, and first: its cost is a strong incumbent for the topologies;
+  * the topologies, ``(label, graph)`` pairs: every maximal addition chain
+    re-associated into all binary-tree shapes (Catalan(n-1) of them) up to
+    a term limit, longer chains trying only the balanced tree besides the
+    source shape.
 
 Each candidate gets an exact branch-and-bound over per-node formatting
 choices (extra product truncation, extra pre-scaling).
@@ -55,8 +56,8 @@ import itertools
 import logging
 import math
 
-from .analysis import (Chain, ErrorBound, GraphTable, Plan, PlanBuilder, _Ctx, cost_key,
-                       depth_first_order, find_chains, floor_loss)
+from .analysis import (CHAIN_PLAN, Chain, ErrorBound, GraphTable, Plan, PlanBuilder, _Ctx,
+                       cost_key, depth_first_order, find_chains, floor_loss)
 from .config import N_MAX_TOPOLOGIES, Config
 from .core import Dfg, Node, NodeKind
 from .errors import CannotFitError, PlanCheckError
@@ -476,12 +477,10 @@ def _floor(table: GraphTable, node, below: list, b0: ErrorBound, slack: int | No
                   e0=e0, pos=any(node.negate), views=views)
 
 
-def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
-                         chain_roots: frozenset[str] = frozenset(),
-                         topology: str = "source",
-                         prune: bool = True, incumbent: tuple | None = None,
-                         table: GraphTable | None = None) -> Plan | None:
-    """Minimize the output error bound over all per-node formatting choices.
+def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
+                         prune: bool = True, incumbent: tuple | None = None) -> Plan | None:
+    """Minimize the output error bound of ``candidate`` (as ``PlanBuilder``
+    takes it) over all per-node formatting choices.
 
     Candidate k at a choice point means k extra grid-coarsening steps beyond
     the mandatory minimum. The walk is depth-first over
@@ -503,36 +502,34 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
     and only the leaf is held against the bound. ``prune=False`` walks the
     whole tree, for oracle comparisons.
 
-    With ``prune`` and no chain in ``chain_roots``, the grid floor
-    (``node_floors``) gives the completion floors for each bound the search
-    takes, and, with an incumbent, bounds each output's error before the
-    first step: when that exceeds the incumbent, no plan can tie it, and the
-    search ends there, before it makes a ``PlanBuilder``: the floor reads only
-    the graph and ``table``, the ``GraphTable`` its topologies share. The
-    plan's ``source`` is that table's graph; without ``table``, the search
-    builds its table on ``dfg``.
+    With ``prune`` and a topology, the grid floor (``node_floors``) gives
+    the completion floors for each bound the search takes, and, with an
+    incumbent, bounds each output's error before the first step: when that
+    exceeds the incumbent, no plan can tie it, and the search ends there,
+    before it makes a ``PlanBuilder``: the floor reads only the topology and
+    ``table``, whose memo the topologies of its graph share.
 
     Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
-    when no choice fits the word width, or from ``GraphTable``.
+    when no choice fits the word width.
     """
-    table = table or GraphTable(dfg, bindings, config)
-    outputs = dfg.output_ids
+    outputs = table.dfg.output_ids
     # bounds are compared on the table's denominator
     bound = tuple(ErrorBound.of(x, table.den) for x in incumbent) \
         if prune and incumbent is not None else None
-    if bound is not None and outputs and not chain_roots:
+    if bound is not None and outputs and candidate != CHAIN_PLAN:
+        label, dfg = candidate
         floors = node_floors(table, dfg, depth_first_order(dfg), bound[0])
         if cost_key([floors[o].err for o in outputs]) > bound:
-            log.info(_COUNTERS, topology, 0, 0, 0, 0, ", cut by the grid floor")
+            log.info(_COUNTERS, label, 0, 0, 0, 0, ", cut by the grid floor")
             return None
 
-    builder = PlanBuilder(dfg, bindings, config, chain_roots, topology, table)
+    builder = PlanBuilder(table, candidate)
     order, n = builder.search_order, len(builder.search_order)
     points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
-    cands = range(config.k_max + 1)
+    cands = range(table.config.k_max + 1)
     rows = [cands if builder.is_choice_point(nid) else (0,) for nid in order]
     slot = {nid: k for k, nid in enumerate(points)}
-    frontier = _Frontier(builder) if prune and points and config.k_max else None
+    frontier = _Frontier(builder) if prune and points and table.config.k_max else None
     if frontier is not None and bound is not None:
         frontier.bound_to(bound[0])
     best_key = best_vec = best_ctx = None
@@ -586,7 +583,7 @@ def combinatorial_search(dfg: Dfg, bindings: Bindings, config: Config,
             vec = vec[:k] + (row[cand],) + vec[k + 1:]
         stack.append((pos + 1, branch, vec, 0))
 
-    log.info(_COUNTERS, topology, steps, leaves, cuts, dominated,
+    log.info(_COUNTERS, builder.topology, steps, leaves, cuts, dominated,
              ", cut by the incumbent" if best_vec is None and cuts else "")
     if best_vec is None:
         if cuts:
@@ -698,35 +695,28 @@ def enumerate_topologies(dfg: Dfg) -> list[tuple[str, Dfg]]:
 def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     """Run the full optimization stack and return the cheapest plan.
 
-    Candidates, as (rank, label, graph, chain roots): every enumerated
-    topology, ranked in enumeration order, and the chain-accumulator plan,
-    ranked last. The chain plan is searched first, with no incumbent; the
+    Candidates, each with its rank: every enumerated topology, ranked in
+    enumeration order, and ``CHAIN_PLAN``, ranked last, all searched on one
+    ``GraphTable``. The chain plan is searched first, with no incumbent; the
     best cost found so far is the incumbent of each later search, and a
     candidate it cuts is no plan. Ranking: (max output bound, summed
     bounds, inserted formatting nodes, rank). When no candidate fits, the
     errors are joined in rank order.
     """
-    if config.enable_topology_opt:
-        topologies = enumerate_topologies(dfg)
-    else:
-        topologies = [("source", dfg)]
-    candidates = [(rank, label, topo, frozenset())
-                  for rank, (label, topo) in enumerate(topologies)]
+    topologies = enumerate_topologies(dfg) if config.enable_topology_opt else [("source", dfg)]
     table = GraphTable(dfg, bindings, config)
-    if config.enable_chain_alloc:
-        roots = frozenset(c.root for c in table.chains)
-        if roots:
-            candidates.insert(0, (len(topologies), "source+chain", dfg, roots))
+    candidates: list[tuple[int, tuple[str, Dfg] | str]] = list(enumerate(topologies))
+    if config.enable_chain_alloc and table.chains:
+        candidates.insert(0, (len(topologies), CHAIN_PLAN))
 
     incumbent = None
     ranked: list[tuple] = []
     errors: list[tuple[int, str]] = []
-    for rank, label, graph, chain_roots in candidates:
+    for rank, candidate in candidates:
         try:
-            plan = combinatorial_search(graph, bindings, config, chain_roots=chain_roots,
-                                        topology=label, incumbent=incumbent, table=table)
+            plan = combinatorial_search(table, candidate, incumbent=incumbent)
         except CannotFitError as e:
-            errors.append((rank, f"{'chain' if chain_roots else label}: {e}"))
+            errors.append((rank, f"{'chain' if candidate == CHAIN_PLAN else candidate[0]}: {e}"))
             continue
         if plan is not None:
             ranked.append(((plan.cost_key, plan.n_format_nodes, rank), plan))

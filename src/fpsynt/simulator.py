@@ -33,7 +33,8 @@ import numpy as np
 from .analysis import Plan
 from .core import NodeKind, Quantize, SifFormat, encode
 from .errors import InternalOverflowError, RangeError, VectorError
-from .parser import MAX_DIGITS, MAX_EXPONENT, Bindings, literal_over_bound
+from .parser import (MAX_DIGITS, MAX_EXPONENT, Bindings, _frac_to_decimal,
+                     literal_over_bound)
 
 log = logging.getLogger("fpsynt.simulator")
 
@@ -179,23 +180,30 @@ def _encode_value(value: Fraction, fmt: SifFormat, mode: Quantize, where: str) -
 
 
 def save_vectors_csv(path, bindings: Bindings, vecset: VectorSet):
+    """Write a vector file that ``load_vectors_csv`` reads back as ``vecset``:
+    each value as its float text where that is exact, else its exact decimal."""
     fmts = [bindings.input_format(name) for name in vecset.inputs]
-    columns = [_to_float(vecset.raws[:, k], -f.f).tolist() for k, f in enumerate(fmts)]
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(vecset.inputs)
-        for k in range(len(vecset)):
-            w.writerow([repr(col[k]) for col in columns])
+        w.writerows([_exact_text(Fraction(raw, 1 << f.f)) for raw, f in zip(row, fmts)]
+                    for row in vecset.raws.tolist())
+
+
+def _exact_text(value: Fraction) -> str:
+    text = repr(float(value))
+    return text if Fraction(text) == value else _frac_to_decimal(value)
 
 
 def load_vectors_csv(source, bindings: Bindings,
                      mode: Quantize = Quantize.ROUND) -> VectorSet:
     """Read a vector file: header = input names in declaration order, then
-    one decimal real per column per row, in UTF-8. Each decimal, of at most
-    ``MAX_DIGITS`` digits and an exponent at most ``MAX_EXPONENT`` in size,
-    as in a spec, is parsed and quantized exactly."""
+    one decimal real per column per row, in UTF-8, after a byte-order mark
+    if a file opened by path has one. Each decimal, of at most ``MAX_DIGITS``
+    digits and an exponent at most ``MAX_EXPONENT`` in size, as in a spec,
+    is parsed and quantized exactly."""
     close = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
-    fh = open(source, newline="", encoding="utf-8") if close else source
+    fh = open(source, newline="", encoding="utf-8-sig") if close else source
     try:
         reader = csv.reader(fh)
         try:

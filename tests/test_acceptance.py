@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from fpsynt.analysis import PlanBuilder, choose_const_format, find_chains
+from fpsynt.analysis import CHAIN_PLAN, GraphTable, PlanBuilder, choose_const_format
 from fpsynt.codegen import emit_c
 from fpsynt.config import Config
 from fpsynt.core import SifFormat, decode, encode, sif_width
@@ -159,7 +159,8 @@ def test_criterion_07_search_oracle_equivalence():
     for line in lines:
         src = "".join(f"input {n} : sif(1/0/7);\n" for n in "abc") + line + "\n"
         dfg, bindings = parse_spec(src)
-        builder = PlanBuilder(dfg, bindings, cfg)
+        table = GraphTable(dfg, bindings, cfg)
+        builder = PlanBuilder(table, ("source", dfg))
         points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
         best = None
         for combo in itertools.product(range(cfg.k_max + 1), repeat=len(points)):
@@ -168,8 +169,8 @@ def test_criterion_07_search_oracle_equivalence():
             except CannotFitError:
                 continue
             best = cost if best is None or cost < best else best
-        searched = combinatorial_search(dfg, bindings, cfg).cost
-        unpruned = combinatorial_search(dfg, bindings, cfg, prune=False).cost
+        searched = combinatorial_search(table, ("source", dfg)).cost
+        unpruned = combinatorial_search(table, ("source", dfg), prune=False).cost
         ok = ok and searched == best == unpruned
     elapsed = time.monotonic() - start
     _report(7, "search equals exhaustive enumeration", ok and elapsed < 10.0,
@@ -183,8 +184,8 @@ def test_criterion_08_topology_argmin():
     dfg, bindings = parse_spec(src)
     topos = enumerate_topologies(dfg)
     best = topological_optimize(dfg, bindings, cfg)
-    shape_costs = [combinatorial_search(t, bindings, cfg, topology=l).cost
-                   for l, t in topos]
+    table = GraphTable(dfg, bindings, cfg)
+    shape_costs = [combinatorial_search(table, t).cost for t in topos]
     ok = len(topos) == 5 and all(best.cost <= c for c in shape_costs)
     _report(8, "re-association argmin over all five shapes", ok,
             f"shapes={len(topos)} best={float(best.cost):.3e} "
@@ -196,10 +197,9 @@ def test_criterion_09_chain_allocation_dominates():
            + "output y = " + " + ".join(f"x{k}" for k in range(8)) + ";\n")
     cfg = Config(width=16)
     dfg, bindings = parse_spec(src)
-    chain_plan = combinatorial_search(dfg, bindings, cfg,
-                                      chain_roots=frozenset(c.root for c in find_chains(dfg)),
-                                      topology="source+chain")
-    pairwise = combinatorial_search(dfg, bindings, cfg)
+    table = GraphTable(dfg, bindings, cfg)
+    chain_plan = combinatorial_search(table, CHAIN_PLAN)
+    pairwise = combinatorial_search(table, ("source", dfg))
     (acc,) = chain_plan.accumulators
     ok = acc.width == 19 and chain_plan.cost <= pairwise.cost
     _report(9, "wide accumulator beats pairwise pre-scaling", ok,

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fpsynt.analysis import (ErrorBound, Interval, NodeInfo, PlanBuilder, _min_integer_bits,
-                             check_plan, choose_const_format, find_chains,
+from fpsynt.analysis import (ErrorBound, GraphTable, Interval, NodeInfo, PlanBuilder,
+                             _min_integer_bits, check_plan, choose_const_format, find_chains,
                              fit_format_to_interval, infer_product_format,
                              mul_error_bound, plan_add, plan_truncate)
 from fpsynt.config import Config
@@ -82,7 +82,7 @@ output r = x + b;
 def test_builder_interval_rules():
     # the three interval rules, read off a plan the builder makes
     dfg, bindings = parse_spec(INTERVAL_RULES_SRC)
-    plan = PlanBuilder(dfg, bindings, Config(width=16)).build()
+    plan = PlanBuilder(GraphTable(dfg, bindings, Config(width=16)), ("source", dfg)).build()
 
     def interval(nid):
         got = plan.info[nid].interval

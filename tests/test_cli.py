@@ -99,6 +99,9 @@ TWO_INPUT_SRC = "input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\noutput y = x0*x
 @pytest.mark.parametrize("spec,vectors,rc,message", [
     (b"input x0 : sif(1/0/7);\n# caf\xe9\noutput y = x0;\n", None, 1,
      "fpsynt: {spec}: not UTF-8 at byte 28\n"),
+    # the offset counts the byte-order mark, as it is a byte of the file
+    (b"\xef\xbb\xbfinput x0 : sif(1/0/7);\n# caf\xe9\noutput y = x0;\n", None, 1,
+     "fpsynt: {spec}: not UTF-8 at byte 31\n"),
     (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5,0.5\n\xe9,0.1\n", 4,
      "fpsynt: bad vectors: vector file is not UTF-8\n"),
     (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5," + b"1" * 140_000 + b"\n", 4,
@@ -110,7 +113,7 @@ TWO_INPUT_SRC = "input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\noutput y = x0*x
     (TWO_INPUT_SRC.encode(), b"x0,x1\n0.5,1e999\n", 4,
      "fpsynt: bad vectors: row 2: input 'x1': value 1.000e+999 is outside the decodable "
      "range of (1/0/7) [-1.0, 0.9921875]\n"),
-], ids=["spec-latin1", "vectors-latin1", "long-cell", "huge-exponent", "many-digits",
+], ids=["spec-latin1", "spec-bom-latin1", "vectors-latin1", "long-cell", "huge-exponent", "many-digits",
         "past-float"])
 def test_bad_input_files_exit_with_their_code(tmp_path, capsys, spec, vectors, rc, message):
     """A spec or vector file that is not UTF-8, a vector cell past the csv
@@ -128,6 +131,25 @@ def test_bad_input_files_exit_with_their_code(tmp_path, capsys, spec, vectors, r
     err = capsys.readouterr().err
     assert err == message.format(spec=tmp_path / "bad.fps")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("marked", [("spec",), ("vectors",), ("spec", "vectors")],
+                         ids=["spec", "vectors", "both"])
+def test_a_byte_order_mark_changes_nothing(tmp_path, capsys, marked):
+    """A spec or vector file that opens with a UTF-8 byte-order mark gives
+    the report.json and the stats line of the same file without one."""
+    files = {"spec": TWO_INPUT_SRC.encode(), "vectors": b"x0,x1\n0.5,0.5\n-0.25,0.125\n"}
+    runs = []
+    for bom in ((), marked):
+        run = tmp_path / ("bom" if bom else "plain")
+        run.mkdir()
+        for name, data in files.items():
+            (run / name).write_bytes(b"\xef\xbb\xbf" + data if name in bom else data)
+        args = ["simulate", str(run / "spec"), "--vectors", str(run / "vectors")]
+        assert main([*args, "-o", str(run / "o")]) == 0
+        runs.append(((run / "o" / "report.json").read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+    assert json.loads(runs[1][1])["count"] == 2
 
 
 def test_simulate_random_stats_json(fir4_spec, tmp_path, capsys):

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from fpsynt.analysis import (ErrorBound, GraphTable, PlanBuilder, _Ctx, check_plan,
+from fpsynt.analysis import (CHAIN_PLAN, ErrorBound, GraphTable, PlanBuilder, _Ctx, check_plan,
                              choose_const_format, cost_key, depth_first_order, find_chains)
 from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
@@ -48,7 +48,7 @@ def _two_op_spec(expr_line: str) -> str:
 def exhaustive_minimum(dfg, bindings, config) -> Fraction:
     """Brute-force oracle: evaluate every complete choice vector (no search,
     no pruning) and take the smallest output bound."""
-    builder = PlanBuilder(dfg, bindings, config)
+    builder = PlanBuilder(GraphTable(dfg, bindings, config), ("source", dfg))
     points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
     best = None
     for combo in itertools.product(range(config.k_max + 1), repeat=len(points)):
@@ -65,7 +65,7 @@ def exhaustive_minimum(dfg, bindings, config) -> Fraction:
 @pytest.mark.parametrize("line", TWO_OP_SRCS)
 def test_search_matches_exhaustive_oracle(line):
     dfg, bindings = parse_spec(_two_op_spec(line))
-    got = combinatorial_search(dfg, bindings, W8)
+    got = combinatorial_search(GraphTable(dfg, bindings, W8), ("source", dfg))
     oracle = exhaustive_minimum(dfg, bindings, W8)
     assert got.cost == oracle
 
@@ -73,15 +73,16 @@ def test_search_matches_exhaustive_oracle(line):
 @pytest.mark.parametrize("line", TWO_OP_SRCS)
 def test_pruned_equals_unpruned(line):
     dfg, bindings = parse_spec(_two_op_spec(line))
-    pruned = combinatorial_search(dfg, bindings, W8, prune=True)
-    full = combinatorial_search(dfg, bindings, W8, prune=False)
+    table = GraphTable(dfg, bindings, W8)
+    pruned = combinatorial_search(table, ("source", dfg), prune=True)
+    full = combinatorial_search(table, ("source", dfg), prune=False)
     assert pruned.cost == full.cost
     assert pruned.choices == full.choices
 
 
 def test_identity_plan_for_passthrough():
     dfg, bindings = parse_spec("input x : sif(1/0/7);\noutput y = x;\n")
-    plan = combinatorial_search(dfg, bindings, W8)
+    plan = combinatorial_search(GraphTable(dfg, bindings, W8), ("source", dfg))
     assert plan.cost == 0
     assert plan.n_format_nodes == 0
     assert [n.kind for n in plan.graph.nodes] == [NodeKind.INPUT, NodeKind.OUTPUT]
@@ -137,8 +138,9 @@ def test_argmin_beats_every_enumerated_shape():
     src = make_sum_src(4, sif=(1, 0, 7))
     dfg, bindings = parse_spec(src)
     best = topological_optimize(dfg, bindings, cfg)
-    for label, topo in enumerate_topologies(dfg):
-        candidate = combinatorial_search(topo, bindings, cfg, topology=label)
+    table = GraphTable(dfg, bindings, cfg)
+    for topology in enumerate_topologies(dfg):
+        candidate = combinatorial_search(table, topology)
         assert best.cost <= candidate.cost
 
 
@@ -146,7 +148,7 @@ def test_symmetric_two_term_sum_is_stable():
     cfg = Config(width=8)
     dfg, bindings = parse_spec(make_sum_src(2, sif=(1, 0, 7)))
     plan = topological_optimize(dfg, bindings, cfg)
-    baseline = PlanBuilder(dfg, bindings, cfg).build()
+    baseline = PlanBuilder(GraphTable(dfg, bindings, cfg), ("source", dfg)).build()
     assert plan.cost == baseline.cost
 
 
@@ -159,8 +161,8 @@ def test_skewed_magnitudes_reward_reassociation():
     cfg = Config(width=8, enable_chain_alloc=False)
     dfg, bindings = parse_spec(src)
     best = topological_optimize(dfg, bindings, cfg)
-    costs = [combinatorial_search(t, bindings, cfg, topology=l).cost
-             for l, t in enumerate_topologies(dfg)]
+    table = GraphTable(dfg, bindings, cfg)
+    costs = [combinatorial_search(table, t).cost for t in enumerate_topologies(dfg)]
     assert best.cost == min(costs)
     assert min(costs) < max(costs)  # topology genuinely matters here
 
@@ -168,8 +170,8 @@ def test_skewed_magnitudes_reward_reassociation():
     # worst error on a shared vector grid
     vectors = _vector_grid(bindings, step=37)
     best_max = _max_sim_error(best, dfg, bindings, vectors)
-    for label, topo in enumerate_topologies(dfg):
-        plan = combinatorial_search(topo, bindings, cfg, topology=label)
+    for topology in enumerate_topologies(dfg):
+        plan = combinatorial_search(table, topology)
         other = _max_sim_error(plan, dfg, bindings, vectors)
         assert best_max <= other + Fraction(1, 10**12)
 
@@ -201,9 +203,7 @@ def _max_sim_error(plan, dfg, bindings, vectors):
 def _chain_plan(dfg, bindings, cfg):
     """The search ``topological_optimize`` runs first: every chain on a
     widened accumulator."""
-    return combinatorial_search(dfg, bindings, cfg,
-                                chain_roots=frozenset(c.root for c in find_chains(dfg)),
-                                topology="source+chain")
+    return combinatorial_search(GraphTable(dfg, bindings, cfg), CHAIN_PLAN)
 
 
 def test_chain_accumulator_width_16_plus_log2():
@@ -219,7 +219,7 @@ def test_chain_dominates_pairwise_for_eight_terms():
     dfg, bindings = parse_spec(make_sum_src(8))
     cfg = Config(width=16)
     chain_plan = _chain_plan(dfg, bindings, cfg)
-    pairwise = combinatorial_search(dfg, bindings, cfg)
+    pairwise = combinatorial_search(GraphTable(dfg, bindings, cfg), ("source", dfg))
     assert chain_plan.cost <= pairwise.cost
     check_plan(chain_plan)
 
@@ -234,7 +234,7 @@ def test_fir4_chain_beats_pairwise():
     dfg, bindings = parse_spec(FIR4_SRC)
     cfg = Config(width=16)
     chain_plan = _chain_plan(dfg, bindings, cfg)
-    pairwise = combinatorial_search(dfg, bindings, cfg)
+    pairwise = combinatorial_search(GraphTable(dfg, bindings, cfg), ("source", dfg))
     assert chain_plan.cost < pairwise.cost
 
 
@@ -313,11 +313,9 @@ def test_chain_plan_search_walks_level_first():
              (TWO_CHAINS_SHARE_AN_INPUT, Config(width=16, k_max=1, enable_topology_opt=False))]
     plans = []
     for (dfg, bindings), cfg in cases:
-        roots = frozenset(c.root for c in find_chains(dfg))
-        plan = combinatorial_search(dfg, bindings, cfg, chain_roots=roots,
-                                    topology="source+chain")
-        built = PlanBuilder(dfg, bindings, cfg, roots, "source+chain").build(
-            dict(plan.choices))
+        table = GraphTable(dfg, bindings, cfg)
+        plan = combinatorial_search(table, CHAIN_PLAN)
+        built = PlanBuilder(table, CHAIN_PLAN).build(dict(plan.choices))
         assert emit_c(plan).source == emit_c(built).source
         assert emit_vhdl(plan).source == emit_vhdl(built).source
         assert report_json(plan) == report_json(built)
@@ -345,11 +343,9 @@ def test_chain_fallbacks_pruned_equal_unpruned(graph, cfg, caplog):
     """Chain plans whose fallbacks re-alias a shared product or input: the
     bound reads the truncated value that the second chain reads, and the
     pruned search still finds the unpruned walk's choices and cost."""
-    dfg, bindings = graph
-    roots = frozenset(c.root for c in find_chains(dfg))
+    table = GraphTable(*graph, cfg)
     with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
-        pruned, full = (combinatorial_search(dfg, bindings, cfg, roots, "source+chain", prune=p)
-                        for p in (True, False))
+        pruned, full = (combinatorial_search(table, CHAIN_PLAN, prune=p) for p in (True, False))
     assert pruned.cost_key == full.cost_key
     assert pruned.choices == full.choices
     if graph is SHARED_FALLBACK_PRODUCT:  # the bound cuts on this shape
@@ -396,7 +392,7 @@ def test_cannot_fit_when_nothing_fits():
     dfg, bindings = parse_spec("input a : sif(1/0/15);\nconst c = 100.0;\n"
                                "output y = a * c;\n")
     with pytest.raises(CannotFitError):
-        combinatorial_search(dfg, bindings, Config(width=8))
+        combinatorial_search(GraphTable(dfg, bindings, Config(width=8)), ("source", dfg))
 
 
 def _random_shared_graph(rng: random.Random) -> tuple[Dfg, Bindings]:
@@ -438,12 +434,15 @@ def test_random_small_graphs_pruning_safety():
                       if nid.startswith("t"))
         for cfg in (Config(width=6, k_max=2), Config(width=8, k_max=2)):
             try:
-                full = combinatorial_search(dfg, bindings, cfg, prune=False)
+                full = combinatorial_search(GraphTable(dfg, bindings, cfg), ("source", dfg),
+                                            prune=False)
             except CannotFitError:
                 with pytest.raises(CannotFitError):
-                    combinatorial_search(dfg, bindings, cfg, prune=True)
+                    combinatorial_search(GraphTable(dfg, bindings, cfg), ("source", dfg),
+                                         prune=True)
                 continue
-            pruned = combinatorial_search(dfg, bindings, cfg, prune=True)
+            pruned = combinatorial_search(GraphTable(dfg, bindings, cfg), ("source", dfg),
+                                          prune=True)
             assert pruned.cost_key == full.cost_key
             assert pruned.choices == full.choices
             assert emit_c(pruned).source == emit_c(full).source
@@ -459,7 +458,8 @@ def test_a_depth_first_walk_finishes_into_the_level_first_plan():
     walks = reordered = 0
     for _ in range(30):
         dfg, bindings = _random_shared_graph(rng)
-        builder = PlanBuilder(dfg, bindings, Config(width=rng.choice([8, 12]), k_max=2))
+        builder = PlanBuilder(GraphTable(dfg, bindings, Config(width=rng.choice([8, 12]), k_max=2)),
+                              ("source", dfg))
         points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
         for _ in range(4):
             choices = {nid: rng.randint(0, 2) for nid in points}
@@ -484,7 +484,7 @@ def exhaustive_argmin(dfg, bindings, config):
     """Brute-force oracle for the search's tie-break: among all complete
     choice vectors with the smallest cost key, the lexicographically
     smallest in level-first position order."""
-    builder = PlanBuilder(dfg, bindings, config)
+    builder = PlanBuilder(GraphTable(dfg, bindings, config), ("source", dfg))
     points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
     ranked = []
     for combo in itertools.product(range(config.k_max + 1), repeat=len(points)):
@@ -514,13 +514,14 @@ TIES_DEPEND_ON_ORDER = make_graph(
 def test_ties_fall_to_the_level_first_smallest_choices(width):
     dfg, bindings = TIES_DEPEND_ON_ORDER
     cfg = Config(width=width, k_max=2)
-    builder = PlanBuilder(dfg, bindings, cfg)
+    table = GraphTable(dfg, bindings, cfg)
+    builder = PlanBuilder(table, ("source", dfg))
     assert ([n for n in builder.positions if builder.is_choice_point(n)]
             != [n for n in builder.search_order if builder.is_choice_point(n)])
     want = exhaustive_argmin(dfg, bindings, cfg)
     assert want.choices == (("t0", 0), ("t1", 1), ("t3", 0), ("t5", 0), ("t4", 0))
     for prune in (True, False):
-        got = combinatorial_search(dfg, bindings, cfg, prune=prune)
+        got = combinatorial_search(table, ("source", dfg), prune=prune)
         assert got.choices == want.choices
         assert emit_c(got).source == emit_c(want).source
 
@@ -531,7 +532,7 @@ def _argmin_oracle(dfg, bindings, cfg):
     plans = []
     for label, topo in enumerate_topologies(dfg):
         try:
-            plans.append(combinatorial_search(topo, bindings, cfg, topology=label))
+            plans.append(combinatorial_search(GraphTable(topo, bindings, cfg), (label, topo)))
         except CannotFitError:
             pass
     if cfg.enable_chain_alloc and find_chains(dfg):
@@ -566,15 +567,14 @@ def test_shared_incumbent_returns_the_argmin(src, cfg):
 def test_a_plans_source_is_its_tables_graph():
     """A topology searched with a grid floor shared across the source
     graph's topologies has the source graph as its plan's source; searched
-    alone, its own graph."""
+    on a table of its own graph, its own graph."""
     dfg, bindings = parse_spec(FIR5_SRC)
     cfg = Config(width=16)
     shared = GraphTable(dfg, bindings, cfg)
     label, topo = enumerate_topologies(dfg)[1]
     assert topo is not dfg
-    assert combinatorial_search(topo, bindings, cfg, topology=label,
-                                table=shared).source is dfg
-    assert combinatorial_search(topo, bindings, cfg, topology=label).source is topo
+    assert combinatorial_search(shared, (label, topo)).source is dfg
+    assert combinatorial_search(GraphTable(topo, bindings, cfg), (label, topo)).source is topo
 
 
 def test_matvec3x3_step_count(monkeypatch):
@@ -711,26 +711,35 @@ def _search_logged(caplog, *args, **kwargs) -> tuple:
     return (plan.const_raws, plan.choices, {n: i.err for n, i in plan.info.items()}), lines
 
 
-@pytest.mark.parametrize("src", [FIR5_SRC, MATVEC2X3_SRC], ids=["fir5", "matvec2x3"])
-def test_a_shared_graph_table_gives_the_plans_of_a_fresh_one(src, caplog):
+@pytest.mark.parametrize("src,width,winner", [
+    (FIR5_SRC, 16, CHAIN_PLAN), (MATVEC2X3_SRC, 16, CHAIN_PLAN),
+    # the best plan is a pairwise topology, which the floor must not cut;
+    # with its cost as incumbent the floor cuts t2:3 and t2:4
+    (SKEWED_SUM, 8, "t2:1"), (SKEWED_SUM, 16, "t2:1"),
+], ids=["fir5", "matvec2x3", "skewed-w8", "skewed-w16"])
+def test_a_shared_graph_table_gives_the_plans_of_a_fresh_one(src, width, winner, caplog):
     """Every topology and the chain plan, searched with one grid floor and
     ``GraphTable`` shared across them as ``topological_optimize`` does,
     give the plans and counter lines that a fresh table and floor give:
-    with no incumbent, and with the chain plan's cost as incumbent, where
-    the floor cuts."""
+    with no incumbent, with the chain plan's cost as incumbent, and with the
+    best plan's, where the floor cuts. No incumbent cuts the best plan's
+    topology."""
     dfg, bindings = parse_spec(src)
-    cfg = Config(width=16)
+    cfg = Config(width=width)
     shared = GraphTable(dfg, bindings, cfg)
-    roots = frozenset(c.root for c in shared.chains)
-    chain = combinatorial_search(dfg, bindings, cfg, roots, "source+chain", table=shared)
-    assert _search_logged(caplog, dfg, bindings, cfg, roots, "source+chain", table=shared) \
-        == _search_logged(caplog, dfg, bindings, cfg, roots, "source+chain")
+    chain = combinatorial_search(shared, CHAIN_PLAN)
+    assert _search_logged(caplog, shared, CHAIN_PLAN) \
+        == _search_logged(caplog, GraphTable(dfg, bindings, cfg), CHAIN_PLAN)
+    best = topological_optimize(dfg, bindings, cfg)
+    assert best.topology == winner
     cut = 0
     for label, topo in enumerate_topologies(dfg):
-        for incumbent in (None, chain.cost_key):
-            args = (topo, bindings, cfg, frozenset(), label, True, incumbent)
-            got = _search_logged(caplog, *args, table=shared)
-            assert got == _search_logged(caplog, *args), (label, incumbent)
+        for incumbent in dict.fromkeys((None, chain.cost_key, best.cost_key)):
+            got = _search_logged(caplog, shared, (label, topo), True, incumbent)
+            fresh = GraphTable(topo, bindings, cfg)
+            assert got == _search_logged(caplog, fresh, (label, topo), True, incumbent), \
+                (label, incumbent)
+            assert got[0] is not None or label != best.topology, (label, incumbent)
             cut += got[0] is None
     assert cut  # the shared floor cut some topology before its first step
 
@@ -761,8 +770,7 @@ def test_one_grid_floor_keeps_each_bounds_floors_apart():
     dfg, bindings = parse_spec(FIR5_SRC)
     cfg = Config(width=16)
     shared = GraphTable(dfg, bindings, cfg)
-    roots = frozenset(c.root for c in shared.chains)
-    chain = combinatorial_search(dfg, bindings, cfg, roots, "source+chain", table=shared)
+    chain = combinatorial_search(shared, CHAIN_PLAN)
     b0 = ErrorBound.of(chain.cost, shared.den)
     small = ErrorBound(b0.n, b0.e - 2, b0.q)
     moved = adds = 0
@@ -795,14 +803,15 @@ def test_grid_floor_input_edges():
     does not fit a CannotFitError that names it."""
     shr = Dfg((Node("x", NodeKind.INPUT), Node("s", NodeKind.SHR, ("x",), amount=1),
                Node("y", NodeKind.OUTPUT, ("s",))))
-    too_big = parse_spec("input x : sif(1/0/7);\nconst c = 300;\noutput y = c*x + x;\n")
+    too_big, bindings = parse_spec("input x : sif(1/0/7);\nconst c = 300;\noutput y = c*x + x;\n")
     one = (Fraction(1), Fraction(1))
     for incumbent in (None, one):
         with pytest.raises(ValueError, match="source graphs cannot contain NodeKind.SHR nodes"):
-            combinatorial_search(shr, Bindings({"x": (1, 0, 7)}, {}, ("y",)), W8,
-                                 incumbent=incumbent)
+            combinatorial_search(GraphTable(shr, Bindings({"x": (1, 0, 7)}, {}, ("y",)), W8),
+                                 ("source", shr), incumbent=incumbent)
         with pytest.raises(CannotFitError, match="const 'c': constant 300.0 does not fit"):
-            combinatorial_search(*too_big, W8, incumbent=incumbent)
+            combinatorial_search(GraphTable(too_big, bindings, W8), ("source", too_big),
+                                 incumbent=incumbent)
 
 
 def test_grid_floor_never_exceeds_a_topologys_optimum():
@@ -818,10 +827,11 @@ def test_grid_floor_never_exceeds_a_topologys_optimum():
     for (dfg, bindings), cfg in cases:
         for label, topo in enumerate_topologies(dfg):
             try:
-                best = combinatorial_search(topo, bindings, cfg, topology=label, prune=False)
+                table = GraphTable(topo, bindings, cfg)
+                best = combinatorial_search(table, (label, topo), prune=False)
             except CannotFitError:
                 continue
-            builder = PlanBuilder(topo, bindings, cfg, topology=label)
+            builder = PlanBuilder(table, (label, topo))
             floors = node_floors(
                 builder.table, topo, builder.positions, ErrorBound.of(best.cost_key[0], builder.den))
             for o in topo.output_ids:
@@ -867,12 +877,13 @@ def test_horner_search_matches_the_exhaustive_oracle():
     checked = 0
     for (dfg, bindings), cfg in _horner_cases():
         try:
-            full = combinatorial_search(dfg, bindings, cfg, prune=False)
+            full = combinatorial_search(GraphTable(dfg, bindings, cfg), ("source", dfg),
+                                        prune=False)
         except CannotFitError:
             with pytest.raises(CannotFitError):
-                combinatorial_search(dfg, bindings, cfg, prune=True)
+                combinatorial_search(GraphTable(dfg, bindings, cfg), ("source", dfg), prune=True)
             continue
-        pruned = combinatorial_search(dfg, bindings, cfg, prune=True)
+        pruned = combinatorial_search(GraphTable(dfg, bindings, cfg), ("source", dfg), prune=True)
         assert pruned.cost_key == full.cost_key
         assert pruned.choices == full.choices
         assert emit_c(pruned).source == emit_c(full).source
@@ -887,7 +898,7 @@ def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
     the best leaf key below a state, the frontier's lower bound there is at
     most that key. Returns the number of states checked, and of those where
     the completion floor raised the bound."""
-    builder = PlanBuilder(dfg, bindings, cfg)
+    builder = PlanBuilder(GraphTable(dfg, bindings, cfg), ("source", dfg))
     frontier = _Frontier(builder)
     no_floor = _Frontier(builder)  # never bound: cone sums only
     order = builder.search_order

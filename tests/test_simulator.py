@@ -511,6 +511,23 @@ def test_save_vectors_csv_bytes_and_round_trip(tmp_path):
         assert load_vectors_csv(path, bindings, mode) == vecset
 
 
+@pytest.mark.parametrize("mode", [Quantize.TRUNC, Quantize.ROUND])
+@pytest.mark.parametrize("f", [19, 31, 52, 63])
+def test_saved_vectors_load_back_exactly(f, mode, tmp_path):
+    """Past 16 fraction bits a value's float text is often not its exact
+    value, so the file holds that value's exact decimal instead."""
+    _, bindings = parse_spec(f"input x0 : sif(1/0/{f});\ninput x1 : sif(1/0/{f});\n"
+                             "output y = x0 + x1;\n")
+    fmt = bindings.input_format("x0")
+    rng = random.Random(f)
+    rows = [[fmt.min_raw] * 2, [fmt.max_raw] * 2] + \
+        [[rng.randint(fmt.min_raw, fmt.max_raw) for _ in range(2)] for _ in range(500)]
+    vecset = VectorSet(("x0", "x1"), np.array(rows, dtype=object), mode)
+    path = tmp_path / "vectors.csv"
+    save_vectors_csv(path, bindings, vecset)
+    assert load_vectors_csv(path, bindings, mode) == vecset
+
+
 def test_vector_set_equality_is_by_value():
     rows = [[1, -2], [3, 4]]
     a = VectorSet(("x", "y"), np.array(rows))
