@@ -42,6 +42,7 @@ log = logging.getLogger("fpsynt.analysis")
 
 # the candidate, and label, of the table's graph with every chain on a widened accumulator
 CHAIN_PLAN = "source+chain"
+_ARITHMETIC = (NodeKind.MUL, NodeKind.ADD)
 
 
 class ErrorBound:
@@ -614,12 +615,12 @@ class _Ctx:
         self.info[node.id] = info
 
 
-def depth_first_order(dfg: Dfg) -> list[str]:
+def depth_first_order(dfg: Dfg, first=()) -> list[str]:
     """The inputs that no output reads, in declaration order, then every
-    node the outputs read in depth-first post-order from the outputs, taken
-    in declaration order, operands left first."""
+    node the outputs read in depth-first post-order from the nodes ``first``
+    and then the outputs, in that order, operands left first."""
     order, seen = [], set()
-    stack = [(o, False) for o in reversed(dfg.output_ids)]
+    stack = [(o, False) for o in reversed((*first, *dfg.output_ids))]
     while stack:
         nid, ready = stack.pop()
         if ready:
@@ -673,17 +674,17 @@ class PlanBuilder:
     (MUL extra truncation, ADD extra pre-scaling) branch; everything else is
     forced. ``build`` runs the whole walk with a fixed choice mapping.
 
-    ``positions`` holds the nodes a step runs at in topological order, the
-    level-first walk that ``build`` takes: the ``depth_first_order`` nodes
-    but a chain's other additions, as its root reads its terms directly.
-    ``search_order`` is the depth-first order, so a value is consumed soon
-    after it is made. ``finish`` lays any walk out level-first, each node
-    at the rank of the step that emitted it. Without chains that is the
-    plan ``build`` makes: a step's nodes and fresh names (``{mul}_q``,
-    ``{add}_p1``, ``{add}_p2``) do not depend on walk order. Where chains
-    share a term, the chain reached first names its truncation of the term
-    or emits that of a shared full-width product, so a builder with chains
-    searches level-first too.
+    ``search_order``, the walk of ``build`` and of the search, holds the
+    ``depth_first_order`` nodes but a chain's other additions (its root
+    reads its terms), so a value is consumed soon after it is made.
+    ``choice_points`` lists the choice points level-first, as a choice
+    vector reads them. ``finish`` lays the walk out level-first, each node
+    at the rank of the step that emitted it. Only a chain's step depends on
+    walk order: the chain stepped first names its truncation of a shared
+    term, emits and re-aliases that of a shared full-width product, and
+    opens ``ctx.accumulators``. So the post-order starts at the chain roots
+    in level-first order; each is then stepped after every lower root, as
+    in a level-first walk, and the plan is the level-first walk's.
 
     ``candidate`` is a ``(label, graph)`` pair of ``enumerate_topologies``
     or ``CHAIN_PLAN``. Bindings, config and quantized constants are those of
@@ -711,11 +712,13 @@ class PlanBuilder:
                         and all(u in chain_adds for u in consumers[tid])):
                     self._full_width_terms.add(tid)
 
-        depth_first = depth_first_order(dfg)
-        walked = set(depth_first) - (chain_adds - set(self.chains))
-        self.positions = [nid for nid in topo_order(dfg) if nid in walked]
-        self._rank = {nid: k for k, nid in enumerate(self.positions)}
-        self.search_order = self.positions if self.chains else depth_first
+        walked = set(depth_first_order(dfg)) - (chain_adds - set(self.chains))
+        level_first = [nid for nid in topo_order(dfg) if nid in walked]
+        self._rank = {nid: k for k, nid in enumerate(level_first)}
+        self.choice_points = [nid for nid in level_first if dfg.node(nid).kind in _ARITHMETIC
+                              and nid not in self.chains and nid not in self._full_width_terms]
+        roots = [nid for nid in level_first if nid in self.chains]
+        self.search_order = [nid for nid in depth_first_order(dfg, roots) if nid in walked]
 
     def reads(self, nid: str) -> tuple[str, ...]:
         """Source ids whose current value the step at ``nid`` reads."""
@@ -730,12 +733,6 @@ class PlanBuilder:
         while name in self._source_ids or name in ctx.info:
             name += "_"
         return name
-
-    def is_choice_point(self, nid: str) -> bool:
-        node = self.dfg.node(nid)
-        if nid in self.chains or nid in self._full_width_terms:
-            return False
-        return node.kind in (NodeKind.MUL, NodeKind.ADD)
 
     # per-node assignment
 
@@ -904,14 +901,14 @@ class PlanBuilder:
                     source=self.table.dfg,
                     config=self.table.config,
                     choices=tuple((n.id, choices.get(n.id, 0)) for n in nodes
-                                  if n.kind in (NodeKind.MUL, NodeKind.ADD) and n.id not in acc),
+                                  if n.kind in _ARITHMETIC and n.id not in acc),
                     accumulators=tuple(ctx.accumulators),
                     topology=self.topology)
 
     def build(self, choices: dict[str, int] | None = None) -> Plan:
         choices = choices or {}
         ctx = _Ctx()
-        for nid in self.positions:
+        for nid in self.search_order:
             self.step(ctx, nid, choices.get(nid, 0))
         return self.finish(ctx, choices)
 

@@ -92,7 +92,7 @@ def _emit_targets(args) -> set[str]:
 def _synthesize_from_file(args):
     try:
         # read as UTF-8, not utf-8-sig, so an error's offset counts a byte-order mark
-        source = Path(args.spec).read_text(encoding="utf-8").removeprefix("\ufeff")
+        source = Path(args.spec).read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise SpecError(f"{args.spec}: not UTF-8 at byte {e.start}") from None
     config = _config_from(args)

@@ -155,7 +155,7 @@ def emit_c(plan: Plan, name: str = "datapath", portable_shift: bool = False) -> 
                   "}",
                   ""]
     for oid in plan.output_ids:
-        args = ", ".join(f"{ctype} {cname[i]}" for i in plan.bindings.inputs)
+        args = ", ".join(f"{ctype} {cname[i]}" for i in plan.bindings.inputs) or "void"
         info = plan.info[oid]
         fmt = info.signal.fmt
         lines += [f"/* {oid} = raw * 2^({info.signal.scale - fmt.f}) */",

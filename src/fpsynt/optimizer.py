@@ -16,30 +16,31 @@ One loop searches a list of candidates on it:
 Each candidate gets an exact branch-and-bound over per-node formatting
 choices (extra product truncation, extra pre-scaling).
 
-The search walks positions depth-first from the outputs
-(``PlanBuilder.search_order``), so each product is consumed by its add
-soon after it is made and few values are live at once. Four facts make
-its cuts exact. Error bounds never decrease along a path, an addition
-passes on the errors of both operands in full and a product at least one
-operand's, so a state whose errors already add up past the incumbent's
-cost cannot win. Every downstream bound is monotone in the operand errors,
-so of two states at one position that agree on the format, interval and
-value grid of every live value, the one with no larger errors there and on
-the finished outputs, and with a choice prefix no larger, reaches every
-completion at least as well as the other; the other is dropped (the
-dominance memo). In a plan that can tie the incumbent no error exceeds the
-incumbent's largest, b0, so no flooring loses more than b0: that bounds
-how far a flooring lowers an interval and how coarse a value grid gets. A
-value's grid is then at least as coarse as a W-bit format holding its
-interval allows, and a value floored from its finest grid 2^e0 to 2^g has
-lost at least 2^g - 2^e0 on the way. Before a topology's first step these
-bound each output's error from below (the grid floor, ``node_floors``), and
-a topology whose floor exceeds the incumbent is cut whole. And the same
-rules bound from below the loss of each step, in every plan that can tie
-the incumbent, whatever the state it runs on: the losses of the steps
-still to come add onto the errors already made, so a state's bound is its
-errors so far plus the losses ahead of it on each output's paths (the
-completion floor, ``_Frontier``).
+Every search walks positions depth-first (``PlanBuilder.search_order``),
+from the chain roots in level-first order and then from the outputs, so
+each product is consumed by its add soon after it is made and few values
+are live at once; ``PlanBuilder`` says why the plan is still the
+level-first walk's. Four facts make its cuts exact. Error bounds never
+decrease along a path, an addition passes on the errors of both operands
+in full and a product at least one operand's, so a state whose errors
+already add up past the incumbent's cost cannot win. Every downstream
+bound is monotone in the operand errors, so of two states at one position
+that agree on the format, interval and value grid of every live value, the
+one with no larger errors there and on the finished outputs, and with a
+choice prefix no larger, reaches every completion at least as well as the
+other; the other is dropped (the dominance memo). In a plan that can tie
+the incumbent no error exceeds the incumbent's largest, b0, so no flooring
+loses more than b0: that bounds how far a flooring lowers an interval and
+how coarse a value grid gets. A value's grid is then at least as coarse as
+a W-bit format holding its interval allows, and a value floored from its
+finest grid 2^e0 to 2^g has lost at least 2^g - 2^e0 on the way. Before a
+topology's first step these bound each output's error from below (the grid
+floor, ``node_floors``), and a topology whose floor exceeds the incumbent
+is cut whole. And the same rules bound from below the loss of each step,
+in every plan that can tie the incumbent, whatever the state it runs on:
+the losses of the steps still to come add onto the errors already made, so
+a state's bound is its errors so far plus the losses ahead of it on each
+output's paths (the completion floor, ``_Frontier``).
 
 A search returns its best leaf, the minimum of (cost, choice vector in
 level-first order), laid out level-first. Across candidates the best plan
@@ -264,13 +265,13 @@ class _Floor:
         self.product_eff, self.views = product_eff, views
 
 
-def _exp_above(x: ErrorBound, strict: bool) -> int:
-    """The smallest R with 2^R > x (``strict``) or 2^R >= x, for x > 0."""
+def _exp_above(x: ErrorBound) -> int:
+    """The smallest R with 2^R >= x, for x > 0."""
     n, e, q = x.n, x.e, x.q
     t = n.bit_length() - q.bit_length() - 1  # q * 2^t < n
     while True:
         a, b = (q << t, n) if t >= 0 else (q, n << -t)
-        if a > b or (a == b and not strict):
+        if a >= b:
             return t + e
         t += 1
 
@@ -389,7 +390,7 @@ def node_floors(table: GraphTable, dfg: Dfg, order: list[str],
     Raises ValueError on a node kind no source graph holds.
     """
     b0_key = (b0.n, b0.e, b0.q)
-    slack = _exp_above(b0, False) if b0.n > 0 else None
+    slack = _exp_above(b0) if b0.n > 0 else None
     floors: dict[str, _Floor] = {}
     for nid in order:
         node = dfg.node(nid)
@@ -487,7 +488,7 @@ def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
     ``PlanBuilder.search_order`` with an explicit stack, candidates in
     increasing order. The result is the leaf with the smallest
     ``cost_key``; among equal keys, the one whose choice vector, read in
-    the level-first order of ``PlanBuilder.positions``, is
+    the level-first order of ``PlanBuilder.choice_points``, is
     lexicographically smallest. ``PlanBuilder.finish`` makes it the plan.
 
     With ``prune`` a state is cut when a lower bound on its cost exceeds
@@ -525,10 +526,10 @@ def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
 
     builder = PlanBuilder(table, candidate)
     order, n = builder.search_order, len(builder.search_order)
-    points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
-    cands = range(table.config.k_max + 1)
-    rows = [cands if builder.is_choice_point(nid) else (0,) for nid in order]
+    points = builder.choice_points
     slot = {nid: k for k, nid in enumerate(points)}
+    cands = range(table.config.k_max + 1)
+    rows = [cands if nid in slot else (0,) for nid in order]
     frontier = _Frontier(builder) if prune and points and table.config.k_max else None
     if frontier is not None and bound is not None:
         frontier.bound_to(bound[0])

@@ -301,8 +301,8 @@ class _Parser:
 
 
 def parse_spec(text: str) -> tuple[Dfg, Bindings]:
-    """Parse .fps source into a dataflow graph plus its name bindings."""
-    return _Parser(tokenize(text)).parse()
+    """Parse .fps source, after any leading byte-order mark, into a graph and its bindings."""
+    return _Parser(tokenize(text.removeprefix("\ufeff"))).parse()
 
 
 def validate_formats(bindings: Bindings, width: int) -> list[Diagnostic]:

@@ -21,6 +21,7 @@ run_fixed runs one vector, as a block of one row.
 from __future__ import annotations
 
 import csv
+import itertools
 import logging
 import math
 import re
@@ -199,14 +200,15 @@ def load_vectors_csv(source, bindings: Bindings,
                      mode: Quantize = Quantize.ROUND) -> VectorSet:
     """Read a vector file: header = input names in declaration order, then
     one decimal real per column per row, in UTF-8, after a byte-order mark
-    if a file opened by path has one. Each decimal, of at most ``MAX_DIGITS``
+    if the source opens with one. Each decimal, of at most ``MAX_DIGITS``
     digits and an exponent at most ``MAX_EXPONENT`` in size, as in a spec,
     is parsed and quantized exactly."""
     close = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
     fh = open(source, newline="", encoding="utf-8-sig") if close else source
     try:
-        reader = csv.reader(fh)
+        lines = iter(fh)
         try:
+            reader = csv.reader(itertools.chain([next(lines).removeprefix("\ufeff")], lines))
             header = next(reader)
         except StopIteration:
             raise VectorError("vector file is empty") from None

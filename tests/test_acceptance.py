@@ -161,7 +161,7 @@ def test_criterion_07_search_oracle_equivalence():
         dfg, bindings = parse_spec(src)
         table = GraphTable(dfg, bindings, cfg)
         builder = PlanBuilder(table, ("source", dfg))
-        points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
+        points = builder.choice_points
         best = None
         for combo in itertools.product(range(cfg.k_max + 1), repeat=len(points)):
             try:

@@ -202,6 +202,25 @@ def test_c_names_are_distinct_and_free(tmp_path, src, portable):
     assert got == run_fixed_columns(plan, pairs)["shr"].tolist()
 
 
+def test_c_of_an_input_less_spec_is_a_prototype(tmp_path):
+    """With no inputs the function takes ``(void)``, which strict C99
+    accepts, and it returns the constant's raw word."""
+    plan = synthesize("output y = 0.5;\n")
+    art = emit_c(plan, "k")
+    assert "int32_t fps_y(void) {" in art.source
+    (tmp_path / "dut.c").write_text(art.source)
+    (tmp_path / "main.c").write_text(
+        '#include <stdint.h>\n#include <stdio.h>\nint32_t fps_y(void);\n'
+        'int main(void) { printf("%d\\n", (int)fps_y()); return 0; }\n')
+    cc = shutil.which("cc") or shutil.which("gcc")
+    assert cc is not None
+    exe = tmp_path / "dut"
+    subprocess.run([cc, "-std=c99", "-Wstrict-prototypes", "-Werror", "-o", str(exe),
+                    str(tmp_path / "dut.c"), str(tmp_path / "main.c")], check=True)
+    out = subprocess.run([str(exe)], capture_output=True, text=True, check=True)
+    assert int(out.stdout) == run_fixed_columns(plan, np.zeros((1, 0), dtype=object))["y"][0]
+
+
 def test_c_uses_wider_type_for_wide_plans():
     plan = synthesize(FIR4_SRC, Config(width=32))
     src = emit_c(plan, "wide").source

@@ -307,7 +307,7 @@ def test_exact_error_bounds_are_pinned(monkeypatch):
     calls, made = _count_steps(monkeypatch), _count_builders(monkeypatch)
     plan = topological_optimize(*ODD_DENOMINATORS, Config(width=16))
     assert plan.topology == "source+chain"
-    assert calls[0] == 111
+    assert calls[0] == 106
     assert made[0] == 3  # its two topologies are not cut
     assert {n.id: str(plan.info[n.id].err) for n in plan.graph.nodes} == ODD_DENOMINATOR_ERRORS
     assert list(ODD_DENOMINATOR_ERRORS) == [n.id for n in plan.graph.nodes]

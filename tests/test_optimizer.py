@@ -12,7 +12,7 @@ from fpsynt.analysis import (CHAIN_PLAN, ErrorBound, GraphTable, PlanBuilder, _C
                              choose_const_format, cost_key, depth_first_order, find_chains)
 from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
-from fpsynt.core import Dfg, Node, NodeKind, encode
+from fpsynt.core import Dfg, Node, NodeKind, encode, topo_order
 from fpsynt.errors import CannotFitError
 from fpsynt.optimizer import (_Frontier, combinatorial_search, enumerate_topologies,
                               node_floors, topological_optimize)
@@ -49,7 +49,7 @@ def exhaustive_minimum(dfg, bindings, config) -> Fraction:
     """Brute-force oracle: evaluate every complete choice vector (no search,
     no pruning) and take the smallest output bound."""
     builder = PlanBuilder(GraphTable(dfg, bindings, config), ("source", dfg))
-    points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
+    points = builder.choice_points
     best = None
     for combo in itertools.product(range(config.k_max + 1), repeat=len(points)):
         try:
@@ -272,7 +272,8 @@ output y = c0*u + c1*x + x*(c2 + x*(c3 + c1*u + c2*x) + u) + c3*u*x;
 # Both chains, t4 = (-c0 + t0) - (-t0 + c1) and t5 = (-c0 + t0) + v4, open
 # with a negated term and fall back to pairwise adds. The product t0 feeds
 # both at full width: the chain a walk reaches first emits its truncation
-# t0_q, and the other reuses it. The level-first walk reaches t4 first.
+# t0_q, and the other reuses it. Chain roots are stepped in level-first
+# order, so t4 first.
 def _shared_fallback(c1: Fraction):
     return make_graph(
         {"v0": (1, 0, 2), "v4": (1, 1, 5)}, {"c0": Fraction(-1), "c1": c1},
@@ -291,7 +292,8 @@ SHARED_FALLBACK_TERM = _shared_fallback(Fraction(1, 2))
 # plan's cost is not 0 and the bound can cut
 SHARED_FALLBACK_PRODUCT = _shared_fallback(Fraction(3, 10))
 
-# Two chains truncate the shared input x1; fresh names follow walk order
+# Two chains truncate the shared input x1; fresh names follow the order in
+# which the chains are stepped
 TWO_CHAINS_SHARE_AN_INPUT = parse_spec("""\
 input x0 : sif(1/3/12);
 input x1 : sif(1/0/15);
@@ -305,17 +307,32 @@ output y2 = 0.3*x0 + 0.7*x1;
 """)
 
 
-def test_chain_plan_search_walks_level_first():
-    """The node order and names of a chain plan depend on the walk, so a
-    search with chains walks level-first, and its best leaf is the plan that
-    ``build`` makes of its choices."""
+def _level_first_plan(builder: PlanBuilder, choices: dict):
+    """The plan of a walk that takes ``builder``'s steps in level-first
+    (topological) order."""
+    ctx, walked = _Ctx(), set(builder.search_order)
+    for nid in topo_order(builder.dfg):
+        if nid in walked:
+            builder.step(ctx, nid, choices.get(nid, 0))
+    return builder.finish(ctx, choices)
+
+
+def test_chain_plan_search_walks_depth_first_into_the_level_first_plan():
+    """The node order and names of a chain plan depend on the order in
+    which its chains are stepped. A search with chains walks depth-first,
+    chain roots first in level-first order, and its best leaf is the plan
+    that ``build`` makes of its choices."""
     cases = [(SHARED_FALLBACK_TERM, Config(width=32, k_max=2)),
              (TWO_CHAINS_SHARE_AN_INPUT, Config(width=16, k_max=1, enable_topology_opt=False))]
     plans = []
     for (dfg, bindings), cfg in cases:
         table = GraphTable(dfg, bindings, cfg)
         plan = combinatorial_search(table, CHAIN_PLAN)
-        built = PlanBuilder(table, CHAIN_PLAN).build(dict(plan.choices))
+        builder = PlanBuilder(table, CHAIN_PLAN)
+        assert builder.search_order != [n for n in topo_order(dfg) if n in builder.search_order]
+        built = builder.build(dict(plan.choices))
+        assert [n.id for n in plan.graph.nodes] == \
+            [n.id for n in _level_first_plan(builder, dict(plan.choices)).graph.nodes]
         assert emit_c(plan).source == emit_c(built).source
         assert emit_vhdl(plan).source == emit_vhdl(built).source
         assert report_json(plan) == report_json(built)
@@ -351,6 +368,36 @@ def test_chain_fallbacks_pruned_equal_unpruned(graph, cfg, caplog):
     if graph is SHARED_FALLBACK_PRODUCT:  # the bound cuts on this shape
         line = next(r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer")
         assert int(line.split(" leaves, ")[1].split()[0]) >= 1, line  # incumbent prunes
+
+
+# one four-term chain, on y1, beside sums of two terms and their product on y0
+MIXED_CHAINS = parse_spec("""\
+input a : sif(1/1/6);
+input b : sif(1/0/7);
+input c : sif(1/2/5);
+const k = 0.37;
+output y0 = (a*b + k*c)*(a - c) + b;
+output y1 = a*b + k*c + a + b*k;
+""")
+
+
+@pytest.mark.parametrize("graph,cfg,steps", [
+    (TWO_CHAINS_SHARE_AN_INPUT, Config(width=24, k_max=3), 233),
+    (MIXED_CHAINS, Config(width=16, k_max=3), 1895),
+], ids=["two-chains", "mixed"])
+def test_chain_plan_step_counts_are_pinned(graph, cfg, steps, monkeypatch):
+    """``PlanBuilder.step`` calls of a synthesis whose chain plan has
+    choice points. A level-first walk of the chain plan took 333 and 2,276."""
+    calls = [0]
+    step = PlanBuilder.step
+
+    def counting_step(self, *args):
+        calls[0] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(PlanBuilder, "step", counting_step)
+    check_plan(topological_optimize(*graph, cfg))
+    assert calls[0] == steps
 
 
 def test_chain_opened_by_a_negated_term_falls_back_soundly():
@@ -450,34 +497,67 @@ def test_random_small_graphs_pruning_safety():
     assert shared >= 10 and searched >= 40
 
 
+def _random_chain_graph(rng: random.Random) -> tuple[Dfg, Bindings]:
+    """2-3 products of an input and a constant, read only by 2-4 addition
+    chains of 3-4 terms, each opened by a product, at times negated, so
+    that the chain falls back to pairwise adds; one output per chain."""
+    inputs = {f"v{k}": (1, rng.choice([0, 1]), rng.choice([2, 4, 6])) for k in range(3)}
+    consts = {f"c{k}": Fraction(rng.choice([-7, -3, 1, 3, 5]), rng.choice([2, 4, 10]))
+              for k in range(2)}
+    prods = [f"p{k}" for k in range(rng.choice([2, 3]))]
+    ops = [(p, NodeKind.MUL, (rng.choice(list(inputs)), rng.choice(list(consts))), (False, False))
+           for p in prods]
+    outputs = {}
+    for c in range(rng.randint(2, 4)):
+        run = rng.choice(prods)
+        for j in range(rng.randint(2, 3)):
+            first = j == 0 and rng.random() < 0.3
+            term = rng.choice(prods + list(inputs))
+            ops.append((f"s{c}_{j}", NodeKind.ADD, (run, term),
+                        (first, not first and rng.random() < 0.25)))
+            run = f"s{c}_{j}"
+        outputs[f"y{c}"] = run
+    return make_graph(inputs, consts, ops, outputs)
+
+
 def test_a_depth_first_walk_finishes_into_the_level_first_plan():
-    """A walk of ``search_order`` with any choices, closed by ``finish``,
-    gives the plan that ``build`` gives for those choices: with no chain,
-    a step's nodes and fresh names do not depend on walk order."""
+    """A walk of ``search_order`` with any choices, closed by ``finish`` as
+    ``build`` closes it, gives the plan of a level-first walk: only a
+    chain's step depends on the order of the steps, and the walk steps the
+    chain roots in level-first order. The chain plans share full-width
+    products between chains, and fall back where a chain opens negated."""
     rng = random.Random(7)
-    walks = reordered = 0
-    for _ in range(30):
-        dfg, bindings = _random_shared_graph(rng)
+    cases = [(_random_shared_graph(rng), False) for _ in range(30)]
+    cases += [(_random_chain_graph(rng), True) for _ in range(40)]
+    walks = {False: 0, True: 0}
+    reordered = {False: 0, True: 0}
+    fallbacks = 0
+    for (dfg, bindings), chained in cases:
         builder = PlanBuilder(GraphTable(dfg, bindings, Config(width=rng.choice([8, 12]), k_max=2)),
-                              ("source", dfg))
-        points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
+                              CHAIN_PLAN if chained else ("source", dfg))
         for _ in range(4):
-            choices = {nid: rng.randint(0, 2) for nid in points}
+            choices = {nid: rng.randint(0, 2) for nid in builder.choice_points}
             try:
-                want = builder.build(choices)
+                want = _level_first_plan(builder, choices)
             except CannotFitError:
                 continue
             ctx = _Ctx()
             for nid in builder.search_order:
                 builder.step(ctx, nid, choices.get(nid, 0))
             got = builder.finish(ctx, choices)
+            assert [n.id for n in got.graph.nodes] == [n.id for n in want.graph.nodes]
             assert got.choices == want.choices
+            assert got.accumulators == want.accumulators
             assert emit_c(got).source == emit_c(want).source
             assert emit_vhdl(got).source == emit_vhdl(want).source
             assert report_json(got) == report_json(want)
-            walks += 1
-            reordered += [n for _, n in ctx.nodes] != list(want.graph.nodes)
-    assert walks >= 60 and reordered >= 30, (walks, reordered)
+            assert report_json(builder.build(choices)) == report_json(want)
+            walks[chained] += 1
+            reordered[chained] += [n for _, n in ctx.nodes] != list(want.graph.nodes)
+            fallbacks += len(want.accumulators) < len(builder.chains)
+    assert walks[False] >= 60 and reordered[False] >= 30, (walks, reordered)
+    assert walks[True] >= 100 and reordered[True] >= 50 and fallbacks >= 30, \
+        (walks, reordered, fallbacks)
 
 
 def exhaustive_argmin(dfg, bindings, config):
@@ -485,7 +565,7 @@ def exhaustive_argmin(dfg, bindings, config):
     choice vectors with the smallest cost key, the lexicographically
     smallest in level-first position order."""
     builder = PlanBuilder(GraphTable(dfg, bindings, config), ("source", dfg))
-    points = [nid for nid in builder.positions if builder.is_choice_point(nid)]
+    points = builder.choice_points
     ranked = []
     for combo in itertools.product(range(config.k_max + 1), repeat=len(points)):
         try:
@@ -516,8 +596,8 @@ def test_ties_fall_to_the_level_first_smallest_choices(width):
     cfg = Config(width=width, k_max=2)
     table = GraphTable(dfg, bindings, cfg)
     builder = PlanBuilder(table, ("source", dfg))
-    assert ([n for n in builder.positions if builder.is_choice_point(n)]
-            != [n for n in builder.search_order if builder.is_choice_point(n)])
+    assert builder.choice_points != [n for n in builder.search_order
+                                     if n in builder.choice_points]
     want = exhaustive_argmin(dfg, bindings, cfg)
     assert want.choices == (("t0", 0), ("t1", 1), ("t3", 0), ("t5", 0), ("t4", 0))
     for prune in (True, False):
@@ -832,8 +912,8 @@ def test_grid_floor_never_exceeds_a_topologys_optimum():
             except CannotFitError:
                 continue
             builder = PlanBuilder(table, (label, topo))
-            floors = node_floors(
-                builder.table, topo, builder.positions, ErrorBound.of(best.cost_key[0], builder.den))
+            floors = node_floors(builder.table, topo, builder.search_order,
+                                 ErrorBound.of(best.cost_key[0], builder.den))
             for o in topo.output_ids:
                 floor = floors[o].err.as_fraction()
                 assert floor <= best.info[o].err, (label, o)
@@ -909,7 +989,7 @@ def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
         if pos == len(order):
             return cost_key([ctx.info[o].err for o in dfg.output_ids])
         best = None
-        for choice in cands if builder.is_choice_point(order[pos]) else (0,):
+        for choice in cands if order[pos] in builder.choice_points else (0,):
             branch = ctx.clone()
             try:
                 builder.step(branch, order[pos], choice)

@@ -110,6 +110,16 @@ def test_error_position_points_at_reference_site():
     assert exc.value.col == 16
 
 
+def test_a_byte_order_mark_is_dropped():
+    """A leading U+FEFF gives the graph of the text without it; line 1's
+    columns count from after the mark."""
+    src = "input x : sif(1/0/7);\noutput y = 0.5*x;\n"
+    assert parse_spec("\ufeff" + src) == parse_spec(src)
+    with pytest.raises(ParseError) as exc:
+        parse_spec("\ufeffinput x : sif(1/0/7) @")
+    assert (exc.value.line, exc.value.col) == (1, 22)
+
+
 def _nested(levels):
     return "input x : sif(1/0/7);\noutput y = " + "(" * levels + "x" + ")" * levels + ";\n"
 

@@ -209,6 +209,15 @@ def test_csv_digit_bound_is_the_spec_bound():
             load_vectors_csv(io.StringIO(f"x0,x1\n0.5,{big}\n"), bindings)
 
 
+def test_csv_byte_order_mark_in_a_stream():
+    """A stream that opens with U+FEFF reads as the same text without it,
+    also where the first header cell is quoted."""
+    _, bindings = parse_spec(TWO_TAP_SRC)
+    for text in ("x0,x1\n0.5,-0.25\n", '"x0",x1\r\n0.5,-0.25\r\n'):
+        assert load_vectors_csv(io.StringIO("\ufeff" + text), bindings).vectors \
+            == load_vectors_csv(io.StringIO(text), bindings).vectors
+
+
 def test_vector_quantization_mode_recorded():
     _, bindings = parse_spec(TWO_TAP_SRC)
     vecset = load_vectors_csv(io.StringIO("x0,x1\n0.111,0.222\n"), bindings,
