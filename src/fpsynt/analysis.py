@@ -29,7 +29,7 @@ from __future__ import annotations
 import functools
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import MAX_WIDTH, Config
@@ -557,6 +557,7 @@ class Plan:
     choices: tuple[tuple[str, int], ...]
     accumulators: tuple[AccumulatorInfo, ...]
     topology: str = "source"
+    searches: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def output_ids(self) -> tuple[str, ...]:
@@ -576,18 +577,14 @@ class Plan:
         return sum(1 for n in self.graph.nodes if n.kind in (NodeKind.SHR, NodeKind.TRUNC))
 
     def order(self) -> list[str]:
-        cached = getattr(self, "_order", None)
-        if cached is None:
-            cached = topo_order(self.graph)
-            object.__setattr__(self, "_order", cached)
-        return cached
+        if "_order" not in self.__dict__:
+            object.__setattr__(self, "_order", topo_order(self.graph))
+        return self._order
 
     def source_order(self) -> list[str]:
-        cached = getattr(self, "_source_order", None)
-        if cached is None:
-            cached = topo_order(self.source)
-            object.__setattr__(self, "_source_order", cached)
-        return cached
+        if "_source_order" not in self.__dict__:
+            object.__setattr__(self, "_source_order", topo_order(self.source))
+        return self._source_order
 
 
 class _Ctx:
@@ -638,20 +635,24 @@ class GraphTable:
     ``PlanBuilder``), ``quantized``, the NodeInfo and raw word of each
     constant that a node reads, on first use the graph's chains, and
     ``floors``, the memo of ``optimizer.node_floors`` that the graph's
-    topologies share. Raises CannotFitError, before any search, when such a
-    constant does not fit the word width."""
+    topologies share, and ``searches``, an ``optimizer.SearchStats`` per search
+    run on it. Raises CannotFitError, before any search, at the first input or
+    such constant in declaration order that does not fit the word width."""
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config):
         self.dfg, self.bindings, self.config = dfg, bindings, config
+        W = config.width
         self.den = math.lcm(*(_odd_part(Fraction(n.value).denominator)
                               for n in dfg.nodes if n.kind is NodeKind.CONST))
         self.zero = ErrorBound(0, 0, self.den)
         self.quantized: dict[str, tuple[NodeInfo, int]] = {}
         read = {r for n in dfg.nodes for r in n.operands}
         for node in dfg.nodes:
+            if node.kind is NodeKind.INPUT and (w := bindings.input_format(node.id).width) > W:
+                raise CannotFitError(f"input '{node.id}' is {w} bits wide, word width is {W}")
             if node.kind is NodeKind.CONST and node.id in read:
                 try:
-                    fmt = choose_const_format(node.value, config.width)
+                    fmt = choose_const_format(node.value, W)
                 except CannotFitError as e:
                     raise CannotFitError(f"const '{node.id}': {e}") from None
                 raw = encode(node.value, fmt, config.quantize)
@@ -661,6 +662,7 @@ class GraphTable:
                     NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
         # per (b0, kind, leaf, negate, ids of the operands' records)
         self.floors: dict[tuple, object] = {}
+        self.searches: list = []
 
     @functools.cached_property
     def chains(self) -> list[Chain]:
@@ -738,13 +740,9 @@ class PlanBuilder:
 
     def step(self, ctx: _Ctx, nid: str, choice: int = 0):
         node = self.dfg.node(nid)
-        W = self.width
         ctx.rank = self._rank[nid]
         if node.kind is NodeKind.INPUT:
             fmt = self.table.bindings.input_format(nid)
-            if fmt.width > W:
-                raise CannotFitError(
-                    f"input '{nid}' is {fmt.width} bits wide, word width is {W}")
             ctx.emit(node, NodeInfo(ScaledSignal(fmt, 0), Interval.from_raws(
                 fmt.min_raw, fmt.max_raw, -fmt.f), self.zero))
             ctx.alias[nid] = nid

@@ -66,16 +66,19 @@ _VHDL_BASIC = re.compile(r"[A-Za-z](_?[A-Za-z0-9])*")
 def _c_names(plan: Plan) -> dict[str, str]:
     """The C name of each input and output: its own, or where that is
     reserved, itself with ``_`` appended until it is free and unique."""
-    def reserved(name: str, nid: str) -> bool:  # an output y is also fps_y
-        return name in _C_RESERVED or (nid in plan.output_ids and f"fps_{name}" in _C_RESERVED)
+    prefix = {**dict.fromkeys(plan.bindings.inputs, ""), **dict.fromkeys(plan.output_ids, "fps_")}
 
-    names = [*plan.bindings.inputs, *plan.output_ids]
-    emitted = {nid: nid for nid in names if not reserved(nid, nid)}
-    for nid in [n for n in names if n not in emitted]:
+    def reserved(name: str, nid: str) -> bool:  # an output y is also fps_y
+        return name in _C_RESERVED or prefix[nid] + name in _C_RESERVED
+
+    emitted = {nid: nid for nid in prefix if not reserved(nid, nid)}
+    used = set(emitted.values())
+    for nid in [n for n in prefix if n not in emitted]:
         name = nid + "_"
-        while name in emitted.values() or reserved(name, nid):
+        while name in used or reserved(name, nid):
             name += "_"
         emitted[nid] = name
+        used.add(name)
     return emitted
 
 
@@ -154,8 +157,8 @@ def emit_c(plan: Plan, name: str = "datapath", portable_shift: bool = False) -> 
                   "    return (v >= 0) ? v / d : -((-v + d - 1) / d);",
                   "}",
                   ""]
+    args = ", ".join(f"{ctype} {cname[i]}" for i in plan.bindings.inputs) or "void"
     for oid in plan.output_ids:
-        args = ", ".join(f"{ctype} {cname[i]}" for i in plan.bindings.inputs) or "void"
         info = plan.info[oid]
         fmt = info.signal.fmt
         lines += [f"/* {oid} = raw * 2^({info.signal.scale - fmt.f}) */",

@@ -230,6 +230,7 @@ class Dfg:
 
     nodes: tuple[Node, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
+    output_ids: tuple[str, ...] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         by_id = {}
@@ -242,13 +243,11 @@ class Dfg:
                 if op not in by_id:
                     raise ValueError(f"node '{n.id}' references unknown operand '{op}'")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "output_ids",
+                           tuple(n.id for n in self.nodes if n.kind is NodeKind.OUTPUT))
 
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
-
-    @property
-    def output_ids(self) -> tuple[str, ...]:
-        return tuple(n.id for n in self.nodes if n.kind is NodeKind.OUTPUT)
 
     def consumers(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {n.id: [] for n in self.nodes}

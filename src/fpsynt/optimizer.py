@@ -48,11 +48,13 @@ has the smallest predicted output bound; ties fall to fewer inserted
 formatting nodes, then to the earlier rank: the topologies in enumeration
 order, then the chain-accumulator plan. The best cost found so far is the
 shared incumbent of every later search. Every cut is strict, since a tie
-can still win on the choice vector or on the formatting-node count.
+can still win on the choice vector or on the formatting-node count. Each
+search's ``SearchStats`` goes to ``GraphTable.searches`` and ``Plan.searches``.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import logging
 import math
@@ -68,7 +70,25 @@ log = logging.getLogger("fpsynt.optimizer")
 
 _MAX_TOPOLOGY_PRODUCT = 1024
 
-_COUNTERS = "search %s: %d steps, %d leaves, %d incumbent prunes, %d dominance prunes%s"
+
+@dataclasses.dataclass(frozen=True)
+class SearchStats:
+    """One ``combinatorial_search`` of the candidate ``label``; ``cut`` is
+    "grid floor" or "incumbent" when that cut the whole candidate, else None.
+    Its text is the search's ``fpsynt.optimizer`` INFO line."""
+
+    label: str
+    steps: int = 0
+    leaves: int = 0
+    incumbent_prunes: int = 0
+    dominance_prunes: int = 0
+    cut: str | None = None
+
+    def __str__(self) -> str:
+        return (f"search {self.label}: {self.steps} steps, {self.leaves} leaves, "
+                f"{self.incumbent_prunes} incumbent prunes, {self.dominance_prunes} "
+                "dominance prunes" + (f", cut by the {self.cut}" if self.cut else ""))
+
 
 # which operand of a product carries its error into the cones: the first
 # one of the highest rank, a computed value's being 2 (an input's error is
@@ -507,11 +527,12 @@ def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
     the completion floors for each bound the search takes, and, with an
     incumbent, bounds each output's error before the first step: when that
     exceeds the incumbent, no plan can tie it, and the search ends there,
-    before it makes a ``PlanBuilder``: the floor reads only the topology and
-    ``table``, whose memo the topologies of its graph share.
+    before it makes a ``PlanBuilder``.
 
-    Returns None when ``incumbent`` cuts every plan. Raises CannotFitError
-    when no choice fits the word width.
+    Every exit appends the search's ``SearchStats`` to ``table.searches``
+    and logs its text: a grid-floor cut, a finished search, an incumbent
+    cut, which returns None, and a search that raises CannotFitError, as no
+    choice fits the word width.
     """
     outputs = table.dfg.output_ids
     # bounds are compared on the table's denominator
@@ -521,7 +542,8 @@ def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
         label, dfg = candidate
         floors = node_floors(table, dfg, depth_first_order(dfg), bound[0])
         if cost_key([floors[o].err for o in outputs]) > bound:
-            log.info(_COUNTERS, label, 0, 0, 0, 0, ", cut by the grid floor")
+            table.searches.append(SearchStats(label, cut="grid floor"))
+            log.info("%s", table.searches[-1])
             return None
 
     builder = PlanBuilder(table, candidate)
@@ -584,8 +606,9 @@ def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
             vec = vec[:k] + (row[cand],) + vec[k + 1:]
         stack.append((pos + 1, branch, vec, 0))
 
-    log.info(_COUNTERS, builder.topology, steps, leaves, cuts, dominated,
-             ", cut by the incumbent" if best_vec is None and cuts else "")
+    table.searches.append(SearchStats(builder.topology, steps, leaves, cuts, dominated,
+                                      "incumbent" if best_vec is None and cuts else None))
+    log.info("%s", table.searches[-1])
     if best_vec is None:
         if cuts:
             return None
@@ -726,4 +749,4 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
 
     if not ranked:
         raise CannotFitError("; ".join(e for _, e in sorted(errors)) or "no feasible plan")
-    return min(ranked, key=lambda r: r[0])[1]
+    return dataclasses.replace(min(ranked, key=lambda r: r[0])[1], searches=tuple(table.searches))

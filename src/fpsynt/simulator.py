@@ -207,11 +207,11 @@ def load_vectors_csv(source, bindings: Bindings,
     fh = open(source, newline="", encoding="utf-8-sig") if close else source
     try:
         lines = iter(fh)
-        try:
-            reader = csv.reader(itertools.chain([next(lines).removeprefix("\ufeff")], lines))
-            header = next(reader)
-        except StopIteration:
-            raise VectorError("vector file is empty") from None
+        first = next(lines, "").removeprefix("\ufeff")  # a real line is never ''
+        if not first:
+            raise VectorError("vector file is empty")
+        reader = csv.reader(itertools.chain([first], lines))
+        header = next(reader)
         expected = list(bindings.inputs)
         if [h.strip() for h in header] != expected:
             raise VectorError(

@@ -9,7 +9,7 @@ import pytest
 
 from fpsynt.cli import main
 
-from conftest import FIR4_SRC, child_env
+from conftest import FIR4_SRC, MIXED_CHAINS_SRC, child_env
 
 BAD_SRC = "input x : sif(1/0/15)\noutput y = x;\n"  # missing semicolon
 
@@ -188,6 +188,24 @@ def test_byte_identical_reruns(fir4_spec, tmp_path):
     assert main(["synth", str(fir4_spec), "-o", str(out2)]) == 0
     for name in ("fir4.fps.c", "fir4.fps.vhd", "report.json"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_byte_identical_across_processes_and_hash_seeds(tmp_path):
+    """Synthesis in child processes under two string-hash seeds, and in this
+    one, writes the same C, VHDL and report.json for a spec whose chains
+    share terms, so no artifact depends on the iteration order of a set."""
+    spec = tmp_path / "mixed.fps"
+    spec.write_text(MIXED_CHAINS_SRC)
+    runs = [tmp_path / "here"]
+    assert main(["synth", str(spec), "-o", str(runs[0])]) == 0
+    for seed in ("0", "4242"):
+        runs.append(tmp_path / seed)
+        subprocess.run([sys.executable, "-m", "fpsynt.cli", "synth", str(spec),
+                        "-o", str(runs[-1])],
+                       check=True, capture_output=True, env=child_env(PYTHONHASHSEED=seed))
+    names = ("mixed.fps.c", "mixed.fps.vhd", "report.json")
+    first, *others = [[(out / name).read_bytes() for name in names] for out in runs]
+    assert all(other == first for other in others)
 
 
 def test_opt_flags_change_the_plan(fir4_spec, tmp_path):

@@ -1,5 +1,6 @@
 """Emitted C/VHDL: constants, shape, determinism, differential equivalence."""
 
+import dataclasses
 import itertools
 import json
 import re
@@ -14,14 +15,15 @@ import pytest
 import fpsynt
 from fpsynt.codegen import _VHDL_RESERVED, emit_c, emit_vhdl
 from fpsynt.config import Config
+from fpsynt.core import Dfg
 from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
 from fpsynt.simulator import TestVector as Vec
 from fpsynt.simulator import generate_vectors, run_fixed, run_fixed_columns
 
 from conftest import (FIR4_SRC, SKEWED_SUM, VhdlError, extract_c_expression,
-                      interpret_c_expression, interpret_vhdl, make_horner_src, quantize_const,
-                      vhdl_ports)
+                      interpret_c_expression, interpret_vhdl, make_horner_src, make_sum_src,
+                      quantize_const, vhdl_ports)
 
 TWO_TAP_SRC = ("input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\n"
                "const w0 = 0.3;\nconst w1 = 0.6;\n"
@@ -83,6 +85,26 @@ def test_c_determinism():
     a = emit_c(synthesize(FIR4_SRC), "fir4")
     b = emit_c(synthesize(FIR4_SRC), "fir4")
     assert a.source == b.source
+
+
+def test_emit_c_walks_the_nodes_as_often_on_any_number_of_inputs():
+    """``emit_c`` passes over the plan's nodes a fixed number of times: as
+    often on a 2,000-input sum as on a 4-input one. One pass per input or
+    output name made it quadratic in the spec's size."""
+    count, walks = [0], {}
+
+    class Nodes(tuple):
+        def __iter__(self):
+            count[0] += 1
+            return super().__iter__()
+
+    for n in (4, 2000):
+        plan = synthesize(make_sum_src(n), Config(width=32, k_max=0, enable_topology_opt=False))
+        counted = dataclasses.replace(plan, graph=Dfg(Nodes(plan.graph.nodes)))
+        count[0] = 0  # building the Dfg walks its nodes too
+        assert emit_c(counted).source == emit_c(plan).source
+        walks[n] = count[0]
+    assert walks[2000] == walks[4] <= 4, walks
 
 
 def test_c_keyword_inputs_are_renamed():

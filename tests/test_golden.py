@@ -3,10 +3,10 @@ count for a fixed set of specs.
 
 A change to the analyzer's arithmetic or to the search must leave plans,
 C (both shift styles), VHDL and ``report.json`` byte for byte as they are,
-and a change in the number of ``PlanBuilder.step`` calls, or in the
-leaves and prunes of the ``fpsynt.optimizer`` counter lines, is a change
-in the search's behaviour. The number of ``PlanBuilder`` constructions is
-pinned too: a candidate that the grid floor cuts makes none. The specs are
+and a change in a search's record (``Plan.searches``: its steps, leaves
+and prunes) is a change in the search's behaviour. The number of searches
+that the grid floor did not cut, each of which makes a ``PlanBuilder``, is
+pinned too. The specs are
 ``demos/specs/fir4.fps``, copies of the benchmark's FIR-5, Horner-8,
 ``matvec2x3`` and ``matvec2x2`` sources, two of acceptance criterion 06's
 fuzz specs under that criterion's config, and three larger rungs: FIR-32,
@@ -20,8 +20,8 @@ and exits 1 when any of them moved.
 """
 
 import hashlib
-import logging
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -134,9 +134,9 @@ def _fuzz_config(width: int, chain: bool) -> Config:
     return Config(width=width, k_max=1, enable_topology_opt=False, enable_chain_alloc=chain)
 
 
-# name: (source, config, PlanBuilder.step calls, then the sha256 of the C,
-#        the C with portable shifts, the VHDL, report.json and the
-#        fpsynt.optimizer INFO lines joined by newlines)
+# name: (source, config, steps over all searches, then the sha256 of the C,
+#        the C with portable shifts, the VHDL, report.json and the searches'
+#        records, their fpsynt.optimizer INFO lines, joined by newlines)
 GOLDEN = {
     "fir4": (FIR4, Config(width=16), 14,
         "d0947d561794953f24842abd40c591f4f6fef68027d1fb6698fb56ce03e70b62",
@@ -201,8 +201,8 @@ GOLDEN = {
 }
 
 
-# name: PlanBuilder constructions. Each spec makes one builder, for its chain
-# plan or its one candidate, as the grid floor cuts every other candidate
+# name: searches that the grid floor did not cut. Each spec has one, of its
+# chain plan or its one candidate, as the floor cuts every other candidate
 # before its first step; matvec4x4 has 626 candidates.
 BUILDERS = {name: 1 for name in GOLDEN}
 
@@ -211,51 +211,67 @@ def _digest(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def _count_steps(monkeypatch) -> list[int]:
-    """Patch ``PlanBuilder.step`` to count its calls into the returned cell."""
-    calls = [0]
-    step = PlanBuilder.step
-
-    def counting_step(self, *args, **kwargs):
-        calls[0] += 1
-        return step(self, *args, **kwargs)
-
-    monkeypatch.setattr(PlanBuilder, "step", counting_step)
-    return calls
+def _built(searches) -> int:
+    """The searches that made a ``PlanBuilder``: those the floor did not cut."""
+    return sum(s.cut != "grid floor" for s in searches)
 
 
-def _count_builders(monkeypatch) -> list[int]:
-    """Patch ``PlanBuilder.__init__`` to count constructions into the
-    returned cell."""
-    made = [0]
-    init = PlanBuilder.__init__
-
-    def counting_init(self, *args, **kwargs):
-        made[0] += 1
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(PlanBuilder, "__init__", counting_init)
-    return made
+def _current(name: str) -> tuple:
+    """What ``test_artifacts_and_step_count_are_pinned`` compares for one
+    spec: (builders, steps, C, portable C, VHDL, report.json, records)."""
+    source, config = GOLDEN[name][:2]
+    plan = synthesize(source, config)
+    return (_built(plan.searches), sum(s.steps for s in plan.searches),
+            _digest(emit_c(plan, name=name).source),
+            _digest(emit_c(plan, name=name, portable_shift=True).source),
+            _digest(emit_vhdl(plan, name=name).source),
+            _digest(report_json(plan)),
+            _digest("\n".join(map(str, plan.searches))))
 
 
 @pytest.mark.parametrize("name", list(GOLDEN))
-def test_artifacts_and_step_count_are_pinned(name, monkeypatch, caplog):
-    source, config, steps, c, c_portable, vhdl, report, counters = GOLDEN[name]
-    calls, made = _count_steps(monkeypatch), _count_builders(monkeypatch)
-    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
-        plan = synthesize(source, config)
-    lines = [r.getMessage() for r in caplog.records
-             if r.name == "fpsynt.optimizer" and r.levelno == logging.INFO]
-    got = (calls[0],
-           _digest(emit_c(plan, name=name).source),
-           _digest(emit_c(plan, name=name, portable_shift=True).source),
-           _digest(emit_vhdl(plan, name=name).source),
-           _digest(report_json(plan)),
-           _digest("\n".join(lines)))
-    assert got == (steps, c, c_portable, vhdl, report, counters)
-    assert made[0] == BUILDERS[name]
-    # no search steps its winner again: every step is in a counter line
-    assert calls[0] == sum(int(line.split(" steps, ")[0].split()[-1]) for line in lines)
+def test_artifacts_and_step_count_are_pinned(name):
+    assert _current(name) == (BUILDERS[name],) + GOLDEN[name][2:]
+
+
+# an API graph on which some steps raise CannotFitError at W=8, k_max=2
+FAILING_STEPS = make_graph(
+    {"v0": (1, 0, 0), "v1": (1, 0, 3)}, {"c0": Fraction(5, 4)},
+    [("m0", NodeKind.MUL, ("c0", "v0"), (False, False)),
+     ("m1", NodeKind.MUL, ("v0", "v0"), (False, False)),
+     ("m2", NodeKind.MUL, ("v1", "c0"), (False, False)),
+     ("s0", NodeKind.ADD, ("v0", "m0"), (False, False)),
+     ("s1", NodeKind.ADD, ("s0", "m2"), (False, False)),
+     ("s2", NodeKind.ADD, ("s1", "m1"), (False, True)),
+     ("u", NodeKind.ADD, ("m2", "s0"), (False, False))],
+    {"y0": "s2", "y1": "u"})
+
+
+def test_records_count_what_the_builder_does(monkeypatch):
+    """The reference check of the records: on every pinned spec, and on a
+    graph where steps fail, the ``PlanBuilder.step`` calls and constructions
+    that patched methods count equal the records' step sum and the searches
+    the floor did not cut."""
+    calls = Counter()
+    step, init = PlanBuilder.step, PlanBuilder.__init__
+
+    def counting_step(self, *args, **kwargs):
+        calls["step"] += 1
+        return step(self, *args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        calls["init"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanBuilder, "step", counting_step)
+    monkeypatch.setattr(PlanBuilder, "__init__", counting_init)
+    runs = [(name, synthesize, (source, config)) for name, (source, config, *_) in GOLDEN.items()]
+    runs.append(("failing-steps", topological_optimize, (*FAILING_STEPS, Config(width=8, k_max=2))))
+    for name, run, args in runs:
+        calls.clear()
+        plan = run(*args)
+        assert calls["step"] == sum(s.steps for s in plan.searches), name
+        assert calls["init"] == _built(plan.searches), name
 
 
 @pytest.mark.parametrize("source,bound", [
@@ -263,11 +279,10 @@ def test_artifacts_and_step_count_are_pinned(name, monkeypatch, caplog):
     (make_sum_src(160), 1_000),
     (make_horner_src(16), 560),
 ], ids=["fir64", "sum160", "horner16"])
-def test_scale_rungs_finish_within_a_step_bound(source, bound, monkeypatch):
-    calls = _count_steps(monkeypatch)
+def test_scale_rungs_finish_within_a_step_bound(source, bound):
     plan = synthesize(source, Config(width=16))
     check_plan(plan)
-    assert calls[0] <= bound
+    assert sum(s.steps for s in plan.searches) <= bound
 
 
 # constants with odd denominators 3 and 7, and a product of two values that
@@ -303,49 +318,14 @@ ODD_DENOMINATOR_ERRORS = {
 }
 
 
-def test_exact_error_bounds_are_pinned(monkeypatch):
-    calls, made = _count_steps(monkeypatch), _count_builders(monkeypatch)
+def test_exact_error_bounds_are_pinned():
     plan = topological_optimize(*ODD_DENOMINATORS, Config(width=16))
     assert plan.topology == "source+chain"
-    assert calls[0] == 106
-    assert made[0] == 3  # its two topologies are not cut
+    assert sum(s.steps for s in plan.searches) == 106
+    assert _built(plan.searches) == 3  # its two topologies are not cut
     assert {n.id: str(plan.info[n.id].err) for n in plan.graph.nodes} == ODD_DENOMINATOR_ERRORS
     assert list(ODD_DENOMINATOR_ERRORS) == [n.id for n in plan.graph.nodes]
     assert all(type(plan.info[n.id].err) is Fraction for n in plan.graph.nodes)
-
-
-class _Lines(logging.Handler):
-    def __init__(self):
-        super().__init__(logging.INFO)
-        self.lines: list[str] = []
-
-    def emit(self, record):
-        if record.name == "fpsynt.optimizer" and record.levelno == logging.INFO:
-            self.lines.append(record.getMessage())
-
-
-def _current(name: str) -> tuple:
-    """What ``test_artifacts_and_step_count_are_pinned`` compares for one
-    spec: (builders, steps, C, portable C, VHDL, report.json, counter
-    lines)."""
-    source, config = GOLDEN[name][:2]
-    handler, logger = _Lines(), logging.getLogger("fpsynt.optimizer")
-    level = logger.level
-    logger.addHandler(handler)
-    logger.setLevel(logging.INFO)
-    try:
-        with pytest.MonkeyPatch.context() as mp:
-            calls, made = _count_steps(mp), _count_builders(mp)
-            plan = synthesize(source, config)
-    finally:
-        logger.removeHandler(handler)
-        logger.setLevel(level)
-    return (made[0], calls[0],
-            _digest(emit_c(plan, name=name).source),
-            _digest(emit_c(plan, name=name, portable_shift=True).source),
-            _digest(emit_vhdl(plan, name=name).source),
-            _digest(report_json(plan)),
-            _digest("\n".join(handler.lines)))
 
 
 if __name__ == "__main__":

@@ -14,15 +14,15 @@ from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
 from fpsynt.core import Dfg, Node, NodeKind, encode, topo_order
 from fpsynt.errors import CannotFitError
-from fpsynt.optimizer import (_Frontier, combinatorial_search, enumerate_topologies,
-                              node_floors, topological_optimize)
+from fpsynt.optimizer import (SearchStats, _Frontier, combinatorial_search,
+                              enumerate_topologies, node_floors, topological_optimize)
 from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
 from fpsynt.simulator import run_fixed_columns, run_reference_columns
 
-from conftest import (FIR4_SRC, SKEWED_SUM, exact_eval, make_fir_src, make_graph,
-                      make_matvec_src, make_sum_src)
+from conftest import (FIR4_SRC, MIXED_CHAINS_SRC, SKEWED_SUM, exact_eval, make_fir_src,
+                      make_graph, make_matvec_src, make_sum_src)
 
 W8 = Config(width=8, k_max=2)
 
@@ -356,48 +356,31 @@ def test_chain_plan_search_walks_depth_first_into_the_level_first_plan():
     (SHARED_FALLBACK_PRODUCT, Config(width=64, k_max=1)),
 ], ids=["shared-term-w16", "shared-term-w32", "shared-term-w64", "shared-input-k1",
         "shared-input-k3", "shared-product-w16", "shared-product-w32", "shared-product-w64"])
-def test_chain_fallbacks_pruned_equal_unpruned(graph, cfg, caplog):
+def test_chain_fallbacks_pruned_equal_unpruned(graph, cfg):
     """Chain plans whose fallbacks re-alias a shared product or input: the
     bound reads the truncated value that the second chain reads, and the
     pruned search still finds the unpruned walk's choices and cost."""
     table = GraphTable(*graph, cfg)
-    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
-        pruned, full = (combinatorial_search(table, CHAIN_PLAN, prune=p) for p in (True, False))
+    pruned, full = (combinatorial_search(table, CHAIN_PLAN, prune=p) for p in (True, False))
     assert pruned.cost_key == full.cost_key
     assert pruned.choices == full.choices
     if graph is SHARED_FALLBACK_PRODUCT:  # the bound cuts on this shape
-        line = next(r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer")
-        assert int(line.split(" leaves, ")[1].split()[0]) >= 1, line  # incumbent prunes
+        assert table.searches[0].incumbent_prunes >= 1, table.searches[0]
 
 
-# one four-term chain, on y1, beside sums of two terms and their product on y0
-MIXED_CHAINS = parse_spec("""\
-input a : sif(1/1/6);
-input b : sif(1/0/7);
-input c : sif(1/2/5);
-const k = 0.37;
-output y0 = (a*b + k*c)*(a - c) + b;
-output y1 = a*b + k*c + a + b*k;
-""")
+MIXED_CHAINS = parse_spec(MIXED_CHAINS_SRC)
 
 
 @pytest.mark.parametrize("graph,cfg,steps", [
     (TWO_CHAINS_SHARE_AN_INPUT, Config(width=24, k_max=3), 233),
     (MIXED_CHAINS, Config(width=16, k_max=3), 1895),
 ], ids=["two-chains", "mixed"])
-def test_chain_plan_step_counts_are_pinned(graph, cfg, steps, monkeypatch):
-    """``PlanBuilder.step`` calls of a synthesis whose chain plan has
-    choice points. A level-first walk of the chain plan took 333 and 2,276."""
-    calls = [0]
-    step = PlanBuilder.step
-
-    def counting_step(self, *args):
-        calls[0] += 1
-        return step(self, *args)
-
-    monkeypatch.setattr(PlanBuilder, "step", counting_step)
-    check_plan(topological_optimize(*graph, cfg))
-    assert calls[0] == steps
+def test_chain_plan_step_counts_are_pinned(graph, cfg, steps):
+    """The steps of a synthesis whose chain plan has choice points. A
+    level-first walk of the chain plan took 333 and 2,276."""
+    plan = topological_optimize(*graph, cfg)
+    check_plan(plan)
+    assert sum(s.steps for s in plan.searches) == steps
 
 
 def test_chain_opened_by_a_negated_term_falls_back_soundly():
@@ -533,8 +516,11 @@ def test_a_depth_first_walk_finishes_into_the_level_first_plan():
     reordered = {False: 0, True: 0}
     fallbacks = 0
     for (dfg, bindings), chained in cases:
-        builder = PlanBuilder(GraphTable(dfg, bindings, Config(width=rng.choice([8, 12]), k_max=2)),
-                              CHAIN_PLAN if chained else ("source", dfg))
+        try:
+            table = GraphTable(dfg, bindings, Config(width=rng.choice([8, 12]), k_max=2))
+        except CannotFitError:  # an input wider than the word
+            continue
+        builder = PlanBuilder(table, CHAIN_PLAN if chained else ("source", dfg))
         for _ in range(4):
             choices = {nid: rng.randint(0, 2) for nid in builder.choice_points}
             try:
@@ -657,49 +643,40 @@ def test_a_plans_source_is_its_tables_graph():
     assert combinatorial_search(GraphTable(topo, bindings, cfg), (label, topo)).source is topo
 
 
-def test_matvec3x3_step_count(monkeypatch):
-    calls = [0]
-    step = PlanBuilder.step
-
-    def counted(self, *args, **kwargs):
-        calls[0] += 1
-        return step(self, *args, **kwargs)
-
-    monkeypatch.setattr(PlanBuilder, "step", counted)
+def test_matvec3x3_step_count():
     plan = synthesize(make_matvec_src(3), Config(width=16))
     assert len(plan.output_ids) == 3
-    assert calls[0] <= 20_000
+    assert sum(s.steps for s in plan.searches) <= 20_000
 
 
 def test_search_counters_logged(caplog):
+    """Each search's ``fpsynt.optimizer`` INFO line is its record's text."""
     dfg, bindings = parse_spec(FIR4_SRC)
     with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
-        topological_optimize(dfg, bindings, Config())
+        plan = topological_optimize(dfg, bindings, Config())
     lines = [r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer"]
-    labels = [label for label, _ in enumerate_topologies(dfg)] + ["source+chain"]
-    assert sorted(line.split(": ")[0] for line in lines) == sorted(f"search {l}" for l in labels)
-    for line in lines:
-        for counter in ("steps", "leaves", "incumbent prunes", "dominance prunes"):
-            assert counter in line
+    assert lines == [str(s) for s in plan.searches]
+    labels = [label for label, _ in enumerate_topologies(dfg)]
+    assert [s.label for s in plan.searches] == ["source+chain"] + labels
     # the chain plan comes first, and its cost cuts every topology on FIR-4
     # by the grid floor, before the topology's first step
-    assert lines[0].startswith("search source+chain:")
-    assert all(": 0 steps, " in line and line.endswith(", cut by the grid floor")
-               for line in lines[1:])
+    chain = plan.searches[0]
+    assert lines[0] == (f"search source+chain: {chain.steps} steps, {chain.leaves} leaves, "
+                        f"{chain.incumbent_prunes} incumbent prunes, "
+                        f"{chain.dominance_prunes} dominance prunes")
+    assert lines[1:] == [f"search {label}: 0 steps, 0 leaves, 0 incumbent prunes, "
+                         "0 dominance prunes, cut by the grid floor" for label in labels]
 
 
-def test_fir5_topologies_are_cut_by_the_grid_floor(caplog):
+def test_fir5_topologies_are_cut_by_the_grid_floor():
     """The chain plan's bound cuts each of FIR-5's 14 pairwise topologies
     before its first step."""
     dfg, bindings = parse_spec(make_fir_src(["-0.150", "-0.896", "-0.196", "0.801", "0.511"]))
-    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
-        plan = topological_optimize(dfg, bindings, Config())
+    plan = topological_optimize(dfg, bindings, Config())
     assert plan.topology == "source+chain"
-    lines = [r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer"]
-    assert len(lines) == 15 and lines[0].startswith("search source+chain:")
-    for line in lines[1:]:
-        assert line.split(": ", 1)[1] == ("0 steps, 0 leaves, 0 incumbent prunes, "
-                                          "0 dominance prunes, cut by the grid floor")
+    chain, *topologies = plan.searches
+    assert chain.label == "source+chain" and chain.cut is None and len(topologies) == 14
+    assert topologies == [SearchStats(s.label, cut="grid floor") for s in topologies]
 
 
 # ---------------------------------------------------------------------------
@@ -779,16 +756,15 @@ output y1 = a10*x0 + a11*x1 + a12*x2;
 """
 
 
-def _search_logged(caplog, *args, **kwargs) -> tuple:
+def _search(table: GraphTable, *args) -> tuple:
     """A search's plan (None when cut, else its constants, choices and
-    errors) and its ``fpsynt.optimizer`` counter lines."""
-    caplog.clear()
-    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"):
-        plan = combinatorial_search(*args, **kwargs)
-    lines = [r.getMessage() for r in caplog.records if r.name == "fpsynt.optimizer"]
+    errors) and the records it added to ``table``."""
+    n = len(table.searches)
+    plan = combinatorial_search(table, *args)
     if plan is None:
-        return None, lines
-    return (plan.const_raws, plan.choices, {n: i.err for n, i in plan.info.items()}), lines
+        return None, table.searches[n:]
+    return (plan.const_raws, plan.choices, {n: i.err for n, i in plan.info.items()}), \
+        table.searches[n:]
 
 
 @pytest.mark.parametrize("src,width,winner", [
@@ -797,10 +773,10 @@ def _search_logged(caplog, *args, **kwargs) -> tuple:
     # with its cost as incumbent the floor cuts t2:3 and t2:4
     (SKEWED_SUM, 8, "t2:1"), (SKEWED_SUM, 16, "t2:1"),
 ], ids=["fir5", "matvec2x3", "skewed-w8", "skewed-w16"])
-def test_a_shared_graph_table_gives_the_plans_of_a_fresh_one(src, width, winner, caplog):
+def test_a_shared_graph_table_gives_the_plans_of_a_fresh_one(src, width, winner):
     """Every topology and the chain plan, searched with one grid floor and
     ``GraphTable`` shared across them as ``topological_optimize`` does,
-    give the plans and counter lines that a fresh table and floor give:
+    give the plans and search records that a fresh table and floor give:
     with no incumbent, with the chain plan's cost as incumbent, and with the
     best plan's, where the floor cuts. No incumbent cuts the best plan's
     topology."""
@@ -808,17 +784,15 @@ def test_a_shared_graph_table_gives_the_plans_of_a_fresh_one(src, width, winner,
     cfg = Config(width=width)
     shared = GraphTable(dfg, bindings, cfg)
     chain = combinatorial_search(shared, CHAIN_PLAN)
-    assert _search_logged(caplog, shared, CHAIN_PLAN) \
-        == _search_logged(caplog, GraphTable(dfg, bindings, cfg), CHAIN_PLAN)
+    assert _search(shared, CHAIN_PLAN) == _search(GraphTable(dfg, bindings, cfg), CHAIN_PLAN)
     best = topological_optimize(dfg, bindings, cfg)
     assert best.topology == winner
     cut = 0
     for label, topo in enumerate_topologies(dfg):
         for incumbent in dict.fromkeys((None, chain.cost_key, best.cost_key)):
-            got = _search_logged(caplog, shared, (label, topo), True, incumbent)
+            got = _search(shared, (label, topo), True, incumbent)
             fresh = GraphTable(topo, bindings, cfg)
-            assert got == _search_logged(caplog, fresh, (label, topo), True, incumbent), \
-                (label, incumbent)
+            assert got == _search(fresh, (label, topo), True, incumbent), (label, incumbent)
             assert got[0] is not None or label != best.topology, (label, incumbent)
             cut += got[0] is None
     assert cut  # the shared floor cut some topology before its first step
@@ -892,6 +866,22 @@ def test_grid_floor_input_edges():
         with pytest.raises(CannotFitError, match="const 'c': constant 300.0 does not fit"):
             combinatorial_search(GraphTable(too_big, bindings, W8), ("source", too_big),
                                  incumbent=incumbent)
+
+
+@pytest.mark.parametrize("k_max", [0, 2])
+def test_too_wide_inputs_fail_before_any_search(k_max, caplog):
+    """The table checks every input's width in declaration order, so the
+    error names v1, the first too-wide input, even where every walk steps v2
+    first, and no candidate is searched."""
+    dfg, bindings = make_graph(
+        {"v1": (1, 0, 13), "v2": (1, 0, 14)}, {"c": Fraction(1, 4)},
+        [("t0", NodeKind.ADD, ("v2", "v1"), (False, False)),
+         ("t1", NodeKind.ADD, ("t0", "c"), (False, False))], {"y": "t1"})
+    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"), \
+            pytest.raises(CannotFitError) as e:
+        topological_optimize(dfg, bindings, Config(width=8, k_max=k_max))
+    assert str(e.value) == "input 'v1' is 14 bits wide, word width is 8"
+    assert not [r for r in caplog.records if r.name == "fpsynt.optimizer"]
 
 
 def test_grid_floor_never_exceeds_a_topologys_optimum():
@@ -978,7 +968,11 @@ def _check_completion_floor(dfg, bindings, cfg) -> tuple[int, int]:
     the best leaf key below a state, the frontier's lower bound there is at
     most that key. Returns the number of states checked, and of those where
     the completion floor raised the bound."""
-    builder = PlanBuilder(GraphTable(dfg, bindings, cfg), ("source", dfg))
+    try:
+        table = GraphTable(dfg, bindings, cfg)
+    except CannotFitError:  # an input wider than the word: no state fits
+        return 0, 0
+    builder = PlanBuilder(table, ("source", dfg))
     frontier = _Frontier(builder)
     no_floor = _Frontier(builder)  # never bound: cone sums only
     order = builder.search_order

@@ -218,6 +218,17 @@ def test_csv_byte_order_mark_in_a_stream():
             == load_vectors_csv(io.StringIO(text), bindings).vectors
 
 
+def test_csv_of_only_a_byte_order_mark_is_empty(tmp_path):
+    """A source that holds only U+FEFF is an empty vector file, as a stream
+    and by path."""
+    _, bindings = parse_spec(TWO_TAP_SRC)
+    path = tmp_path / "bom.csv"
+    path.write_text("\ufeff", encoding="utf-8")
+    for source in (io.StringIO("\ufeff"), path):
+        with pytest.raises(VectorError, match="^vector file is empty$"):
+            load_vectors_csv(source, bindings)
+
+
 def test_vector_quantization_mode_recorded():
     _, bindings = parse_spec(TWO_TAP_SRC)
     vecset = load_vectors_csv(io.StringIO("x0,x1\n0.111,0.222\n"), bindings,
