@@ -231,9 +231,9 @@ class Interval:
         return max(-self.m_lo, self.m_hi, 0)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NodeInfo:
-    """Analysis result attached to one plan node.
+    """Analysis result attached to one plan node; slotted, never assigned after construction.
 
     ``err`` is an ``ErrorBound`` while a builder works, and the rules take
     only that; a finished ``Plan`` holds it as a ``Fraction``.
@@ -252,7 +252,7 @@ class NodeInfo:
 
     def __post_init__(self):
         if self.eff_exp is None:
-            object.__setattr__(self, "eff_exp", self.signal.grid_exp)
+            self.eff_exp = self.signal.grid_exp
 
     @property
     def eff(self) -> Fraction:
@@ -315,9 +315,9 @@ def _min_integer_bits(interval: Interval, f: int, scale: int) -> int:
     return max(0, (max(-lo, hi + 1, 1) - 1).bit_length() - f)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class TruncSpec:
-    """Planned effect of one TRUNC node."""
+    """Planned effect of one TRUNC node; slotted, never assigned after construction."""
 
     drop_f: int
     signal: ScaledSignal
@@ -357,9 +357,9 @@ def plan_truncate(info: NodeInfo, target_width: int) -> TruncSpec | None:
         f"{1 + _min_integer_bits(interval, 0, sig.scale)} bits")
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class AlignSpec:
-    """Planned pre-scaling of the two operands of an addition."""
+    """Planned operand pre-scaling of an addition; slotted, never assigned after construction."""
 
     shift_a: int
     shift_b: int

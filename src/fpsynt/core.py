@@ -8,7 +8,9 @@ exponent E; the semantic value of a raw word is raw * 2^(E - F).
 
 Raw values are plain Python integers (arbitrary precision), so full-width
 products never overflow the host representation. Real values are exact
-``fractions.Fraction`` throughout.
+``fractions.Fraction`` throughout. SifFormat, ScaledSignal and Node, built
+thousands of times per synthesis, are slotted dataclasses that compare and hash
+by their fields and, like ``analysis.Interval``, are never assigned after construction.
 """
 
 from __future__ import annotations
@@ -30,9 +32,10 @@ class Quantize(enum.Enum):
     TRUNC = "trunc"  # toward -inf (matches an arithmetic right shift)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SifFormat:
-    """(sign bits / integer bits / fraction bits) partition of a word."""
+    """(sign bits / integer bits / fraction bits) partition of a word;
+    slotted, never assigned after construction."""
 
     s: int
     i: int
@@ -131,13 +134,13 @@ def _pow2_frac(e: int) -> Fraction:
     return Fraction(1 << e) if e >= 0 else Fraction(1, 1 << -e)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class ScaledSignal:
     """A SIF format plus an accumulated binary scale exponent.
 
     semantic value = raw * 2^(-F) * 2^(scale). Every pre-scale right shift by
     k adds k to ``scale`` so the mathematical intent of the computation is
-    recoverable from the raw output.
+    recoverable from the raw output. Slotted, never assigned after construction.
     """
 
     fmt: SifFormat
@@ -189,7 +192,7 @@ _ARITY = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Node:
     """One dataflow operation.
 
@@ -197,7 +200,7 @@ class Node:
     ``amount`` is the shift distance for SHR, or the count of dropped
     fraction LSBs for TRUNC. ``negate`` flags per-operand negation on ADD,
     which is how subtraction is carried without leaving the multiply-add
-    vocabulary.
+    vocabulary. Slotted, never assigned after construction.
     """
 
     id: str

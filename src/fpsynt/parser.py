@@ -67,13 +67,16 @@ _TOKEN_RE = re.compile(
   | (?P<number>(?P<digits>\d+(\.\d+)?)([eE](?P<exp>[+-]?\d+))?)
   | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<punct>[():;=+\-*/])
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Token:
+    """One lexeme and its 1-based position; slotted, never assigned after construction."""
+
     kind: str  # 'number' | 'ident' | keyword text | punct text | 'eof'
     text: str
     line: int
@@ -82,13 +85,16 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    pos, line, col = 0, 1, 1
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
+    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
+        lexeme = m.group()
+        if group == "ws":  # only whitespace holds a newline; a comment makes no token
+            if "\n" in lexeme:
+                line += lexeme.count("\n")
+                line_start = m.start() + lexeme.rfind("\n") + 1
+            continue
+        col = m.start() - line_start + 1
         if group == "number":
             over = literal_over_bound(m.group("digits"), m.group("exp"))
             if over == "exponent":
@@ -101,15 +107,9 @@ def tokenize(text: str) -> list[Token]:
             tokens.append(Token(kind, lexeme, line, col))
         elif group == "punct":
             tokens.append(Token(lexeme, lexeme, line, col))
-        # whitespace/comments advance position only
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        pos = m.end()
-    tokens.append(Token("eof", "", line, col))
+        elif group == "bad":
+            raise ParseError(f"unexpected character {lexeme!r}", line, col)
+    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 

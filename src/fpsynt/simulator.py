@@ -416,18 +416,22 @@ def stats_from_deviations(devs) -> ErrorStats:
     The mean is the exact sum rounded once, as in ``statistics.mean`` (a
     float sum averages three copies of 10.842168179762918 to ...917, below
     ``min``). The sum is kept as float parts, each the ``math.fsum`` of the
-    values less the parts before it, until that is 0."""
+    values less the parts before it, until that is 0. A NaN deviation is a ValueError."""
     if not devs:
         raise ValueError("no deviations to aggregate")
     vals = sorted(float(d) for d in devs)
     n = len(vals)
     parts: list[float] = []
     try:
-        while part := math.fsum(vals + [-p for p in parts]):
+        # a NaN value makes every fsum NaN, which is never 0: stop, and raise below
+        while (part := math.fsum(vals + [-p for p in parts])) and part == part:
             parts.append(part)
         mean = float(sum(map(Fraction, parts), Fraction(0)) / n)
     except (OverflowError, ValueError):  # a sum past the largest float, or inf
         mean = statistics.mean(vals)
+    else:
+        if part != part:
+            raise ValueError("a deviation is NaN: no mean to aggregate")
     return ErrorStats(min=vals[0], max=vals[-1], mean=mean,
                       median=vals[(n - 1) // 2],  # lower middle for even n
                       count=n)

@@ -1,15 +1,17 @@
-"""SIF format semantics, encode/decode, and graph ordering."""
+"""SIF format semantics, encode/decode, graph ordering, and the value records."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fpsynt.analysis import AlignSpec, Interval, NodeInfo, TruncSpec
 from fpsynt.core import (Dfg, Node, NodeKind, Quantize, ScaledSignal,
                          SifFormat, decode, encode, sif_width, topo_order)
 from fpsynt.errors import CycleError, MalformedRawError, RangeError
-from fpsynt.parser import parse_spec
+from fpsynt.parser import Token, parse_spec
 
 from conftest import FIR4_SRC
 
@@ -140,6 +142,54 @@ def test_scaled_signal_shift_invariance():
 def test_negative_scale_decodes_uniformly():
     sig = ScaledSignal(SifFormat(1, 2, 0), scale=-2)
     assert sig.value_of(3) == Fraction(3, 4)
+
+
+def _info():
+    # the error as a finished plan holds it: an ErrorBound is unhashable
+    return NodeInfo(ScaledSignal(SifFormat(1, 0, 15)), Interval(-1, Fraction(1, 2)),
+                    Fraction(1, 8))
+
+
+_INFO_REPR = ("NodeInfo(signal=ScaledSignal(fmt=SifFormat(s=1, i=0, f=15), scale=0), "
+              "interval=Interval(Fraction(-1, 1), Fraction(1, 2)), err=Fraction(1, 8), "
+              "eff_exp=-15)")
+
+# each record's factory, and the repr that frozen dataclasses gave it
+RECORDS = {
+    "SifFormat": (lambda: SifFormat(1, 0, 15), "SifFormat(s=1, i=0, f=15)"),
+    "ScaledSignal": (lambda: ScaledSignal(SifFormat(2, 1, 4), -3),
+                     "ScaledSignal(fmt=SifFormat(s=2, i=1, f=4), scale=-3)"),
+    "Node": (lambda: Node("t0", NodeKind.ADD, ("a", "b"), negate=(False, True)),
+             "Node(id='t0', kind=<NodeKind.ADD: 'add'>, operands=('a', 'b'), value=None, "
+             "amount=0, negate=(False, True))"),
+    "NodeInfo": (_info, _INFO_REPR),
+    "TruncSpec": (lambda: TruncSpec(2, ScaledSignal(SifFormat(1, 0, 13)), Interval(-1, 0),
+                                    Fraction(3, 1 << 15), -13),
+                  "TruncSpec(drop_f=2, signal=ScaledSignal(fmt=SifFormat(s=1, i=0, f=13), "
+                  "scale=0), interval=Interval(Fraction(-1, 1), Fraction(0, 1)), "
+                  "added_error=Fraction(3, 32768), eff_exp=-13)"),
+    "AlignSpec": (lambda: AlignSpec(0, 1, _info(), _info(), _info()),
+                  f"AlignSpec(shift_a=0, shift_b=1, a_view={_INFO_REPR}, b_view={_INFO_REPR}, "
+                  f"result={_INFO_REPR})"),
+    "Token": (lambda: Token("ident", "x0", 3, 7), "Token(kind='ident', text='x0', line=3, col=7)"),
+}
+
+
+@pytest.mark.parametrize("name", list(RECORDS))
+def test_value_records_are_slotted_and_compare_by_fields(name):
+    """The records built in the thousands per synthesis hold no instance
+    ``__dict__``, and compare, hash, copy and print as frozen dataclasses do:
+    by their fields in order."""
+    make, text = RECORDS[name]
+    record, twin = make(), make()
+    assert type(record).__name__ == name
+    assert not hasattr(record, "__dict__")
+    assert record == twin and record is not twin
+    fields = tuple(getattr(record, f.name) for f in dataclasses.fields(record))
+    assert hash(record) == hash(twin) == hash(fields)
+    assert {record: name}[twin] == name and len({record, twin}) == 1
+    assert dataclasses.replace(record) == record
+    assert repr(record) == text
 
 
 def test_topo_order_fir4_muls_before_adds():

@@ -1,17 +1,23 @@
 """Frontend: grammar, diagnostics, determinism, round trips."""
 
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fpsynt import synthesize
 from fpsynt.cli import main
 from fpsynt.core import NodeKind
 from fpsynt.errors import ParseError, ValidationError
-from fpsynt.parser import (MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, Bindings, parse_spec,
-                           pretty_print, validate_formats)
+from fpsynt.parser import (KEYWORDS, MAX_DIGITS, MAX_EXPONENT, MAX_NESTING, Bindings, Token,
+                           literal_over_bound, parse_spec, pretty_print, tokenize,
+                           validate_formats)
 
 from conftest import FIR4_SRC
+from test_golden import GOLDEN
 
 
 def kinds(dfg):
@@ -292,3 +298,94 @@ def test_pretty_print_round_trip(src):
     assert b1.consts == b2.consts
     assert b1.outputs == b2.outputs
     assert _canonical(dfg1, b1) == _canonical(dfg2, b2)
+
+
+# ---------------------------------------------------------------------------
+# the one-pass tokenizer against the position loop it replaced
+
+_REFERENCE_RE = re.compile(
+    r"""
+    (?P<ws>[ \t\r\n]+)
+  | (?P<comment>\#[^\n]*)
+  | (?P<number>(?P<digits>\d+(\.\d+)?)([eE](?P<exp>[+-]?\d+))?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<punct>[():;=+\-*/])
+    """,
+    re.VERBOSE,
+)
+
+
+def reference_tokenize(text: str) -> list[Token]:
+    """The tokenizer as a loop over match positions, counting columns by lexeme length."""
+    tokens = []
+    pos, line, col = 0, 1, 1
+    while pos < len(text):
+        m = _REFERENCE_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        lexeme = m.group(0)
+        group = m.lastgroup
+        if group == "number":
+            over = literal_over_bound(m.group("digits"), m.group("exp"))
+            if over == "exponent":
+                raise ParseError(f"exponent of {lexeme[:40]!r} exceeds {MAX_EXPONENT}", line, col)
+            if over == "digits":
+                raise ParseError(f"{lexeme[:40]!r}... has over {MAX_DIGITS} digits", line, col)
+            tokens.append(Token("number", lexeme, line, col))
+        elif group == "ident":
+            kind = lexeme if lexeme in KEYWORDS else "ident"
+            tokens.append(Token(kind, lexeme, line, col))
+        elif group == "punct":
+            tokens.append(Token(lexeme, lexeme, line, col))
+        newlines = lexeme.count("\n")
+        if newlines:
+            line += newlines
+            col = len(lexeme) - lexeme.rfind("\n")
+        else:
+            col += len(lexeme)
+        pos = m.end()
+    tokens.append(Token("eof", "", line, col))
+    return tokens
+
+
+def lexed(tokenize_text, text):
+    """The (kind, text, line, col) of every token, or the ParseError's message and position."""
+    try:
+        return [(t.kind, t.text, t.line, t.col) for t in tokenize_text(text)]
+    except ParseError as e:
+        return ("error", e.message, e.line, e.col)
+
+
+_SPECS = sorted((Path(__file__).resolve().parent.parent / "demos" / "specs").glob("*.fps"))
+LEXER_TEXTS = {
+    **{path.name: path.read_text() for path in _SPECS},
+    **{f"golden_{name}": source for name, (source, *_) in GOLDEN.items()},
+    "crlf_tabs_comments": "# head\r\ninput\tx : sif(1/0/7);\r\n\t# note\r\n"
+                          "output y = 0.5*x; # tail\r\n",
+    "no_final_newline": "input x : sif(1/0/7);\noutput y = x",
+    "comment_at_end": "input x : sif(1/0/7);\noutput y = x; # no newline",
+    "empty": "",
+    "bad_after_newlines": "input x : sif(1/0/7);\n\n\t  output y = x @ x;\n",
+    "bad_first": "\u00e9",
+    "vertical_tab": "input x\x0b: sif(1/0/7);",
+    "huge_exponent": "const c = 1e99999;",
+    "many_digits": "const c = " + "1" * (MAX_DIGITS + 1) + ";",
+}
+
+
+@pytest.mark.parametrize("name", list(LEXER_TEXTS))
+def test_tokenize_matches_the_reference_loop(name):
+    text = LEXER_TEXTS[name]
+    assert lexed(tokenize, text) == lexed(reference_tokenize, text)
+
+
+_FRAGMENTS = sorted(KEYWORDS) + [
+    "x", "y0", "_k", "e", "E", "0", "7", "15", "0.5", "1e3", "2E-4", "1e99999",
+    *"():;=+-*/", " ", "\t", "\n", "\r", "\r\n", "#", "# note", ".", "@", "\x0b", "\u00e9"]
+
+
+@given(st.lists(st.sampled_from(_FRAGMENTS), max_size=40).map("".join))
+@settings(max_examples=300)
+@example(text="input x : sif(1/0/7);\r\n\toutput y = x;")
+def test_tokenize_matches_the_reference_loop_on_any_text(text):
+    assert lexed(tokenize, text) == lexed(reference_tokenize, text)

@@ -7,6 +7,8 @@ import itertools
 import random
 import re
 import statistics
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -27,7 +29,7 @@ from fpsynt.simulator import (VectorSet, _out_of_range, _quantize_column, compar
                               stats_from_deviations)
 from fpsynt.simulator import TestVector as Vec
 
-from conftest import FIR4_SRC, exact_eval
+from conftest import FIR4_SRC, child_env, exact_eval
 
 TWO_TAP_SRC = ("input x0 : sif(1/0/7);\ninput x1 : sif(1/0/7);\n"
                "const w0 = 0.3;\nconst w1 = 0.6;\n"
@@ -271,6 +273,26 @@ def test_stats_invariants_property(devs):
 @example(devs=[1.7976931348623157e308] * 2)   # the sum passes the largest float
 def test_mean_is_bit_equal_to_statistics_mean(devs):
     assert stats_from_deviations(devs).mean.hex() == statistics.mean(devs).hex()
+
+
+_NAN_DEVIATIONS = """\
+from fpsynt.simulator import stats_from_deviations
+for devs in ([1.0, float("nan")], [float("nan")]):
+    try:
+        stats_from_deviations(devs)
+    except ValueError as e:
+        print("ValueError:", e)
+"""
+
+
+def test_a_nan_deviation_is_a_value_error():
+    """A NaN makes every fsum NaN, which is never 0. The child process
+    bounds the wait, as a hang in this one could not be stopped."""
+    proc = subprocess.run([sys.executable, "-c", _NAN_DEVIATIONS], capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 and all(ln.startswith("ValueError:") and "NaN" in ln for ln in lines)
 
 
 # ---------------------------------------------------------------------------
