@@ -34,7 +34,7 @@ from fractions import Fraction
 
 from .config import MAX_WIDTH, Config
 from .core import (Dfg, Node, NodeKind, ScaledSignal, SifFormat, _pow2_frac,
-                   decode, encode, show_value, topo_order)
+                   decode, depth_first_order, encode, show_value)
 from .errors import CannotFitError, PlanCheckError
 from .parser import Bindings
 
@@ -482,8 +482,9 @@ def find_chains(dfg: Dfg) -> list[Chain]:
 
     An ADD belongs to its consumer's chain when it is that consumer's only
     use; shared subtrees stay intact. Chains are reported in declaration
-    order of their root.
+    order of their root. Raises CycleError on a cyclic graph.
     """
+    dfg.level_first  # the chain walk below would not end on a cycle
     consumers = dfg.consumers()
     add_ids = {n.id for n in dfg.nodes if n.kind is NodeKind.ADD}
 
@@ -576,16 +577,6 @@ class Plan:
     def n_format_nodes(self) -> int:
         return sum(1 for n in self.graph.nodes if n.kind in (NodeKind.SHR, NodeKind.TRUNC))
 
-    def order(self) -> list[str]:
-        if "_order" not in self.__dict__:
-            object.__setattr__(self, "_order", topo_order(self.graph))
-        return self._order
-
-    def source_order(self) -> list[str]:
-        if "_source_order" not in self.__dict__:
-            object.__setattr__(self, "_source_order", topo_order(self.source))
-        return self._source_order
-
 
 class _Ctx:
     """What one walk has emitted, each node with its step's ``rank``; cloned at branch points."""
@@ -612,23 +603,6 @@ class _Ctx:
         self.info[node.id] = info
 
 
-def depth_first_order(dfg: Dfg, first=()) -> list[str]:
-    """The inputs that no output reads, in declaration order, then every
-    node the outputs read in depth-first post-order from the nodes ``first``
-    and then the outputs, in that order, operands left first."""
-    order, seen = [], set()
-    stack = [(o, False) for o in reversed((*first, *dfg.output_ids))]
-    while stack:
-        nid, ready = stack.pop()
-        if ready:
-            order.append(nid)
-        elif nid not in seen:
-            seen.add(nid)
-            stack.append((nid, True))
-            stack.extend((r, False) for r in reversed(dfg.node(nid).operands) if r not in seen)
-    return [n.id for n in dfg.nodes if n.kind is NodeKind.INPUT and n.id not in seen] + order
-
-
 class GraphTable:
     """One synthesis: its source graph ``dfg``, ``bindings`` and ``config``,
     and what re-association cannot change, worked out once: ``den`` (see
@@ -636,11 +610,15 @@ class GraphTable:
     constant that a node reads, on first use the graph's chains, and
     ``floors``, the memo of ``optimizer.node_floors`` that the graph's
     topologies share, and ``searches``, an ``optimizer.SearchStats`` per search
-    run on it. Raises CannotFitError, before any search, at the first input or
-    such constant in declaration order that does not fit the word width."""
+    run on it. Before any search, raises ValueError on a graph with no output,
+    then, at the first input or such constant in declaration order at fault,
+    ValueError for an input with no format in ``bindings`` or CannotFitError
+    for a value that does not fit the word width."""
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config):
         self.dfg, self.bindings, self.config = dfg, bindings, config
+        if not dfg.output_ids:
+            raise ValueError("the graph has no output node")
         W = config.width
         self.den = math.lcm(*(_odd_part(Fraction(n.value).denominator)
                               for n in dfg.nodes if n.kind is NodeKind.CONST))
@@ -648,6 +626,8 @@ class GraphTable:
         self.quantized: dict[str, tuple[NodeInfo, int]] = {}
         read = {r for n in dfg.nodes for r in n.operands}
         for node in dfg.nodes:
+            if node.kind is NodeKind.INPUT and node.id not in bindings.inputs:
+                raise ValueError(f"input '{node.id}' has no format in the bindings")
             if node.kind is NodeKind.INPUT and (w := bindings.input_format(node.id).width) > W:
                 raise CannotFitError(f"input '{node.id}' is {w} bits wide, word width is {W}")
             if node.kind is NodeKind.CONST and node.id in read:
@@ -714,13 +694,14 @@ class PlanBuilder:
                         and all(u in chain_adds for u in consumers[tid])):
                     self._full_width_terms.add(tid)
 
-        walked = set(depth_first_order(dfg)) - (chain_adds - set(self.chains))
-        level_first = [nid for nid in topo_order(dfg) if nid in walked]
+        walked = set(dfg.depth_first) - (chain_adds - set(self.chains))
+        level_first = [nid for nid in dfg.level_first if nid in walked]
         self._rank = {nid: k for k, nid in enumerate(level_first)}
         self.choice_points = [nid for nid in level_first if dfg.node(nid).kind in _ARITHMETIC
                               and nid not in self.chains and nid not in self._full_width_terms]
         roots = [nid for nid in level_first if nid in self.chains]
-        self.search_order = [nid for nid in depth_first_order(dfg, roots) if nid in walked]
+        walk = depth_first_order(dfg, roots) if roots else dfg.depth_first
+        self.search_order = [nid for nid in walk if nid in walked]
 
     def reads(self, nid: str) -> tuple[str, ...]:
         """Source ids whose current value the step at ``nid`` reads."""

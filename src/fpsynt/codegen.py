@@ -97,7 +97,7 @@ def _vhdl_names(names) -> dict[str, str]:
 
 def _header_lines(plan: Plan) -> list[str]:
     lines = []
-    for nid in plan.order():
+    for nid in plan.graph.level_first:
         info = plan.info[nid]
         fmt = info.signal.fmt
         lines.append(f"-- {nid}: SIF({fmt.s}/{fmt.i}/{fmt.f}) "
@@ -182,7 +182,7 @@ def emit_vhdl(plan: Plan, name: str = "datapath") -> EmittedArtifact:
 
     inputs = list(plan.bindings.inputs)
     outputs = list(plan.output_ids)
-    internal = [n for n in (plan.graph.node(i) for i in plan.order())
+    internal = [n for n in (plan.graph.node(i) for i in plan.graph.level_first)
                 if n.kind not in (NodeKind.INPUT, NodeKind.OUTPUT)]
     vname = _vhdl_names(inputs + outputs + [n.id for n in internal])
 

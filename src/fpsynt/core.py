@@ -6,6 +6,9 @@ sign-extension copies, so a raw value is only well formed when it lies in
 [-2^(I+F), 2^(I+F) - 1]. A ScaledSignal pairs a format with a binary scale
 exponent E; the semantic value of a raw word is raw * 2^(E - F).
 
+A Dfg keeps its two orders, ``level_first`` and ``depth_first``; both come
+from one walk, ``post_order``, which raises CycleError on a cycle.
+
 Raw values are plain Python integers (arbitrary precision), so full-width
 products never overflow the host representation. Real values are exact
 ``fractions.Fraction`` throughout. SifFormat, ScaledSignal and Node, built
@@ -226,9 +229,12 @@ class Node:
 class Dfg:
     """Directed acyclic dataflow graph. Nodes are stored in declaration order.
 
-    Construction only checks id uniqueness and operand existence; acyclicity
-    is established by topo_order (declaration order is not required to be
-    topological).
+    Construction only checks id uniqueness and operand existence. The graph
+    keeps its two orders, each worked out on first read: ``level_first``
+    (``topo_order``) for the analyzer, emitters and simulator, and
+    ``depth_first`` (``depth_first_order``) for the search. Reading
+    ``level_first`` raises CycleError on a cyclic graph; so does
+    ``depth_first`` when the outputs read the cycle.
     """
 
     nodes: tuple[Node, ...]
@@ -252,12 +258,42 @@ class Dfg:
     def node(self, node_id: str) -> Node:
         return self._by_id[node_id]
 
+    @functools.cached_property
+    def level_first(self) -> tuple[str, ...]:
+        return tuple(topo_order(self))
+
+    @functools.cached_property
+    def depth_first(self) -> tuple[str, ...]:
+        return tuple(depth_first_order(self))
+
     def consumers(self) -> dict[str, list[str]]:
         out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for n in self.nodes:
             for op in n.operands:
                 out[op].append(n.id)
         return out
+
+
+def post_order(dfg: Dfg, roots) -> list[str]:
+    """Every node that ``roots`` reach, each after its operands: one explicit-stack
+    depth-first walk from the roots in order, operands left first. Raises
+    CycleError (listing the cycle) at a node the walk is still inside."""
+    done: dict[str, None] = {}  # finished nodes, in post-order
+    path: dict[str, None] = {}  # the nodes the walk is inside, outermost first
+    stack = [(r, False) for r in reversed(roots)]
+    while stack:
+        nid, ready = stack.pop()
+        if ready:
+            del path[nid]
+            done[nid] = None
+        elif nid in path:
+            inside = list(path)
+            raise CycleError(inside[inside.index(nid):] + [nid])
+        elif nid not in done:
+            path[nid] = None
+            stack.append((nid, True))
+            stack.extend((op, False) for op in reversed(dfg.node(nid).operands) if op not in done)
+    return list(done)
 
 
 def topo_order(dfg: Dfg) -> list[str]:
@@ -267,34 +303,19 @@ def topo_order(dfg: Dfg) -> list[str]:
     multiply-accumulate graph, which is the order the emitted code uses.
     Raises CycleError (listing the cycle) when the graph is not a DAG.
     """
-    index = {n.id: k for k, n in enumerate(dfg.nodes)}
+    ids = [n.id for n in dfg.nodes]
     level: dict[str, int] = {}
-    on_stack: set[str] = set()
+    for nid in post_order(dfg, ids):
+        level[nid] = max((level[op] + 1 for op in dfg.node(nid).operands), default=0)
+    return sorted(ids, key=level.__getitem__)  # stable: declaration order breaks ties
 
-    for root in dfg.nodes:
-        if root.id in level:
-            continue
-        stack: list[tuple[str, int]] = [(root.id, 0)]
-        path: list[str] = []
-        while stack:
-            nid, state = stack.pop()
-            if state == 0:
-                if nid in level:
-                    continue
-                if nid in on_stack:
-                    raise CycleError(path[path.index(nid):] + [nid])
-                on_stack.add(nid)
-                path.append(nid)
-                stack.append((nid, 1))
-                for op in reversed(dfg.node(nid).operands):
-                    if op not in level:
-                        stack.append((op, 0))
-            else:
-                ops = dfg.node(nid).operands
-                level[nid] = 0 if not ops else 1 + max(level[op] for op in ops)
-                on_stack.discard(nid)
-                path.pop()
-    return sorted(level, key=lambda nid: (level[nid], index[nid]))
+
+def depth_first_order(dfg: Dfg, first=()) -> list[str]:
+    """The inputs that no output reads, in declaration order, then
+    ``post_order`` from the nodes ``first`` and then the outputs."""
+    walked = post_order(dfg, (*first, *dfg.output_ids))
+    seen = set(walked)
+    return [n.id for n in dfg.nodes if n.kind is NodeKind.INPUT and n.id not in seen] + walked
 
 
 def render_infix(dfg: Dfg, root: str, leaf, shift, bare_left_sums: bool = False) -> str:

@@ -60,7 +60,7 @@ import logging
 import math
 
 from .analysis import (CHAIN_PLAN, Chain, ErrorBound, GraphTable, Plan, PlanBuilder, _Ctx,
-                       cost_key, depth_first_order, find_chains, floor_loss)
+                       cost_key, find_chains, floor_loss)
 from .config import N_MAX_TOPOLOGIES, Config
 from .core import Dfg, Node, NodeKind
 from .errors import CannotFitError, PlanCheckError
@@ -336,7 +336,7 @@ def _floored_eff(b0: ErrorBound, eff: int) -> int:
     return m + (x // q).bit_length() - 1
 
 
-def node_floors(table: GraphTable, dfg: Dfg, order: list[str],
+def node_floors(table: GraphTable, dfg: Dfg, order: list[str] | tuple[str, ...],
                 b0: ErrorBound) -> dict[str, _Floor]:
     """The grid floor: per node of ``order``, a bottom-up order of the nodes
     the outputs read, a ``_Floor`` that holds in every plan of ``dfg`` whose
@@ -538,9 +538,9 @@ def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
     # bounds are compared on the table's denominator
     bound = tuple(ErrorBound.of(x, table.den) for x in incumbent) \
         if prune and incumbent is not None else None
-    if bound is not None and outputs and candidate != CHAIN_PLAN:
+    if bound is not None and candidate != CHAIN_PLAN:
         label, dfg = candidate
-        floors = node_floors(table, dfg, depth_first_order(dfg), bound[0])
+        floors = node_floors(table, dfg, dfg.depth_first, bound[0])
         if cost_key([floors[o].err for o in outputs]) > bound:
             table.searches.append(SearchStats(label, cut="grid floor"))
             log.info("%s", table.searches[-1])
@@ -690,10 +690,7 @@ def enumerate_topologies(dfg: Dfg) -> list[tuple[str, Dfg]]:
     balanced tree; when the cross product over several chains grows past a
     safety cap, every chain does (a limit of 2, below every chain's length).
     """
-    chains = [c for c in find_chains(dfg) if c.n_terms >= 3]
-    if not chains:
-        return [("source", dfg)]
-
+    chains = find_chains(dfg)
     shape_lists = [_shapes_for_chain(c, N_MAX_TOPOLOGIES) for c in chains]
     if math.prod(map(len, shape_lists)) > _MAX_TOPOLOGY_PRODUCT:
         shape_lists = [_shapes_for_chain(c, 2) for c in chains]
@@ -727,8 +724,8 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     bounds, inserted formatting nodes, rank). When no candidate fits, the
     errors are joined in rank order.
     """
-    topologies = enumerate_topologies(dfg) if config.enable_topology_opt else [("source", dfg)]
     table = GraphTable(dfg, bindings, config)
+    topologies = enumerate_topologies(dfg) if config.enable_topology_opt else [("source", dfg)]
     candidates: list[tuple[int, tuple[str, Dfg] | str]] = list(enumerate(topologies))
     if config.enable_chain_alloc and table.chains:
         candidates.insert(0, (len(topologies), CHAIN_PLAN))

@@ -23,7 +23,7 @@ def _operand_label(plan: Plan, op_id: str) -> str:
 
 def node_records(plan: Plan) -> list[dict]:
     records = []
-    for nid in plan.order():
+    for nid in plan.graph.level_first:
         node = plan.graph.node(nid)
         info = plan.info[nid]
         fmt = info.signal.fmt

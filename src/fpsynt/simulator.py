@@ -264,7 +264,7 @@ def fits_int64(plan: Plan) -> bool:
     enough: two 63-bit addends can wrap.
     """
     mag: dict[str, int] = {}
-    for nid in plan.order():
+    for nid in plan.graph.level_first:
         node = plan.graph.node(nid)
         ops = [mag[op] for op in node.operands]
         fmt = plan.info[nid].signal.fmt
@@ -307,7 +307,7 @@ def run_fixed_columns(plan: Plan, raws: np.ndarray) -> dict[str, np.ndarray]:
     def run_block(block):
         m = len(block)
         cols: dict[str, np.ndarray] = {}
-        for nid in plan.order():
+        for nid in plan.graph.level_first:
             node = plan.graph.node(nid)
             ops = [cols[op] for op in node.operands]
             if node.kind is NodeKind.INPUT:
@@ -359,7 +359,7 @@ def run_reference_columns(plan: Plan, raws: np.ndarray, mode: str = "double") ->
                 vals[name] = block[:, k].astype(object) * Fraction(1, 1 << fmt.f)
             else:
                 vals[name] = _to_float(block[:, k], -fmt.f)
-        for nid in plan.source_order():
+        for nid in plan.source.level_first:
             node = source.node(nid)
             ops = [vals[op] for op in node.operands]
             if node.kind is NodeKind.CONST:

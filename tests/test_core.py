@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fpsynt.analysis import AlignSpec, Interval, NodeInfo, TruncSpec
-from fpsynt.core import (Dfg, Node, NodeKind, Quantize, ScaledSignal,
-                         SifFormat, decode, encode, sif_width, topo_order)
+from fpsynt.core import (Dfg, Node, NodeKind, Quantize, ScaledSignal, SifFormat, decode,
+                         depth_first_order, encode, post_order, sif_width, topo_order)
 from fpsynt.errors import CycleError, MalformedRawError, RangeError
 from fpsynt.parser import Token, parse_spec
 
@@ -221,6 +221,26 @@ def test_topo_order_reports_cycles():
     with pytest.raises(CycleError) as exc:
         topo_order(Dfg((a, b)))
     assert "a" in exc.value.cycle and "b" in exc.value.cycle
+
+
+def test_one_walk_gives_both_orders_and_each_graph_keeps_its_own():
+    """post_order lists each node after its operands, left first, from the
+    roots in order; the graph keeps topo_order and depth_first_order as
+    tuples worked out once; an output that reads a cycle names it."""
+    x, c = Node("x", NodeKind.INPUT), Node("c", NodeKind.CONST, value=Fraction(1, 2))
+    unread = Node("u", NodeKind.INPUT)
+    m = Node("m", NodeKind.MUL, ("c", "x"))
+    s = Node("s", NodeKind.ADD, ("x", "m"))
+    y, z = Node("y", NodeKind.OUTPUT, ("s",)), Node("z", NodeKind.OUTPUT, ("m",))
+    dfg = Dfg((y, s, m, z, unread, x, c))
+    assert post_order(dfg, ["z", "y"]) == ["c", "x", "m", "z", "s", "y"]
+    assert dfg.level_first == tuple(topo_order(dfg)) == ("u", "x", "c", "m", "s", "z", "y")
+    assert dfg.depth_first == tuple(depth_first_order(dfg)) == ("u", "x", "c", "m", "s", "y", "z")
+    assert dfg.level_first is dfg.level_first and dfg.depth_first is dfg.depth_first
+    a = Node("a", NodeKind.ADD, ("b", "x"))
+    b = Node("b", NodeKind.ADD, ("a", "x"))
+    with pytest.raises(CycleError, match="^cycle in dataflow graph: a -> b -> a$"):
+        Dfg((x, a, b, Node("o", NodeKind.OUTPUT, ("a",)))).depth_first
 
 
 def test_dfg_rejects_duplicate_and_unknown_ids():

@@ -3,6 +3,8 @@
 import itertools
 import logging
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -21,8 +23,8 @@ from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
 from fpsynt.simulator import run_fixed_columns, run_reference_columns
 
-from conftest import (FIR4_SRC, MIXED_CHAINS_SRC, SKEWED_SUM, exact_eval, make_fir_src,
-                      make_graph, make_matvec_src, make_sum_src)
+from conftest import (FIR4_SRC, MIXED_CHAINS_SRC, SKEWED_SUM, child_env, exact_eval,
+                      make_fir_src, make_graph, make_matvec_src, make_sum_src)
 
 W8 = Config(width=8, k_max=2)
 
@@ -246,6 +248,19 @@ def test_chain_falls_back_when_accumulator_capped():
     check_plan(plan)
     (acc,) = _chain_plan(dfg, bindings, Config(width=61)).accumulators
     assert acc.width == 64
+
+
+def test_chain_falls_back_when_no_accumulator_grid_fits(caplog):
+    """Each full-width term c*x_k is (2/14/0) and needs 15 bits, against an
+    accumulator of W + ceil(log2 3) = 10: no grid fits, so the chain falls
+    back, with one warning, to pairwise adds, which cannot fit a term either."""
+    dfg, bindings = parse_spec("".join(f"input x{k} : sif(1/7/0);\n" for k in range(3))
+                               + "const c = 100;\noutput y = c*x0 + c*x1 + c*x2;\n")
+    with caplog.at_level(logging.WARNING, logger="fpsynt.analysis"), \
+            pytest.raises(CannotFitError, match=r"cannot truncate \(2/14/0\) to 8 bits"):
+        combinatorial_search(GraphTable(dfg, bindings, Config(width=8)), CHAIN_PLAN)
+    assert [r.getMessage() for r in caplog.records if r.name == "fpsynt.analysis"] == \
+        ["chain at 't4' falls back to pairwise pre-scaling"]
 
 
 def test_chain_fallback_warns_once_per_chain(caplog):
@@ -882,6 +897,59 @@ def test_too_wide_inputs_fail_before_any_search(k_max, caplog):
         topological_optimize(dfg, bindings, Config(width=8, k_max=k_max))
     assert str(e.value) == "input 'v1' is 14 bits wide, word width is 8"
     assert not [r for r in caplog.records if r.name == "fpsynt.optimizer"]
+
+
+_NO_OUTPUT = (Dfg((Node("x", NodeKind.INPUT), Node("c", NodeKind.CONST, value=Fraction(1, 4)),
+                   Node("m", NodeKind.MUL, ("c", "x")))),
+              Bindings({"x": (1, 0, 7)}, {"c": Fraction(1, 4)}, ()))
+_UNBOUND_INPUT = (make_graph({"x": (1, 0, 7), "y": (1, 0, 7)}, {},
+                             [("s", NodeKind.ADD, ("x", "y"), (False, False))], {"o": "s"})[0],
+                  Bindings({"x": (1, 0, 7)}, {}, ("o",)))
+
+
+@pytest.mark.parametrize("graph,message", [
+    (_NO_OUTPUT, "the graph has no output node"),
+    (_UNBOUND_INPUT, "input 'y' has no format in the bindings")])
+def test_malformed_hand_built_graphs_fail_before_any_search(graph, message, caplog):
+    """The parser makes neither graph; built by hand, each fails in the
+    table with one line, before any candidate is searched."""
+    with caplog.at_level(logging.INFO, logger="fpsynt.optimizer"), \
+            pytest.raises(ValueError) as e:
+        topological_optimize(*graph, W8)
+    assert str(e.value) == message
+    assert not [r for r in caplog.records if r.name == "fpsynt.optimizer"]
+
+
+# a = b + x, b = a + y: every configuration reads the graph's level-first
+# order before it walks a chain or steps a node, and that raises. Run in a
+# child under a 1 GiB address-space cap, so that a walk that never ends
+# fails with MemoryError or the timeout and does not take the machine's memory.
+_CYCLIC_SEARCH = """
+import resource
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+from fpsynt import Bindings, Config, CycleError, Dfg, Node, NodeKind, topological_optimize
+dfg = Dfg((Node("x", NodeKind.INPUT), Node("y", NodeKind.INPUT),
+           Node("a", NodeKind.ADD, ("b", "x")), Node("b", NodeKind.ADD, ("a", "y")),
+           Node("o", NodeKind.OUTPUT, ("a",))))
+bindings = Bindings({"x": (1, 0, 7), "y": (1, 0, 7)}, {}, ("o",))
+for topology in (True, False):
+    for chain in (True, False):
+        try:
+            topological_optimize(dfg, bindings, Config(
+                width=8, enable_topology_opt=topology, enable_chain_alloc=chain))
+        except CycleError as e:
+            print(e)
+"""
+
+
+def test_a_cyclic_hand_built_graph_fails_fast():
+    try:
+        proc = subprocess.run([sys.executable, "-c", _CYCLIC_SEARCH], capture_output=True,
+                              text=True, env=child_env(), timeout=60)
+    except subprocess.TimeoutExpired:
+        pytest.fail("the search of a cyclic graph did not end within 60 s")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["cycle in dataflow graph: a -> b -> a"] * 4
 
 
 def test_grid_floor_never_exceeds_a_topologys_optimum():

@@ -304,7 +304,7 @@ def scalar_fixed(plan, raws) -> tuple[int, ...]:
     or InternalOverflowError at the first node in order that leaves its
     format's range."""
     vals = dict(zip(plan.bindings.inputs, raws))
-    for nid in plan.order():
+    for nid in plan.graph.level_first:
         node = plan.graph.node(nid)
         ops = [vals[op] for op in node.operands]
         if node.kind is NodeKind.INPUT:
@@ -330,7 +330,7 @@ def scalar_double(plan, raws) -> dict:
     """Per-value double evaluation of the source graph with Python floats."""
     vals = {name: float(decode(raw, plan.bindings.input_format(name)))
             for name, raw in zip(plan.bindings.inputs, raws)}
-    for nid in plan.source_order():
+    for nid in plan.source.level_first:
         node = plan.source.node(nid)
         ops = [vals[op] for op in node.operands]
         if node.kind is NodeKind.CONST:
