@@ -14,12 +14,12 @@ __version__ = "0.1.0"
 
 from .analysis import (CHAIN_PLAN, AccumulatorInfo, ErrorBound, GraphTable,
                        Interval, NodeInfo, Plan, check_plan,
-                       choose_const_format, find_chains, infer_product_format,
+                       choose_const_format, infer_product_format,
                        mul_error_bound, plan_add, plan_truncate)
 from .codegen import EmittedArtifact, emit_c, emit_vhdl
 from .config import Config
 from .core import (Dfg, Node, NodeKind, Quantize, ScaledSignal, SifFormat,
-                   decode, encode, sif_width, topo_order)
+                   decode, encode, find_chains, sif_width, topo_order)
 from .errors import (CannotFitError, CycleError, EmitError, FpsyntError,
                      InternalOverflowError, MalformedRawError, ParseError,
                      PlanCheckError, RangeError, SpecError, ValidationError,

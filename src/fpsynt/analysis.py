@@ -26,15 +26,14 @@ validated by simulation.
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .config import MAX_WIDTH, Config
-from .core import (Dfg, Node, NodeKind, ScaledSignal, SifFormat, _pow2_frac,
-                   decode, depth_first_order, encode, show_value)
+from .core import (Chain, Dfg, Node, NodeKind, ScaledSignal, SifFormat, _pow2_frac,
+                   decode, depth_first_order, encode, find_chains, show_value)
 from .errors import CannotFitError, PlanCheckError
 from .parser import Bindings
 
@@ -399,14 +398,12 @@ def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
     already coarse enough are not shifted.
     """
     ga, gb = a.signal.grid_exp, b.signal.grid_exp
+    f_star = min(a.signal.fmt.f, b.signal.fmt.f)
 
     def attempt(g: int) -> AlignSpec | None:  # g: exponent of the common grid
         sa, sb = g - ga, g - gb
-        f_star = min(a.signal.fmt.f, b.signal.fmt.f)
-        # the operand achieving f_star fixes the common scale exponent
-        e_star = (a.signal.scale + sa - (a.signal.fmt.f - f_star))
-        if e_star != b.signal.scale + sb - (b.signal.fmt.f - f_star):
-            raise PlanCheckError(f"addition operands disagree on the scale of grid {g}")
+        # each view keeps f_star fraction bits on grid g, so its scale is g + f_star
+        e_star = g + f_star
         av = _shift_view(a, sa, f_star, e_star)
         bv = _shift_view(b, sb, f_star, e_star)
         ia = -av.interval if negate[0] else av.interval
@@ -457,70 +454,6 @@ def choose_const_format(value: Fraction, width: int) -> SifFormat:
         if fmt.min_value <= value <= fmt.max_value:
             return fmt
     raise CannotFitError(f"constant {show_value(value)} does not fit in {width} bits")
-
-
-# ---------------------------------------------------------------------------
-# chains of consecutive additions
-
-
-@dataclass(frozen=True)
-class Chain:
-    """A maximal run of >= 2 connected ADD nodes, flattened to signed terms."""
-
-    root: str
-    members: tuple[str, ...]          # non-root ADD nodes absorbed by the chain
-    terms: tuple[tuple[str, int], ...]  # (node id, +1/-1) in source order
-    shape: tuple                       # original parenthesization over term indexes
-
-    @property
-    def n_terms(self) -> int:
-        return len(self.terms)
-
-
-def find_chains(dfg: Dfg) -> list[Chain]:
-    """Locate every maximal chain of consecutive additions.
-
-    An ADD belongs to its consumer's chain when it is that consumer's only
-    use; shared subtrees stay intact. Chains are reported in declaration
-    order of their root. Raises CycleError on a cyclic graph.
-    """
-    dfg.level_first  # the chain walk below would not end on a cycle
-    consumers = dfg.consumers()
-    add_ids = {n.id for n in dfg.nodes if n.kind is NodeKind.ADD}
-
-    def absorbed(nid: str) -> bool:  # for an ADD
-        cons = consumers[nid]
-        return len(cons) == 1 and dfg.node(cons[0]).kind is NodeKind.ADD
-
-    chains = []
-    for node in dfg.nodes:
-        if node.id not in add_ids or absorbed(node.id):
-            continue
-        members: list[str] = []
-        terms: list[tuple[str, int]] = []
-        # depth-first, left operand first, with an explicit stack: a chain
-        # can be thousands of additions deep
-        shapes: list = []
-        stack = [(node.id, 1, False)]
-        while stack:
-            nid, sign, joined = stack.pop()
-            if joined:
-                right = shapes.pop()
-                shapes.append((shapes.pop(), right))
-            elif nid in add_ids and (nid == node.id or absorbed(nid)):
-                if nid != node.id:
-                    members.append(nid)
-                n = dfg.node(nid)
-                stack.append((nid, sign, True))
-                stack.append((n.operands[1], -sign if n.negate[1] else sign, False))
-                stack.append((n.operands[0], -sign if n.negate[0] else sign, False))
-            else:
-                terms.append((nid, sign))
-                shapes.append(len(terms) - 1)
-        shape = shapes.pop()
-        if len(members) >= 1:  # root + >= 1 member = >= 2 consecutive adds
-            chains.append(Chain(node.id, tuple(members), tuple(terms), shape))
-    return chains
 
 
 @dataclass(frozen=True)
@@ -607,13 +540,13 @@ class GraphTable:
     """One synthesis: its source graph ``dfg``, ``bindings`` and ``config``,
     and what re-association cannot change, worked out once: ``den`` (see
     ``PlanBuilder``), ``quantized``, the NodeInfo and raw word of each
-    constant that a node reads, on first use the graph's chains, and
-    ``floors``, the memo of ``optimizer.node_floors`` that the graph's
-    topologies share, and ``searches``, an ``optimizer.SearchStats`` per search
-    run on it. Before any search, raises ValueError on a graph with no output,
-    then, at the first input or such constant in declaration order at fault,
-    ValueError for an input with no format in ``bindings`` or CannotFitError
-    for a value that does not fit the word width."""
+    constant that a node reads, ``floors``, the memo of ``optimizer.node_floors``
+    that the graph's topologies share, and ``searches``, an
+    ``optimizer.SearchStats`` per search run on it. Before any search, raises
+    ValueError on a graph with no output, then, at the first input or such
+    constant in declaration order at fault, ValueError for an input with no
+    format in ``bindings`` or CannotFitError for a value that does not fit
+    the word width."""
 
     def __init__(self, dfg: Dfg, bindings: Bindings, config: Config):
         self.dfg, self.bindings, self.config = dfg, bindings, config
@@ -643,10 +576,6 @@ class GraphTable:
         # per (b0, kind, leaf, negate, ids of the operands' records)
         self.floors: dict[tuple, object] = {}
         self.searches: list = []
-
-    @functools.cached_property
-    def chains(self) -> list[Chain]:
-        return find_chains(self.dfg)
 
 
 class PlanBuilder:
@@ -680,18 +609,17 @@ class PlanBuilder:
         self.width = table.config.width
         chained = candidate == CHAIN_PLAN
         self.topology, self.dfg = (CHAIN_PLAN, table.dfg) if chained else candidate
-        self.chains = {c.root: c for c in table.chains} if chained else {}
+        self.chains = {c.root: c for c in table.dfg.chains} if chained else {}
         dfg = self.dfg
         self._fallbacks: set[str] = set()  # chain roots already warned about
         self._source_ids = frozenset(n.id for n in dfg.nodes)
         # terms whose full-width value may feed the accumulator directly
-        consumers = dfg.consumers() if self.chains else {}
         chain_adds = {m for c in self.chains.values() for m in c.members} | set(self.chains)
         self._full_width_terms = set()
         for c in self.chains.values():
             for tid, _sign in c.terms:
                 if (dfg.node(tid).kind is NodeKind.MUL
-                        and all(u in chain_adds for u in consumers[tid])):
+                        and all(u in chain_adds for u in dfg.consumers[tid])):
                     self._full_width_terms.add(tid)
 
         walked = set(dfg.depth_first) - (chain_adds - set(self.chains))

@@ -6,10 +6,11 @@
 
 Exit codes: 0 ok, 1 parse/validation error, usage error or bad option
 value (such as --random outside 1 to MAX_RANDOM_VECTORS = 10^7, which
-bounds the memory of the vector matrix), simulate without numpy, or a plan
-that fails check_plan (PlanCheckError, a planner bug), 2 cannot-fit, 3 I/O
-error, 4 malformed vector file. Set FPSYNT_LOG=debug|info|warning for
-logging.
+bounds the memory of the vector matrix), simulate without numpy, a plan
+that fails check_plan (PlanCheckError, a planner bug), or a RecursionError
+(``internal error: recursion too deep``), 2 cannot-fit, 3 I/O error or
+out of memory (a MemoryError), 4 malformed vector file. Set
+FPSYNT_LOG=debug|info|warning for logging.
 """
 
 from __future__ import annotations
@@ -191,6 +192,12 @@ def main(argv=None) -> int:
         return EXIT_IO
     except FpsyntError as e:  # pragma: no cover - safety net
         print(f"fpsynt: {e}", file=sys.stderr)
+        return EXIT_SPEC
+    except MemoryError:
+        print("fpsynt: out of memory", file=sys.stderr)
+        return EXIT_IO
+    except RecursionError:
+        print("fpsynt: internal error: recursion too deep", file=sys.stderr)
         return EXIT_SPEC
 
 

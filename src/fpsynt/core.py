@@ -7,7 +7,8 @@ sign-extension copies, so a raw value is only well formed when it lies in
 exponent E; the semantic value of a raw word is raw * 2^(E - F).
 
 A Dfg keeps its two orders, ``level_first`` and ``depth_first``; both come
-from one walk, ``post_order``, which raises CycleError on a cycle.
+from one walk, ``post_order``, which raises CycleError on a cycle. It also
+keeps its ``consumers`` and its addition ``chains`` (``find_chains``).
 
 Raw values are plain Python integers (arbitrary precision), so full-width
 products never overflow the host representation. Real values are exact
@@ -230,11 +231,12 @@ class Dfg:
     """Directed acyclic dataflow graph. Nodes are stored in declaration order.
 
     Construction only checks id uniqueness and operand existence. The graph
-    keeps its two orders, each worked out on first read: ``level_first``
-    (``topo_order``) for the analyzer, emitters and simulator, and
-    ``depth_first`` (``depth_first_order``) for the search. Reading
-    ``level_first`` raises CycleError on a cyclic graph; so does
-    ``depth_first`` when the outputs read the cycle.
+    keeps what is worked out from it on first read: ``level_first``
+    (``topo_order``) for the analyzer, emitters and simulator,
+    ``depth_first`` (``depth_first_order``) for the search, ``consumers``,
+    the ids that read each node, and ``chains`` (``find_chains``). Reading
+    ``level_first`` or ``chains`` raises CycleError on a cyclic graph; so
+    does ``depth_first`` when the outputs read the cycle.
     """
 
     nodes: tuple[Node, ...]
@@ -266,12 +268,17 @@ class Dfg:
     def depth_first(self) -> tuple[str, ...]:
         return tuple(depth_first_order(self))
 
-    def consumers(self) -> dict[str, list[str]]:
+    @functools.cached_property
+    def consumers(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {n.id: [] for n in self.nodes}
         for n in self.nodes:
             for op in n.operands:
                 out[op].append(n.id)
-        return out
+        return {nid: tuple(c) for nid, c in out.items()}
+
+    @functools.cached_property
+    def chains(self) -> tuple[Chain, ...]:
+        return tuple(find_chains(self))
 
 
 def post_order(dfg: Dfg, roots) -> list[str]:
@@ -316,6 +323,66 @@ def depth_first_order(dfg: Dfg, first=()) -> list[str]:
     walked = post_order(dfg, (*first, *dfg.output_ids))
     seen = set(walked)
     return [n.id for n in dfg.nodes if n.kind is NodeKind.INPUT and n.id not in seen] + walked
+
+
+@dataclass(frozen=True)
+class Chain:
+    """A maximal run of >= 2 connected ADD nodes, flattened to signed terms."""
+
+    root: str
+    members: tuple[str, ...]          # non-root ADD nodes absorbed by the chain
+    terms: tuple[tuple[str, int], ...]  # (node id, +1/-1) in source order
+    shape: tuple                       # original parenthesization over term indexes
+
+    @property
+    def n_terms(self) -> int:
+        return len(self.terms)
+
+
+def find_chains(dfg: Dfg) -> list[Chain]:
+    """Locate every maximal chain of consecutive additions.
+
+    An ADD belongs to its consumer's chain when it is that consumer's only
+    use; shared subtrees stay intact. Chains are reported in declaration
+    order of their root. Raises CycleError on a cyclic graph.
+    """
+    dfg.level_first  # the chain walk below would not end on a cycle
+    consumers = dfg.consumers
+    add_ids = {n.id for n in dfg.nodes if n.kind is NodeKind.ADD}
+
+    def absorbed(nid: str) -> bool:  # for an ADD
+        cons = consumers[nid]
+        return len(cons) == 1 and dfg.node(cons[0]).kind is NodeKind.ADD
+
+    chains = []
+    for node in dfg.nodes:
+        if node.id not in add_ids or absorbed(node.id):
+            continue
+        members: list[str] = []
+        terms: list[tuple[str, int]] = []
+        # depth-first, left operand first, with an explicit stack: a chain
+        # can be thousands of additions deep
+        shapes: list = []
+        stack = [(node.id, 1, False)]
+        while stack:
+            nid, sign, joined = stack.pop()
+            if joined:
+                right = shapes.pop()
+                shapes.append((shapes.pop(), right))
+            elif nid in add_ids and (nid == node.id or absorbed(nid)):
+                if nid != node.id:
+                    members.append(nid)
+                n = dfg.node(nid)
+                stack.append((nid, sign, True))
+                stack.append((n.operands[1], -sign if n.negate[1] else sign, False))
+                stack.append((n.operands[0], -sign if n.negate[0] else sign, False))
+            else:
+                terms.append((nid, sign))
+                shapes.append(len(terms) - 1)
+        shape = shapes.pop()
+        if len(members) >= 1:  # root + >= 1 member = >= 2 consecutive adds
+            chains.append(Chain(node.id, tuple(members), tuple(terms), shape))
+    return chains
 
 
 def render_infix(dfg: Dfg, root: str, leaf, shift, bare_left_sums: bool = False) -> str:

@@ -59,10 +59,10 @@ import itertools
 import logging
 import math
 
-from .analysis import (CHAIN_PLAN, Chain, ErrorBound, GraphTable, Plan, PlanBuilder, _Ctx,
-                       cost_key, find_chains, floor_loss)
+from .analysis import (CHAIN_PLAN, ErrorBound, GraphTable, Plan, PlanBuilder, _Ctx, cost_key,
+                       floor_loss)
 from .config import N_MAX_TOPOLOGIES, Config
-from .core import Dfg, Node, NodeKind
+from .core import Chain, Dfg, Node, NodeKind
 from .errors import CannotFitError, PlanCheckError
 from .parser import Bindings
 
@@ -690,7 +690,7 @@ def enumerate_topologies(dfg: Dfg) -> list[tuple[str, Dfg]]:
     balanced tree; when the cross product over several chains grows past a
     safety cap, every chain does (a limit of 2, below every chain's length).
     """
-    chains = find_chains(dfg)
+    chains = dfg.chains
     shape_lists = [_shapes_for_chain(c, N_MAX_TOPOLOGIES) for c in chains]
     if math.prod(map(len, shape_lists)) > _MAX_TOPOLOGY_PRODUCT:
         shape_lists = [_shapes_for_chain(c, 2) for c in chains]
@@ -727,7 +727,7 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     table = GraphTable(dfg, bindings, config)
     topologies = enumerate_topologies(dfg) if config.enable_topology_opt else [("source", dfg)]
     candidates: list[tuple[int, tuple[str, Dfg] | str]] = list(enumerate(topologies))
-    if config.enable_chain_alloc and table.chains:
+    if config.enable_chain_alloc and dfg.chains:
         candidates.insert(0, (len(topologies), CHAIN_PLAN))
 
     incumbent = None

@@ -9,7 +9,7 @@ import pytest
 
 from fpsynt.cli import main
 
-from conftest import FIR4_SRC, MIXED_CHAINS_SRC, child_env
+from conftest import FIR4_SRC, MIXED_CHAINS_SRC, child_env, make_sum_src
 
 BAD_SRC = "input x : sif(1/0/15)\noutput y = x;\n"  # missing semicolon
 
@@ -365,6 +365,38 @@ def test_5000_term_sum_synthesizes_in_a_child_process(tmp_path):
     for name in ("sum5000.fps.c", "sum5000.fps.vhd", "report.json"):
         assert (out / name).stat().st_size > 0
     assert json.loads((out / "report.json").read_text())["predicted_bound"] == 0
+
+
+# the CLI under a 512 MiB address-space cap, set in the child's own code
+_CAPPED_MAIN = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from fpsynt.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+def test_out_of_memory_exits_3_with_one_line(tmp_path):
+    """A synthesis that runs out of memory ends in one ``fpsynt:`` line and
+    exit 3, not a MemoryError traceback."""
+    spec = tmp_path / "sum5000.fps"
+    spec.write_text(make_sum_src(5000))
+    proc = subprocess.run(
+        [sys.executable, "-c", _CAPPED_MAIN, "synth", str(spec), "--width", "32",
+         "--emit", "none", "-o", str(tmp_path / "o")],
+        capture_output=True, text=True, env=child_env(), timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == ["fpsynt: out of memory"]
+
+
+def test_recursion_error_exits_1_with_one_line(fir4_spec, tmp_path, capsys, monkeypatch):
+    def too_deep(*args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("fpsynt.cli.synthesize", too_deep)
+    assert main(["synth", str(fir4_spec), "-o", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.splitlines() == ["fpsynt: internal error: recursion too deep"]
 
 
 @pytest.mark.parametrize("value", ["basic_format", "nonsense"])

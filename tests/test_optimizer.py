@@ -110,6 +110,9 @@ def test_topologies_are_distinct_and_valid():
         (chain,) = find_chains(topo)
         assert chain.n_terms == 4
         seen.add(chain.shape)
+        # each graph keeps its chains, worked out once
+        assert topo.chains == tuple(find_chains(topo))
+        assert topo.chains is topo.chains
     assert len(seen) == 5
 
 
@@ -475,7 +478,7 @@ def test_random_small_graphs_pruning_safety():
     graphs = [FINISHED_OUTPUT_MATTERS] + [_random_shared_graph(rng) for _ in range(40)]
     shared = searched = 0
     for dfg, bindings in graphs:
-        shared += any(len(c) > 1 for nid, c in dfg.consumers().items()
+        shared += any(len(c) > 1 for nid, c in dfg.consumers.items()
                       if nid.startswith("t"))
         for cfg in (Config(width=6, k_max=2), Config(width=8, k_max=2)):
             try:
@@ -769,6 +772,21 @@ const a12 = 0.394;
 output y0 = a00*x0 + a01*x1 + a02*x2;
 output y1 = a10*x0 + a11*x1 + a12*x2;
 """
+
+
+@pytest.mark.parametrize("src", [FIR4_SRC, MATVEC2X3_SRC], ids=["fir4", "matvec2x3"])
+def test_one_synthesis_walks_its_chains_once(src, monkeypatch):
+    """The source graph's chains are found once, for both re-association
+    and the chain plan."""
+    calls = []
+
+    def counted(dfg):
+        calls.append(dfg)
+        return find_chains(dfg)
+
+    monkeypatch.setattr("fpsynt.core.find_chains", counted)
+    synthesize(src, Config(width=16))
+    assert len(calls) == 1
 
 
 def _search(table: GraphTable, *args) -> tuple:
