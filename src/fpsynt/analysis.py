@@ -30,10 +30,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .config import MAX_WIDTH, Config
 from .core import (Chain, Dfg, Node, NodeKind, ScaledSignal, SifFormat, _pow2_frac,
-                   decode, depth_first_order, encode, find_chains, show_value)
+                   depth_first_order, encode, find_chains, show_value)
 from .errors import CannotFitError, PlanCheckError
 from .parser import Bindings
 
@@ -96,6 +97,10 @@ class ErrorBound:
 
     def __add__(self, other):
         if type(other) is ErrorBound and other.q == self.q:
+            if not other.n:
+                return self
+            if not self.n:
+                return other
             d = self.e - other.e
             if d >= 0:
                 return ErrorBound((self.n << d) + other.n, other.e, self.q)
@@ -379,9 +384,12 @@ def _shift_view(info: NodeInfo, shift: int, f_star: int, e_star: int) -> NodeInf
     delta = fmt.f - f_star
     if delta < 0:
         raise PlanCheckError(f"view of f={fmt.f} cannot have f={f_star}")
-    new_sig = ScaledSignal(SifFormat(fmt.s, fmt.i + delta, f_star), e_star)
     if shift == 0:
-        return NodeInfo(new_sig, info.interval, info.err, info.eff_exp)
+        if not delta and e_star == info.signal.scale:  # the view is the value itself
+            return info
+        return NodeInfo(ScaledSignal(SifFormat(fmt.s, fmt.i + delta, f_star), e_star),
+                        info.interval, info.err, info.eff_exp)
+    new_sig = ScaledSignal(SifFormat(fmt.s, fmt.i + delta, f_star), e_star)
     grid_exp = e_star - f_star
     return NodeInfo(new_sig, info.interval.floor_to(grid_exp),
                     info.err + floor_loss(info.eff_exp, grid_exp, info.interval, info.err.q),
@@ -400,33 +408,34 @@ def plan_add(a: NodeInfo, b: NodeInfo, negate: tuple[bool, bool],
     ga, gb = a.signal.grid_exp, b.signal.grid_exp
     f_star = min(a.signal.fmt.f, b.signal.fmt.f)
 
-    def attempt(g: int) -> AlignSpec | None:  # g: exponent of the common grid
-        sa, sb = g - ga, g - gb
-        # each view keeps f_star fraction bits on grid g, so its scale is g + f_star
-        e_star = g + f_star
-        av = _shift_view(a, sa, f_star, e_star)
-        bv = _shift_view(b, sb, f_star, e_star)
-        ia = -av.interval if negate[0] else av.interval
-        ib = -bv.interval if negate[1] else bv.interval
-        total = ia + ib
-        i_r = _min_integer_bits(total, f_star, e_star)
-        if 1 + i_r + f_star > width:
-            return None
-        res = NodeInfo(ScaledSignal(SifFormat(1, i_r, f_star), e_star),
-                       total, av.err + bv.err, min(av.eff_exp, bv.eff_exp))
-        return AlignSpec(sa, sb, av, bv, res)
+    def total(g: int) -> tuple[Interval, int] | None:
+        """The exact sum interval on the common grid 2^g and its integer
+        bits, where they fit ``width`` bits; each view keeps f_star
+        fraction bits on grid g, so its scale is g + f_star."""
+        ia = a.interval if g == ga else a.interval.floor_to(g)
+        ib = b.interval if g == gb else b.interval.floor_to(g)
+        t = (-ia if negate[0] else ia) + (-ib if negate[1] else ib)
+        i_r = _min_integer_bits(t, f_star, g + f_star)
+        return (t, i_r) if 1 + i_r + f_star <= width else None
 
     for g in range(max(ga, gb), max(ga, gb) + _ALIGN_GUARD):
-        spec = attempt(g)
-        if spec is not None:
+        fit = total(g)
+        if fit is not None:
             break
     else:
         raise CannotFitError(f"cannot align addition operands within {width} bits")
     if extra:
-        spec = attempt(g + extra)
-        if spec is None:
-            raise PlanCheckError(f"coarsening un-fit a sum at grid {g + extra}")
-    return spec
+        g += extra
+        fit = total(g)
+        if fit is None:
+            raise PlanCheckError(f"coarsening un-fit a sum at grid {g}")
+    interval, i_r = fit
+    e_star = g + f_star
+    av = _shift_view(a, g - ga, f_star, e_star)
+    bv = _shift_view(b, g - gb, f_star, e_star)
+    res = NodeInfo(ScaledSignal(SifFormat(1, i_r, f_star), e_star),
+                   interval, av.err + bv.err, min(av.eff_exp, bv.eff_exp))
+    return AlignSpec(g - ga, g - gb, av, bv, res)
 
 
 def mul_error_bound(a: NodeInfo, b: NodeInfo) -> ErrorBound:
@@ -439,20 +448,22 @@ def mul_error_bound(a: NodeInfo, b: NodeInfo) -> ErrorBound:
     branch-and-bound pruning admissible, and a larger bound stays sound."""
     ea, eb = a.err, b.err
     ia, ib = a.interval, b.interval
-    err = eb.scaled(ia.m_abs, ia.exp) + ea.scaled(ib.m_abs, ib.exp)
-    if ea.n and eb.n:
-        err = err + ea * eb
-    return max(err, ea, eb)
+    if not ea.n:  # an exact operand: no cross term, and its own share is 0
+        return max(eb.scaled(ia.m_abs, ia.exp), eb) if eb.n else ea
+    if not eb.n:
+        return max(ea.scaled(ib.m_abs, ib.exp), ea)
+    return max(eb.scaled(ia.m_abs, ia.exp) + ea.scaled(ib.m_abs, ib.exp) + ea * eb, ea, eb)
 
 
 def choose_const_format(value: Fraction, width: int) -> SifFormat:
     """Most precise format for a constant: minimal integer bits, every
     remaining bit a fraction bit."""
+    p, q = value.numerator, value.denominator
     for i in range(0, width):
         f = width - 1 - i
-        fmt = SifFormat(1, i, f)
-        if fmt.min_value <= value <= fmt.max_value:
-            return fmt
+        # -2^i <= p/q <= (2^(i+f) - 1) / 2^f, on integers
+        if -(q << i) <= p and p << f <= ((1 << (i + f)) - 1) * q:
+            return SifFormat(1, i, f)
     raise CannotFitError(f"constant {show_value(value)} does not fit in {width} bits")
 
 
@@ -524,11 +535,9 @@ class _Ctx:
         self.rank = 0
 
     def clone(self) -> "_Ctx":
-        c = _Ctx()
-        c.nodes = list(self.nodes)
-        c.info = dict(self.info)
-        c.alias = dict(self.alias)
-        c.accumulators = list(self.accumulators)
+        c = object.__new__(_Ctx)
+        c.nodes, c.info, c.alias = self.nodes.copy(), self.info.copy(), self.alias.copy()
+        c.accumulators, c.rank = self.accumulators.copy(), 0
         return c
 
     def emit(self, node: Node, info: NodeInfo):
@@ -540,7 +549,7 @@ class GraphTable:
     """One synthesis: its source graph ``dfg``, ``bindings`` and ``config``,
     and what re-association cannot change, worked out once: ``den`` (see
     ``PlanBuilder``), ``quantized``, the NodeInfo and raw word of each
-    constant that a node reads, ``floors``, the memo of ``optimizer.node_floors``
+    constant that a node reads, ``floors``, the memo of ``floors.node_floors``
     that the graph's topologies share, and ``searches``, an
     ``optimizer.SearchStats`` per search run on it. Before any search, raises
     ValueError on a graph with no output, then, at the first input or such
@@ -564,17 +573,20 @@ class GraphTable:
             if node.kind is NodeKind.INPUT and (w := bindings.input_format(node.id).width) > W:
                 raise CannotFitError(f"input '{node.id}' is {w} bits wide, word width is {W}")
             if node.kind is NodeKind.CONST and node.id in read:
+                value = Fraction(node.value)
                 try:
-                    fmt = choose_const_format(node.value, W)
+                    fmt = choose_const_format(value, W)
                 except CannotFitError as e:
                     raise CannotFitError(f"const '{node.id}': {e}") from None
-                raw = encode(node.value, fmt, config.quantize)
-                err = ErrorBound.of(abs(node.value - decode(raw, fmt)), self.den)
+                raw = encode(value, fmt, config.quantize)
+                # |value - raw / 2^F|, on integers
+                p, q = value.numerator, value.denominator
+                err = ErrorBound.of(Fraction(abs((p << fmt.f) - raw * q), q << fmt.f), self.den)
                 value = Interval.from_raws(raw, raw, -fmt.f)
                 self.quantized[node.id] = (
                     NodeInfo(ScaledSignal(fmt, 0), value, err, value.exp if raw else -fmt.f), raw)
-        # per (b0, kind, leaf, negate, ids of the operands' records)
-        self.floors: dict[tuple, object] = {}
+        # per b0 (n, e, q): a ``floors._FloorMemo``; under None, the leaves' records
+        self.floors: dict[tuple | None, object] = {}
         self.searches: list = []
 
 
@@ -750,7 +762,8 @@ class PlanBuilder:
         if any(t.signal.scale != 0 for t in term_infos):
             return False
 
-        f_cap = min(t.signal.fmt.f for t in term_infos)
+        # a grid of f_acc >= w_acc fraction bits leaves no room for the sign bit
+        f_cap = min(min(t.signal.fmt.f for t in term_infos), w_acc - 1)
         for f_acc in range(f_cap, -1, -1):
             views = [t.interval.floor_to(-f_acc) for t in term_infos]
             widths = [1 + _min_integer_bits(v, f_acc, 0) + f_acc for v in views]
@@ -797,11 +810,14 @@ class PlanBuilder:
     def finish(self, ctx: _Ctx, choices: dict[str, int]) -> Plan:
         """The plan of a walk that took ``choices`` (0 where it has none),
         its nodes sorted stably by the rank of the step that emitted them."""
-        nodes = [n for _, n in sorted(ctx.nodes, key=lambda rn: rn[0])]
+        nodes = [n for _, n in sorted(ctx.nodes, key=itemgetter(0))]
         acc = {nid for a in ctx.accumulators for nid in a.nodes}
+        done: dict[int, NodeInfo] = {}  # id of a walk's NodeInfo -> the plan's; outputs share
+        for i in ctx.info.values():
+            if id(i) not in done:
+                done[id(i)] = NodeInfo(i.signal, i.interval, i.err.as_fraction(), i.eff_exp)
         return Plan(graph=Dfg(tuple(nodes)),
-                    info={n.id: NodeInfo(i.signal, i.interval, i.err.as_fraction(), i.eff_exp)
-                          for n in nodes for i in (ctx.info[n.id],)},
+                    info={n.id: done[id(ctx.info[n.id])] for n in nodes},
                     const_raws={n.id: self.table.quantized[n.id][1] for n in nodes
                                 if n.kind is NodeKind.CONST},
                     bindings=self.table.bindings,
@@ -820,11 +836,6 @@ class PlanBuilder:
         return self.finish(ctx, choices)
 
 
-def _require(ok: bool, message: str, *args):
-    if not ok:
-        raise PlanCheckError(message % args)
-
-
 def check_plan(plan: Plan):
     """Check the analysis invariants of a finished plan.
 
@@ -836,22 +847,32 @@ def check_plan(plan: Plan):
     """
     W = plan.config.width
     limit = {nid: a.width for a in plan.accumulators for nid in a.nodes}
+    info_of = plan.info
     for node in plan.graph.nodes:
-        info = plan.info[node.id]
+        nid, info = node.id, info_of[node.id]
         fmt, iv = info.signal.fmt, info.interval
         # the format range [min_raw, max_raw] * 2^grid and the interval, on
         # the finer of their two exponents
         d = info.signal.grid_exp - iv.exp
-        lo, hi, m_lo, m_hi = (fmt.min_raw << d, fmt.max_raw << d, iv.m_lo, iv.m_hi) if d >= 0 \
-            else (fmt.min_raw, fmt.max_raw, iv.m_lo << -d, iv.m_hi << -d)
-        _require(lo <= m_lo and m_hi <= hi, "interval of '%s' escapes its format", node.id)
-        _require(info.signal.scale >= 0, "negative scale at '%s'", node.id)
-        _require(info.err >= 0, "negative error bound at '%s'", node.id)
-        w = 2 * W if node.kind is NodeKind.MUL else limit.get(node.id, W)
-        _require(info.width <= w, "node '%s' is %d bits, limit %d", node.id, info.width, w)
+        top = 1 << (fmt.i + fmt.f)  # -min_raw = max_raw + 1
+        lo, hi, m_lo, m_hi = (-top << d, (top - 1) << d, iv.m_lo, iv.m_hi) if d >= 0 \
+            else (-top, top - 1, iv.m_lo << -d, iv.m_hi << -d)
+        if not (lo <= m_lo and m_hi <= hi):
+            raise PlanCheckError(f"interval of '{nid}' escapes its format")
+        if info.signal.scale < 0:
+            raise PlanCheckError(f"negative scale at '{nid}'")
+        # bounds are Fractions: compared on integers, as n/d <= m/e iff n*e <= m*d
+        n, den = info.err.numerator, info.err.denominator
+        if n < 0:
+            raise PlanCheckError(f"negative error bound at '{nid}'")
+        w = 2 * W if node.kind is NodeKind.MUL else limit.get(nid, W)
+        if fmt.width > w:
+            raise PlanCheckError(f"node '{nid}' is {fmt.width} bits, limit {w}")
         if node.kind is NodeKind.ADD:
-            a, b = (plan.info[op] for op in node.operands)
-            _require(a.signal.grid_exp == b.signal.grid_exp, "unaligned add '%s'", node.id)
+            a, b = (info_of[op] for op in node.operands)
+            if a.signal.grid_exp != b.signal.grid_exp:
+                raise PlanCheckError(f"unaligned add '{nid}'")
         for op in node.operands:
-            _require(plan.info[op].err <= info.err,
-                     "error bound shrank from '%s' to '%s'", op, node.id)
+            e = info_of[op].err
+            if e.numerator * den > n * e.denominator:
+                raise PlanCheckError(f"error bound shrank from '{op}' to '{nid}'")

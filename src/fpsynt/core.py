@@ -22,6 +22,7 @@ from __future__ import annotations
 import enum
 import functools
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
@@ -96,9 +97,8 @@ def decode(raw: int, fmt: SifFormat) -> Fraction:
     return Fraction(raw, 1 << fmt.f)
 
 
-def round_half_away(x: Fraction) -> int:
-    """Round to the nearest integer, ties away from zero."""
-    n, d = x.numerator, x.denominator
+def round_half_away(n: int, d: int) -> int:
+    """Round n / d (d > 0) to the nearest integer, ties away from zero."""
     if n >= 0:
         return (2 * n + d) // (2 * d)
     return -((-2 * n + d) // (2 * d))
@@ -120,14 +120,12 @@ def encode(value, fmt: SifFormat, mode: Quantize = Quantize.ROUND) -> int:
     the decodable range [-2^I, 2^I - 2^-F].
     """
     v = Fraction(value)
-    if not fmt.min_value <= v <= fmt.max_value:
+    # value * 2^F = n / d against [min_raw, max_raw], on integers
+    n, d = v.numerator << fmt.f, v.denominator
+    if not fmt.min_raw * d <= n <= fmt.max_raw * d:
         raise RangeError(f"value {show_value(v)} is outside the decodable range of {fmt} "
                          f"[{float(fmt.min_value)}, {float(fmt.max_value)}]")
-    scaled = v * (1 << fmt.f)
-    if mode is Quantize.ROUND:
-        raw = round_half_away(scaled)
-    else:
-        raw = scaled.__floor__()
+    raw = round_half_away(n, d) if mode is Quantize.ROUND else n // d
     # rounding at the top edge cannot escape: value <= max_value implies raw <= max_raw
     assert fmt.min_raw <= raw <= fmt.max_raw
     return raw
@@ -176,6 +174,10 @@ class ScaledSignal:
 
 
 class NodeKind(enum.Enum):
+    # members are singletons and compare by identity, so they hash by it
+    # too, in C, in place of Enum's hash of the member name
+    __hash__ = object.__hash__
+
     INPUT = "input"
     CONST = "const"
     MUL = "mul"
@@ -242,6 +244,9 @@ class Dfg:
     nodes: tuple[Node, ...]
     _by_id: dict = field(init=False, repr=False, compare=False, hash=False)
     output_ids: tuple[str, ...] = field(init=False, repr=False, compare=False, hash=False)
+    # node(id): the node with that id, a KeyError if none; the id dict's own
+    # lookup, as every step of every walk calls it
+    node: Callable[[str], Node] = field(init=False, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         by_id = {}
@@ -254,11 +259,9 @@ class Dfg:
                 if op not in by_id:
                     raise ValueError(f"node '{n.id}' references unknown operand '{op}'")
         object.__setattr__(self, "_by_id", by_id)
+        object.__setattr__(self, "node", by_id.__getitem__)
         object.__setattr__(self, "output_ids",
                            tuple(n.id for n in self.nodes if n.kind is NodeKind.OUTPUT))
-
-    def node(self, node_id: str) -> Node:
-        return self._by_id[node_id]
 
     @functools.cached_property
     def level_first(self) -> tuple[str, ...]:
@@ -287,6 +290,7 @@ def post_order(dfg: Dfg, roots) -> list[str]:
     CycleError (listing the cycle) at a node the walk is still inside."""
     done: dict[str, None] = {}  # finished nodes, in post-order
     path: dict[str, None] = {}  # the nodes the walk is inside, outermost first
+    node = dfg.node
     stack = [(r, False) for r in reversed(roots)]
     while stack:
         nid, ready = stack.pop()
@@ -297,9 +301,15 @@ def post_order(dfg: Dfg, roots) -> list[str]:
             inside = list(path)
             raise CycleError(inside[inside.index(nid):] + [nid])
         elif nid not in done:
+            ops = node(nid).operands
+            if not ops:  # a leaf is finished as soon as it is reached
+                done[nid] = None
+                continue
             path[nid] = None
             stack.append((nid, True))
-            stack.extend((op, False) for op in reversed(dfg.node(nid).operands) if op not in done)
+            for op in reversed(ops):
+                if op not in done:
+                    stack.append((op, False))
     return list(done)
 
 
@@ -312,8 +322,10 @@ def topo_order(dfg: Dfg) -> list[str]:
     """
     ids = [n.id for n in dfg.nodes]
     level: dict[str, int] = {}
+    node = dfg.node
     for nid in post_order(dfg, ids):
-        level[nid] = max((level[op] + 1 for op in dfg.node(nid).operands), default=0)
+        ops = node(nid).operands
+        level[nid] = max(map(level.__getitem__, ops)) + 1 if ops else 0
     return sorted(ids, key=level.__getitem__)  # stable: declaration order breaks ties
 
 

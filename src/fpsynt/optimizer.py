@@ -63,7 +63,8 @@ from .analysis import (CHAIN_PLAN, ErrorBound, GraphTable, Plan, PlanBuilder, _C
                        floor_loss)
 from .config import N_MAX_TOPOLOGIES, Config
 from .core import Chain, Dfg, Node, NodeKind
-from .errors import CannotFitError, PlanCheckError
+from .errors import CannotFitError
+from .floors import _Floor, _shape_steps, _TopologyFloors, node_floors
 from .parser import Bindings
 
 log = logging.getLogger("fpsynt.optimizer")
@@ -134,32 +135,34 @@ class _Frontier:
     def __init__(self, builder: PlanBuilder):
         order, dfg, outputs = builder.search_order, builder.dfg, builder.dfg.output_ids
         readers = dict.fromkeys(order, 0)
-        cone_readers: dict[str, list[str]] = {nid: [] for nid in order}
         cone_reads = {}
         leaves = set()  # the inputs and constants
         for nid in order:
-            node = dfg.node(nid)
-            reads = builder.reads(nid)
-            if node.kind is NodeKind.MUL:
+            kind = dfg.node(nid).kind
+            reads = all_reads = builder.reads(nid)
+            if kind is NodeKind.MUL:
                 reads = (max(reads, key=lambda r: _CARRIES.get(dfg.node(r).kind, 2)),)
-            elif node.kind not in (NodeKind.ADD, NodeKind.OUTPUT):
+            elif kind is not NodeKind.ADD and kind is not NodeKind.OUTPUT:
                 reads = ()
                 leaves.add(nid)
             cone_reads[nid] = reads
-            for r in builder.reads(nid):
+            for r in all_reads:
                 readers[r] += 1
-            for r in reads:
-                cone_readers[r].append(nid)
         # paths[k][v]: the number of paths from v to the k-th output through
-        # cone reads, a floor on the multiple of err(v) in the output's error
+        # cone reads, a floor on the multiple of err(v) in the output's error;
+        # readers come first in reversed order, and pass their counts down
         self._paths = paths = []
         for o in outputs:
             to_o = {o: 1}
             for nid in reversed(order):
-                c = sum(to_o.get(r, 0) for r in cone_readers[nid])
+                c = to_o.get(nid)
                 if c:
-                    to_o[nid] = c
+                    for r in cone_reads[nid]:
+                        to_o[r] = to_o.get(r, 0) + c
             paths.append(to_o)
+        # per position: (output index, number of paths) of each output its value reaches
+        self._made = [[(k, to_o[nid]) for k, to_o in enumerate(paths) if nid in to_o]
+                      for nid in order]
 
         self._builder = builder
         consts = builder.table.quantized
@@ -169,12 +172,16 @@ class _Frontier:
         live: dict[str, int] = {}  # value -> count of reads still to come
         done: list[str] = []
         cones: list[dict[str, int]] = [{} for _ in outputs]  # value -> multiple
+        fixed = [builder.zero] * len(outputs)
+        computed: list[tuple] = [()] * len(outputs)  # each cone's computed pairs, as of now
+        changed = range(len(outputs))  # the cones the last step changed
         for nid in order:
-            self._tables.append((tuple(v for v in live if v not in leaves), tuple(done)))
-            self._cones.append(tuple(tuple((v, c) for v, c in cone.items() if v not in leaves)
-                                     for cone in cones))
-            self._fixed.append(tuple(sum((c * consts[v][0].err for v, c in cone.items()
-                                          if v in consts), builder.zero) for cone in cones))
+            self._tables.append((tuple([v for v in live if v not in leaves]), tuple(done)))
+            for k in changed:
+                computed[k] = tuple([(v, c) for v, c in cones[k].items() if v not in leaves])
+            self._cones.append(tuple(computed))
+            self._fixed.append(tuple(fixed))
+            changed = []
             for r in builder.reads(nid):
                 live[r] -= 1
                 if not live[r]:
@@ -183,14 +190,19 @@ class _Frontier:
                 live[nid] = readers[nid]
             if nid in outputs:
                 done.append(nid)
-            for cone, to_o in zip(cones, paths):
+            for k, (cone, to_o) in enumerate(zip(cones, paths)):
                 c = to_o.get(nid)
                 if c:  # the value made takes the place of the reads it counts
+                    changed.append(k)
                     for r in cone_reads[nid]:
                         cone[r] -= c
                         if not cone[r]:
                             del cone[r]
+                        if r in consts:
+                            fixed[k] = fixed[k] - c * consts[r][0].err
                     cone[nid] = c
+                    if nid in consts:
+                        fixed[k] = fixed[k] + c * consts[nid][0].err
         self._seen: list[dict] = [{} for _ in order]
 
     def bound_to(self, b0: ErrorBound):
@@ -209,10 +221,10 @@ class _Frontier:
             nid = order[pos]
             kind = dfg.node(nid).kind
             if kind is not NodeKind.OUTPUT:  # an output's floor is its operand's
-                made = [(k, to_o[nid]) for k, to_o in enumerate(self._paths) if nid in to_o]
                 floor = floors[nid]
-                for k, c in made:
-                    sums[k] = sums[k] + c * floor.need
+                if floor.need.n:
+                    for k, c in self._made[pos]:
+                        sums[k] = sums[k] + (floor.need if c == 1 else c * floor.need)
                 for k, excess in joint.pop(nid, ()):
                     sums[k] = sums[k] + excess
                 if kind is NodeKind.ADD:
@@ -223,7 +235,8 @@ class _Frontier:
                             excess = floor_loss(u.product_eff, max(u.g, floor.g), q=den) \
                                 - u.need - loss
                             if excess.n > 0:
-                                joint.setdefault(v, []).extend((k, c * excess) for k, c in made)
+                                joint.setdefault(v, []).extend(
+                                    (k, c * excess) for k, c in self._made[pos])
             base[pos] = tuple(map(ErrorBound.__add__, self._fixed[pos], sums))
         self._base = base
 
@@ -235,7 +248,8 @@ class _Frontier:
         sums = []
         for pairs, s in zip(self._cones[pos], self._base[pos]):
             for v, c in pairs:
-                s = s + c * info[alias[v]].err
+                err = info[alias[v]].err
+                s = s + (err if c == 1 else c * err)
             sums.append(s)
         return cost_key(sums)
 
@@ -256,246 +270,14 @@ class _Frontier:
         return False
 
 
-class _Floor:
-    """What the grid floor knows of a node's W-bit value (a product's after
-    truncation) in every plan that can tie a bound b0.
-
-    ``err`` and ``g`` bound its error and grid exponent from below. ``e0``:
-    the finest value grid the node can have, set only when its interval
-    spans zero (lo < 0 <= hi) in every plan, so that no flooring collapses
-    it to a point; ``base`` as in ``node_floors`` where e0 is set. ``pos``:
-    its value, as its consumers read it, has hi > 0 in every plan.
-    ``const``: a constant's quantized NodeInfo and raw word. ``reach``: a
-    triple (L, H, x) such that the value's interval [lo, hi] has
-    lo <= L * 2^x and hi >= H * 2^x, or None. ``eff``: an upper bound on
-    the exponent of its value grid, or None. ``need``: a lower bound on the
-    error that the node's own step adds (a constant's: its quantization
-    error). A product whose W-bit value is no point has ``product_eff``,
-    the bound on the value grid of its full-width value; an ADD has
-    ``views``, the part of its need that each operand view adds."""
-
-    __slots__ = ("err", "g", "base", "reach", "eff", "need", "e0", "pos", "const",
-                 "product_eff", "views")
-
-    def __init__(self, err, g, base, reach, eff, need, e0=None, pos=False, const=None,
-                 product_eff=None, views=()):
-        self.err, self.g, self.base = err, g, base
-        self.reach, self.eff, self.need = reach, eff, need
-        self.e0, self.pos, self.const = e0, pos, const
-        self.product_eff, self.views = product_eff, views
-
-
-def _exp_above(x: ErrorBound) -> int:
-    """The smallest R with 2^R >= x, for x > 0."""
-    n, e, q = x.n, x.e, x.q
-    t = n.bit_length() - q.bit_length() - 1  # q * 2^t < n
-    while True:
-        a, b = (q << t, n) if t >= 0 else (q, n << -t)
-        if a >= b:
-            return t + e
-        t += 1
-
-
-def _reach_sum(a: tuple | None, b: tuple | None) -> tuple | None:
-    """The reach of a sum, from its operands' reaches."""
-    if a is None or b is None:
-        return None
-    e = min(a[2], b[2])
-    return ((a[0] << (a[2] - e)) + (b[0] << (b[2] - e)),
-            (a[1] << (a[2] - e)) + (b[1] << (b[2] - e)), e)
-
-
-def _reach_product(a: tuple | None, b: tuple | None) -> tuple | None:
-    """The reach of a product, where both operands' reaches are intervals."""
-    if a is None or b is None or a[0] > a[1] or b[0] > b[1]:
-        return None
-    corners = (a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
-    return min(corners), max(corners), a[2] + b[2]
-
-
-def _lowered(r: tuple | None, s: int | None, negate: bool = False) -> tuple | None:
-    """The reach ``r`` with hi lowered by 2^s (by 0 when s is None), then
-    negated if ``negate``."""
-    if r is not None and s is not None:
-        e = min(r[2], s)
-        r = r[0] << (r[2] - e), (r[1] << (r[2] - e)) - (1 << (s - e)), e
-    return (-r[1], -r[0], r[2]) if negate and r is not None else r
-
-
-def _no_point(r: tuple | None) -> bool:
-    """True when no interval that reaches past ``r`` is a point."""
-    return r is not None and r[0] < r[1]
-
-
-def _floored_eff(b0: ErrorBound, eff: int) -> int:
-    """The largest G with 2^G <= b0 + 2^eff: the coarsest value grid that
-    flooring a value from eff can reach while it loses at most b0."""
-    n, e, q = b0.n, b0.e, b0.q
-    m = min(e, eff)  # b0 + 2^eff = x * 2^m / q, and x >= q as 2^eff <= it
-    x = (n << (e - m)) + (q << (eff - m))
-    return m + (x // q).bit_length() - 1
-
-
-def node_floors(table: GraphTable, dfg: Dfg, order: list[str] | tuple[str, ...],
-                b0: ErrorBound) -> dict[str, _Floor]:
-    """The grid floor: per node of ``order``, a bottom-up order of the nodes
-    the outputs read, a ``_Floor`` that holds in every plan of ``dfg`` whose
-    errors are all at most ``b0``, on a graph with no chain accumulator; an
-    output's bounds its error. A plan whose cost key ties or beats
-    ``(b0, s)`` is such a plan, since bounds never decrease along an edge.
-    It is one bottom-up pass over the graph.
-    Per node it bounds the W-bit value (a product's after truncation); each
-    rule is the analyzer's own, read from below:
-
-    * Reaches. A value's reach (L, H) says that its interval has lo <= L
-      and hi >= H in every plan: an input's range, a constant's point, the
-      sum of an ADD's views' reaches (one maybe negated), and the product
-      of a MUL's operands' where both have L <= H, as interval arithmetic
-      is monotone in its operands. Flooring onto a grid lowers lo, and
-      lowers hi by at most the loss it adds, so by at most b0 and by at
-      most 2^s, the least power of two at or above b0: each view of an ADD
-      and each truncation lowers H by 2^s. A value whose reach has L < H is
-      no point in any plan.
-    * Grids. A product's grid is the sum of its operands' grids, and
-      truncation only coarsens it; an ADD aligns both views to at least the
-      coarser operand grid. A format of at most W bits with range exponent
-      R has its grid at 2^(R - (W - 1)) or coarser, and its range holds
-      the value's interval, so R is at least that of a format holding the
-      reach.
-    * Value grids. Every end of an interval is a multiple of the value grid
-      2^eff, so flooring a value that is no point from eff to g adds
-      2^g - 2^eff, or 0 when g <= eff, and that is at most b0: g is at most
-      the largest G with 2^G <= b0 + 2^eff. A product's eff is the sum of
-      its operands', an input's its format grid, a constant's fixed, a
-      flooring's the larger of eff and g, an ADD's the smaller of its
-      views'. ``eff`` bounds it from above where the reach shows that the
-      values floored on the way are no points.
-    * Needs. ``need`` bounds from below the loss that the node's own step
-      adds: a truncation's, from eff (bounded above) to g (bounded below);
-      an ADD's views', where a constant's view loses the exact remainder of
-      its point on the grid, which never shrinks as the grid coarsens. A
-      product's truncation and a later view of it at an ADD floor the same
-      value twice, so when the truncated value is no point they lose
-      together at least 2^g - 2^eff, from the product's eff to the coarser
-      of the two grids, g.
-    * Floors. INPUT: 0. CONST: its quantization error. MUL: the larger
-      operand floor (``mul_error_bound``'s clamp) plus the need, and for
-      c*u base + e0 need(c*u, g). Pairwise ADD: the views' errors add in
-      full, each at least its operand's floor plus its view's need and, for
-      an operand u with an e0, base(u) + e0 need(u, g).
-    * e0 need(u, g) = ``floor_loss(e0(u), g)`` = 2^g - 2^e0(u), e0 the
-      finest grid u's value can have. A value that never becomes a point
-      has err >= base + 2^eff - 2^e0 in every plan. Flooring a non-point
-      interval from eff to g adds 2^g - 2^eff, so the bound telescopes
-      along a path. An ADD passes on both views' errors in full and takes
-      the finer view grid: its base and e0 are the sum and the minimum of
-      its operands'. A product c*u by a constant adds M_c*err(u) + M_u*e_c
-      with M_c = |c| >= 2^eff(c), so e0 = eff(c) + e0(u) and base =
-      |c|*base(u) + M_u*e_c, where M_u, the largest |value| of u's
-      interval, is at least the larger end of |u|'s reach. As eff is never
-      below the format grid, a value on the grid 2^g has err >= base +
-      e0 need(u, g). This total holds from the inputs on, not on top of an
-      error already made: a suffix of it would count again the
-      2^eff - 2^e0 that error holds.
-    * Points. e0 is set only for values whose interval spans zero,
-      lo < 0 <= hi, in every plan. Flooring keeps that, so none collapses
-      to a point, whose ``floor_loss`` is an exact remainder instead. A sum
-      spans zero when its operands do (it negates at most one), a product
-      c*u with c < 0 only when u's hi is > 0 too.
-
-    The rules read the table's input formats and quantized constants and do
-    integer and ``ErrorBound`` arithmetic only. One table serves the
-    topologies of its graph: ``table.floors`` memoizes one record per ``b0``
-    and distinct cone, so their searches share what their cones share.
-    Raises ValueError on a node kind no source graph holds.
-    """
-    b0_key = (b0.n, b0.e, b0.q)
-    slack = _exp_above(b0) if b0.n > 0 else None
-    floors: dict[str, _Floor] = {}
-    for nid in order:
-        node = dfg.node(nid)
-        if node.kind is NodeKind.OUTPUT:
-            floors[nid] = floors[node.operands[0]]
-            continue
-        below = [floors[o] for o in node.operands]
-        leaf = nid if node.kind in (NodeKind.INPUT, NodeKind.CONST) else None
-        key = (b0_key, node.kind.value, leaf, node.negate, *map(id, below))
-        floor = table.floors.get(key)
-        if floor is None:
-            floor = table.floors[key] = _floor(table, node, below, b0, slack)
-        floors[nid] = floor
-    return floors
-
-
-def _floor(table: GraphTable, node, below: list, b0: ErrorBound, slack: int | None) -> _Floor:
-    """The node's ``_Floor`` from its operands' (``below``); 2^slack is
-    the least power of two at or above b0, None when b0 is 0."""
-    kind, zero, den, width = node.kind, table.zero, table.den, table.config.width
-    if kind is NodeKind.INPUT:
-        fmt = table.bindings.input_format(node.id)
-        return _Floor(zero, -fmt.f, zero, (fmt.min_raw, fmt.max_raw, -fmt.f), -fmt.f, zero,
-                      e0=-fmt.f, pos=fmt.max_raw > 0)
-    if kind is NodeKind.CONST:
-        info, raw = table.quantized[node.id]
-        iv = info.interval
-        return _Floor(info.err, info.signal.grid_exp, None, (iv.m_lo, iv.m_hi, iv.exp),
-                      info.eff_exp, info.err, const=(info, raw))
-    if kind not in (NodeKind.MUL, NodeKind.ADD):
-        raise ValueError(f"source graphs cannot contain {kind} nodes")
-    a, b = below
-    if kind is NodeKind.MUL:
-        g = a.g + b.g  # a product's grid; truncation coarsens it
-        full = _reach_product(a.reach, b.reach)
-        reach = _lowered(full, slack)
-    else:
-        g = max(a.g, b.g)  # the grid both views align to
-        reach = _reach_sum(*(_lowered(f.reach, slack, neg)
-                             for f, neg in zip(below, node.negate)))
-    if reach is not None:
-        lo, hi, e = reach
-        if hi > 0:
-            g = max(g, e + hi.bit_length() - (width - 1))
-        if lo < 0:
-            g = max(g, e + (-lo - 1).bit_length() - (width - 1))
-    if kind is NodeKind.MUL:
-        need, eff, product_eff = zero, None, None
-        if _no_point(full) and a.eff is not None and b.eff is not None:
-            need = floor_loss(a.eff + b.eff, g, q=den)
-            eff = _floored_eff(b0, a.eff + b.eff)
-            if _no_point(reach):
-                product_eff = a.eff + b.eff
-        err, e0, base = max(a.err, b.err) + need, None, None
-        for c, u in ((a, b), (b, a)):  # c*u by a constant c
-            if c.const is not None and c.const[1] and u.e0 is not None \
-                    and (c.const[1] > 0 or u.pos):
-                info, raw = c.const
-                e0 = info.eff_exp + u.e0
-                # |u|'s interval reaches past the ends of its reach
-                m_u = zero if u.reach is None else \
-                    ErrorBound(max(u.reach[1], -u.reach[0], 0) * den, u.reach[2], den)
-                base = u.base.scaled(abs(raw), -info.signal.fmt.f) + info.err * m_u
-                err = max(err, base + floor_loss(e0, g, q=den))
-                break
-        return _Floor(err, g, base, reach, eff, need, e0=e0, product_eff=product_eff)
-    floor, need, eff, views = zero, zero, None, []
-    for f in below:
-        loss = zero
-        if f.const is not None:  # a point: its view loses the exact remainder
-            info = f.const[0]
-            loss = floor_loss(info.eff_exp, g, info.interval, den)
-        elif _no_point(f.reach) and f.eff is not None:
-            loss = floor_loss(f.eff, g, q=den)
-            view = _floored_eff(b0, f.eff)
-            eff = view if eff is None else min(eff, view)
-        part = f.err + loss
-        if f.e0 is not None:
-            part = max(part, f.base + floor_loss(f.e0, g, q=den))
-        floor, need = floor + part, need + loss
-        views.append(loss)
-    # the sum spans zero as its operands do: it negates at most one
-    e0 = min(a.e0, b.e0) if a.e0 is not None and b.e0 is not None else None
-    return _Floor(floor, g, a.base + b.base if e0 is not None else None, reach, eff, need,
-                  e0=e0, pos=any(node.negate), views=views)
+def _floor_cuts(table: GraphTable, label: str, outputs: list[_Floor], bound: tuple) -> bool:
+    """True, with the cut's record appended and logged, when the grid
+    floor's ``outputs`` records of the candidate ``label`` exceed ``bound``."""
+    if cost_key([f.err for f in outputs]) <= bound:
+        return False
+    table.searches.append(SearchStats(label, cut="grid floor"))
+    log.info("%s", table.searches[-1])
+    return True
 
 
 def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
@@ -541,9 +323,7 @@ def combinatorial_search(table: GraphTable, candidate: tuple[str, Dfg] | str,
     if bound is not None and candidate != CHAIN_PLAN:
         label, dfg = candidate
         floors = node_floors(table, dfg, dfg.depth_first, bound[0])
-        if cost_key([floors[o].err for o in outputs]) > bound:
-            table.searches.append(SearchStats(label, cut="grid floor"))
-            log.info("%s", table.searches[-1])
+        if _floor_cuts(table, label, [floors[o] for o in outputs], bound):
             return None
 
     builder = PlanBuilder(table, candidate)
@@ -648,38 +428,49 @@ def _shapes_for_chain(chain: Chain, n_max: int):
 
 
 def _rebuild_chain(nodes: list[Node], chain: Chain, shape, used: set[str]) -> list[Node]:
-    """Replace a chain's ADD nodes with the given tree shape over its terms."""
+    """Replace a chain's ADD nodes with the given tree shape over its terms:
+    the last addition is the root, the others take fresh names in order."""
     drop = set(chain.members) | {chain.root}
     out = [n for n in nodes if n.id not in drop]
-    counter = [0]
-
-    def fresh() -> str:
-        while True:
-            name = f"{chain.root}_r{counter[0]}"
-            counter[0] += 1
-            if name not in used:
-                used.add(name)
-                return name
-
-    def build(node_shape, top: bool):
-        if isinstance(node_shape, int):
-            term_id, sign = chain.terms[node_shape]
-            return term_id, sign
-        (la, sa), (lb, sb) = build(node_shape[0], False), build(node_shape[1], False)
-        if sa > 0:
-            negate, sign = (False, sb < 0), 1
-        elif sb > 0:
-            negate, sign = (True, False), 1
-        else:
-            negate, sign = (False, False), -1
-        nid = chain.root if top else fresh()
-        out.append(Node(nid, NodeKind.ADD, (la, lb), negate=negate))
-        return nid, sign
-
-    _, sign = build(shape, True)
-    if sign < 0:
-        raise PlanCheckError("a chain cannot be globally negative")
+    steps = _shape_steps(chain, shape)
+    ids: list[str] = []
+    counter = 0
+    for left, right, negate in steps:
+        nid = chain.root
+        if len(ids) < len(steps) - 1:
+            while (nid := f"{chain.root}_r{counter}") in used:
+                counter += 1
+            counter += 1
+            used.add(nid)
+        ids.append(nid)
+        out.append(Node(nid, NodeKind.ADD, tuple(chain.terms[r][0] if r >= 0 else ids[~r]
+                                                 for r in (left, right)), negate=negate))
     return out
+
+
+def _shape_lists(chains: tuple[Chain, ...]) -> list[list]:
+    """Each chain's shapes, as ``enumerate_topologies`` crosses them."""
+    shape_lists = [_shapes_for_chain(c, N_MAX_TOPOLOGIES) for c in chains]
+    if math.prod(map(len, shape_lists)) > _MAX_TOPOLOGY_PRODUCT:
+        shape_lists = [_shapes_for_chain(c, 2) for c in chains]
+    return shape_lists
+
+
+def _topology_label(dfg: Dfg, ks: tuple[int, ...]) -> str:
+    """The label of the candidate that takes shape ``ks[i]`` of chain i."""
+    return ",".join(f"{c.root}:{k}" for c, k in zip(dfg.chains, ks)) if any(ks) else "source"
+
+
+def _topology(dfg: Dfg, shape_lists: list[list], ks: tuple[int, ...]) -> tuple[str, Dfg]:
+    """The candidate that takes shape ``ks[i]`` of each chain's list."""
+    if not any(ks):
+        return "source", dfg
+    nodes = list(dfg.nodes)
+    used = {n.id for n in dfg.nodes}
+    for chain, shapes, k in zip(dfg.chains, shape_lists, ks):
+        if k:  # shape 0 is the chain's source shape
+            nodes = _rebuild_chain(nodes, chain, shapes[k], used)
+    return _topology_label(dfg, ks), Dfg(tuple(nodes))
 
 
 def enumerate_topologies(dfg: Dfg) -> list[tuple[str, Dfg]]:
@@ -690,23 +481,9 @@ def enumerate_topologies(dfg: Dfg) -> list[tuple[str, Dfg]]:
     balanced tree; when the cross product over several chains grows past a
     safety cap, every chain does (a limit of 2, below every chain's length).
     """
-    chains = dfg.chains
-    shape_lists = [_shapes_for_chain(c, N_MAX_TOPOLOGIES) for c in chains]
-    if math.prod(map(len, shape_lists)) > _MAX_TOPOLOGY_PRODUCT:
-        shape_lists = [_shapes_for_chain(c, 2) for c in chains]
-
-    result = []
-    for ks in itertools.product(*(range(len(shapes)) for shapes in shape_lists)):
-        nodes = list(dfg.nodes)
-        used = {n.id for n in dfg.nodes}
-        changed = False
-        for chain, shapes, k in zip(chains, shape_lists, ks):
-            if k:  # shape 0 is the chain's source shape
-                nodes = _rebuild_chain(nodes, chain, shapes[k], used)
-                changed = True
-        label = ",".join(f"{c.root}:{k}" for c, k in zip(chains, ks)) if changed else "source"
-        result.append((label, Dfg(tuple(nodes)) if changed else dfg))
-    return result
+    shape_lists = _shape_lists(dfg.chains)
+    return [_topology(dfg, shape_lists, ks)
+            for ks in itertools.product(*(range(len(shapes)) for shapes in shape_lists))]
 
 
 # ---------------------------------------------------------------------------
@@ -720,20 +497,32 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
     enumeration order, and ``CHAIN_PLAN``, ranked last, all searched on one
     ``GraphTable``. The chain plan is searched first, with no incumbent; the
     best cost found so far is the incumbent of each later search, and a
-    candidate it cuts is no plan. Ranking: (max output bound, summed
-    bounds, inserted formatting nodes, rank). When no candidate fits, the
-    errors are joined in rank order.
+    candidate it cuts is no plan. A topology's grid floor is read from its
+    chains' shapes (``_TopologyFloors``); its graph is built only when the
+    floor does not cut it. Ranking: (max output bound, summed bounds,
+    inserted formatting nodes, rank). When no candidate fits, the errors
+    are joined in rank order.
     """
     table = GraphTable(dfg, bindings, config)
-    topologies = enumerate_topologies(dfg) if config.enable_topology_opt else [("source", dfg)]
-    candidates: list[tuple[int, tuple[str, Dfg] | str]] = list(enumerate(topologies))
+    shape_lists = _shape_lists(dfg.chains) if config.enable_topology_opt else []
+    combos = itertools.product(*(range(len(shapes)) for shapes in shape_lists))
+    n_topologies = math.prod(map(len, shape_lists))
+    candidates: list[tuple[int, tuple[int, ...] | str]] = list(enumerate(combos))
     if config.enable_chain_alloc and dfg.chains:
-        candidates.insert(0, (len(topologies), CHAIN_PLAN))
+        candidates.insert(0, (n_topologies, CHAIN_PLAN))
+    floors = _TopologyFloors(table, shape_lists)
 
-    incumbent = None
+    incumbent = bound = None
     ranked: list[tuple] = []
     errors: list[tuple[int, str]] = []
-    for rank, candidate in candidates:
+    for rank, ks in candidates:
+        if ks == CHAIN_PLAN:
+            candidate = CHAIN_PLAN
+        elif bound is not None and _floor_cuts(
+                table, _topology_label(dfg, ks), floors.output_floors(ks, bound[0]), bound):
+            continue
+        else:
+            candidate = _topology(dfg, shape_lists, ks)
         try:
             plan = combinatorial_search(table, candidate, incumbent=incumbent)
         except CannotFitError as e:
@@ -743,6 +532,8 @@ def topological_optimize(dfg: Dfg, bindings: Bindings, config: Config) -> Plan:
             ranked.append(((plan.cost_key, plan.n_format_nodes, rank), plan))
             if incumbent is None or plan.cost_key < incumbent:
                 incumbent = plan.cost_key
+                # bounds are compared on the table's denominator
+                bound = tuple(ErrorBound.of(x, table.den) for x in incumbent)
 
     if not ranked:
         raise CannotFitError("; ".join(e for _, e in sorted(errors)) or "no feasible plan")

@@ -60,16 +60,19 @@ def literal_over_bound(digits: str, exp: str | None) -> str | None:
     return None
 
 
+# one token, or one comment, after the whitespace before it
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>[ \t\r\n]+)
-  | (?P<comment>\#[^\n]*)
-  | (?P<number>(?P<digits>\d+(\.\d+)?)([eE](?P<exp>[+-]?\d+))?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<punct>[():;=+\-*/])
-  | (?P<bad>.)
+    [ \t\r\n]*
+    (?:
+      (?P<comment>\#[^\n]*)
+    | (?P<number>(?P<digits>\d+(\.\d+)?)([eE](?P<exp>[+-]?\d+))?)
+    | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+    | (?P<punct>[():;=+\-*/])
+    | (?P<bad>[^ \t\r\n])
+    )
     """,
-    re.VERBOSE | re.DOTALL,
+    re.VERBOSE,
 )
 
 
@@ -85,31 +88,37 @@ class Token:
 
 def tokenize(text: str) -> list[Token]:
     tokens = []
-    line, line_start = 1, 0  # line_start: offset of the current line's first character
+    append = tokens.append
+    # line_start: offset of the current line's first character; nl: of the next newline
+    line, line_start, nl = 1, 0, text.find("\n")
     for m in _TOKEN_RE.finditer(text):
         group = m.lastgroup
-        lexeme = m.group()
-        if group == "ws":  # only whitespace holds a newline; a comment makes no token
-            if "\n" in lexeme:
-                line += lexeme.count("\n")
-                line_start = m.start() + lexeme.rfind("\n") + 1
+        if group == "comment":  # a comment makes no token
             continue
-        col = m.start() - line_start + 1
-        if group == "number":
-            over = literal_over_bound(m.group("digits"), m.group("exp"))
+        at, end = m.span(group)
+        while 0 <= nl < at:
+            line, line_start = line + 1, nl + 1
+            nl = text.find("\n", line_start)
+        lexeme, col = text[at:end], at - line_start + 1
+        if group == "ident":
+            append(Token(lexeme if lexeme in KEYWORDS else "ident", lexeme, line, col))
+        elif group == "punct":
+            append(Token(lexeme, lexeme, line, col))
+        elif group == "number":
+            # a literal of at most 5 characters is within both bounds
+            over = literal_over_bound(m.group("digits"), m.group("exp")) \
+                if end - at > 5 else None
             if over == "exponent":
                 raise ParseError(f"exponent of {lexeme[:40]!r} exceeds {MAX_EXPONENT}", line, col)
             if over == "digits":
                 raise ParseError(f"{lexeme[:40]!r}... has over {MAX_DIGITS} digits", line, col)
-            tokens.append(Token("number", lexeme, line, col))
-        elif group == "ident":
-            kind = lexeme if lexeme in KEYWORDS else "ident"
-            tokens.append(Token(kind, lexeme, line, col))
-        elif group == "punct":
-            tokens.append(Token(lexeme, lexeme, line, col))
-        elif group == "bad":
+            append(Token("number", lexeme, line, col))
+        else:
             raise ParseError(f"unexpected character {lexeme!r}", line, col)
-    tokens.append(Token("eof", "", line, len(text) - line_start + 1))
+    while nl >= 0:
+        line, line_start = line + 1, nl + 1
+        nl = text.find("\n", line_start)
+    append(Token("eof", "", line, len(text) - line_start + 1))
     return tokens
 
 
@@ -144,6 +153,7 @@ class _Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        self.cur = tokens[0]
         self.nodes: list[Node] = []
         self.inputs: dict[str, tuple[int, int, int]] = {}
         self.consts: dict[str, Fraction] = {}
@@ -155,15 +165,12 @@ class _Parser:
         self._gen = 0
         self._depth = 0
 
-    # token plumbing
-
-    @property
-    def cur(self) -> Token:
-        return self.tokens[self.pos]
+    # token plumbing: ``cur`` is ``tokens[pos]``, the next token to read
 
     def advance(self) -> Token:
         tok = self.cur
         self.pos += 1
+        self.cur = self.tokens[self.pos]  # the eof token is never read past
         return tok
 
     def expect(self, kind: str) -> Token:

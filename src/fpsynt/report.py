@@ -4,6 +4,7 @@ table (node, format, scale, error, operands) for humans."""
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import TYPE_CHECKING
 
 from . import __version__
@@ -46,6 +47,10 @@ def node_records(plan: Plan) -> list[dict]:
 
 
 def build_report(plan: Plan, stats: ErrorStats | None = None) -> dict:
+    return _report(plan, stats, node_records(plan))
+
+
+def _report(plan: Plan, stats: ErrorStats | None, nodes: list[dict]) -> dict:
     return {
         "tool": "fpsynt",
         "version": __version__,
@@ -57,15 +62,70 @@ def build_report(plan: Plan, stats: ErrorStats | None = None) -> dict:
              "terms": a.n_terms}
             for a in plan.accumulators
         ],
-        "nodes": node_records(plan),
+        "nodes": nodes,
         "outputs": list(plan.output_ids),
         "predicted_bound": float(plan.cost),
         "stats": stats.as_dict() if stats is not None else None,
     }
 
 
+# one node record of ``report_json``, as ``json.dumps(indent=2, sort_keys=True)``
+# lays it out at its depth; the optional "raw" and "shift" lines go in the
+# two gaps
+_NODE = """    {
+      "error_bound": %s,
+      "interval": [
+        %s,
+        %s
+      ],
+      "kind": %s,
+      "name": %s,
+      "operands": %s,
+%s      "scale": %s,
+%s      "sif": {
+        "f": %s,
+        "i": %s,
+        "s": %s
+      },
+      "width": %s
+    }"""
+_NODES = '\n  "nodes": [],\n'  # the header's placeholder, at the top level's indent
+
+
+def _dyadic(m: int, exp: int) -> str:
+    """m * 2^exp as ``float(Fraction)`` rounds it, in ``json``'s text."""
+    return float.__repr__((m << exp) / 1 if exp >= 0 else m / (1 << -exp))
+
+
 def report_json(plan: Plan, stats: ErrorStats | None = None) -> str:
-    return json.dumps(build_report(plan, stats), indent=2, sort_keys=True) + "\n"
+    """``json.dumps(build_report(plan, stats), indent=2, sort_keys=True)``
+    and a newline, byte for byte: one ``json.dumps`` writes the header and
+    each node record is ``_NODE`` filled in, strings through ``json``'s own
+    ``encode_basestring_ascii`` and floats through ``float.__repr__`` (no
+    value is a NaN or infinite: ``float`` of an exact bound raises instead)."""
+    header = json.dumps(_report(plan, stats, []), indent=2, sort_keys=True)
+    head, mid, tail = header.partition(_NODES)
+    graph, records = plan.graph, []
+    for nid in graph.level_first:
+        node = graph.node(nid)
+        info = plan.info[nid]
+        fmt, iv, kind = info.signal.fmt, info.interval, node.kind
+        if node.operands:
+            labels = [_string(_operand_label(plan, op)) for op in node.operands]
+            operands = "[\n        " + ",\n        ".join(labels) + "\n      ]"
+        else:
+            operands = "[]"
+        raw = f'      "raw": {plan.const_raws[nid]!r},\n' if kind is NodeKind.CONST else ""
+        shift = f'      "shift": {node.amount!r},\n' \
+            if kind in (NodeKind.SHR, NodeKind.TRUNC) else ""
+        err = info.err
+        records.append(_NODE % (
+            float.__repr__(err.numerator / err.denominator), _dyadic(iv.m_lo, iv.exp),
+            _dyadic(iv.m_hi, iv.exp), _string(kind.value), _string(nid), operands, raw,
+            int.__repr__(info.signal.scale), shift, int.__repr__(fmt.f), int.__repr__(fmt.i),
+            int.__repr__(fmt.s), int.__repr__(fmt.width)))
+    nodes = '\n  "nodes": [\n' + ",\n".join(records) + "\n  ],\n" if records else mid
+    return head + nodes + tail + "\n"
 
 
 def summary_table(plan: Plan) -> str:

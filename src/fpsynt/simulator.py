@@ -296,44 +296,70 @@ def run_fixed_columns(plan: Plan, raws: np.ndarray) -> dict[str, np.ndarray]:
     """Execute the plan bit-accurately on an (n, k) input raw matrix.
 
     Returns one raw column per output, int64 when ``fits_int64(plan)`` and
-    ``object`` otherwise. Every node's raw column is checked against its
-    format range; InternalOverflowError here indicates a planner bug.
+    ``object`` otherwise. Each block fills one stacked matrix, a row per
+    node in level order, and checks every row against its node's format
+    range with one min and one max over the block; InternalOverflowError,
+    at the first node in level order of the first block that leaves its
+    range, and at that node's first bad row, indicates a planner bug.
     """
     dtype = np.int64 if fits_int64(plan) else object
-    # x >> 63 is already 0 or -1, and an int64 shift count must fit int64
-    shift_cap = 63 if dtype is np.int64 else None
+    order, graph = plan.graph.level_first, plan.graph
+    row = {nid: k for k, nid in enumerate(order)}
     column = {name: k for k, name in enumerate(plan.bindings.inputs)}
+    # per node: a fill from its input column or constant raw, a copy of its
+    # operand's row, or a ufunc of its operands' rows (and a shift count)
+    steps, lo, hi = [], [], []
+    for nid in order:
+        node = graph.node(nid)
+        args = [row[op] for op in node.operands]
+        if node.kind is NodeKind.INPUT:
+            step = ("input", column[nid])
+        elif node.kind is NodeKind.CONST:
+            step = ("const", plan.const_raws[nid])
+        elif node.kind is NodeKind.OUTPUT:
+            step = ("copy", args[0])
+        elif node.kind is NodeKind.MUL:
+            step = (np.multiply, *args)
+        elif node.kind is NodeKind.ADD:  # -a + b is b - a: both are never negated
+            step = (np.subtract, *args[::-1]) if node.negate[0] else \
+                (np.subtract if node.negate[1] else np.add, *args)
+        elif node.kind in (NodeKind.SHR, NodeKind.TRUNC):
+            # x >> 63 is already 0 or -1, and an int64 shift count must fit int64
+            step = ("shift", args[0], node.amount if dtype is object else min(node.amount, 63))
+        else:  # pragma: no cover
+            raise ValueError(node.kind)
+        steps.append(step)
+        fmt = plan.info[nid].signal.fmt
+        lo.append(fmt.min_raw)
+        hi.append(fmt.max_raw)
 
-    def run_block(block):
+    n = len(raws)
+    out = {oid: np.empty(n, dtype) for oid in plan.output_ids}
+    mat = np.empty((len(order), min(n, BLOCK)), dtype)
+    for start in range(0, max(n, 1), BLOCK):
+        block = raws[start:start + BLOCK]
         m = len(block)
-        cols: dict[str, np.ndarray] = {}
-        for nid in plan.graph.level_first:
-            node = plan.graph.node(nid)
-            ops = [cols[op] for op in node.operands]
-            if node.kind is NodeKind.INPUT:
-                col = block[:, column[nid]].astype(dtype)
-            elif node.kind is NodeKind.CONST:
-                col = np.full(m, plan.const_raws[nid], dtype=dtype)
-            elif node.kind is NodeKind.MUL:
-                col = ops[0] * ops[1]
-            elif node.kind is NodeKind.ADD:
-                a, b = [-x if neg else x for x, neg in zip(ops, node.negate)]
-                col = a + b
-            elif node.kind in (NodeKind.SHR, NodeKind.TRUNC):
-                amount = node.amount if shift_cap is None else min(node.amount, shift_cap)
-                col = ops[0] >> amount
-            elif node.kind is NodeKind.OUTPUT:
-                col = ops[0]
-            else:  # pragma: no cover
-                raise ValueError(node.kind)
-            fmt = plan.info[nid].signal.fmt
-            if m and (col.min() < fmt.min_raw or col.max() > fmt.max_raw):
-                bad = (col < fmt.min_raw) | (col > fmt.max_raw)
-                raise InternalOverflowError(nid, int(col[np.argmax(bad)]))
-            cols[nid] = col
-        return cols
-
-    return _in_blocks(raws, plan.output_ids, run_block)
+        cols = mat[:, :m]
+        for col, (op, x, *y) in zip(cols, steps):
+            if op == "input":
+                col[:] = block[:, x]
+            elif op == "const":
+                col[:] = x
+            elif op == "copy":
+                col[:] = cols[x]
+            elif op == "shift":
+                np.right_shift(cols[x], y[0], out=col)
+            else:
+                op(cols[x], cols[y[0]], out=col)
+        if m:  # each row's min and max, against its range as Python ints
+            for k, (a, b) in enumerate(zip(cols.min(axis=1).tolist(), cols.max(axis=1).tolist())):
+                if a < lo[k] or b > hi[k]:
+                    col = cols[k]
+                    raise InternalOverflowError(order[k], int(col[np.argmax((col < lo[k]) |
+                                                                            (col > hi[k]))]))
+        for oid, col in out.items():
+            col[start:start + m] = cols[row[oid]]
+    return out
 
 
 def run_reference_columns(plan: Plan, raws: np.ndarray, mode: str = "double") -> dict:
@@ -411,29 +437,49 @@ class ErrorStats:
 
 
 def stats_from_deviations(devs) -> ErrorStats:
-    """Aggregate deviations into an ErrorStats.
+    """Aggregate a sequence or array of deviations into an ErrorStats.
 
-    The mean is the exact sum rounded once, as in ``statistics.mean`` (a
-    float sum averages three copies of 10.842168179762918 to ...917, below
-    ``min``). The sum is kept as float parts, each the ``math.fsum`` of the
-    values less the parts before it, until that is 0. A NaN deviation is a ValueError."""
-    if not devs:
+    The values are sorted as float64; ``min``, ``max`` and ``median`` are
+    those Python's stable ``sorted`` of the floats gives, so a zero keeps
+    the sign of its place among the input's zeros. The mean is the exact
+    sum rounded once, as in ``statistics.mean`` (a float sum averages three
+    copies of 10.842168179762918 to ...917, below ``min``): each value is
+    an integer mantissa times a power of two (``np.frexp``), the mantissas
+    of each run of equal exponents in the sorted values are summed in int64,
+    in two halves so that no sum can wrap, and ``int`` arithmetic joins the
+    runs. It falls back to ``statistics.mean`` when a value is infinite. A
+    NaN deviation is a ValueError."""
+    given = np.asarray(devs, dtype=np.float64)
+    n = len(given)
+    if not n:
         raise ValueError("no deviations to aggregate")
-    vals = sorted(float(d) for d in devs)
-    n = len(vals)
-    parts: list[float] = []
-    try:
-        # a NaN value makes every fsum NaN, which is never 0: stop, and raise below
-        while (part := math.fsum(vals + [-p for p in parts])) and part == part:
-            parts.append(part)
-        mean = float(sum(map(Fraction, parts), Fraction(0)) / n)
-    except (OverflowError, ValueError):  # a sum past the largest float, or inf
-        mean = statistics.mean(vals)
+    vals = np.sort(given)
+    if np.isnan(vals[-1]):  # np.sort puts NaN last
+        raise ValueError("a deviation is NaN: no mean to aggregate")
+
+    def at(k: int) -> float:
+        if vals[k]:
+            return float(vals[k])
+        # the zeros sort together, after the negatives, in input order where the sort is stable
+        return float(given[given == 0][k - int(np.count_nonzero(vals < 0))])
+
+    if np.isinf(vals[0]) or np.isinf(vals[-1]):
+        mean = statistics.mean(vals.tolist())
     else:
-        if part != part:
-            raise ValueError("a deviation is NaN: no mean to aggregate")
-    return ErrorStats(min=vals[0], max=vals[-1], mean=mean,
-                      median=vals[(n - 1) // 2],  # lower middle for even n
+        frac, exps = np.frexp(vals)
+        mant = np.ldexp(frac, 53).astype(np.int64)  # exact: frexp keeps 53 bits
+        starts = np.concatenate(([0], np.flatnonzero(np.diff(exps)) + 1))
+        # halves below 2^27 in size: their int64 sums hold for n < 2^36
+        high = mant >> 26
+        low = np.add.reduceat(mant - (high << 26), starts).tolist()
+        high = np.add.reduceat(high, starts).tolist()
+        run_exps = exps[starts].tolist()
+        base = min(run_exps)
+        total = sum((((h << 26) + lo) << (e - base) for e, h, lo in zip(run_exps, high, low)), 0)
+        k = base - 53  # the sum is total * 2^k; int / int rounds correctly
+        mean = (total << k) / n if k >= 0 else total / (n << -k)
+    return ErrorStats(min=at(0), max=at(n - 1), mean=mean,
+                      median=at((n - 1) // 2),  # lower middle for even n
                       count=n)
 
 
@@ -450,6 +496,5 @@ def compare(plan: Plan, vecset: VectorSet, mode: str = "double") -> ErrorStats:
             dev = np.abs(_to_float(fixed[oid], signal.scale - signal.fmt.f) - ref[oid])
         worst = dev if worst is None else np.maximum(worst, dev)
     log.info("compare: %d vectors, %d outputs, %s columns, %d blocks", len(vecset),
-             len(plan.output_ids), "int64" if fits_int64(plan) else "object",
-             -(-len(vecset) // BLOCK))
-    return stats_from_deviations(worst.tolist())
+             len(plan.output_ids), fixed[plan.output_ids[0]].dtype, -(-len(vecset) // BLOCK))
+    return stats_from_deviations(worst)

@@ -1,5 +1,6 @@
 """Search correctness: oracle equivalence, topologies, chain allocation."""
 
+import dataclasses
 import itertools
 import logging
 import random
@@ -16,8 +17,9 @@ from fpsynt.codegen import emit_c, emit_vhdl
 from fpsynt.config import Config
 from fpsynt.core import Dfg, Node, NodeKind, encode, topo_order
 from fpsynt.errors import CannotFitError
-from fpsynt.optimizer import (SearchStats, _Frontier, combinatorial_search,
-                              enumerate_topologies, node_floors, topological_optimize)
+from fpsynt.floors import _TopologyFloors, node_floors
+from fpsynt.optimizer import (SearchStats, _Frontier, _shape_lists, _topology_label,
+                              combinatorial_search, enumerate_topologies, topological_optimize)
 from fpsynt.parser import Bindings, parse_spec
 from fpsynt.pipeline import synthesize
 from fpsynt.report import report_json
@@ -1105,3 +1107,153 @@ def test_completion_floor_is_admissible():
     states, raised = map(sum, zip(*counts))
     # the floor is no vacuous 0
     assert states >= 10_000 and raised >= 500, (states, raised)
+
+
+# ---------------------------------------------------------------------------
+# the grid floor of a topology, read from its chains' shapes
+
+
+def _random_shapes_graph(rng: random.Random, width: int,
+                        max_terms: int = 6) -> tuple[Dfg, Bindings]:
+    """1-3 addition chains of 3 to ``max_terms`` terms over products and inputs, some of
+    them negated, a term added first or second; a later chain may read an
+    earlier chain's root as a term or through a product, and every root is
+    an output."""
+    fmts = [f for f in _FLOOR_FORMATS if sum(f) <= width]
+    inputs = {f"v{k}": rng.choice(fmts) for k in range(rng.randint(2, 4))}
+    consts = {f"c{k}": rng.choice(_FLOOR_CONSTS) for k in range(3)}
+    ops, outputs, roots = [], {}, []
+    for ci in range(rng.randint(1, 3)):
+        terms = []
+        for k in range(rng.randint(3, max_terms)):
+            r, c = rng.random(), rng.choice(list(consts))
+            if roots and r < 0.15:  # a later add reads a root
+                terms.append(rng.choice(roots))
+            elif r < 0.8:  # a product, of a root now and then
+                read = rng.choice(roots) if roots and r < 0.3 else rng.choice(list(inputs))
+                ops.append((f"m{ci}_{k}", NodeKind.MUL, (c, read), (False, False)))
+                terms.append(f"m{ci}_{k}")
+            else:
+                terms.append(rng.choice(list(inputs)))
+        acc = terms[0]
+        for k, t in enumerate(terms[1:]):
+            neg = rng.random() < 0.3
+            ops.append((f"s{ci}_{k}", NodeKind.ADD, *(((t, acc), (neg, False))
+                                                       if rng.random() < 0.25
+                                                       else ((acc, t), (False, neg)))))
+            acc = f"s{ci}_{k}"
+        roots.append(acc)
+        outputs[f"y{ci}"] = acc
+    return make_graph(inputs, consts, ops, outputs)
+
+
+def _chain_cases(n: int, seed: int, max_terms: int, k_max: int) -> list:
+    rng = random.Random(seed)
+    cases = []
+    for _ in range(n):
+        width = rng.randint(8, 16)
+        cases.append((_random_shapes_graph(rng, width, max_terms), Config(width=width, k_max=k_max)))
+    return cases
+
+
+def test_topology_floors_equal_the_floors_of_built_graphs(monkeypatch):
+    """On random graphs of 1-3 chains, at b0 = 0 and at each incumbent that
+    ``topological_optimize`` floors candidates at, each candidate's grid
+    floor read from its chains' shapes equals ``node_floors`` on its built
+    graph, output by output, and its label is the built candidate's. No
+    floor reads k_max, so the searches have no choice to make."""
+    seen = []
+    output_floors = _TopologyFloors.output_floors
+
+    def recorded(self, ks, b0):
+        seen.append(b0)
+        return output_floors(self, ks, b0)
+
+    compared = reshaped = 0
+    for (dfg, bindings), cfg in _chain_cases(40, 33, 6, 0):
+        assert 1 <= len(dfg.chains) <= 3
+        monkeypatch.setattr(_TopologyFloors, "output_floors", recorded)
+        seen.clear()
+        try:
+            topological_optimize(dfg, bindings, cfg)
+        except CannotFitError:
+            pass
+        monkeypatch.undo()
+        table, fresh = GraphTable(dfg, bindings, cfg), GraphTable(dfg, bindings, cfg)
+        shape_lists = _shape_lists(dfg.chains)
+        combos = list(itertools.product(*(range(len(s)) for s in shape_lists)))
+        topologies = enumerate_topologies(dfg)
+        assert [_topology_label(dfg, ks) for ks in combos] == [label for label, _ in topologies]
+        floors = _TopologyFloors(table, shape_lists)
+        for b0 in [ErrorBound(0, 0, table.den)] + list({(b.n, b.e, b.q): b for b in seen}.values()):
+            for ks, (label, topo) in zip(combos, topologies):
+                want = node_floors(fresh, topo, topo.depth_first, b0)
+                assert [_record(f) for f in floors.output_floors(ks, b0)] == \
+                    [_record(want[o]) for o in topo.output_ids], (label, b0)
+                compared += 1
+                reshaped += any(ks)
+    assert compared >= 1000 and reshaped * 2 >= compared, (compared, reshaped)
+
+
+def _built_graph_optimize(dfg, bindings, cfg):
+    """The search loop that ``topological_optimize`` replaced: every
+    topology's graph built first, each floored by ``combinatorial_search``
+    itself. Returns the search records' text and the plan, or the error."""
+    table = GraphTable(dfg, bindings, cfg)
+    topologies = enumerate_topologies(dfg) if cfg.enable_topology_opt else [("source", dfg)]
+    candidates = list(enumerate(topologies))
+    if cfg.enable_chain_alloc and dfg.chains:
+        candidates.insert(0, (len(topologies), CHAIN_PLAN))
+    incumbent, ranked, errors = None, [], []
+    for rank, candidate in candidates:
+        try:
+            plan = combinatorial_search(table, candidate, incumbent=incumbent)
+        except CannotFitError as e:
+            errors.append((rank, f"{'chain' if candidate == CHAIN_PLAN else candidate[0]}: {e}"))
+            continue
+        if plan is not None:
+            ranked.append(((plan.cost_key, plan.n_format_nodes, rank), plan))
+            if incumbent is None or plan.cost_key < incumbent:
+                incumbent = plan.cost_key
+    lines = [str(s) for s in table.searches]
+    if not ranked:
+        return lines, "; ".join(e for _, e in sorted(errors)) or "no feasible plan"
+    return lines, min(ranked, key=lambda r: r[0])[1]
+
+
+def test_search_records_equal_the_built_graph_loop():
+    """``topological_optimize`` cuts a topology before building its graph,
+    and gives the records' text, the plan and the errors of the loop over
+    built graphs, on random chain graphs and on the benchmark's specs."""
+    cases = [(graph, dataclasses.replace(cfg, enable_chain_alloc=k % 3 != 0,
+                                         enable_topology_opt=k % 4 != 1))
+             for k, (graph, cfg) in enumerate(_chain_cases(60, 34, 4, 1))]
+    for src in (FIR4_SRC, FIR5_SRC, MATVEC2X3_SRC, SKEWED_SUM, make_sum_src(5)):
+        cases += [(parse_spec(src), Config(width=w)) for w in (16, 24)]
+    cut = 0
+    for (dfg, bindings), cfg in cases:
+        lines, want = _built_graph_optimize(dfg, bindings, cfg)
+        try:
+            got = topological_optimize(dfg, bindings, cfg)
+        except CannotFitError as e:
+            assert str(e) == want
+            continue
+        assert [str(s) for s in got.searches] == lines
+        assert report_json(got) == report_json(want) and got.choices == want.choices
+        cut += sum(s.cut == "grid floor" for s in got.searches)
+    assert cut >= 100, cut
+
+
+def test_matvec4x4_builds_no_cut_topology(monkeypatch):
+    """Of ``matvec4x4``'s 625 pairwise topologies, the grid floor cuts all
+    but at most one before its graph is built; a loop over built graphs
+    builds all 625."""
+    built = []
+
+    def counted(nodes):
+        built.append(nodes)
+        return Dfg(nodes)
+
+    monkeypatch.setattr("fpsynt.optimizer.Dfg", counted)
+    plan = synthesize(make_matvec_src(4), Config(width=16))
+    assert len(plan.searches) == 626 and len(built) <= 1

@@ -22,7 +22,7 @@ from fpsynt.core import Dfg, NodeKind, Quantize, ScaledSignal, SifFormat, decode
 from fpsynt.errors import InternalOverflowError, ParseError, VectorError
 from fpsynt.parser import MAX_DIGITS, parse_spec
 from fpsynt.pipeline import synthesize
-from fpsynt.simulator import (VectorSet, _out_of_range, _quantize_column, compare,
+from fpsynt.simulator import (BLOCK, VectorSet, _out_of_range, _quantize_column, compare,
                               fits_int64, generate_vectors, load_vectors_csv,
                               run_fixed, run_fixed_columns, run_reference_columns,
                               save_vectors_csv,
@@ -580,3 +580,82 @@ def test_vector_set_equality_is_by_value():
     assert VectorSet(("x",), np.array([[1 << 63]])).vectors == (Vec((1 << 63,)),)
     with pytest.raises(ValueError):
         VectorSet(("x",), np.array(rows))
+
+
+# ---------------------------------------------------------------------------
+# a stacked matrix per block; statistics on arrays
+
+
+@pytest.mark.parametrize("columns", ["int64", "object"])
+def test_a_violation_in_a_later_block_names_the_scalar_node_and_raw(columns):
+    """One row, in the third block, leaves a narrowed node's range: the
+    stacked matrix names the node and the raw that per-value execution
+    stops at. The rows around it are in range."""
+    if columns == "int64":
+        plan = synthesize(FIR4_SRC)
+        bad = _narrow(plan, "t3", SifFormat(1, 0, 28))  # two bits short of w2 * x2
+        row = [bad.bindings.input_format(x).min_raw for x in bad.bindings.inputs]
+        raws = np.zeros((3 * BLOCK + 10, len(row)), dtype=np.int64)
+    else:
+        plan = synthesize("input a : sif(1/0/40);\ninput b : sif(1/0/40);\noutput y = a * b;\n",
+                          Config(width=64))
+        bad = plan
+        for n in plan.graph.nodes:
+            if plan.info[n.id].width > 63:
+                bad = _narrow(bad, n.id, SifFormat(1, 0, 62))
+        row = [1 << 32, 1 << 32]  # in int64, 2^32 * 2^32 wraps to 0
+        raws = np.ones((3 * BLOCK + 10, 2), dtype=np.int64)
+    assert fits_int64(bad) == (columns == "int64")
+    at = 2 * BLOCK + 7
+    raws[at] = row
+    with pytest.raises(InternalOverflowError) as ref:
+        scalar_fixed(bad, row)
+    with pytest.raises(InternalOverflowError) as got:
+        run_fixed_columns(bad, raws)
+    assert (got.value.node_id, got.value.raw) == (ref.value.node_id, ref.value.raw)
+    run_fixed_columns(bad, np.delete(raws, at, axis=0))  # every other row is in range
+
+
+def test_compare_works_out_fits_int64_once(monkeypatch):
+    plan = synthesize(FIR4_SRC)
+    vecset = generate_vectors(plan.bindings, 100, seed=3)
+    calls = []
+    real = fits_int64
+    monkeypatch.setattr("fpsynt.simulator.fits_int64", lambda p: calls.append(p) or real(p))
+    compare(plan, vecset)
+    assert len(calls) == 1
+
+
+_SPECIAL_DEVIATIONS = [0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1e300,
+                       1.7976931348623157e308, 1.9999999999999998]
+
+
+def test_stats_on_floats_and_arrays_equal_sorted_and_statistics_mean():
+    """On seeded lists of zeros, subnormals, 1e300, the largest float, inf
+    and negatives, given as a list or an array: min, max and the lower
+    median are those of ``sorted``, zeros with their signs, and the mean is
+    ``statistics.mean``'s, bit for bit."""
+    rng = random.Random(41)
+    lists = [[-0.0, 0.0, -0.0], [0.0, -0.0], [float("inf"), 1.0], [0.0, float("inf")] * 2,
+             [1.7976931348623157e308] * 20003, [1.9999999999999998] * 20003,
+             [rng.choice(_SPECIAL_DEVIATIONS) for _ in range(20003)]]
+    # zeros of both signs among few values, where an unstable sort moves them
+    lists += [[rng.choice([0.0, -0.0, 0.0, 1.0, 2.0]) for _ in range(n)]
+              for n in (20, 50, 100, 1000)]
+    for _ in range(300):
+        lists.append([rng.choice(_SPECIAL_DEVIATIONS) if rng.random() < 0.4
+                      else rng.uniform(-1, 1) * 10.0 ** rng.randint(-320, 300)
+                      for _ in range(rng.randint(1, 80))])
+
+    def bits(x):
+        return x.hex() if isinstance(x, float) else x
+
+    for vals in lists:
+        ordered = sorted(vals)
+        want = [ordered[0], ordered[-1], statistics.mean(vals), ordered[(len(vals) - 1) // 2],
+                len(vals)]
+        for given in (vals, np.array(vals)):
+            s = stats_from_deviations(given)
+            assert list(map(bits, (s.min, s.max, s.mean, s.median, s.count))) == \
+                list(map(bits, want)), vals[:5]
+            assert all(type(x) is float for x in (s.min, s.max, s.mean, s.median))
